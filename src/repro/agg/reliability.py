@@ -37,6 +37,12 @@ accumulation in canonical (sorted-key, tape-index) order, and every
 cross-worker reduction goes through ``math.fsum`` over sorted worker
 ids, so no dict iteration order or arrival permutation can leak into
 the result.
+
+The clamped precision map is memoized: every mutator (:meth:`observe`
+when it records a residual, :meth:`fit`, :meth:`restore_state`) drops
+the memo and the next read rebuilds it with the same arithmetic, so
+reads cost O(len(worker_ids)) instead of O(observed workers) and
+return bit-identical floats.
 """
 
 from __future__ import annotations
@@ -102,6 +108,12 @@ class ReliabilityModel:
         self._n: dict[int, float] = {}
         #: Normalised squared-residual sum per worker id.
         self._ss: dict[int, float] = {}
+        #: Memoized clamped precisions; ``None`` after any mutation.
+        #: Only the serving engine's serial commit and restore phases
+        #: mutate, never while its evaluation phase reads, so readers
+        #: racing on a cleared memo can at most each build the same
+        #: dict — a complete dict is published by one assignment.
+        self._rho: dict[int, float] | None = None
 
     # -- ingestion ----------------------------------------------------
 
@@ -136,6 +148,7 @@ class ReliabilityModel:
             u = (residual * residual) / (1.0 + 1.0 / i)
             wid = int(worker_ids[i - start])
             if wid != UNATTRIBUTED:
+                self._rho = None
                 self._n[wid] = self._n.get(wid, 0.0) + 1.0
                 self._ss[wid] = self._ss.get(wid, 0.0) + u
                 recorded += 1
@@ -183,6 +196,7 @@ class ReliabilityModel:
                     n[wid] = n.get(wid, 0.0) + 1.0
                     ss[wid] = ss.get(wid, 0.0) + residual * residual * correction
             self._n, self._ss = n, ss
+            self._rho = None
             rho = self.precisions()
         return rho
 
@@ -196,27 +210,35 @@ class ReliabilityModel:
             return 0.0
         return math.fsum(self._ss[w] for w in wids) / total_n
 
+    def _precisions(self) -> dict[int, float]:
+        """The memoized precision map (shared: callers must not mutate)."""
+        rho = self._rho
+        if rho is None:
+            s_bar = self._mean_square()
+            if s_bar <= 0.0:
+                rho = {wid: 1.0 for wid in self._n}
+            else:
+                a0 = self.prior_strength
+                rho = {}
+                for wid in self._n:
+                    value = ((self._n[wid] + 2.0 * a0) * s_bar) / (
+                        self._ss[wid] + 2.0 * a0 * s_bar
+                    )
+                    rho[wid] = min(max(value, self.floor), self.ceil)
+            self._rho = rho
+        return rho
+
     def precisions(self) -> dict[int, float]:
-        """Clamped crowd-relative precision per observed worker."""
-        s_bar = self._mean_square()
-        if s_bar <= 0.0:
-            return {wid: 1.0 for wid in self._n}
-        a0 = self.prior_strength
-        result: dict[int, float] = {}
-        for wid in self._n:
-            rho = ((self._n[wid] + 2.0 * a0) * s_bar) / (
-                self._ss[wid] + 2.0 * a0 * s_bar
-            )
-            result[wid] = min(max(rho, self.floor), self.ceil)
-        return result
+        """Clamped crowd-relative precision per observed worker (a copy)."""
+        return dict(self._precisions())
 
     def weight(self, worker_id: int) -> float:
         """Aggregation weight for one worker (1.0 when unobserved)."""
-        return self.precisions().get(int(worker_id), 1.0)
+        return self._precisions().get(int(worker_id), 1.0)
 
     def weights(self, worker_ids: Sequence[int]) -> list[float]:
         """Aggregation weights for one answer tape's worker ids."""
-        rho = self.precisions()
+        rho = self._precisions()
         return [rho.get(int(w), 1.0) for w in worker_ids]
 
     @property
@@ -240,7 +262,7 @@ class ReliabilityModel:
         answered one attribute for a per-attribute gain; default is the
         gain over all observed workers.  Clamped to ``[1, gain_cap]``.
         """
-        rho_map = self.precisions()
+        rho_map = self._precisions()
         if worker_ids is None:
             rhos = [rho_map[w] for w in sorted(rho_map)]
         else:
@@ -263,6 +285,7 @@ class ReliabilityModel:
     def restore_state(self, state: dict) -> None:
         self._n = {int(wid): float(value) for wid, value in state.get("n", [])}
         self._ss = {int(wid): float(value) for wid, value in state.get("ss", [])}
+        self._rho = None
 
 
 class ReliabilityAggregator(Aggregator):

@@ -57,7 +57,7 @@ from repro.domains import (
     make_synthetic_domain,
 )
 from repro.durability import CrashInjector, durability_summary, run_disq
-from repro.errors import CatalogError, ConfigurationError
+from repro.errors import CatalogError, ConfigurationError, DurabilityError
 from repro.experiments import (
     ExperimentConfig,
     coverage_experiment,
@@ -984,9 +984,10 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point (``python -m repro ...``).
 
     Exit codes: 0 on success, :data:`EXIT_CONFIGURATION_ERROR` (2) for
-    bad configuration, :data:`EXIT_CRASH` (70) for an unexpected crash
-    mid-run — in which case a ready-to-paste ``--resume`` command is
-    printed when a checkpoint directory holds recoverable state.
+    bad configuration, a damaged catalog, or a checkpoint or journal
+    that cannot be resumed, :data:`EXIT_CRASH` (70) for an unexpected
+    crash mid-run — in which case a ready-to-paste ``--resume`` command
+    is printed when a checkpoint directory holds recoverable state.
     """
     effective_argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(effective_argv)
@@ -999,6 +1000,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIGURATION_ERROR
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIGURATION_ERROR
+    except DurabilityError as exc:
+        # A checkpoint or journal this build cannot trust: resuming it
+        # again would fail the same way, so no resume hint.
+        print(f"durability error: {exc}", file=sys.stderr)
         return EXIT_CONFIGURATION_ERROR
     except Exception as exc:  # noqa: BLE001 - crash boundary by design
         print(f"crashed: {exc}", file=sys.stderr)

@@ -33,6 +33,7 @@ land on the same indices they originally had.
 from __future__ import annotations
 
 import json
+import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -142,6 +143,17 @@ def _scan(path: Path) -> tuple[list[dict], int, int]:
     return records, len(data), len(data)
 
 
+def _offset_after(data: bytes, records: int) -> int:
+    """Byte offset just past the first ``records`` records of ``data``."""
+    offset = 0
+    while records:
+        end = data.index(b"\n", offset) + 1
+        if data[offset:end].strip():
+            records -= 1
+        offset = end
+    return offset
+
+
 def _parse_line(line: bytes, expected_seq: int) -> dict | None:
     """Decode one journal line; ``None`` when damaged."""
     try:
@@ -175,10 +187,17 @@ class Journal:
         self._seq = 0
         if self.path.exists():
             records, valid_bytes, total_bytes = _scan(self.path)
-            if valid_bytes < total_bytes:
-                with open(self.path, "r+b") as handle:
+            with open(self.path, "r+b") as handle:
+                if valid_bytes < total_bytes:
                     handle.truncate(valid_bytes)
-                self.truncated_bytes = total_bytes - valid_bytes
+                    self.truncated_bytes = total_bytes - valid_bytes
+                if valid_bytes:
+                    # A crash can cut the write just before a complete
+                    # record's newline; terminate it so the next append
+                    # starts a line of its own.
+                    handle.seek(valid_bytes - 1)
+                    if handle.read(1) != b"\n":
+                        handle.write(b"\n")
             self._seq = len(records)
         self._handle = open(self.path, "a", encoding="utf-8")
 
@@ -195,6 +214,30 @@ class Journal:
         self._handle.write(_canonical(record).decode("utf-8") + "\n")
         self._handle.flush()
         self._seq += 1
+
+    def sync(self) -> None:
+        """Force every appended record to stable storage (flush + fsync)."""
+        self._handle.flush()
+        os.fsync(self._handle.fileno())
+
+    def truncate(self, records: int) -> None:
+        """Drop every record after the first ``records``.
+
+        For an owner that commits records in batches and keeps its own
+        watermark (the serving engine's results log): records past the
+        last committed watermark were written but never committed.
+        """
+        if not 0 <= records <= self._seq:
+            raise ConfigurationError(
+                f"cannot keep {records} of {self._seq} journal records"
+            )
+        if records == self._seq:
+            return
+        self._handle.flush()
+        offset = _offset_after(self.path.read_bytes(), records)
+        with open(self.path, "r+b") as handle:
+            handle.truncate(offset)
+        self._seq = records
 
     # -- recorder / ledger hooks (duck-typed) ---------------------------
 

@@ -38,7 +38,12 @@ from repro.serve.degrade import (
     evidence_confidence,
     widened_interval,
 )
-from repro.serve.engine import SERVE_CHECKPOINT, SERVE_JOURNAL, ServeEngine
+from repro.serve.engine import (
+    SERVE_CHECKPOINT,
+    SERVE_JOURNAL,
+    SERVE_RESULTS,
+    ServeEngine,
+)
 from repro.serve.faults import KeyPurchase, ResilientValueStream
 from repro.serve.load import LoadSpec, generate_workload, percentile, zipf_weights
 from repro.serve.report import (
@@ -65,6 +70,7 @@ __all__ = [
     "DEGRADE_REASONS",
     "SERVE_CHECKPOINT",
     "SERVE_JOURNAL",
+    "SERVE_RESULTS",
     "SHED_REASONS",
     "STATUSES",
     "AdmissionPolicy",

@@ -53,13 +53,14 @@ passed when its wave forms is shed as ``shed``/``deadline`` instead of
 being evaluated; the default degrades it rather than shedding.
 
 Durability: with a ``checkpoint_dir``, every purchased answer is
-journaled write-ahead (``serve.journal.jsonl``) and every completed
-wave checkpoints platform state, cache and finished results
-(``serve.checkpoint.json``, atomic).  Resuming restores the
-checkpoint, then folds the journal's post-checkpoint tail back into
-the cache — re-charging those answers so the ledger matches the
-crashed run — and re-serves finished queries from the checkpoint
-without touching the crowd.
+journaled write-ahead (``serve.journal.jsonl``), every completed wave
+appends its newly finished results to ``serve.results.jsonl`` and then
+checkpoints platform state and cache with the results log's record
+count as the commit watermark (``serve.checkpoint.json``, atomic).
+Resuming restores the checkpoint, then folds the journal's
+post-checkpoint tail back into the cache — re-charging those answers
+so the ledger matches the crashed run — and re-serves queries finished
+up to the watermark from the results log without touching the crowd.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ from repro.durability.checkpoint import CheckpointStore
 from repro.durability.journal import Journal, read_journal
 from repro.errors import (
     BudgetExhaustedError,
+    CheckpointError,
     ConfigurationError,
     JournalCorruptionError,
 )
@@ -100,10 +102,11 @@ from repro.serve.shard import (
 )
 from repro.serve.stream import BatchedValueStream
 
-#: Journal and checkpoint filenames under the engine's checkpoint_dir
-#: (distinct from the offline pipeline's files so one directory can
-#: host both).
+#: Journal, results-log and checkpoint filenames under the engine's
+#: checkpoint_dir (distinct from the offline pipeline's files so one
+#: directory can host both).
 SERVE_JOURNAL = "serve.journal.jsonl"
+SERVE_RESULTS = "serve.results.jsonl"
 SERVE_CHECKPOINT = "serve.checkpoint.json"
 
 #: Knuth-style multiplier decorrelating the fault-stream seed from the
@@ -171,7 +174,8 @@ class ServeEngine:
     seed:
         Answer-stream seed; defaults to the platform's seed.
     checkpoint_dir:
-        Enables durability (journal + per-wave checkpoints) when set.
+        Enables durability (answer journal, results log and per-wave
+        checkpoints) when set.
     resume:
         Restore a previous run's checkpoint/journal from
         ``checkpoint_dir`` before serving.
@@ -304,6 +308,8 @@ class ServeEngine:
         self._lost: dict[CacheKey, int] = {}
         self._queue: list[_Pending] = []
         self._results: list[QueryResult] = []
+        #: How many of ``_results`` the results log already covers.
+        self._logged = 0
         self._seen_ids: set[str] = set()
         self._checkpointed: dict[str, QueryResult] = {}
         self._price_of: dict[str, float] = {}
@@ -332,17 +338,23 @@ class ServeEngine:
         self._agg_seen: dict[CacheKey, int] = {}
         self.journal: Journal | None = None
         self._shard_journals: list[Journal] = []
+        self._results_log: Journal | None = None
         self.checkpoints: CheckpointStore | None = None
         if checkpoint_dir is not None:
             directory = Path(checkpoint_dir)
             self.checkpoints = CheckpointStore(directory, SERVE_CHECKPOINT)
+            committed = 0
             if resume:
-                self._restore(directory)
+                committed = self._restore(directory)
                 # Merge *every* serve journal present — flat and
                 # per-shard — before opening this topology's own
                 # files, so a run can resume a crash that happened
                 # under a different shard count.
                 self._merge_journal_tail(directory)
+            # Records past the watermark were logged by a wave whose
+            # checkpoint never landed: that wave re-runs, so drop them.
+            self._results_log = Journal(directory / SERVE_RESULTS)
+            self._results_log.truncate(committed)
             if self.router is not None:
                 self._shard_journals = [
                     Journal(directory / shard_journal_name(shard))
@@ -353,12 +365,36 @@ class ServeEngine:
 
     # -- durability ------------------------------------------------------
 
-    def _restore(self, directory: Path) -> None:
-        """Load the last wave checkpoint, if any."""
+    def _restore(self, directory: Path) -> int:
+        """Load the last wave checkpoint, if any; returns its watermark.
+
+        The watermark is how many results-log records the checkpoint
+        committed.  Both the checkpoint's shape and the log's length are
+        checked before any state is touched, so a checkpoint this build
+        cannot honour raises :class:`CheckpointError` instead of
+        half-resuming.
+        """
         assert self.checkpoints is not None
         if not self.checkpoints.exists():
-            return
+            return 0
         payload = self.checkpoints.load()
+        watermark = payload.get("results")
+        if not isinstance(watermark, dict) or not isinstance(
+            watermark.get("records"), int
+        ):
+            raise CheckpointError(
+                f"serve checkpoint {self.checkpoints.path} has no results-log "
+                f"watermark (written before finished results moved to "
+                f"{SERVE_RESULTS}); it cannot be resumed"
+            )
+        committed = watermark["records"]
+        log_path = directory / SERVE_RESULTS
+        records = read_journal(log_path) if log_path.exists() else []
+        if len(records) < committed:
+            raise CheckpointError(
+                f"serve checkpoint commits {committed} finished results but "
+                f"{log_path} holds only {len(records)}"
+            )
         self.platform.restore_state(payload["platform"])
         if self.router is not None:
             # Snapshots are flat and sorted, so a checkpoint written at
@@ -384,8 +420,8 @@ class ServeEngine:
                 (int(entry[0]), str(entry[1])): int(entry[2])
                 for entry in agg.get("seen", [])
             }
-        for entry in payload.get("results", []):
-            result = QueryResult.from_dict(entry)
+        for record in records[:committed]:
+            result = QueryResult.from_dict(record["result"])
             result.from_checkpoint = True
             self._checkpointed[result.query_id] = result
         self.resumed = True
@@ -394,6 +430,7 @@ class ServeEngine:
             results=len(self._checkpointed),
             cached_answers=self.cache.total_answers,
         )
+        return committed
 
     def _journal_paths(self, directory: Path) -> list[Path]:
         """Every serve journal file present, flat first then by shard."""
@@ -479,13 +516,30 @@ class ServeEngine:
             self.obs.tracer.event("serve.journal_tail", answers=restored)
 
     def _checkpoint(self) -> None:
-        """Atomically persist platform state, cache, finished results."""
+        """Commit one wave: log its finished results, then checkpoint.
+
+        Results finished since the last checkpoint are appended to the
+        results log (results served from a restored checkpoint are
+        already in it) and the log is fsynced.  Only then is the
+        checkpoint — platform state, cache, fault and aggregation state,
+        and the log's record count as the commit watermark — atomically
+        replaced.  Logging costs O(wave), and the checkpoint no longer
+        grows with finished queries.  A crash between the two leaves a
+        log tail past the watermark, which resume truncates.
+        """
         if self.checkpoints is None:
             return
+        log = self._results_log
+        assert log is not None
+        for result in self._results[self._logged :]:
+            if not result.from_checkpoint:
+                log.append({"kind": "result", "result": result.to_dict()})
+        self._logged = len(self._results)
+        log.sync()
         payload = {
             "platform": self.platform.capture_state(),
             "cache": self.cache.snapshot(),
-            "results": [result.to_dict() for result in self._results],
+            "results": {"records": log.record_count},
         }
         if self.resilient is not None:
             payload["faults"] = {
@@ -533,6 +587,8 @@ class ServeEngine:
         """Flush and close journals, join workers, stop shard processes."""
         if self.journal is not None:
             self.journal.close()
+        if self._results_log is not None:
+            self._results_log.close()
         for journal in self._shard_journals:
             journal.close()
         if self.router is not None:

@@ -187,6 +187,28 @@ class TestChaosMidWaveResume:
         assert run(1) == run(4)
 
 
+class TestTamperedCheckpoint:
+    def test_resume_over_bad_version_exits_2_without_hint(
+        self, tmp_path, queries_path, capsys
+    ):
+        checkpoint_dir = tmp_path / "ckpt"
+        argv = BASE + ["--queries", queries_path, "--checkpoint-dir", checkpoint_dir]
+        assert run_cli(argv) == 0
+        checkpoint = checkpoint_dir / "serve.checkpoint.json"
+        payload = json.loads(checkpoint.read_text())
+        payload["version"] = 0
+        checkpoint.write_text(json.dumps(payload))
+        capsys.readouterr()
+
+        code = run_cli(argv + ["--resume"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIGURATION_ERROR
+        assert "durability error:" in err
+        assert "schema version 0" in err
+        # Re-running the same --resume would fail the same way.
+        assert "resume with:" not in err
+
+
 class TestAdmissionValidation:
     @pytest.mark.parametrize(
         "flags",

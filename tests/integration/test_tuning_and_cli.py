@@ -179,6 +179,24 @@ class TestCliDurability:
         # The hint must not re-inject the crash.
         assert "--chaos-after" not in err
 
+    def test_tampered_checkpoint_exits_2_without_hint(self, tmp_path, capsys):
+        from repro.cli import EXIT_CONFIGURATION_ERROR, main
+
+        argv = self.PLAN + ["--checkpoint-dir", str(tmp_path)]
+        assert main(argv) == 0
+        checkpoint = tmp_path / "disq.checkpoint.json"
+        payload = json.loads(checkpoint.read_text())
+        payload["version"] = 0
+        checkpoint.write_text(json.dumps(payload))
+        capsys.readouterr()
+
+        code = main(argv + ["--resume"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIGURATION_ERROR
+        assert "durability error:" in err
+        assert "schema version 0" in err
+        assert "resume with:" not in err
+
     def test_crash_without_checkpoint_state_prints_no_hint(self, capsys):
         from repro.cli import EXIT_CRASH, main
 

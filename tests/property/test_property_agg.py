@@ -192,3 +192,155 @@ class TestPrecisionSanity:
         model.observe(values, workers, start=0)
         assert 1.0 <= model.gain() <= model.gain_cap
         assert 1.0 <= model.gain(workers) <= model.gain_cap
+
+
+def _oracle(model: ReliabilityModel) -> ReliabilityModel:
+    """A fresh model restored from ``model``'s state: nothing memoized."""
+    fresh = ReliabilityModel()
+    fresh.restore_state(model.state_dict())
+    return fresh
+
+
+def _bits(values) -> list[str]:
+    return [float(value).hex() for value in values]
+
+
+worker_ids = st.integers(min_value=-1, max_value=6)  # -1 is UNATTRIBUTED
+tape_values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _observe_op(draw):
+    values = draw(st.lists(tape_values, min_size=1, max_size=10))
+    start = draw(st.integers(min_value=0, max_value=len(values) - 1))
+    workers = draw(
+        st.lists(worker_ids, min_size=len(values) - start, max_size=len(values) - start)
+    )
+    from_index = draw(st.none() | st.integers(min_value=0, max_value=len(values)))
+    return ("observe", values, workers, start, from_index)
+
+
+@st.composite
+def _tape(draw):
+    values = draw(st.lists(tape_values, min_size=1, max_size=8))
+    workers = draw(st.lists(worker_ids, min_size=len(values), max_size=len(values)))
+    return values, workers
+
+
+_fit_op = st.tuples(
+    st.just("fit"), st.lists(_tape(), max_size=3), st.booleans()
+)
+_restore_op = st.tuples(
+    st.just("restore"),
+    st.dictionaries(
+        st.integers(min_value=0, max_value=6),
+        st.tuples(st.floats(1.0, 50.0), st.floats(0.0, 500.0)),
+        max_size=6,
+    ),
+)
+_read_op = st.one_of(
+    st.tuples(st.just("weights"), st.lists(worker_ids, max_size=8)),
+    st.tuples(st.just("weight"), worker_ids),
+    st.tuples(st.just("precisions")),
+    st.tuples(st.just("gain"), st.none() | st.lists(worker_ids, max_size=8)),
+    st.tuples(st.just("effective_count"), st.lists(worker_ids, max_size=8)),
+)
+
+
+def _read(model: ReliabilityModel, op) -> list[str]:
+    kind = op[0]
+    if kind == "weights":
+        return _bits(model.weights(op[1]))
+    if kind == "weight":
+        return _bits([model.weight(op[1])])
+    if kind == "precisions":
+        rho = model.precisions()
+        return [f"{wid}:{rho[wid].hex()}" for wid in sorted(rho)]
+    if kind == "gain":
+        return _bits([model.gain(op[1])])
+    aggregator = ReliabilityAggregator(model)
+    return _bits([aggregator.effective_count([0.0] * len(op[1]), op[1])])
+
+
+class TestPrecisionMemoMatchesOracle:
+    """The precision memo never serves a stale or differently-rounded value.
+
+    The oracle for every read is a fresh model restored from the live
+    model's ``state_dict()``: it has never memoized anything, so it
+    computes each read from the raw per-worker sums.
+    """
+
+    @given(
+        st.lists(
+            st.one_of(_observe_op(), _fit_op, _restore_op, _read_op), max_size=25
+        )
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_interleaved_mutations_and_reads(self, ops):
+        model = ReliabilityModel()
+        for op in ops:
+            kind = op[0]
+            if kind == "observe":
+                _, values, workers, start, from_index = op
+                model.observe(values, workers, start=start, from_index=from_index)
+            elif kind == "fit":
+                model.fit(op[1], reset=op[2])
+            elif kind == "restore":
+                model.restore_state(
+                    {
+                        "n": [[wid, n] for wid, (n, _) in op[1].items()],
+                        "ss": [[wid, ss] for wid, (_, ss) in op[1].items()],
+                    }
+                )
+            else:
+                assert _read(model, op) == _read(_oracle(model), op)
+                if kind == "precisions":
+                    # The returned dict is the caller's: scribbling on
+                    # it must not reach the model's later reads.
+                    copy = model.precisions()
+                    for wid in list(copy):
+                        copy[wid] = 123.0
+                    copy[99] = 0.5
+                    probe = ("weights", sorted(copy))
+                    assert _read(model, probe) == _read(_oracle(model), probe)
+
+    def test_concurrent_first_reads_after_observe(self):
+        # Readers racing on a just-cleared memo may each rebuild it,
+        # but every reader must still see exactly the oracle's weights.
+        import random
+        import sys
+        import threading
+        import time
+
+        rng = random.Random(11)
+        model = ReliabilityModel()
+        ids = list(range(-1, 240))
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ends = time.monotonic() + 2.0
+            rounds = 0
+            while rounds < 3 or (rounds < 60 and time.monotonic() < ends):
+                values = [rng.gauss(0.0, 1.0 + (i % 5)) for i in range(240)]
+                workers = [rng.randrange(240) for _ in range(240)]
+                model.observe(values, workers, start=0)
+                expected = _bits(_oracle(model).weights(ids))
+                barrier = threading.Barrier(8)
+                seen: list = [None] * 8
+
+                def read(slot: int) -> None:
+                    barrier.wait(timeout=30)
+                    seen[slot] = _bits(model.weights(ids))
+
+                threads = [
+                    threading.Thread(target=read, args=(slot,)) for slot in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                assert seen == [expected] * 8
+                rounds += 1
+        finally:
+            sys.setswitchinterval(previous)

@@ -96,6 +96,60 @@ class TestTornTail:
         with pytest.raises(JournalCorruptionError):
             Journal(path)
 
+    def test_record_cut_before_its_newline_is_terminated(self, tmp_path):
+        # A crash can land between a complete record and its newline:
+        # the record is kept, and the next append must start a new line
+        # instead of gluing itself onto it.
+        path = tmp_path / "journal.jsonl"
+        with Journal(path) as journal:
+            _journal_some_answers(journal)
+        path.write_bytes(path.read_bytes()[:-1])
+        with Journal(path) as journal:
+            assert journal.record_count == 8
+            journal.record_answer("value", (3, "fat"), 2, 1.75)
+        assert [r["seq"] for r in read_journal(path)] == list(range(9))
+
+
+class TestCommitWatermark:
+    def test_truncate_drops_records_past_the_watermark(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        with Journal(path) as journal:
+            _journal_some_answers(journal)
+        kept = read_journal(path)[:5]
+        with Journal(path) as journal:
+            journal.truncate(5)
+            assert journal.record_count == 5
+            journal.record_ledger("charge", "value", 0.4, 1)
+        records = read_journal(path)
+        assert records[:5] == kept
+        assert [r["seq"] for r in records] == list(range(6))
+
+    def test_truncate_to_everything_is_a_no_op(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        with Journal(path) as journal:
+            _journal_some_answers(journal)
+        intact = path.read_bytes()
+        with Journal(path) as journal:
+            journal.truncate(8)
+        assert path.read_bytes() == intact
+
+    def test_truncate_past_the_end_rejected(self, tmp_path):
+        with Journal(tmp_path / "j.jsonl") as journal:
+            journal.record_ledger("charge", "value", 0.4, 1)
+            with pytest.raises(ConfigurationError):
+                journal.truncate(2)
+            with pytest.raises(ConfigurationError):
+                journal.truncate(-1)
+
+    def test_sync_keeps_appending(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        with Journal(path) as journal:
+            journal.record_ledger("charge", "value", 0.4, 1)
+            journal.sync()
+            assert len(read_journal(path)) == 1
+            journal.record_ledger("charge", "value", 0.4, 1)
+        assert [r["seq"] for r in read_journal(path)] == [0, 1]
+
 
 class TestReplay:
     def test_round_trip_reconstructs_recorder_and_ledger(self, tmp_path):

@@ -1,19 +1,28 @@
 """Unit tests for the serving engine, scheduler and report objects."""
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.agg import make_aggregator
 from repro.core.model import (
     BudgetDistribution,
     EstimationFormula,
     PreprocessingPlan,
     Query,
 )
+from repro.crowd.faults import FaultProfile
 from repro.crowd.platform import CrowdPlatform
 from repro.crowd.pricing import Budget
 from repro.crowd.recording import AnswerRecorder
-from repro.errors import ConfigurationError
+from repro.durability.chaos import CrashInjector, SimulatedCrash
+from repro.durability.checkpoint import CheckpointStore
+from repro.durability.journal import read_journal
+from repro.errors import CheckpointError, ConfigurationError
 from repro.serve import (
+    SERVE_CHECKPOINT,
+    SERVE_RESULTS,
     BoundedScheduler,
     DegradedResult,
     Predicate,
@@ -402,6 +411,191 @@ class TestServeEngine:
         assert report.result("a").query_id == "a"
         with pytest.raises(ConfigurationError):
             report.result("missing")
+
+
+#: Five overlapping queries, served one per wave.
+LOGGED_REQUESTS = [
+    QueryRequest(f"q{index}", ("target",), tuple(range(2 * index, 2 * index + 4)))
+    for index in range(5)
+]
+
+
+def durable_engine(domain, directory, **kwargs) -> tuple[ServeEngine, CrowdPlatform]:
+    """Reliability aggregation, faults and a checkpoint dir, one query a wave."""
+    return make_engine(
+        domain,
+        wave_size=1,
+        checkpoint_dir=directory,
+        faults=FaultProfile.uniform(0.2, latency_mean=0.01),
+        aggregator=make_aggregator("reliability"),
+        **kwargs,
+    )
+
+
+def serve_all(engine: ServeEngine) -> ServeReport:
+    plan = identity_plan("target", 4)
+    for request in LOGGED_REQUESTS:
+        engine.submit(request, plan)
+    return engine.run()
+
+
+def logged_ids(directory) -> list[str]:
+    return [
+        record["result"]["query_id"]
+        for record in read_journal(directory / SERVE_RESULTS)
+    ]
+
+
+def report_bytes(report: ServeReport) -> str:
+    payload = report.to_dict()
+    payload.pop("wall_seconds")
+    return json.dumps(payload, sort_keys=True)
+
+
+class KillAtNth:
+    """Crash at the ``nth`` time the engine crosses ``phase``."""
+
+    def __init__(self, phase: str, nth: int) -> None:
+        self.phase = phase
+        self.nth = nth
+        self.seen = 0
+
+    def note_interactions(self, count: int) -> None:
+        pass
+
+    def phase_boundary(self, phase: str) -> None:
+        if phase == self.phase:
+            self.seen += 1
+            if self.seen == self.nth:
+                raise SimulatedCrash(f"at {phase} #{self.nth}", 0)
+
+
+class TestResultsLog:
+    """Finished results live in an append-only log, not the checkpoint."""
+
+    def test_crash_resume_finish_logs_each_query_once(self, tiny_domain, tmp_path):
+        straight, _ = durable_engine(tiny_domain, tmp_path / "straight")
+        reference = serve_all(straight)
+        straight.close()
+
+        crashed, _ = durable_engine(
+            tiny_domain, tmp_path / "crash", chaos=CrashInjector(at_interactions=30)
+        )
+        with pytest.raises(SimulatedCrash):
+            serve_all(crashed)
+        crashed.close()
+        before = logged_ids(tmp_path / "crash")
+        assert 0 < len(before) < len(LOGGED_REQUESTS)
+
+        resumed, _ = durable_engine(tiny_domain, tmp_path / "crash", resume=True)
+        report = serve_all(resumed)
+        resumed.close()
+        ids = logged_ids(tmp_path / "crash")
+        assert sorted(ids) == sorted(request.query_id for request in LOGGED_REQUESTS)
+        assert ids[: len(before)] == before
+        for request in LOGGED_REQUESTS:
+            query_id = request.query_id
+            assert report.result(query_id).from_checkpoint == (query_id in before)
+            assert (
+                report.result(query_id).estimates
+                == reference.result(query_id).estimates
+            )
+
+    def test_crash_before_checkpoint_rename_truncates_log_tail(
+        self, tiny_domain, tmp_path, monkeypatch
+    ):
+        # The crash the log adds: wave 3's results are logged and
+        # synced, but its checkpoint never replaces wave 2's.
+        real_save = CheckpointStore.save
+        saves = []
+
+        def crash_on_third(store, payload):
+            saves.append(payload)
+            if len(saves) == 3:
+                raise SimulatedCrash("before the checkpoint rename", 0)
+            real_save(store, payload)
+
+        torn = tmp_path / "torn"
+        monkeypatch.setattr(CheckpointStore, "save", crash_on_third)
+        crashed, _ = durable_engine(tiny_domain, torn)
+        with pytest.raises(SimulatedCrash):
+            serve_all(crashed)
+        crashed.close()
+        monkeypatch.setattr(CheckpointStore, "save", real_save)
+        assert logged_ids(torn) == ["q0", "q1", "q2"]
+        checkpoint = json.loads((torn / SERVE_CHECKPOINT).read_text())
+        assert checkpoint["results"] == {"records": 2}
+
+        # The same crash as the engine could always have it: after wave
+        # 3's evaluation, before anything of its commit was written.
+        early = tmp_path / "early"
+        crashed, _ = durable_engine(
+            tiny_domain, early, chaos=KillAtNth("serve.evaluate", 3)
+        )
+        with pytest.raises(SimulatedCrash):
+            serve_all(crashed)
+        crashed.close()
+        assert logged_ids(early) == ["q0", "q1"]
+
+        reports = []
+        for directory in (torn, early):
+            resumed, _ = durable_engine(tiny_domain, directory, resume=True)
+            # The uncommitted tail is gone before anything is served.
+            assert logged_ids(directory) == ["q0", "q1"]
+            reports.append(report_bytes(serve_all(resumed)))
+            resumed.close()
+            assert logged_ids(directory) == ["q0", "q1", "q2", "q3", "q4"]
+        assert reports[0] == reports[1]
+
+    def test_checkpoint_carries_watermark_not_results(self, tiny_domain, tmp_path):
+        engine, _ = durable_engine(tiny_domain, tmp_path)
+        serve_all(engine)
+        engine.close()
+        text = (tmp_path / SERVE_CHECKPOINT).read_text()
+        assert json.loads(text)["results"] == {"records": len(LOGGED_REQUESTS)}
+        assert "query_id" not in text
+        assert not any(f'"{r.query_id}"' in text for r in LOGGED_REQUESTS)
+        assert logged_ids(tmp_path) == [r.query_id for r in LOGGED_REQUESTS]
+
+    def test_pre_log_checkpoint_refused(self, tiny_domain, tmp_path):
+        engine, _ = durable_engine(tiny_domain, tmp_path)
+        report = serve_all(engine)
+        engine.close()
+        # Rewrite the checkpoint the way builds before the results log
+        # did: finished results embedded as a list.
+        store = CheckpointStore(tmp_path, SERVE_CHECKPOINT)
+        payload = store.load()
+        payload["results"] = [result.to_dict() for result in report.results]
+        store.save(payload)
+        platform = CrowdPlatform(tiny_domain, recorder=AnswerRecorder(), seed=3)
+        with pytest.raises(CheckpointError, match="watermark"):
+            ServeEngine(
+                platform,
+                checkpoint_dir=tmp_path,
+                resume=True,
+                aggregator=make_aggregator("reliability"),
+            )
+        # Refused before any state was restored: never half-resumed.
+        assert platform.ledger.total_spent == 0.0
+
+    def test_log_shorter_than_watermark_refused(self, tiny_domain, tmp_path):
+        engine, _ = durable_engine(tiny_domain, tmp_path)
+        serve_all(engine)
+        engine.close()
+        (tmp_path / SERVE_RESULTS).unlink()
+        with pytest.raises(CheckpointError, match="holds only 0"):
+            durable_engine(tiny_domain, tmp_path, resume=True)
+
+    def test_fresh_run_starts_an_empty_log(self, tiny_domain, tmp_path):
+        engine, _ = durable_engine(tiny_domain, tmp_path)
+        serve_all(engine)
+        engine.close()
+        again, _ = durable_engine(tiny_domain, tmp_path)
+        assert logged_ids(tmp_path) == []
+        again.submit(LOGGED_REQUESTS[0], identity_plan("target", 4))
+        again.run()
+        again.close()
+        assert logged_ids(tmp_path) == ["q0"]
 
 
 class TestEngineShutdown:
