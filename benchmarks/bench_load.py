@@ -14,16 +14,7 @@ under fire:
 * the degraded-vs-shed split: overload should degrade answers, not
   drop queries.
 
-Each configuration runs fault-free and fault-injected; the faulted
-workload additionally runs under ``--workers 1`` and ``--workers 4``
-and the two reports must be byte-identical (the resilient purchase
-path's determinism gate).
-
-The sharded section re-drives the faulted workload at several shard
-counts (``--shards N``, DESIGN.md §15) and records sustained qps per
-topology; because per-coordinate seeding makes shard placement
-invisible to answer values, every sharded report must stay
-byte-identical to the unsharded one.
+Each configuration runs fault-free and fault-injected.
 
 Hard gates (process exit != 0 on failure):
 
@@ -31,9 +22,7 @@ Hard gates (process exit != 0 on failure):
   never silently dropped;
 * deadline hit-rate >= 95% on the faulted run;
 * at least 90% of non-completed queries are degraded rather than shed;
-* sustained harness throughput >= a (lenient) wall-clock floor;
-* shards=1 is byte-identical to unsharded (report, ledger, simulated
-  clock), and the faulted workload is identical at every shard count.
+* sustained harness throughput >= a (lenient) wall-clock floor.
 
 Results land in ``BENCH_load.json`` at the repo root (CI's
 ``load-smoke`` job and EXPERIMENTS.md quote it)::
@@ -45,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import sys
 import time
 from pathlib import Path
@@ -94,14 +82,7 @@ def make_plan(b_prc: float, n1: int):
     return run.plan
 
 
-def drive(
-    plan,
-    workload,
-    workers: int,
-    faults: FaultProfile | None,
-    shards: int = 0,
-    shard_processes: bool = False,
-) -> dict:
+def drive(plan, workload, faults: FaultProfile | None) -> dict:
     """Feed one workload through a fresh engine on a simulated clock.
 
     Returns the raw material for a summary: the final report, per-query
@@ -114,14 +95,11 @@ def drive(
     wall_started = time.perf_counter()
     with ServeEngine(
         platform,
-        workers=workers,
         max_queue=256,
         clock=lambda: sim.now,
         faults=faults,
         retry=RETRY,
         fault_clock=sim,
-        shards=shards,
-        shard_processes=shard_processes,
     ) as engine:
         position = 0
         report = None
@@ -206,13 +184,6 @@ def summarize(outcome, workload, label: str) -> dict:
     }
 
 
-def comparable(report) -> dict:
-    payload = report.to_dict()
-    payload.pop("wall_seconds")
-    payload.pop("workers")
-    return payload
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -242,54 +213,8 @@ def main() -> int:
     plan = make_plan(b_prc, n1)
     faults = FaultProfile.uniform(0.08, latency_mean=0.05)
 
-    clean = summarize(drive(plan, workload, 1, None), workload, "fault-free")
-    faulted_run = drive(plan, workload, 1, faults)
-    faulted = summarize(faulted_run, workload, "faulted")
-
-    # Determinism gate: the faulted run must be byte-identical across
-    # worker counts (report, ledger and simulated time all match).
-    other = drive(plan, workload, 4, faults)
-    if (
-        comparable(other["report"]) != comparable(faulted_run["report"])
-        or other["ledger"] != faulted_run["ledger"]
-        or other["sim_seconds"] != faulted_run["sim_seconds"]
-    ):
-        raise SystemExit("FAIL: faulted run diverges between workers 1 and 4")
-
-    # Sharded scaling: re-drive the faulted workload at increasing
-    # shard counts (plus one forked-process topology when the host
-    # supports fork).  Shard placement must be invisible — every run
-    # byte-identical to the unsharded faulted baseline — while the
-    # section records sustained qps per topology.
-    shard_counts = (1, 2, 4)
-    topologies = [(n, False) for n in shard_counts]
-    if "fork" in multiprocessing.get_all_start_methods():
-        topologies.append((2, True))
-    sharded_rows = []
-    for n_shards, processes in topologies:
-        outcome = drive(
-            plan, workload, 1, faults, shards=n_shards, shard_processes=processes
-        )
-        if (
-            comparable(outcome["report"]) != comparable(faulted_run["report"])
-            or outcome["ledger"] != faulted_run["ledger"]
-            or outcome["sim_seconds"] != faulted_run["sim_seconds"]
-        ):
-            raise SystemExit(
-                f"FAIL: shards={n_shards} (processes={processes}) faulted "
-                f"run diverges from the unsharded baseline"
-            )
-        mode = "processes" if processes else "threads"
-        summary = summarize(outcome, workload, f"shards={n_shards}/{mode}")
-        sharded_rows.append(
-            {
-                "shards": n_shards,
-                "processes": processes,
-                "wall_seconds": summary["wall_seconds"],
-                "wall_qps": summary["wall_qps"],
-                "identical_to_unsharded": True,
-            }
-        )
+    clean = summarize(drive(plan, workload, None), workload, "fault-free")
+    faulted = summarize(drive(plan, workload, faults), workload, "faulted")
 
     for summary in (clean, faulted):
         if summary["accounted"] != summary["queries"]:
@@ -331,17 +256,8 @@ def main() -> int:
             f"{summary['deadline_hit_rate']:>9.3f}"
         )
     lines.append(
-        "determinism: faulted workload identical across workers 1 and 4"
-    )
-    lines.append(
-        "sharded: "
-        + ", ".join(
-            f"shards={row['shards']}"
-            + ("/proc" if row["processes"] else "")
-            + f" {row['wall_qps']:.1f} qps"
-            for row in sharded_rows
-        )
-        + " — all byte-identical to unsharded"
+        f"sustained: fault-free {clean['wall_qps']:.1f} qps, "
+        f"faulted {faulted['wall_qps']:.1f} qps (floor {qps_floor})"
     )
     write_report("bench_load", "\n".join(lines))
 
@@ -366,23 +282,12 @@ def main() -> int:
                     "quick": args.quick,
                 },
                 "runs": [clean, faulted],
-                "determinism": {
-                    "worker_counts": [1, 4],
-                    "identical_reports": True,
-                    "identical_ledgers": True,
-                },
-                "sharded": {
-                    "shard_counts": list(shard_counts),
-                    "rows": sharded_rows,
-                    "identical_to_unsharded": True,
-                },
                 "gates": {
                     "deadline_hit_rate": faulted["deadline_hit_rate"],
                     "deadline_hit_rate_floor": 0.95,
                     "degrade_over_shed_floor": 0.9,
                     "wall_qps_floor": qps_floor,
                     "all_queries_accounted": True,
-                    "sharded_identical": True,
                 },
             },
             indent=2,

@@ -498,11 +498,10 @@ def cmd_serve(args) -> int:
         args.admit_headroom,
     )
     decisions: dict[str, int] | None = None
-    # The engine owns journals, shard processes and a thread pool; the
-    # context manager guarantees none of them outlive the command.
+    # The engine owns the answer journal and results log; the context
+    # manager guarantees neither outlives the command.
     with ServeEngine(
         platform,
-        workers=args.workers,
         max_queue=args.max_queue,
         wave_size=args.wave_size,
         checkpoint_dir=args.checkpoint_dir,
@@ -510,8 +509,6 @@ def cmd_serve(args) -> int:
         faults=faults,
         chaos=_make_chaos(args),
         shed_expired=args.shed_expired,
-        shards=args.shards,
-        shard_processes=args.shard_processes,
         # A reliability aggregator starts neutral and learns worker
         # trust online, from the spans the engine commits.
         aggregator=params.build_aggregator(),
@@ -636,7 +633,6 @@ def cmd_query(args) -> int:
             routed.extend(router.route_all(decompose(spec)))
     with ServeEngine(
         platform,
-        workers=args.workers,
         max_queue=args.max_queue,
         wave_size=args.wave_size,
         aggregator=params.build_aggregator(),
@@ -815,7 +811,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--queries", required=True, metavar="PATH", help="queries.json workload"
     )
-    serve.add_argument("--workers", type=int, default=1, help="scheduler threads")
     serve.add_argument(
         "--max-queue", type=int, default=64, help="backpressure bound (shed beyond)"
     )
@@ -842,19 +837,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="shed (instead of degrading) queries whose deadline already "
         "passed when their wave formed",
-    )
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="shard the cache and wave execution across N key-hashed "
-        "partitions (0 = unsharded; results are byte-identical either way)",
-    )
-    serve.add_argument(
-        "--shard-processes",
-        action="store_true",
-        help="run shard generation in forked OS processes (falls back to "
-        "in-process threads where fork is unavailable)",
     )
     serve.add_argument(
         "--admit-reject-depth",
@@ -923,7 +905,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="catalog staleness: refresh entries whose recorded target "
         "moments drifted beyond this many (recorded) sigmas",
     )
-    query.add_argument("--workers", type=int, default=1, help="scheduler threads")
     query.add_argument(
         "--max-queue", type=int, default=64, help="backpressure bound (shed beyond)"
     )

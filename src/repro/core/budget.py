@@ -9,7 +9,7 @@ until the per-object budget is exhausted.  Dividing by cost implements
 the paper's handling of heterogeneous question prices ("divide each
 attribute's contribution by its cost").
 
-Three implementations share that contract:
+Two implementations share that contract:
 
 * ``method="reference"`` — the naive loop: every candidate at every
   grant step is evaluated by a fresh ``O(k^3)`` solve
@@ -22,21 +22,17 @@ Three implementations share that contract:
   candidates), dropping a grant step from ``O(n * k^3)`` solves to a
   couple of BLAS calls.  Selects identical counts to the reference
   (asserted by the test suite and the perf-smoke CI job).
-* ``method="lazy"`` — a CELF-style lazy-greedy priority queue on top of
-  the incremental evaluators: candidates whose cached rate trails the
-  queue head are not re-evaluated.  CELF's skip rule is exact only
-  under diminishing marginal gains, and the explained-variance
-  objective is *not* submodular (granting questions to one attribute
-  can raise another's marginal gain — the suppressor-variable effect
-  in linear regression), so this method may pick different counts than
-  the reference; it still respects the budget and is close in
-  objective value.  Opt-in for workloads that tolerate the
-  approximation for the extra skip savings.
+
+A CELF-style lazy-greedy queue is deliberately absent: its skip rule is
+exact only under diminishing marginal gains, and the explained-variance
+objective is *not* submodular (granting questions to one attribute can
+raise another's marginal gain — the suppressor-variable effect in
+linear regression), so it could pick different counts than the
+reference (DESIGN.md §9).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +48,7 @@ EPSILON = 1e-15
 _AFFORD_SLACK = 1e-9
 
 #: Known allocator methods (``DisQParams.allocator`` values).
-ALLOCATOR_METHODS = ("fast", "lazy", "reference")
+ALLOCATOR_METHODS = ("fast", "reference")
 
 
 @dataclass(frozen=True)
@@ -177,62 +173,6 @@ def greedy_counts_fast(
     return counts
 
 
-def greedy_counts_lazy(
-    objectives: list[TargetObjective],
-    costs: np.ndarray,
-    budget_cents: float,
-) -> np.ndarray:
-    """Lazy-greedy (CELF) forward selection over incremental evaluators.
-
-    The priority queue holds ``(-rate, index)`` with the rate from the
-    last time the candidate was evaluated.  A popped candidate whose
-    *recomputed* rate still matches or beats the queue head is taken as
-    the argmax and stale entries behind it are never touched.  That
-    skip rule is exact only for diminishing gains; see the module
-    docstring for why this objective violates that and the counts may
-    therefore differ from the reference.
-    """
-    costs = _validate(objectives, costs)
-    n = len(costs)
-    evaluators = [
-        IncrementalObjective(o.s_o, o.s_a, o.s_c, weight=o.weight)
-        for o in objectives
-    ]
-
-    def rate(index: int) -> float:
-        gain = sum(e.value_with(index) - e.value for e in evaluators)
-        return gain / costs[index]
-
-    counts = np.zeros(n, dtype=int)
-    remaining = float(budget_cents)
-    heap = [
-        (-rate(i), i) for i in range(n) if costs[i] <= remaining + _AFFORD_SLACK
-    ]
-    heapq.heapify(heap)
-    granted = 0
-    while heap:
-        _, index = heapq.heappop(heap)
-        if costs[index] > remaining + _AFFORD_SLACK:
-            # The budget only shrinks, so this candidate is gone for good.
-            continue
-        fresh = rate(index)
-        if heap and -heap[0][0] > fresh + EPSILON:
-            # A stale rate still beats this candidate: requeue and
-            # re-examine the new head instead.
-            heapq.heappush(heap, (-fresh, index))
-            continue
-        if fresh <= EPSILON and granted > 0:
-            break
-        counts[index] += 1
-        granted += 1
-        remaining -= costs[index]
-        for evaluator in evaluators:
-            evaluator.commit(index)
-        if costs[index] <= remaining + _AFFORD_SLACK:
-            heapq.heappush(heap, (-rate(index), index))
-    return counts
-
-
 def apply_reliability_gains(
     objectives: list[TargetObjective], gains: np.ndarray
 ) -> list[TargetObjective]:
@@ -248,9 +188,9 @@ def apply_reliability_gains(
     (and therefore byte-identical counts) because ``x / 1.0 == x``
     exactly in IEEE-754.
 
-    Applied to the *inputs* of the greedy loop, so all three allocator
-    methods (fast / lazy / reference) see the identical adjusted
-    problem and keep their equivalence guarantees.
+    Applied to the *inputs* of the greedy loop, so both allocator
+    methods (fast / reference) see the identical adjusted problem and
+    keep their equivalence guarantee.
     """
     gains = np.asarray(gains, dtype=float)
     if not objectives:
@@ -292,8 +232,7 @@ def greedy_counts(
         The per-object online budget ``B_obj``.
     method:
         ``"fast"`` (incremental evaluators, reference-identical counts,
-        default), ``"lazy"`` (CELF queue, approximate) or
-        ``"reference"`` (the naive re-solving loop).
+        default) or ``"reference"`` (the naive re-solving loop).
     metrics:
         Optional duck-typed metrics sink
         (:class:`repro.obs.metrics.MetricsRegistry`).  One
@@ -310,8 +249,6 @@ def greedy_counts(
         objectives = apply_reliability_gains(objectives, gains)
     if method == "fast":
         counts = greedy_counts_fast(objectives, costs, budget_cents)
-    elif method == "lazy":
-        counts = greedy_counts_lazy(objectives, costs, budget_cents)
     elif method == "reference":
         counts = greedy_counts_reference(objectives, costs, budget_cents)
     else:

@@ -143,7 +143,7 @@ class DisQParams:
         :class:`~repro.crowd.faults.ResilienceReport`.  Off by default
         so the paper-faithful abort behavior is unchanged.
     allocator:
-        Budget-allocation engine: ``"fast"`` (lazy greedy over
+        Budget-allocation engine: ``"fast"`` (greedy over
         Sherman–Morrison incremental evaluators, the default) or
         ``"reference"`` (the naive re-solving loop, kept as ground
         truth).  Both produce identical budget distributions; the fast

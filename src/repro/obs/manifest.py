@@ -49,7 +49,9 @@ from repro.errors import ConfigurationError
 #: hit/miss/staleness tallies, stores and refreshes, preprocessing
 #: spend avoided by hits, routing decisions of the declarative query
 #: front-end).
-SCHEMA_VERSION = 5
+#: v6: removed ``serve.shards`` with the sharded engine (the serving
+#: tier runs one serial shard).
+SCHEMA_VERSION = 6
 
 _NUMBER_MAP = {"type": "object", "additionalProperties": {"type": "number"}}
 _INTEGER_MAP = {"type": "object", "additionalProperties": {"type": "integer"}}
@@ -188,22 +190,6 @@ MANIFEST_SCHEMA = {
                 "answers_purchased": {"type": "integer"},
                 "saved_cents": {"type": "number"},
                 "peak_queue_depth": {"type": "integer"},
-                "shards": {
-                    "type": "object",
-                    "required": ["count", "processes", "keys_by_shard"],
-                    "properties": {
-                        "count": {"type": "integer"},
-                        "processes": {"type": "boolean"},
-                        "keys_by_shard": {
-                            "type": "array",
-                            "items": {"type": "integer"},
-                        },
-                        "answers_by_shard": {
-                            "type": "array",
-                            "items": {"type": "integer"},
-                        },
-                    },
-                },
                 "admission": {
                     "type": "object",
                     "required": ["admitted", "degraded", "rejected"],
@@ -341,20 +327,6 @@ def serve_from_metrics(metrics) -> dict | None:
             "answers_lost": int(metrics.counter("serve.faults.lost")),
         },
     }
-    shard_count = int(gauges.get("serve.shards.count", 0))
-    if shard_count:
-        section["shards"] = {
-            "count": shard_count,
-            "processes": bool(gauges.get("serve.shards.processes", 0)),
-            "keys_by_shard": [
-                int(gauges.get(f"serve.shards.keys.{shard}", 0))
-                for shard in range(shard_count)
-            ],
-            "answers_by_shard": [
-                int(gauges.get(f"serve.shards.answers.{shard}", 0))
-                for shard in range(shard_count)
-            ],
-        }
     admission = {
         "admitted": int(metrics.counter("serve.admission.admit")),
         "degraded": int(metrics.counter("serve.admission.degrade")),

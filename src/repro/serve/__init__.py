@@ -6,9 +6,9 @@ it needs.  This package adds the serving layer on top: an
 :class:`~repro.serve.report.QueryRequest` submissions, coalesces their
 value questions across queries, buys only what the shared
 :class:`~repro.serve.cache.AnswerCache` does not already hold, and
-evaluates queries concurrently — deterministically, for any worker
-count, thanks to pure per-key answer streams
-(:mod:`repro.serve.stream`).  See DESIGN.md §12.
+evaluates them in serial waves — deterministically, thanks to pure
+per-key answer streams (:mod:`repro.serve.stream`) and a sorted-key
+commit.  See DESIGN.md §12.
 
 The resilience layer (DESIGN.md §13) makes the purchase path
 fault-injectable (:mod:`repro.serve.faults`) and the results
@@ -16,10 +16,7 @@ deadline/budget/fault-aware (:mod:`repro.serve.degrade`): a query the
 engine cannot fully serve comes back ``degraded`` with widened
 intervals and an honest completeness figure, never silently dropped.
 
-The scale-out layer (DESIGN.md §15) shards the cache and wave
-execution across key-hashed partitions — optionally forked OS
-processes — with byte-identical results at any shard count
-(:mod:`repro.serve.shard`), and puts an asyncio admission ladder in
+The admission front door (DESIGN.md §15) puts an asyncio ladder in
 front of the engine queue (:mod:`repro.serve.admission`): admit,
 degrade to cache-only, or reject by queue depth and deadline headroom.
 """
@@ -56,13 +53,6 @@ from repro.serve.report import (
     load_query_file,
     saving_percent,
 )
-from repro.serve.scheduler import BoundedScheduler
-from repro.serve.shard import (
-    ShardedAnswerCache,
-    ShardRouter,
-    shard_journal_name,
-    stable_shard,
-)
 from repro.serve.stream import BatchedValueStream, DeterministicValueStream
 
 __all__ = [
@@ -77,7 +67,6 @@ __all__ = [
     "AnswerCache",
     "AsyncAdmission",
     "BatchedValueStream",
-    "BoundedScheduler",
     "CacheReadSource",
     "CachedAnswerSource",
     "DegradedResult",
@@ -90,8 +79,6 @@ __all__ = [
     "ResilientValueStream",
     "ServeEngine",
     "ServeReport",
-    "ShardRouter",
-    "ShardedAnswerCache",
     "TermShortfall",
     "admit_and_serve",
     "evidence_confidence",
@@ -99,8 +86,6 @@ __all__ = [
     "load_query_file",
     "percentile",
     "saving_percent",
-    "shard_journal_name",
-    "stable_shard",
     "widened_interval",
     "zipf_weights",
 ]

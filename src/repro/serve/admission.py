@@ -129,7 +129,7 @@ class AsyncAdmission:
     Parameters
     ----------
     engine:
-        The (possibly sharded) serving engine behind the door.
+        The serving engine behind the door.
     policy:
         The backpressure ladder; defaults to :class:`AdmissionPolicy`'s
         defaults.

@@ -31,7 +31,7 @@ cache exactly and a crashed serving run resumes without re-purchasing.
 from __future__ import annotations
 
 import threading
-from typing import Any, Protocol
+from typing import Any
 
 import numpy as np
 
@@ -49,14 +49,6 @@ _EMPTY.setflags(write=False)
 
 _NO_WORKERS = np.empty(0, dtype=np.int64)
 _NO_WORKERS.setflags(write=False)
-
-
-class SupportsAnswerReads(Protocol):
-    """Anything answers can be read from: a flat cache or a sharded one."""
-
-    def answers(self, object_id: int, attribute: str, n: int) -> np.ndarray: ...
-
-    def workers(self, object_id: int, attribute: str, n: int) -> np.ndarray: ...
 
 
 def _frozen(answers) -> np.ndarray:
@@ -184,18 +176,11 @@ class AnswerCache:
 
     # -- persistence -----------------------------------------------------
 
-    def keys(self) -> list[CacheKey]:
-        """Every cached key, in sorted order (shard-balance statistics)."""
-        return sorted(self._answers)
-
     def snapshot(self) -> dict:
         """JSON-serialisable copy of every cached answer.
 
         Entries come out in sorted key order — not insertion order — so
-        the snapshot's bytes depend only on cache *contents*.  A sharded
-        engine's checkpoint is therefore identical to the unsharded
-        engine's for the same served state, and a checkpoint written at
-        one shard count restores cleanly at any other.
+        the snapshot's bytes depend only on cache *contents*.
         """
         entries = []
         for (oid, attr), answers in sorted(self._answers.items()):
@@ -370,7 +355,7 @@ class CacheReadSource:
     #: and use the batched design-matrix path.
     side_effect_free = True
 
-    def __init__(self, cache: SupportsAnswerReads) -> None:
+    def __init__(self, cache: AnswerCache) -> None:
         self.cache = cache
 
     def fetch(self, object_id: int, attribute: str, n: int) -> np.ndarray:

@@ -3,34 +3,33 @@
 :class:`ServeEngine` accepts a stream of :class:`~repro.serve.report.
 QueryRequest` submissions and evaluates them against the crowd in
 **waves**.  One wave takes every admitted query (up to ``wave_size``),
-and runs four phases:
+and runs four phases, one after another on the calling thread:
 
 1. **Need computation** (serial).  Walk the wave's queries in admission
    order and compute, per ``(object, attribute)`` key, the maximum
    answer count any query demands.  Concurrent queries touching the
    same key coalesce into a single purchase of the maximum shortfall —
    the cross-query batching this engine exists for.
-2. **Generation** (parallel, pure).  Produce the shortfall answers
-   through the :class:`~repro.serve.stream.DeterministicValueStream`
-   (fault-free) or the :class:`~repro.serve.faults.
-   ResilientValueStream` (fault-injected).  Every answer — and every
-   fault roll, retry and worker redraw around it — is a pure function
-   of ``(seed, object, attribute, index, attempt)`` plus the frozen
-   quarantine snapshot taken in phase 1, so this phase is
-   embarrassingly parallel and identical under any worker count.
-3. **Commit** (serial, sorted key order).  Check affordability,
-   journal each answer (and any lost-answer cursor advance)
-   write-ahead, charge the platform ledger, and insert into the shared
+2. **Generation** (pure).  Produce every shortfall answer in one
+   batched call: :meth:`~repro.serve.stream.BatchedValueStream.
+   answers_many` (fault-free) or :meth:`~repro.serve.faults.
+   ResilientValueStream.purchase_batch` (fault-injected).  Every
+   answer — and every fault roll, retry and worker redraw around it —
+   is a pure function of ``(seed, object, attribute, index, attempt)``
+   plus the frozen quarantine snapshot taken in phase 1.
+3. **Commit** (sorted key order).  Check affordability, journal each
+   answer (and any lost-answer cursor advance) write-ahead, charge the
+   platform ledger, and insert into the shared
    :class:`~repro.serve.cache.AnswerCache` — one key at a time, in
    sorted order, so ledger float accumulation and journal sequence
-   numbers never depend on thread scheduling.  Fault side effects
+   numbers depend only on the wave's keys.  Fault side effects
    (breaker outcomes, simulated latency, retry/abandon ledger events)
    are replayed here from the purchase logs, in the same canonical
    order.  A key the budget cannot cover is skipped entirely (its
    queries come back ``degraded``/``budget``); cheaper keys later in
    the order may still fit.
-4. **Evaluation** (parallel, read-only).  Each query runs the standard
-   :class:`~repro.core.online.OnlineEvaluator` over a
+4. **Evaluation** (read-only, admission order).  Each query runs the
+   standard :class:`~repro.core.online.OnlineEvaluator` over a
    :class:`~repro.serve.cache.CacheReadSource` — pure reads of the now
    frozen wave cache — and applies its predicate.  Deadlines are
    checked between objects; an expired query keeps its evaluated
@@ -39,11 +38,11 @@ and runs four phases:
    DegradedResult` — widened intervals, per-term shortfall,
    completeness — never a silent drop (DESIGN.md §13).
 
-The serial/parallel split *is* the determinism argument (see
-DESIGN.md §12): everything parallel is side-effect-free, everything
-side-effecting is serial in a canonical order.  Spend, savings,
-estimates and the journal are byte-identical across ``--workers 1``
-and ``--workers N``.
+Determinism (DESIGN.md §12): a wave is one serial pass, and every
+side effect happens in a canonical order — sorted keys for the commit,
+admission order for accounting and evaluation — so spend, savings,
+estimates and the journal depend only on the submitted queries, the
+seeds and the wave size.
 
 Backpressure: at most ``max_queue`` queries may be pending; submissions
 beyond that are **shed** — refused up front with a ``shed``/
@@ -94,12 +93,6 @@ from repro.serve.degrade import (
 )
 from repro.serve.faults import KeyPurchase, ResilientValueStream
 from repro.serve.report import QueryRequest, QueryResult, ServeReport
-from repro.serve.scheduler import BoundedScheduler
-from repro.serve.shard import (
-    ShardedAnswerCache,
-    ShardRouter,
-    shard_journal_name,
-)
 from repro.serve.stream import BatchedValueStream
 
 #: Journal, results-log and checkpoint filenames under the engine's
@@ -113,19 +106,6 @@ SERVE_CHECKPOINT = "serve.checkpoint.json"
 #: answer-stream seed (the same scheme the offline platform uses for
 #: its injector), so enabling faults never perturbs answer values.
 _FAULT_SEED_MIX = 2654435761
-
-
-def _chunked(items: list, parts: int) -> list[list]:
-    """Split ``items`` into up to ``parts`` contiguous near-equal chunks."""
-    parts = max(1, min(parts, len(items)))
-    size, extra = divmod(len(items), parts)
-    chunks: list[list] = []
-    position = 0
-    for index in range(parts):
-        width = size + (1 if index < extra else 0)
-        chunks.append(items[position : position + width])
-        position += width
-    return chunks
 
 
 @dataclass
@@ -162,9 +142,6 @@ class ServeEngine:
         Prices, budget, ledger and worker pool.  The engine never calls
         ``ask_value`` — answers come from its deterministic stream —
         but every cent flows through this platform's ledger.
-    workers:
-        Thread count for the pure phases (generation, evaluation).
-        ``1`` is the serial reference execution.
     max_queue:
         Backpressure bound: submissions beyond this many pending
         queries are shed.
@@ -178,7 +155,10 @@ class ServeEngine:
         checkpoints) when set.
     resume:
         Restore a previous run's checkpoint/journal from
-        ``checkpoint_dir`` before serving.
+        ``checkpoint_dir`` before serving.  A directory holding
+        per-shard journals (``serve.shard*.journal.jsonl``, written by
+        builds that sharded the engine) is refused with
+        :class:`~repro.errors.CheckpointError`.
     clock:
         Monotonic clock used for deadlines (injectable for tests).
     faults:
@@ -220,7 +200,6 @@ class ServeEngine:
     def __init__(
         self,
         platform: CrowdPlatform,
-        workers: int = 1,
         max_queue: int = 64,
         wave_size: int | None = None,
         seed: int | None = None,
@@ -234,8 +213,6 @@ class ServeEngine:
         fault_seed: int | None = None,
         chaos=None,
         shed_expired: bool = False,
-        shards: int = 0,
-        shard_processes: bool = False,
         aggregator: Aggregator | None = None,
         plan_source: Callable[[QueryRequest], Sequence[PreprocessingPlan]]
         | None = None,
@@ -249,14 +226,9 @@ class ServeEngine:
             raise ConfigurationError(f"wave_size must be positive, got {wave_size}")
         if resume and checkpoint_dir is None:
             raise ConfigurationError("resume requires a checkpoint_dir")
-        if shards < 0:
-            raise ConfigurationError(f"shards must be >= 0, got {shards}")
-        if shard_processes and not shards:
-            raise ConfigurationError("shard_processes requires shards >= 1")
         self.platform = platform
         self.obs = platform.obs
         self.plan_source = plan_source
-        self.scheduler = BoundedScheduler(workers)
         self.max_queue = max_queue
         self.wave_size = wave_size
         # The batched stream is a strict superset of the scalar one
@@ -282,26 +254,7 @@ class ServeEngine:
             if self.breaker is None:
                 self.breaker = WorkerCircuitBreaker()
             self.breaker.metrics = self.obs.metrics
-        # Sharded execution: the router owns per-shard streams (and
-        # fault streams) over the *same* seeds as the flat engine; the
-        # cache becomes a partitioned view with a flat snapshot.  Every
-        # coordinate stream is pure, so sharding is invisible to the
-        # report, spend and journal contents (DESIGN.md §15).
-        self.router: ShardRouter | None = None
-        self.cache: AnswerCache | ShardedAnswerCache
-        if shards:
-            self.router = ShardRouter(
-                platform,
-                shards,
-                self.stream.seed,
-                processes=shard_processes,
-                faults=faults,
-                retry=retry,
-                fault_seed=fault_seed,
-            )
-            self.cache = ShardedAnswerCache(shards, self.router.shard_of)
-        else:
-            self.cache = AnswerCache()
+        self.cache = AnswerCache()
         #: Per-key lost-answer counts: the value stream's cursor for a
         #: key is ``cache count + lost`` (lost indices were consumed by
         #: exhausted retries and must never be re-drawn).
@@ -325,8 +278,8 @@ class ServeEngine:
         # provenance bookkeeping; robust aggregators reshape the
         # evaluator; a reliability aggregator additionally records who
         # answered what (journal + cache worker tapes) and absorbs
-        # every committed span into its model, serially, so the learned
-        # state is identical under any worker or shard count.
+        # every committed span into its model in sorted commit order, so
+        # a resumed run learns exactly what the straight-through run did.
         if aggregator is not None and aggregator.name == "uniform":
             aggregator = None
         self.aggregator = aggregator
@@ -337,7 +290,6 @@ class ServeEngine:
         #: Per-key answer counts already absorbed into the model.
         self._agg_seen: dict[CacheKey, int] = {}
         self.journal: Journal | None = None
-        self._shard_journals: list[Journal] = []
         self._results_log: Journal | None = None
         self.checkpoints: CheckpointStore | None = None
         if checkpoint_dir is not None:
@@ -346,22 +298,12 @@ class ServeEngine:
             committed = 0
             if resume:
                 committed = self._restore(directory)
-                # Merge *every* serve journal present — flat and
-                # per-shard — before opening this topology's own
-                # files, so a run can resume a crash that happened
-                # under a different shard count.
                 self._merge_journal_tail(directory)
             # Records past the watermark were logged by a wave whose
             # checkpoint never landed: that wave re-runs, so drop them.
             self._results_log = Journal(directory / SERVE_RESULTS)
             self._results_log.truncate(committed)
-            if self.router is not None:
-                self._shard_journals = [
-                    Journal(directory / shard_journal_name(shard))
-                    for shard in range(self.router.n_shards)
-                ]
-            else:
-                self.journal = Journal(directory / SERVE_JOURNAL)
+            self.journal = Journal(directory / SERVE_JOURNAL)
 
     # -- durability ------------------------------------------------------
 
@@ -369,12 +311,20 @@ class ServeEngine:
         """Load the last wave checkpoint, if any; returns its watermark.
 
         The watermark is how many results-log records the checkpoint
-        committed.  Both the checkpoint's shape and the log's length are
-        checked before any state is touched, so a checkpoint this build
-        cannot honour raises :class:`CheckpointError` instead of
-        half-resuming.
+        committed.  The directory's journals, the checkpoint's shape and
+        the log's length are all checked before any state is touched,
+        so a directory this build cannot honour raises
+        :class:`CheckpointError` instead of half-resuming.
         """
         assert self.checkpoints is not None
+        shard_journals = sorted(directory.glob("serve.shard*.journal.jsonl"))
+        if shard_journals:
+            raise CheckpointError(
+                f"{directory} holds per-shard serve journals "
+                f"({', '.join(path.name for path in shard_journals)}) from a "
+                f"sharded build; this build serves from one {SERVE_JOURNAL} "
+                f"and cannot resume them"
+            )
         if not self.checkpoints.exists():
             return 0
         payload = self.checkpoints.load()
@@ -396,14 +346,7 @@ class ServeEngine:
                 f"{log_path} holds only {len(records)}"
             )
         self.platform.restore_state(payload["platform"])
-        if self.router is not None:
-            # Snapshots are flat and sorted, so a checkpoint written at
-            # any shard count (including unsharded) re-partitions here.
-            self.cache = ShardedAnswerCache.from_snapshot(
-                payload["cache"], self.router.n_shards, self.router.shard_of
-            )
-        else:
-            self.cache = AnswerCache.from_snapshot(payload["cache"])
+        self.cache = AnswerCache.from_snapshot(payload["cache"])
         faults = payload.get("faults")
         if faults is not None:
             self.fault_clock.restore_state(faults["clock"])
@@ -432,12 +375,6 @@ class ServeEngine:
         )
         return committed
 
-    def _journal_paths(self, directory: Path) -> list[Path]:
-        """Every serve journal file present, flat first then by shard."""
-        paths = [directory / SERVE_JOURNAL]
-        paths.extend(sorted(directory.glob("serve.shard*.journal.jsonl")))
-        return [path for path in paths if path.exists()]
-
     def _merge_journal_tail(self, directory: Path) -> None:
         """Fold journaled answers beyond the checkpoint into the cache.
 
@@ -448,42 +385,40 @@ class ServeEngine:
         crashed run exactly, and the warm cache means they are never
         re-purchased.
 
-        The merge reads *every* serve journal in the directory — the
-        flat ``serve.journal.jsonl`` and any per-shard files — into one
-        per-key index→answer map, then applies keys in sorted order
-        (the same order the commit phase charges in).  Shards partition
-        the key space, so the per-shard files never conflict; a
-        topology change between runs only splits one key's contiguous
-        index range across files, and the merged map heals the split.
+        The journal is read into one per-key index→answer map, then keys
+        are applied in sorted order (the same order the commit phase
+        charges in).  A record that contradicts an earlier one for the
+        same index, or a tape with a missing index, is corruption and
+        raises :class:`~repro.errors.JournalCorruptionError`.
         """
         values: dict[CacheKey, dict[int, float]] = {}
         workers: dict[CacheKey, dict[int, int]] = {}
         lost_totals: dict[CacheKey, int] = {}
-        for path in self._journal_paths(directory):
-            for record in read_journal(path):
-                kind = record.get("kind")
-                if kind == "value":
-                    key = (int(record["object"]), str(record["attribute"]))
-                    index = int(record["index"])
-                    answer = float(record["answer"])
-                    tape = values.setdefault(key, {})
-                    if index in tape and tape[index] != answer:
-                        raise JournalCorruptionError(
-                            f"serve journals disagree on {key!r}[{index}]"
-                        )
-                    tape[index] = answer
-                    worker = record.get("worker")
-                    if worker is not None:
-                        workers.setdefault(key, {})[index] = int(worker)
-                elif kind == "lost":
-                    key = (int(record["object"]), str(record["attribute"]))
-                    lost_totals[key] = lost_totals.get(key, 0) + int(record["count"])
+        path = directory / SERVE_JOURNAL
+        for record in read_journal(path) if path.exists() else []:
+            kind = record.get("kind")
+            if kind == "value":
+                key = (int(record["object"]), str(record["attribute"]))
+                index = int(record["index"])
+                answer = float(record["answer"])
+                tape = values.setdefault(key, {})
+                if index in tape and tape[index] != answer:
+                    raise JournalCorruptionError(
+                        f"serve journal disagrees with itself on {key!r}[{index}]"
+                    )
+                tape[index] = answer
+                worker = record.get("worker")
+                if worker is not None:
+                    workers.setdefault(key, {})[index] = int(worker)
+            elif kind == "lost":
+                key = (int(record["object"]), str(record["attribute"]))
+                lost_totals[key] = lost_totals.get(key, 0) + int(record["count"])
         restored = 0
         for key in sorted(values):
             indexed = values[key]
             if sorted(indexed) != list(range(len(indexed))):
                 raise JournalCorruptionError(
-                    f"serve journals leave a gap in the tape for {key!r}"
+                    f"serve journal leaves a gap in the tape for {key!r}"
                 )
             tape = [indexed[index] for index in range(len(indexed))]
             object_id, attribute = key
@@ -584,16 +519,11 @@ class ServeEngine:
         self._agg_seen[key] = total
 
     def close(self) -> None:
-        """Flush and close journals, join workers, stop shard processes."""
+        """Flush and close the answer journal and the results log."""
         if self.journal is not None:
             self.journal.close()
         if self._results_log is not None:
             self._results_log.close()
-        for journal in self._shard_journals:
-            journal.close()
-        if self.router is not None:
-            self.router.close()
-        self.scheduler.close()
 
     def __enter__(self) -> "ServeEngine":
         return self
@@ -732,7 +662,7 @@ class ServeEngine:
     def run(self) -> ServeReport:
         """Serve every admitted query; returns the aggregate report."""
         started = time.perf_counter()
-        with self.obs.tracer.span("serve", workers=self.scheduler.workers):
+        with self.obs.tracer.span("serve"):
             while self._queue:
                 size = self.wave_size or len(self._queue)
                 wave, self._queue = self._queue[:size], self._queue[size:]
@@ -750,31 +680,9 @@ class ServeEngine:
             coalesced_questions=self._coalesced,
             peak_queue_depth=self._peak_queue,
             wall_seconds=time.perf_counter() - started,
-            workers=self.scheduler.workers,
         )
         self.obs.metrics.gauge("serve.peak_queue_depth", self._peak_queue)
-        if self.router is not None:
-            # Shard topology and balance go to metrics (and from there
-            # the manifest's ``serve.shards`` section) — never into the
-            # report, which must stay byte-identical to the unsharded
-            # engine's.
-            metrics = self.obs.metrics
-            metrics.gauge("serve.shards.count", self.router.n_shards)
-            metrics.gauge("serve.shards.processes", int(self.router.process_mode))
-            cache = self.cache
-            if isinstance(cache, ShardedAnswerCache):
-                for shard, keys in enumerate(cache.keys_by_shard()):
-                    metrics.gauge(f"serve.shards.keys.{shard}", keys)
-                for shard, answers in enumerate(cache.answers_by_shard()):
-                    metrics.gauge(f"serve.shards.answers.{shard}", answers)
         return report
-
-    def _journal_for(self, key: CacheKey) -> Journal | None:
-        """The journal owning one key: the shard's file, or the flat one."""
-        if self._shard_journals:
-            assert self.router is not None
-            return self._shard_journals[self.router.shard_of_key(key)]
-        return self.journal
 
     def _price(self, attribute: str) -> float:
         price = self._price_of.get(attribute)
@@ -858,8 +766,8 @@ class ServeEngine:
             if demands[key] > pre_counts[key]
         ]
         # Frozen quarantine snapshot: worker exclusion is decided once
-        # per wave, serially, so the parallel generation phase stays a
-        # pure function under any worker count.
+        # per wave, so generation stays a pure function of the wave's
+        # requests and the commit replays breaker outcomes afterwards.
         blocked: frozenset[int] = frozenset()
         if self.resilient is not None and self.breaker is not None:
             blocked = frozenset(self.breaker.quarantined(self.fault_clock.now))
@@ -877,69 +785,30 @@ class ServeEngine:
         if independent > fresh_total:
             metrics.inc("serve.coalesced", independent - fresh_total)
 
-        # Phase 2 (parallel, pure): generate every shortfall answer.
-        # The fault-free branch is the byte-exact PR-5 path; the
-        # resilient branch purchases through per-attempt derived RNGs
-        # (see serve/faults.py) against the frozen quarantine snapshot.
+        # Phase 2 (pure): generate every shortfall answer in one batched
+        # call.  The fault-free branch draws from the per-coordinate
+        # answer stream; the resilient branch purchases through
+        # per-attempt derived RNGs (see serve/faults.py) against the
+        # frozen quarantine snapshot.
         with self.obs.tracer.span(
             "serve.purchase", keys=len(shortfalls), answers=fresh_total
         ):
-            # Keys are chunked per *effective* worker (not one task per
-            # key, and never wider than the clamped pool): the per-task
-            # overhead of a thread-pool submission exceeds the per-key
-            # work, and the batched kernels amortize best over large
-            # contiguous request lists.  Chunking cannot affect results
-            # — every lane's draws come only from its own coordinate
-            # stream.
+            generated: list
             if self.resilient is None:
-                requests = [
-                    (key[0], key[1], start, count)
-                    for key, start, count in shortfalls
-                ]
-            else:
-                lost_before = self._lost
-                requests = [
-                    (
-                        key[0],
-                        key[1],
-                        start + lost_before.get(key, 0),
-                        count,
-                    )
-                    for key, start, count in shortfalls
-                ]
-            if self.router is not None:
-                # Sharded: each shard generates its own keys (threads
-                # or forked processes); reassembly is in request order,
-                # so the serial commit below is oblivious to sharding.
-                generated = self.router.generate(
-                    requests,
-                    self.scheduler,
-                    blocked=blocked,
-                    faulted=self.resilient is not None,
+                generated = self.stream.answers_many(
+                    [(key[0], key[1], start, count) for key, start, count in shortfalls]
                 )
-            elif self.resilient is None:
-                stream = self.stream
-                generated = [
-                    answers
-                    for batch in self.scheduler.run(
-                        stream.answers_many,
-                        _chunked(requests, self.scheduler.effective_workers),
-                    )
-                    for answers in batch
-                ]
             else:
-                resilient = self.resilient
-                generated = [
-                    purchase
-                    for batch in self.scheduler.run(
-                        lambda chunk: resilient.purchase_batch(chunk, blocked),
-                        _chunked(requests, self.scheduler.effective_workers),
-                    )
-                    for purchase in batch
-                ]
+                generated = self.resilient.purchase_batch(
+                    [
+                        (key[0], key[1], start + self._lost.get(key, 0), count)
+                        for key, start, count in shortfalls
+                    ],
+                    blocked,
+                )
             self._kill_point("serve.generate")
 
-            # Phase 3 (serial, sorted key order): check affordability,
+            # Phase 3 (sorted key order): check affordability,
             # journal write-ahead, charge, insert.  An unfunded key is
             # skipped wholesale — no journal entry, no fault replay, no
             # cursor advance — as if its questions were never asked;
@@ -947,6 +816,7 @@ class ServeEngine:
             # on resume by re-charging the already-journaled tail.
             unfunded: set[CacheKey] = set()
             purchased = 0
+            journal = self.journal
             for (key, start, count), produced in zip(shortfalls, generated):
                 object_id, attribute = key
                 purchase: KeyPurchase | None = None
@@ -982,7 +852,6 @@ class ServeEngine:
                         worker_ids = self.stream.worker_ids(
                             object_id, attribute, start, obtained
                         )
-                journal = self._journal_for(key)
                 if journal is not None:
                     if worker_ids is not None:
                         for offset, answer in enumerate(answers):
@@ -1081,14 +950,11 @@ class ServeEngine:
                     virtual[key] = max(seen, min(count, available))
             pending.result = result
 
-        # Phase 4b (parallel, read-only): evaluate every query over the
-        # frozen wave cache and apply predicates/deadlines.
+        # Phase 4b (read-only, admission order): evaluate every query
+        # over the frozen wave cache and apply predicates/deadlines.
         read_source = CacheReadSource(self.cache)
         with self.obs.tracer.span("serve.evaluate", queries=len(wave)):
-            evaluated = self.scheduler.run(
-                lambda pending: self._evaluate(pending, read_source),
-                wave,
-            )
+            evaluated = [self._evaluate(pending, read_source) for pending in wave]
         for result in evaluated:
             if result.status == "degraded":
                 metrics.inc("serve.degraded")
@@ -1103,7 +969,7 @@ class ServeEngine:
 
         Called in sorted key order from the commit phase, so the
         simulated clock, breaker state, ledger events and fault
-        counters are identical under any worker count.
+        counters follow the wave's keys, not generation order.
         """
         metrics = self.obs.metrics
         if purchase.sim_seconds:
@@ -1215,8 +1081,7 @@ class ServeEngine:
     ) -> DegradedResult:
         """Build the degradation annotation for one degraded query.
 
-        Pure cache reads and arithmetic (safe inside the parallel
-        evaluation phase).  Intervals are widened per the module
+        Pure cache reads and arithmetic.  Intervals are widened per the module
         formula in :mod:`repro.serve.degrade`: each formula term
         contributes ``c²·s²/n`` (or a range prior at ``n = 0``), and
         the half-width inflates by the evidence shortfall.

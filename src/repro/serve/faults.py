@@ -3,9 +3,10 @@
 The offline platform's resilience loop (:meth:`~repro.crowd.platform.
 CrowdPlatform._resilient_ask`) is stateful: a shared injector RNG, a
 mutable circuit breaker and a shared simulated clock, all advanced in
-global question order.  The serving engine cannot use it — its
-generation phase runs in parallel and must stay byte-identical across
-worker counts.  :class:`ResilientValueStream` is the pure-function
+global question order.  The serving engine cannot use it — it
+generates a whole wave's purchases in one batch before committing any
+of them, and a resumed run must re-derive exactly the answers the
+crashed run bought.  :class:`ResilientValueStream` is the pure-function
 replacement:
 
 * Attempt ``a`` of answer ``i`` for ``(object, attribute)`` derives its
@@ -154,7 +155,7 @@ class ResilientValueStream:
 
         Pure: the result depends only on ``(seed, object, attribute,
         index, attempt)`` coordinates and ``blocked`` — never on call
-        order, thread scheduling or purchase batching.
+        order or purchase batching.
         """
         canonical, attr_key, low, high = self._resolve_key(attribute)
         domain = self.stream.domain

@@ -317,7 +317,6 @@ class ServeReport:
     coalesced_questions: int = 0
     peak_queue_depth: int = 0
     wall_seconds: float = 0.0
-    workers: int = 1
 
     def result(self, query_id: str) -> QueryResult:
         for result in self.results:
@@ -392,14 +391,13 @@ class ServeReport:
             "saved_cents": self.saved_cents,
             "peak_queue_depth": self.peak_queue_depth,
             "wall_seconds": self.wall_seconds,
-            "workers": self.workers,
             "results": [result.to_dict() for result in self.results],
         }
 
     def render(self) -> str:
         """Human-readable summary table for the CLI."""
         lines = [
-            f"served {len(self.results)} queries with {self.workers} worker(s): "
+            f"served {len(self.results)} queries: "
             f"{self.completed} completed, {self.degraded} degraded, "
             f"{self.shed} shed",
             f"  spend: {self.spent_cents:.1f}c fresh "

@@ -2,10 +2,12 @@
 
 The offline platform draws a fresh worker from a *shared* RNG for every
 question, which makes answers depend on global question order — fine
-for a serial research script, fatal for a concurrent serving engine
-that must give the same answers under ``--workers 1`` and
-``--workers 4``.  :class:`DeterministicValueStream` removes the shared
-state: answer ``i`` for ``(object, attribute)`` is a pure function of
+for a research script that asks every question itself, fatal for a
+serving engine that coalesces questions across queries, buys only
+what its cache lacks and resumes from a journal, so that the same
+answer must come out whichever query or wave first asks for it.
+:class:`DeterministicValueStream` removes the shared state: answer
+``i`` for ``(object, attribute)`` is a pure function of
 ``(seed, object_id, attribute, i)``.  Each answer derives its own
 :class:`numpy.random.Generator` from that tuple, draws a worker index
 from it (uniform over the pool, matching
@@ -15,8 +17,8 @@ answer_value_stateless`) using the same generator.
 
 Consequences, all load-bearing for the serving engine:
 
-* **order independence** — concurrent purchases, batch coalescing and
-  thread scheduling cannot change any answer;
+* **order independence** — purchase order, batch coalescing and wave
+  composition cannot change any answer;
 * **resumability** — a crashed run's cache can be rebuilt from the
   journal and the stream continues at index ``len(cache)`` with the
   exact answers an uninterrupted run would have produced;

@@ -2,8 +2,8 @@
 
 The serving tier's determinism contract pins every answer to its own
 ``np.random.default_rng([seed, object, crc32(attr), index])`` — one
-:class:`~numpy.random.Generator` per coordinate, so generation order,
-batching and thread scheduling cannot change a single draw.  That
+:class:`~numpy.random.Generator` per coordinate, so generation order
+and batching cannot change a single draw.  That
 contract is also why the scalar hot path is slow: constructing a
 ``SeedSequence`` + ``PCG64`` + ``Generator`` per answer costs ~10µs,
 dwarfing the worker math it feeds.

@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.cli import EXIT_CONFIGURATION_ERROR, main
-from repro.obs.manifest import load_manifest
+from repro.obs.manifest import SCHEMA_VERSION, load_manifest
 
 pytestmark = pytest.mark.catalog
 
@@ -76,7 +76,7 @@ class TestCatalogCli:
         assert "r0.protein" in out and "hit" in out
         assert "r0.calories" in out and "fresh" in out
         cold = load_manifest(tmp_path / "cold.manifest.json")
-        assert cold["schema_version"] == 5
+        assert cold["schema_version"] == SCHEMA_VERSION
         assert cold["catalog"]["hits"] == 1
         assert cold["catalog"]["routes"] == {"hit": 1, "fresh": 1}
 

@@ -160,32 +160,6 @@ class TestChaosMidWaveResume:
             pytest.approx(reference["spent_cents"])
         )
 
-    def test_faulted_reports_identical_across_workers(
-        self, tmp_path, queries_path
-    ):
-        def run(workers: int) -> dict:
-            out = tmp_path / f"w{workers}.json"
-            assert (
-                run_cli(
-                    BASE
-                    + [
-                        "--queries",
-                        queries_path,
-                        "--workers",
-                        workers,
-                        "--out",
-                        out,
-                    ]
-                )
-                == 0
-            )
-            payload = json.loads(out.read_text())
-            payload.pop("wall_seconds")
-            payload.pop("workers")
-            return payload
-
-        assert run(1) == run(4)
-
 
 class TestTamperedCheckpoint:
     def test_resume_over_bad_version_exits_2_without_hint(
@@ -206,6 +180,25 @@ class TestTamperedCheckpoint:
         assert "durability error:" in err
         assert "schema version 0" in err
         # Re-running the same --resume would fail the same way.
+        assert "resume with:" not in err
+
+    def test_resume_over_per_shard_journal_exits_2_without_hint(
+        self, tmp_path, queries_path, capsys
+    ):
+        checkpoint_dir = tmp_path / "ckpt"
+        argv = BASE + ["--queries", queries_path, "--checkpoint-dir", checkpoint_dir]
+        assert run_cli(argv) == 0
+        journal = checkpoint_dir / "serve.journal.jsonl"
+        (checkpoint_dir / "serve.shard00.journal.jsonl").write_bytes(
+            journal.read_bytes()
+        )
+        capsys.readouterr()
+
+        code = run_cli(argv + ["--resume"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIGURATION_ERROR
+        assert "durability error:" in err
+        assert "serve.shard00.journal.jsonl" in err
         assert "resume with:" not in err
 
 
@@ -234,3 +227,19 @@ class TestAdmissionValidation:
         ]
         assert run_cli(argv) == EXIT_CONFIGURATION_ERROR
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--queries", "q.json", "--workers", "2"],
+            ["serve", "--queries", "q.json", "--shards", "2"],
+            ["serve", "--queries", "q.json", "--shard-processes"],
+            ["query", "--requests", "r.json", "--catalog", "c", "--workers", "2"],
+        ],
+    )
+    def test_removed_concurrency_flags_exit_2(self, argv):
+        # The engine is serial; its old concurrency flags are unknown
+        # options, refused by the argument parser before any work.
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(argv[:1] + ["--domain", "recipes"] + argv[1:])
+        assert exit_info.value.code == 2

@@ -6,9 +6,9 @@ The two load-bearing properties (DESIGN.md §16):
   *bitwise* identical to the historical uniform mean — this is what
   keeps an honest crowd's estimates byte-stable when the strategy flips;
 * weighted aggregation with *unequal* weights is invariant under any
-  permutation of the (value, worker) pairs — this is what keeps
-  workers-1==4 and any shard count byte-identical, because ``fsum`` is
-  exactly rounded over the product multiset.
+  permutation of the (value, worker) pairs — this is what keeps a
+  weighted mean independent of the order answers were bought in,
+  because ``fsum`` is exactly rounded over the product multiset.
 
 Plus the streaming model's split invariance: absorbing a tape in any
 chunking yields the same state as absorbing it whole, which is the

@@ -1,4 +1,4 @@
-"""Unit tests for the serving engine, scheduler and report objects."""
+"""Unit tests for the serving engine and report objects."""
 
 import json
 
@@ -22,8 +22,8 @@ from repro.durability.journal import read_journal
 from repro.errors import CheckpointError, ConfigurationError
 from repro.serve import (
     SERVE_CHECKPOINT,
+    SERVE_JOURNAL,
     SERVE_RESULTS,
-    BoundedScheduler,
     DegradedResult,
     Predicate,
     QueryRequest,
@@ -51,57 +51,6 @@ def make_engine(domain, **kwargs) -> tuple[ServeEngine, CrowdPlatform]:
         domain, recorder=AnswerRecorder(), seed=3, budget=kwargs.pop("budget", None)
     )
     return ServeEngine(platform, **kwargs), platform
-
-
-class TestBoundedScheduler:
-    def test_preserves_input_order(self):
-        scheduler = BoundedScheduler(workers=4)
-        assert scheduler.run(lambda x: x * x, range(20)) == [
-            x * x for x in range(20)
-        ]
-
-    def test_serial_path(self):
-        assert BoundedScheduler(workers=1).run(str, [1, 2]) == ["1", "2"]
-
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ConfigurationError):
-            BoundedScheduler(workers=0)
-
-    def test_effective_width_clamped_to_max_width(self):
-        scheduler = BoundedScheduler(workers=8, max_width=2)
-        assert scheduler.workers == 8  # requested width is what's reported
-        assert scheduler.effective_workers == 2
-        with pytest.raises(ConfigurationError):
-            BoundedScheduler(workers=2, max_width=0)
-
-    def test_effective_width_clamped_to_cpu_count(self, monkeypatch):
-        # The PR-7 regression: on a single-core host, 4 threads over
-        # numpy-bound pure work ran ~4.7x slower than 1.  The clamp
-        # makes oversubscription structurally impossible.
-        import repro.serve.scheduler as scheduler_module
-
-        monkeypatch.setattr(scheduler_module.os, "cpu_count", lambda: 2)
-        assert BoundedScheduler(workers=16).effective_workers == 2
-        monkeypatch.setattr(scheduler_module.os, "cpu_count", lambda: None)
-        assert BoundedScheduler(workers=16).effective_workers == 1
-
-    def test_close_joins_pool_threads(self):
-        import threading
-
-        from repro.serve.scheduler import POOL_THREAD_PREFIX
-
-        scheduler = BoundedScheduler(workers=4, max_width=4)
-        assert not scheduler.pool_live  # lazy: no pool before parallel work
-        scheduler.run(str, range(8))
-        assert scheduler.pool_live
-        scheduler.close()
-        scheduler.close()  # idempotent
-        assert not scheduler.pool_live
-        assert not [
-            thread
-            for thread in threading.enumerate()
-            if thread.name.startswith(POOL_THREAD_PREFIX) and thread.is_alive()
-        ]
 
 
 class TestServeRequests:
@@ -215,20 +164,6 @@ class TestServeEngine:
         engine.run()
         # One purchase of max(2, 6) answers, not 2 + 6.
         assert platform.ledger.questions_by_category["value"] == 6
-
-    def test_estimates_identical_across_worker_counts(self, tiny_domain):
-        def run(workers):
-            engine, platform = make_engine(tiny_domain, workers=workers)
-            plan = identity_plan("target", 4)
-            engine.submit(QueryRequest("q1", ("target",), tuple(range(8))), plan)
-            engine.submit(QueryRequest("q2", ("target",), tuple(range(4, 12))), plan)
-            report = engine.run()
-            payload = report.to_dict()
-            payload.pop("wall_seconds")
-            payload.pop("workers")
-            return payload, platform.ledger.snapshot()
-
-        assert run(1) == run(4)
 
     def test_sheds_beyond_max_queue(self, tiny_domain):
         engine, _ = make_engine(tiny_domain, max_queue=1)
@@ -398,6 +333,36 @@ class TestServeEngine:
     def test_resume_requires_checkpoint_dir(self, tiny_domain):
         with pytest.raises(ConfigurationError):
             make_engine(tiny_domain, resume=True)
+
+    def test_resume_over_per_shard_journal_refused(self, tiny_domain, tmp_path):
+        # Builds that sharded the engine journaled to one file per
+        # shard; this build must refuse them before restoring anything
+        # rather than resume half the purchases.
+        plan = identity_plan("target", 4)
+        crashed, _ = make_engine(tiny_domain, checkpoint_dir=tmp_path)
+        with crashed:
+            crashed.submit(QueryRequest("q1", ("target",), (0, 1)), plan)
+            crashed.run()
+        (tmp_path / "serve.shard00.journal.jsonl").write_bytes(
+            (tmp_path / SERVE_JOURNAL).read_bytes()
+        )
+
+        def refused_resume() -> None:
+            platform = CrowdPlatform(tiny_domain, recorder=AnswerRecorder(), seed=3)
+            # Built in two steps so the half-made engine stays inspectable.
+            engine = ServeEngine.__new__(ServeEngine)
+            with pytest.raises(CheckpointError, match="serve.shard00.journal"):
+                engine.__init__(platform, checkpoint_dir=tmp_path, resume=True)
+            assert platform.ledger.total_spent == 0.0
+            assert platform.ledger.questions_by_category.get("value", 0) == 0
+            assert engine.cache.total_answers == 0
+            assert not engine.resumed
+
+        refused_resume()
+        # Also with no checkpoint (a crash inside the first wave): the
+        # journal tail alone must not be re-charged either.
+        (tmp_path / SERVE_CHECKPOINT).unlink()
+        refused_resume()
 
     def test_report_lookup_and_counts(self):
         report = ServeReport(
@@ -599,31 +564,15 @@ class TestResultsLog:
 
 
 class TestEngineShutdown:
-    def test_context_manager_joins_pool_threads(self, tiny_domain):
-        import threading
-
-        from repro.serve.scheduler import POOL_THREAD_PREFIX
-
-        plan = identity_plan("target", 4)
-        engine, _ = make_engine(tiny_domain, workers=4)
-        engine.scheduler.effective_workers = 4  # defeat the 1-core clamp
-        with engine:
-            for index in range(4):
-                engine.submit(
-                    QueryRequest(f"q{index}", ("target",), (index,)), plan
-                )
-            engine.run()
-        assert not engine.scheduler.pool_live
-        assert not [
-            thread
-            for thread in threading.enumerate()
-            if thread.name.startswith(POOL_THREAD_PREFIX) and thread.is_alive()
-        ]
-
-    def test_context_manager_closes_on_error(self, tiny_domain):
-        engine, _ = make_engine(tiny_domain, workers=2)
+    def test_context_manager_closes_on_error(self, tiny_domain, tmp_path):
+        engine, _ = make_engine(tiny_domain, checkpoint_dir=tmp_path)
         with pytest.raises(RuntimeError):
             with engine:
-                engine.scheduler.run(str, [1, 2])  # force pool creation
+                engine.submit(
+                    QueryRequest("q1", ("target",), (0,)), identity_plan("target")
+                )
+                engine.run()
                 raise RuntimeError("boom")
-        assert not engine.scheduler.pool_live
+        assert engine.journal is not None and engine._results_log is not None
+        assert engine.journal._handle.closed
+        assert engine._results_log._handle.closed
