@@ -33,9 +33,9 @@ class AnswerSource(Protocol):
 
     The default is :class:`PlatformAnswerSource` (buy every answer from
     the crowd platform, exactly the paper's online phase); the serving
-    engine substitutes a cache-backed source
-    (:class:`repro.serve.cache.CachedAnswerSource`) that only buys the
-    shortfall.  Implementations may raise
+    tier substitutes cache-backed sources (:mod:`repro.serve.cache`)
+    that serve cached answers and buy at most the shortfall.
+    Implementations may raise
     :class:`~repro.errors.BudgetExhaustedError` or
     :class:`~repro.errors.CrowdFaultError`, which the evaluator absorbs
     into its skip lists.

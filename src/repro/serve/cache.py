@@ -10,22 +10,24 @@ All from the Crowd*; Rekatsinas et al.'s *CrowdGather*).
 Two :class:`~repro.core.online.AnswerSource` implementations ride on
 the cache:
 
-* :class:`CachedAnswerSource` — the full read-through source: serves
-  cached prefixes, purchases shortfalls through the platform ledger
-  (budget-checked) from a :class:`~repro.serve.stream.
-  DeterministicValueStream`, and records cache-hit savings.  Safe for
-  serial use and for the engine's purchase phase (a lock serializes
-  the charge+journal+insert critical section).
+* :class:`CachedAnswerSource` — a read-through source for evaluating
+  queries one at a time: serves cached prefixes, purchases shortfalls
+  through the platform ledger (budget-checked) from a
+  :class:`~repro.serve.stream.DeterministicValueStream`, and records
+  cache-hit savings.  The serving benchmark evaluates each query alone
+  through it, as the baseline the engine's coalescing is measured
+  against.
 * :class:`CacheReadSource` — the read-only source the engine hands to
   evaluators after a wave's purchases have landed: pure cache reads,
   no accounting, trivially thread-safe.
 
-Durability: every freshly purchased answer can be journaled through
-the existing write-ahead machinery (``journal.record_answer("value",
-key, index, answer)`` — the same record shape the offline
-:class:`~repro.crowd.recording.AnswerRecorder` writes), so
-:func:`~repro.durability.journal.replay_journal` reconstructs the
-cache exactly and a crashed serving run resumes without re-purchasing.
+The cache itself is never persisted.  Every freshly purchased answer
+can be journaled write-ahead (``journal.record_answer("value", key,
+index, answer)`` — the same record shape the offline
+:class:`~repro.crowd.recording.AnswerRecorder` writes), and that journal
+is the one durable copy: a resuming :class:`~repro.serve.engine.
+ServeEngine` replays it into an empty cache, so a crashed serving run
+resumes without re-purchasing.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import numpy as np
 
 from repro.agg.base import UNATTRIBUTED
 from repro.crowd.platform import CrowdPlatform
-from repro.crowd.recording import AnswerRecorder
 from repro.errors import ConfigurationError
 from repro.serve.stream import DeterministicValueStream
 
@@ -58,13 +59,6 @@ def _frozen(answers) -> np.ndarray:
     return array
 
 
-def _frozen_workers(worker_ids) -> np.ndarray:
-    """A read-only int64 copy of one key's worker-provenance tape."""
-    array = np.array(worker_ids, dtype=np.int64)
-    array.setflags(write=False)
-    return array
-
-
 class AnswerCache:
     """Purchased value answers keyed by ``(object_id, attribute)``.
 
@@ -72,9 +66,7 @@ class AnswerCache:
     eviction would break both replay determinism and the economics:
     a bought answer is an asset).  Tapes are stored as read-only
     float64 ndarrays so :meth:`answers` can hand out zero-copy views
-    to the evaluators instead of building a list per fetch.  Tracks
-    hit/miss counts for the serve report and serializes to JSON for
-    checkpoints.
+    to the evaluators instead of building a list per fetch.
     """
 
     def __init__(self) -> None:
@@ -85,8 +77,6 @@ class AnswerCache:
         #: as ``UNATTRIBUTED``.  Mirrors the offline recorder's
         #: ``_value_workers`` semantics.
         self._workers: dict[CacheKey, np.ndarray] = {}
-        self.hits = 0
-        self.misses = 0
 
     def __len__(self) -> int:
         return len(self._answers)
@@ -168,64 +158,6 @@ class AnswerCache:
             self._workers[key] = merged
         return start
 
-    def note_hits(self, count: int) -> None:
-        self.hits += count
-
-    def note_misses(self, count: int) -> None:
-        self.misses += count
-
-    # -- persistence -----------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """JSON-serialisable copy of every cached answer.
-
-        Entries come out in sorted key order — not insertion order — so
-        the snapshot's bytes depend only on cache *contents*.
-        """
-        entries = []
-        for (oid, attr), answers in sorted(self._answers.items()):
-            entry = {"object": oid, "attribute": attr, "answers": answers.tolist()}
-            workers = self._workers.get((oid, attr))
-            # Written only when provenance exists, so attribution-free
-            # caches keep the historical snapshot bytes.
-            if workers is not None and len(workers):
-                entry["workers"] = workers.tolist()
-            entries.append(entry)
-        return {
-            "entries": entries,
-            "hits": self.hits,
-            "misses": self.misses,
-        }
-
-    @classmethod
-    def from_snapshot(cls, payload: dict) -> "AnswerCache":
-        cache = cls()
-        for entry in payload.get("entries", []):
-            key = (int(entry["object"]), str(entry["attribute"]))
-            cache._answers[key] = _frozen(entry["answers"])
-            if entry.get("workers"):
-                cache._workers[key] = _frozen_workers(entry["workers"])
-        cache.hits = int(payload.get("hits", 0))
-        cache.misses = int(payload.get("misses", 0))
-        return cache
-
-    @classmethod
-    def from_recorder(cls, recorder: AnswerRecorder) -> "AnswerCache":
-        """Rebuild a cache from a (journal-replayed) answer recorder.
-
-        The journal's ``value`` records and the recorder's value tapes
-        share the cache's key shape (including the optional worker
-        tape), so a crashed serving run's journal replays straight into
-        a warm cache with its provenance intact.
-        """
-        cache = cls()
-        for entry in recorder.to_dict()["values"]:
-            key = (int(entry["object"]), str(entry["attribute"]))
-            cache._answers[key] = _frozen(entry["answers"])
-            if entry.get("workers"):
-                cache._workers[key] = _frozen_workers(entry["workers"])
-        return cache
-
 
 class CachedAnswerSource:
     """Read-through answer source: cached prefix + purchased shortfall.
@@ -249,8 +181,7 @@ class CachedAnswerSource:
         When True, every fresh purchase also derives and stores the
         answering worker's id (journaled alongside the answer), so
         reliability aggregation can weigh the tape later.  Off by
-        default: attribution-free runs keep historical journal and
-        snapshot bytes.
+        default: attribution-free runs keep historical journal bytes.
     """
 
     def __init__(
@@ -316,10 +247,8 @@ class CachedAnswerSource:
                                 "value", key, cached + offset, answer
                             )
                 self.cache.add(object_id, attribute, fresh, worker_ids)
-                self.cache.note_misses(shortfall)
             if hits:
                 self.platform.record_value_savings(attribute, hits)
-                self.cache.note_hits(hits)
             if self.metrics is not None:
                 if hits:
                     self.metrics.inc("serve.cache.hits", hits)

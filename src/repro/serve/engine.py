@@ -52,14 +52,17 @@ passed when its wave forms is shed as ``shed``/``deadline`` instead of
 being evaluated; the default degrades it rather than shedding.
 
 Durability: with a ``checkpoint_dir``, every purchased answer is
-journaled write-ahead (``serve.journal.jsonl``), every completed wave
-appends its newly finished results to ``serve.results.jsonl`` and then
-checkpoints platform state and cache with the results log's record
-count as the commit watermark (``serve.checkpoint.json``, atomic).
-Resuming restores the checkpoint, then folds the journal's
-post-checkpoint tail back into the cache — re-charging those answers
-so the ledger matches the crashed run — and re-serves queries finished
-up to the watermark from the results log without touching the crowd.
+journaled write-ahead (``serve.journal.jsonl``) and every completed
+wave appends its newly finished results to ``serve.results.jsonl``.
+The wave then fsyncs both logs and atomically replaces
+``serve.checkpoint.json``: platform, fault and model state plus each
+log's record count as a watermark.  The cache is not in it — the
+journal is the one durable copy of every purchased answer.  Resuming
+replays the journal into an empty cache, re-charging the answers
+journaled past the watermark so the ledger matches the crashed run, and
+re-serves queries finished up to the results watermark from the results
+log without touching the crowd.  A run without ``resume`` empties both
+logs and removes the checkpoint before it serves.
 """
 
 from __future__ import annotations
@@ -108,6 +111,80 @@ SERVE_CHECKPOINT = "serve.checkpoint.json"
 _FAULT_SEED_MIX = 2654435761
 
 
+def _watermark(payload: dict, section: str) -> int | None:
+    """A checkpoint's ``{"records": N}`` watermark, or ``None`` if absent."""
+    entry = payload.get(section)
+    if isinstance(entry, dict) and isinstance(entry.get("records"), int):
+        return entry["records"]
+    return None
+
+
+#: One key's replayed tape: answers, worker ids (``None`` when no record
+#: names a worker) and how many answers the checkpoint already paid for.
+_Tape = tuple[list[float], list[int] | None, int]
+
+
+def _replay_answers(
+    records: list[dict], watermark: int
+) -> tuple[dict[CacheKey, _Tape], dict[CacheKey, int]]:
+    """Fold the answer journal's records into per-key tapes.
+
+    Returns ``(tapes, lost)``.  ``tapes`` maps each key to its answers,
+    the worker behind each (a missing one reads as ``UNATTRIBUTED``)
+    and how many of its answers the first ``watermark`` records hold —
+    the ones the checkpointed ledger already paid for.  ``lost`` sums
+    each key's lost-answer deltas: the fault stream's cursor for a key
+    runs that many indices past its cache count.  A record that
+    contradicts an earlier one for the same index, or a tape with a
+    missing index, is corruption and raises
+    :class:`~repro.errors.JournalCorruptionError`.
+    """
+    values: dict[CacheKey, dict[int, float]] = {}
+    workers: dict[CacheKey, dict[int, int]] = {}
+    lost: dict[CacheKey, int] = {}
+
+    def fold(record: dict) -> None:
+        kind = record.get("kind")
+        if kind not in ("value", "lost"):
+            return
+        key = (int(record["object"]), str(record["attribute"]))
+        if kind == "lost":
+            lost[key] = lost.get(key, 0) + int(record["count"])
+            return
+        index = int(record["index"])
+        answer = float(record["answer"])
+        tape = values.setdefault(key, {})
+        if tape.setdefault(index, answer) != answer:
+            raise JournalCorruptionError(
+                f"serve journal disagrees with itself on {key!r}[{index}]"
+            )
+        worker = record.get("worker")
+        if worker is not None:
+            workers.setdefault(key, {})[index] = int(worker)
+
+    for record in records[:watermark]:
+        fold(record)
+    paid = {key: len(tape) for key, tape in values.items()}
+    for record in records[watermark:]:
+        fold(record)
+    tapes: dict[CacheKey, _Tape] = {}
+    for key, indexed in values.items():
+        count = len(indexed)
+        if sorted(indexed) != list(range(count)):
+            raise JournalCorruptionError(
+                f"serve journal leaves a gap in the tape for {key!r}"
+            )
+        known = workers.get(key)
+        tapes[key] = (
+            [indexed[index] for index in range(count)],
+            None
+            if known is None
+            else [known.get(index, UNATTRIBUTED) for index in range(count)],
+            paid.get(key, 0),
+        )
+    return tapes, lost
+
+
 @dataclass
 class _Pending:
     """One admitted query waiting for (or inside) a wave."""
@@ -152,7 +229,8 @@ class ServeEngine:
         Answer-stream seed; defaults to the platform's seed.
     checkpoint_dir:
         Enables durability (answer journal, results log and per-wave
-        checkpoints) when set.
+        checkpoints) when set.  Without ``resume``, whatever an earlier
+        run left there is discarded before serving.
     resume:
         Restore a previous run's checkpoint/journal from
         ``checkpoint_dir`` before serving.  A directory holding
@@ -271,8 +349,8 @@ class ServeEngine:
         self._coalesced = 0
         self._peak_queue = 0
         self.resumed = False
-        #: Journal-tail answers folded back into the cache on resume
-        #: (re-charged so the ledger matches the crashed run).
+        #: Answers journaled past the checkpoint's watermark, re-charged
+        #: on resume so the ledger matches the crashed run.
         self.restored_answers = 0
         # Aggregation: "uniform" is the byte-exact mean path with no
         # provenance bookkeeping; robust aggregators reshape the
@@ -295,26 +373,32 @@ class ServeEngine:
         if checkpoint_dir is not None:
             directory = Path(checkpoint_dir)
             self.checkpoints = CheckpointStore(directory, SERVE_CHECKPOINT)
-            committed = 0
-            if resume:
-                committed = self._restore(directory)
-                self._merge_journal_tail(directory)
+            committed = self._restore(directory) if resume else 0
             # Records past the watermark were logged by a wave whose
             # checkpoint never landed: that wave re-runs, so drop them.
             self._results_log = Journal(directory / SERVE_RESULTS)
             self._results_log.truncate(committed)
             self.journal = Journal(directory / SERVE_JOURNAL)
+            if not resume:
+                # A fresh run inherits nothing.  The checkpoint goes
+                # last: a crash mid-reset leaves its watermarks past
+                # what the logs hold, and resume refuses it.
+                self.journal.truncate(0)
+                self.checkpoints.path.unlink(missing_ok=True)
 
     # -- durability ------------------------------------------------------
 
     def _restore(self, directory: Path) -> int:
-        """Load the last wave checkpoint, if any; returns its watermark.
+        """Rebuild the last committed state; returns the results watermark.
 
-        The watermark is how many results-log records the checkpoint
-        committed.  The directory's journals, the checkpoint's shape and
-        the log's length are all checked before any state is touched,
-        so a directory this build cannot honour raises
-        :class:`CheckpointError` instead of half-resuming.
+        The checkpoint commits two watermarks: how many results-log
+        records and how many answer-journal records its wave had
+        written.  The cache is rebuilt from the journal alone.  Both
+        logs are read and checked against their watermarks before any
+        state is touched, so a directory this build cannot honour raises
+        :class:`CheckpointError` (or
+        :class:`~repro.errors.JournalCorruptionError`) instead of
+        half-resuming.
         """
         assert self.checkpoints is not None
         shard_journals = sorted(directory.glob("serve.shard*.journal.jsonl"))
@@ -325,155 +409,116 @@ class ServeEngine:
                 f"sharded build; this build serves from one {SERVE_JOURNAL} "
                 f"and cannot resume them"
             )
-        if not self.checkpoints.exists():
-            return 0
-        payload = self.checkpoints.load()
-        watermark = payload.get("results")
-        if not isinstance(watermark, dict) or not isinstance(
-            watermark.get("records"), int
-        ):
-            raise CheckpointError(
-                f"serve checkpoint {self.checkpoints.path} has no results-log "
-                f"watermark (written before finished results moved to "
-                f"{SERVE_RESULTS}); it cannot be resumed"
-            )
-        committed = watermark["records"]
-        log_path = directory / SERVE_RESULTS
-        records = read_journal(log_path) if log_path.exists() else []
-        if len(records) < committed:
-            raise CheckpointError(
-                f"serve checkpoint commits {committed} finished results but "
-                f"{log_path} holds only {len(records)}"
-            )
-        self.platform.restore_state(payload["platform"])
-        self.cache = AnswerCache.from_snapshot(payload["cache"])
-        faults = payload.get("faults")
-        if faults is not None:
-            self.fault_clock.restore_state(faults["clock"])
-            if self.breaker is not None and faults.get("breaker") is not None:
-                self.breaker.restore_state(faults["breaker"])
-            self._lost = {
-                (int(entry["object"]), str(entry["attribute"])): int(entry["count"])
-                for entry in faults.get("lost", [])
-            }
-        agg = payload.get("agg")
-        if agg is not None and self._agg_model is not None:
-            self._agg_model.restore_state(agg["model"])
-            self._agg_seen = {
-                (int(entry[0]), str(entry[1])): int(entry[2])
-                for entry in agg.get("seen", [])
-            }
-        for record in records[:committed]:
-            result = QueryResult.from_dict(record["result"])
-            result.from_checkpoint = True
-            self._checkpointed[result.query_id] = result
-        self.resumed = True
-        self.obs.tracer.event(
-            "serve.resume",
-            results=len(self._checkpointed),
-            cached_answers=self.cache.total_answers,
-        )
-        return committed
-
-    def _merge_journal_tail(self, directory: Path) -> None:
-        """Fold journaled answers beyond the checkpoint into the cache.
-
-        Answers are journaled write-ahead, so after a crash the journals
-        may run ahead of the last checkpoint.  Those answers were paid
-        for by the crashed run; re-charging them here (count × price,
-        deterministic) makes the restored ledger and budget match the
-        crashed run exactly, and the warm cache means they are never
-        re-purchased.
-
-        The journal is read into one per-key index→answer map, then keys
-        are applied in sorted order (the same order the commit phase
-        charges in).  A record that contradicts an earlier one for the
-        same index, or a tape with a missing index, is corruption and
-        raises :class:`~repro.errors.JournalCorruptionError`.
-        """
-        values: dict[CacheKey, dict[int, float]] = {}
-        workers: dict[CacheKey, dict[int, int]] = {}
-        lost_totals: dict[CacheKey, int] = {}
-        path = directory / SERVE_JOURNAL
-        for record in read_journal(path) if path.exists() else []:
-            kind = record.get("kind")
-            if kind == "value":
-                key = (int(record["object"]), str(record["attribute"]))
-                index = int(record["index"])
-                answer = float(record["answer"])
-                tape = values.setdefault(key, {})
-                if index in tape and tape[index] != answer:
-                    raise JournalCorruptionError(
-                        f"serve journal disagrees with itself on {key!r}[{index}]"
-                    )
-                tape[index] = answer
-                worker = record.get("worker")
-                if worker is not None:
-                    workers.setdefault(key, {})[index] = int(worker)
-            elif kind == "lost":
-                key = (int(record["object"]), str(record["attribute"]))
-                lost_totals[key] = lost_totals.get(key, 0) + int(record["count"])
-        restored = 0
-        for key in sorted(values):
-            indexed = values[key]
-            if sorted(indexed) != list(range(len(indexed))):
-                raise JournalCorruptionError(
-                    f"serve journal leaves a gap in the tape for {key!r}"
+        payload = None
+        committed = answered = 0
+        records: list[dict] = []
+        if self.checkpoints.exists():
+            payload = self.checkpoints.load()
+            committed = _watermark(payload, "results")
+            if committed is None:
+                raise CheckpointError(
+                    f"serve checkpoint {self.checkpoints.path} has no results-log "
+                    f"watermark (written before finished results moved to "
+                    f"{SERVE_RESULTS}); it cannot be resumed"
                 )
-            tape = [indexed[index] for index in range(len(indexed))]
+            answered = _watermark(payload, "journal")
+            if answered is None:
+                raise CheckpointError(
+                    f"serve checkpoint {self.checkpoints.path} has no "
+                    f"answer-journal watermark (written when the cache was "
+                    f"snapshotted into the checkpoint); it cannot be resumed"
+                )
+            log_path = directory / SERVE_RESULTS
+            records = read_journal(log_path) if log_path.exists() else []
+            if len(records) < committed:
+                raise CheckpointError(
+                    f"serve checkpoint commits {committed} finished results but "
+                    f"{log_path} holds only {len(records)}"
+                )
+        journal_path = directory / SERVE_JOURNAL
+        journal = read_journal(journal_path) if journal_path.exists() else []
+        if len(journal) < answered:
+            raise CheckpointError(
+                f"serve checkpoint commits {answered} answer-journal records "
+                f"but {journal_path} holds only {len(journal)}"
+            )
+        tapes, lost = _replay_answers(journal, answered)
+
+        absorbed = False
+        if payload is not None:
+            self.platform.restore_state(payload["platform"])
+            faults = payload.get("faults")
+            if faults is not None:
+                self.fault_clock.restore_state(faults["clock"])
+                if self.breaker is not None and faults.get("breaker") is not None:
+                    self.breaker.restore_state(faults["breaker"])
+            agg = payload.get("agg")
+            if agg is not None and self._agg_model is not None:
+                # The restored model has absorbed every answer journaled
+                # before the watermark.
+                self._agg_model.restore_state(agg["model"])
+                absorbed = True
+            for record in records[:committed]:
+                result = QueryResult.from_dict(record["result"])
+                result.from_checkpoint = True
+                self._checkpointed[result.query_id] = result
+            self.resumed = True
+        self._lost = lost
+        restored = 0
+        for key in sorted(tapes):
+            answers, worker_ids, paid = tapes[key]
             object_id, attribute = key
-            have = self.cache.count(object_id, attribute)
-            if len(tape) <= have:
-                continue
-            self.platform.charge_values(attribute, len(tape) - have)
-            worker_tape = workers.get(key)
-            fresh_workers = None
-            if worker_tape is not None and any(
-                index >= have for index in worker_tape
-            ):
-                fresh_workers = [
-                    worker_tape.get(index, UNATTRIBUTED)
-                    for index in range(have, len(tape))
-                ]
-            self.cache.add(object_id, attribute, tape[have:], fresh_workers)
-            if self._agg_model is not None:
+            # Answers past the watermark were paid for by the crashed
+            # run after its last checkpoint; re-charging them (count ×
+            # price, sorted key order) makes the ledger match it.
+            fresh = len(answers) - paid
+            if fresh:
+                self.platform.charge_values(attribute, fresh)
+            self.cache.add(object_id, attribute, answers, worker_ids)
+            if absorbed:
+                self._agg_seen[key] = paid
+            if fresh:
                 self._observe_agg(key)
-            restored += len(tape) - have
-        # Lost-answer records are cursor advances, not purchases: the
-        # journal's totals supersede the (older or equal) checkpoint's,
-        # so a resumed stream continues past indices retries consumed.
-        for key, count in lost_totals.items():
-            if count > self._lost.get(key, 0):
-                self._lost[key] = count
+            restored += fresh
         self.restored_answers = restored
+        if payload is not None:
+            self.obs.tracer.event(
+                "serve.resume",
+                results=len(self._checkpointed),
+                cached_answers=self.cache.total_answers - restored,
+            )
         if restored:
             self.resumed = True
             self.obs.tracer.event("serve.journal_tail", answers=restored)
+        return committed
 
     def _checkpoint(self) -> None:
         """Commit one wave: log its finished results, then checkpoint.
 
         Results finished since the last checkpoint are appended to the
         results log (results served from a restored checkpoint are
-        already in it) and the log is fsynced.  Only then is the
-        checkpoint — platform state, cache, fault and aggregation state,
-        and the log's record count as the commit watermark — atomically
-        replaced.  Logging costs O(wave), and the checkpoint no longer
-        grows with finished queries.  A crash between the two leaves a
-        log tail past the watermark, which resume truncates.
+        already in it).  The answer journal and the log are fsynced,
+        and only then is the checkpoint — platform, fault and
+        aggregation state, and each log's record count as a watermark —
+        atomically replaced.  Neither finished results nor cached
+        answers ride in it, so its size does not track either.  A crash
+        between the syncs and the rename leaves log tails past the
+        watermarks: resume re-charges the journal's and truncates the
+        results log's.
         """
         if self.checkpoints is None:
             return
-        log = self._results_log
-        assert log is not None
+        journal, log = self.journal, self._results_log
+        assert journal is not None and log is not None
         for result in self._results[self._logged :]:
             if not result.from_checkpoint:
                 log.append({"kind": "result", "result": result.to_dict()})
         self._logged = len(self._results)
+        journal.sync()
         log.sync()
         payload = {
             "platform": self.platform.capture_state(),
-            "cache": self.cache.snapshot(),
+            "journal": {"records": journal.record_count},
             "results": {"records": log.record_count},
         }
         if self.resilient is not None:
@@ -482,19 +527,9 @@ class ServeEngine:
                 "breaker": (
                     self.breaker.state_dict() if self.breaker is not None else None
                 ),
-                "lost": [
-                    {"object": key[0], "attribute": key[1], "count": count}
-                    for key, count in sorted(self._lost.items())
-                ],
             }
         if self._agg_model is not None:
-            payload["agg"] = {
-                "model": self._agg_model.state_dict(),
-                "seen": [
-                    [key[0], key[1], count]
-                    for key, count in sorted(self._agg_seen.items())
-                ],
-            }
+            payload["agg"] = {"model": self._agg_model.state_dict()}
         self.checkpoints.save(payload)
 
     def _observe_agg(self, key: CacheKey) -> None:
@@ -878,7 +913,6 @@ class ServeEngine:
                     self.cache.add(object_id, attribute, answers, worker_ids)
                     if self._agg_model is not None:
                         self._observe_agg(key)
-                    self.cache.note_misses(obtained)
                     purchased += obtained
             if purchased:
                 self._batches += 1
@@ -940,7 +974,6 @@ class ServeEngine:
                     result.saved_answers += hits
                     result.saved_cents += hits * price
                     self.platform.record_value_savings(attribute, hits)
-                    self.cache.note_hits(hits)
                     metrics.inc("serve.cache.hits", hits)
                     metrics.inc("serve.answers.saved", hits)
                 if fresh:

@@ -16,6 +16,7 @@ from repro.domains.gaussian import GaussianDomain, GaussianDomainSpec
 from repro.domains.taxonomy import DismantleTaxonomy
 from repro.domains.pictures import make_pictures_domain
 from repro.domains.recipes import make_recipes_domain
+from repro.durability.chaos import SimulatedCrash
 
 
 def make_tiny_spec(
@@ -74,3 +75,21 @@ def pictures_domain() -> GaussianDomain:
 def recipes_domain() -> GaussianDomain:
     """Scaled-down calibrated Recipes domain (shared, read-only)."""
     return make_recipes_domain(n_objects=250, seed=1)
+
+
+class KillAtNth:
+    """Chaos hook that crashes the ``nth`` time the engine crosses ``phase``."""
+
+    def __init__(self, phase: str, nth: int) -> None:
+        self.phase = phase
+        self.nth = nth
+        self.seen = 0
+
+    def note_interactions(self, count: int) -> None:
+        pass
+
+    def phase_boundary(self, phase: str) -> None:
+        if phase == self.phase:
+            self.seen += 1
+            if self.seen == self.nth:
+                raise SimulatedCrash(f"at {phase} #{self.nth}", 0)

@@ -45,20 +45,22 @@ from repro.serve import (
 pytestmark = pytest.mark.serve
 
 #: Digests recorded from the serial engine; see the module docstring.
+#: The checkpoint digests were re-recorded when the checkpoint stopped
+#: carrying a cache snapshot; every other digest is unchanged.
 GOLDEN = {
     "fault_free": {
         "report": "8558d64eb94b1c958e8dc7b6f91fc1b9950c219b942136d0710076d0b781ab8f",
         "ledger": "10a2121e771b6f5eac53fd292eb2887ae5155ac6900742a295e3461cc7a4e07a",
         SERVE_JOURNAL: "24ad79900326c93c28df6ff058c4b667ecc4242fa371a561bc8919b4540f8b71",
         SERVE_RESULTS: "18836b9d9d33e4818288749eaaca77367c2a64436897430638b84f8681007e63",
-        SERVE_CHECKPOINT: "51722241053d9264f8371587efcda204631ce9badc971770162a669e1902d2e4",
+        SERVE_CHECKPOINT: "43786c109edfca7ccbbbe7926a23daf5433fdb2612b036f846a49b1b4719bc40",
     },
     "faulted": {
         "report": "6b5064b3e0c8b80b47f6b682a20ce30ff65b76f3364da1be9ab3a3923566731c",
         "ledger": "811b7f56a79723d8fd5f11007b4be26e928ce48fb4813f08df56b1b46b549e94",
         SERVE_JOURNAL: "007c06331a204165fef5b7ab7a0b6f128b10602cdff2842de8cff7be4a339598",
         SERVE_RESULTS: "ae0d5d099f92d57e27e8f1306045041a90a6977d50cb78e6b78f9cabd97e49d6",
-        SERVE_CHECKPOINT: "e6cd8a349a977aa7e650c80e04b91458b82742c4854367089d7e790d696f1382",
+        SERVE_CHECKPOINT: "ef38a1af05432d370ea3e3157a7d924d78e9facca80a3bddadc850668c49f464",
     },
     "crash_resumed": {
         "report": "d070f73de86eb8b3d4a55ee16bf8e6e014deaea867b292c65496bed01d996fe1",
@@ -66,7 +68,7 @@ GOLDEN = {
         # Resuming re-purchases nothing: the journal is the faulted run's.
         SERVE_JOURNAL: "007c06331a204165fef5b7ab7a0b6f128b10602cdff2842de8cff7be4a339598",
         SERVE_RESULTS: "9717a8361e677c75d3b52121a62e5d252a4590168f3e768ee2cb48b07e4995f8",
-        SERVE_CHECKPOINT: "bf0998eacd5c70928fdaccabe08c7a04a11adad4e7564aea1052b52187318bb3",
+        SERVE_CHECKPOINT: "8ef058e3d40482b4092570260a6f21a4e6201f1fdadd94d7f696ccd8a94e6cc9",
     },
 }
 
@@ -128,6 +130,15 @@ def _submissions() -> list[tuple[QueryRequest, PreprocessingPlan, bool]]:
     ]
 
 
+#: Top-level sections of each run's final checkpoint: engine state and
+#: log watermarks, never cached answers.
+CHECKPOINT_KEYS = {
+    "fault_free": ["journal", "platform", "results", "version"],
+    "faulted": ["agg", "faults", "journal", "platform", "results", "version"],
+    "crash_resumed": ["agg", "faults", "journal", "platform", "results", "version"],
+}
+
+
 def _engine(
     domain, directory, faulted: bool, resume: bool = False
 ) -> tuple[ServeEngine, CrowdPlatform]:
@@ -178,6 +189,10 @@ def _digests(report, platform: CrowdPlatform, directory) -> dict[str, str]:
     return digests
 
 
+def _checkpoint_keys(directory) -> list[str]:
+    return sorted(json.loads((directory / SERVE_CHECKPOINT).read_text()))
+
+
 class TestServeGoldenDigests:
     def test_fault_free_uniform(self, tiny_domain, tmp_path):
         engine, platform = _engine(tiny_domain, tmp_path, faulted=False)
@@ -185,6 +200,7 @@ class TestServeGoldenDigests:
             _submit(engine, _submissions())
             report = engine.run()
         assert _digests(report, platform, tmp_path) == GOLDEN["fault_free"]
+        assert _checkpoint_keys(tmp_path) == CHECKPOINT_KEYS["fault_free"]
 
     def test_faulted_reliability_durable(self, tiny_domain, tmp_path):
         engine, platform = _engine(tiny_domain, tmp_path, faulted=True)
@@ -192,6 +208,7 @@ class TestServeGoldenDigests:
             _submit(engine, _submissions())
             report = engine.run()
         assert _digests(report, platform, tmp_path) == GOLDEN["faulted"]
+        assert _checkpoint_keys(tmp_path) == CHECKPOINT_KEYS["faulted"]
 
     def test_crash_at_commit_then_resume(self, tiny_domain, tmp_path):
         submissions = _submissions()
@@ -214,3 +231,4 @@ class TestServeGoldenDigests:
             report = resumed.run()
         assert sum(r.from_checkpoint for r in report.results) == 6
         assert _digests(report, platform, tmp_path) == GOLDEN["crash_resumed"]
+        assert _checkpoint_keys(tmp_path) == CHECKPOINT_KEYS["crash_resumed"]

@@ -201,6 +201,49 @@ class TestTamperedCheckpoint:
         assert "serve.shard00.journal.jsonl" in err
         assert "resume with:" not in err
 
+    def test_resume_over_cache_snapshot_checkpoint_exits_2_without_hint(
+        self, tmp_path, queries_path, capsys
+    ):
+        checkpoint_dir = tmp_path / "ckpt"
+        argv = BASE + ["--queries", queries_path, "--checkpoint-dir", checkpoint_dir]
+        assert run_cli(argv) == 0
+        # Builds that snapshotted the cache into the checkpoint wrote no
+        # answer-journal watermark.
+        checkpoint = checkpoint_dir / "serve.checkpoint.json"
+        payload = json.loads(checkpoint.read_text())
+        del payload["journal"]
+        checkpoint.write_text(json.dumps(payload))
+        capsys.readouterr()
+
+        code = run_cli(argv + ["--resume"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIGURATION_ERROR
+        assert "durability error:" in err
+        assert "answer-journal watermark" in err
+        assert "resume with:" not in err
+
+
+class TestUsedCheckpointDir:
+    def test_fresh_serve_over_used_dir_resumes_like_an_empty_one(
+        self, tmp_path, queries_path, capsys
+    ):
+        def crash_then_resume(checkpoint_dir: Path) -> dict:
+            argv = BASE + ["--queries", queries_path]
+            argv += ["--checkpoint-dir", checkpoint_dir]
+            assert run_cli(argv + ["--chaos-after", 7]) == EXIT_CRASH
+            out = checkpoint_dir.with_suffix(".report.json")
+            assert run_cli(argv + ["--resume", "--out", out]) == 0
+            report = json.loads(out.read_text())
+            report.pop("wall_seconds")
+            return report
+
+        used = tmp_path / "used"
+        argv = BASE + ["--queries", queries_path, "--checkpoint-dir", used]
+        assert run_cli(argv) == 0
+        # A fresh run over the used directory starts empty, so its crash
+        # resumes exactly as the same crash in an empty directory.
+        assert crash_then_resume(used) == crash_then_resume(tmp_path / "empty")
+
 
 class TestAdmissionValidation:
     @pytest.mark.parametrize(

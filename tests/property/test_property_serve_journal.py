@@ -1,4 +1,4 @@
-"""Property tests: serve journal-tail recovery under torn writes.
+"""Property tests: serve crash recovery from the answer journal.
 
 A crash can cut the serving journal at *any* byte offset — between
 records, mid-record, even mid-checksum.  Whatever the offset, resuming
@@ -6,8 +6,15 @@ must (a) never raise, (b) fold exactly the surviving *complete* value
 records back into the :class:`~repro.serve.cache.AnswerCache`,
 (c) re-charge exactly those answers so the ledger matches what the
 crashed run had actually paid, and (d) restore the lost-answer cursor
-from the surviving lost-record deltas.  The property quantifies over
-crash offsets against one real fault-injected serving run's journal.
+from the surviving lost-record deltas.  The first property quantifies
+over crash offsets against one real fault-injected serving run's
+journal.
+
+The second is differential: a faulted, reliability-weighted durable
+run killed at any ``serve.*`` boundary of any wave, or inside a wave
+checkpoint's save, then resumed and finished, must end where the
+uncrashed run ends — same answers bought once each, same spend, same
+learned worker trust, same lost-answer cursors.
 """
 
 import json
@@ -22,11 +29,17 @@ from repro.core.model import (
     PreprocessingPlan,
     Query,
 )
+from repro.agg import make_aggregator
 from repro.crowd.faults import FaultProfile, RetryPolicy
 from repro.crowd.platform import CrowdPlatform
+from repro.crowd.pricing import Budget
 from repro.crowd.recording import AnswerRecorder
+from repro.durability.chaos import SERVE_PHASES, SimulatedCrash
+from repro.durability.checkpoint import CheckpointStore
 from repro.durability.journal import read_journal
 from repro.serve import SERVE_JOURNAL, QueryRequest, ServeEngine
+
+from tests.conftest import KillAtNth
 
 pytestmark = pytest.mark.faults
 
@@ -151,3 +164,199 @@ def test_resume_recharges_exactly_the_surviving_records(
     # The torn tail was repaired in place: re-reading the journal now
     # yields exactly the surviving records, never a corruption error.
     assert len(read_journal(directory / SERVE_JOURNAL)) == expected_records
+
+
+def dismantled_plan() -> PreprocessingPlan:
+    """``target`` estimated from two helpers (a multi-term formula)."""
+    budget = BudgetDistribution({"helper": 3, "flag_a": 2})
+    formula = EstimationFormula("target", {"helper": 1.1, "flag_a": 2.5}, 3.0, budget)
+    return PreprocessingPlan(
+        query=Query.single("target"),
+        attributes=("helper", "flag_a"),
+        budget=budget,
+        formulas={"target": formula},
+    )
+
+
+#: Seven overlapping queries over two plans; the budget runs out in
+#: the last waves, so some keys go unfunded.  The faults run under the
+#: default retry policy and breaker, so answers land and no worker is
+#: quarantined.  Losses and quarantines are left out on purpose: after a
+#: crash past a wave's commit, resume does not replay that wave's fault
+#: side effects, and a resumed run with either diverges from the
+#: uncrashed one (DESIGN.md §13).
+DURABLE_QUERIES = [
+    (
+        QueryRequest(f"q{index}", ("target",), tuple(range(2 * index, 2 * index + 4))),
+        identity_plan("target", 4) if index % 2 == 0 else dismantled_plan(),
+    )
+    for index in range(7)
+]
+DURABLE_BUDGET_CENTS = 28.0
+
+#: Every place a durable serve can die: each ``serve.*`` wave boundary,
+#: and inside a wave checkpoint's save (both logs synced, no rename).
+CRASH_POINTS = SERVE_PHASES + ("checkpoint.save",)
+
+#: Crash points that leave nothing of the dying wave in the journal
+#: past the last checkpoint's watermark: the resumed run serves the
+#: whole wave again, exactly as the uncrashed run served it.
+CLEAN_CUTS = ("serve.need", "serve.generate", "serve.wave")
+
+#: Report tallies of one engine process: a resumed engine counts only
+#: the waves it ran itself.
+RUN_LOCAL = ("wall_seconds", "batches", "coalesced_questions", "peak_queue_depth")
+
+#: Savings attribution.  After a crash past a wave's commit, the resumed
+#: run finds that wave's journaled answers cached and books them as
+#: hits (DESIGN.md §12): who paid may move, what was paid may not.
+ATTRIBUTION = ("fresh_answers", "saved_answers", "spent_cents", "saved_cents")
+
+#: Ledger entries the journal does not carry: savings (as above) and
+#: the unpaid retry/abandon events of answers journaled past the
+#: watermark, which resume does not replay (DESIGN.md §13).
+UNJOURNALED = (
+    "saved_by_category",
+    "saved_answers_by_category",
+    "retries_by_category",
+    "abandons_by_category",
+)
+
+
+def crash_in_save(nth: int):
+    """A ``CheckpointStore.save`` stand-in that dies on its ``nth`` call."""
+    real_save = CheckpointStore.save
+    calls = []
+
+    def save(store, payload):
+        calls.append(None)
+        if len(calls) == nth:
+            raise SimulatedCrash(f"inside checkpoint save #{nth}", 0)
+        real_save(store, payload)
+
+    return save
+
+
+def durable_engine(domain, directory, wave_size, **kwargs):
+    platform = CrowdPlatform(
+        domain,
+        recorder=AnswerRecorder(),
+        seed=3,
+        budget=Budget(DURABLE_BUDGET_CENTS),
+    )
+    engine = ServeEngine(
+        platform,
+        wave_size=wave_size,
+        checkpoint_dir=directory,
+        clock=lambda: 0.0,
+        faults=FaultProfile.uniform(0.2, latency_mean=0.01),
+        aggregator=make_aggregator("reliability"),
+        **kwargs,
+    )
+    return engine, platform
+
+
+def serve_durable(engine: ServeEngine):
+    for request, plan in DURABLE_QUERIES:
+        engine.submit(request, plan)
+    return engine.run()
+
+
+def outcome(engine, platform, report, directory) -> dict:
+    """Everything a finished durable run leaves, for comparison."""
+    return {
+        "report": report.to_dict(),
+        "ledger": platform.ledger.snapshot(),
+        "model": engine.aggregator.model.state_dict(),
+        "lost": dict(engine._lost),
+        "journal": [
+            (r["object"], r["attribute"], r["index"], r["answer"], r["worker"])
+            for r in read_journal(directory / SERVE_JOURNAL)
+            if r["kind"] == "value"
+        ],
+    }
+
+
+def comparable(run: dict, clean_cut: bool) -> tuple[dict, dict]:
+    """The report and ledger minus what a crash may legitimately move."""
+    report = dict(run["report"])
+    ledger = dict(run["ledger"])
+    dropped = RUN_LOCAL if clean_cut else RUN_LOCAL + ATTRIBUTION
+    for name in dropped:
+        report.pop(name, None)
+    results = []
+    for result in report.pop("results"):
+        result = dict(result)
+        result.pop("from_checkpoint")
+        if not clean_cut:
+            for name in ATTRIBUTION:
+                result.pop(name)
+        results.append(result)
+    report["results"] = results
+    if not clean_cut:
+        for name in UNJOURNALED:
+            ledger.pop(name)
+    return report, ledger
+
+
+@pytest.fixture(scope="module")
+def straight_through(tmp_path_factory):
+    """The uncrashed durable run for a wave size, computed on first use."""
+    runs: dict[int, dict] = {}
+
+    def run(domain, wave_size: int) -> dict:
+        if wave_size not in runs:
+            directory = tmp_path_factory.mktemp(f"straight-{wave_size}")
+            engine, platform = durable_engine(domain, directory, wave_size)
+            with engine:
+                report = serve_durable(engine)
+            runs[wave_size] = outcome(engine, platform, report, directory)
+            assert any(r.degraded_reason == "budget" for r in report.results)
+            # The property's scope (see DURABLE_QUERIES).
+            assert not engine._lost and not engine.breaker.ever_quarantined()
+        return runs[wave_size]
+
+    return run
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_crash_anywhere_then_resume_matches_straight_through(
+    straight_through, tiny_domain, tmp_path_factory, data
+):
+    wave_size = data.draw(st.sampled_from((1, 2, 3)), label="wave_size")
+    waves = -(-len(DURABLE_QUERIES) // wave_size)
+    wave = data.draw(st.integers(min_value=1, max_value=waves), label="wave")
+    point = data.draw(st.sampled_from(CRASH_POINTS), label="crash point")
+    reference = straight_through(tiny_domain, wave_size)
+
+    directory = tmp_path_factory.mktemp("crash")
+    with pytest.MonkeyPatch.context() as patch:
+        chaos = None
+        if point == "checkpoint.save":
+            patch.setattr(CheckpointStore, "save", crash_in_save(wave))
+        else:
+            chaos = KillAtNth(point, wave)
+        crashed, _ = durable_engine(tiny_domain, directory, wave_size, chaos=chaos)
+        with crashed, pytest.raises(SimulatedCrash):
+            serve_durable(crashed)
+    resumed, platform = durable_engine(tiny_domain, directory, wave_size, resume=True)
+    with resumed:
+        report = serve_durable(resumed)
+    run = outcome(resumed, platform, report, directory)
+
+    # Each answer is bought once: across the crashed and resumed runs
+    # the journal holds exactly the uncrashed purchases, none twice.
+    coordinates = [value[:3] for value in run["journal"]]
+    assert len(coordinates) == len(set(coordinates))
+    assert sorted(run["journal"]) == sorted(reference["journal"])
+    # Answers, estimates, degradation, spend and learned trust never
+    # depend on where the crash fell.
+    clean_cut = point in CLEAN_CUTS
+    assert comparable(run, clean_cut) == comparable(reference, clean_cut)
+    assert run["model"] == reference["model"]
+    assert run["lost"] == reference["lost"]

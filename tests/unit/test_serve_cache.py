@@ -43,24 +43,6 @@ class TestAnswerCache:
         assert cache.total_answers == 3
         assert len(cache) == 3
 
-    def test_snapshot_roundtrip(self):
-        cache = AnswerCache()
-        cache.add(1, "a", [1.5, 2.5])
-        cache.add(7, "b", [0.25])
-        cache.note_hits(3)
-        cache.note_misses(2)
-        restored = AnswerCache.from_snapshot(cache.snapshot())
-        assert restored.answers(1, "a", 5).tolist() == [1.5, 2.5]
-        assert restored.answers(7, "b", 5).tolist() == [0.25]
-        assert restored.hits == 3
-        assert restored.misses == 2
-
-    def test_from_recorder_imports_value_tapes(self):
-        recorder = AnswerRecorder()
-        recorder.value_answers(3, "a", 0, 2, iter([1.25, 1.75]).__next__)
-        cache = AnswerCache.from_recorder(recorder)
-        assert cache.answers(3, "a", 5).tolist() == [1.25, 1.75]
-
 
 class TestDeterministicValueStream:
     def test_answers_are_pure_functions_of_index(self, tiny_platform):

@@ -18,7 +18,7 @@ from repro.crowd.pricing import Budget
 from repro.crowd.recording import AnswerRecorder
 from repro.durability.chaos import CrashInjector, SimulatedCrash
 from repro.durability.checkpoint import CheckpointStore
-from repro.durability.journal import read_journal
+from repro.durability.journal import Journal, read_journal
 from repro.errors import CheckpointError, ConfigurationError
 from repro.serve import (
     SERVE_CHECKPOINT,
@@ -33,6 +33,8 @@ from repro.serve import (
     TermShortfall,
     load_query_file,
 )
+
+from tests.conftest import KillAtNth
 
 
 def identity_plan(target: str, n_questions: int = 4) -> PreprocessingPlan:
@@ -385,23 +387,42 @@ LOGGED_REQUESTS = [
 ]
 
 
+def durable_options(**kwargs) -> dict:
+    """Reliability aggregation and faults, one query a wave by default."""
+    options = {
+        "wave_size": 1,
+        "faults": FaultProfile.uniform(0.2, latency_mean=0.01),
+        "aggregator": make_aggregator("reliability"),
+    }
+    options.update(kwargs)
+    return options
+
+
 def durable_engine(domain, directory, **kwargs) -> tuple[ServeEngine, CrowdPlatform]:
-    """Reliability aggregation, faults and a checkpoint dir, one query a wave."""
-    return make_engine(
-        domain,
-        wave_size=1,
-        checkpoint_dir=directory,
-        faults=FaultProfile.uniform(0.2, latency_mean=0.01),
-        aggregator=make_aggregator("reliability"),
-        **kwargs,
-    )
+    """A :func:`durable_options` engine with a checkpoint dir."""
+    return make_engine(domain, checkpoint_dir=directory, **durable_options(**kwargs))
 
 
-def serve_all(engine: ServeEngine) -> ServeReport:
+def serve_all(engine: ServeEngine, requests=LOGGED_REQUESTS) -> ServeReport:
     plan = identity_plan("target", 4)
-    for request in LOGGED_REQUESTS:
+    for request in requests:
         engine.submit(request, plan)
     return engine.run()
+
+
+def assert_resume_refused(domain, directory, match: str) -> None:
+    """Resuming ``directory`` raises CheckpointError before restoring anything."""
+    platform = CrowdPlatform(domain, recorder=AnswerRecorder(), seed=3)
+    # Built in two steps so the half-made engine stays inspectable.
+    engine = ServeEngine.__new__(ServeEngine)
+    with pytest.raises(CheckpointError, match=match):
+        engine.__init__(
+            platform, checkpoint_dir=directory, resume=True, **durable_options()
+        )
+    assert platform.ledger.total_spent == 0.0
+    assert platform.ledger.questions_by_category.get("value", 0) == 0
+    assert engine.cache.total_answers == 0
+    assert not engine.resumed
 
 
 def logged_ids(directory) -> list[str]:
@@ -415,24 +436,6 @@ def report_bytes(report: ServeReport) -> str:
     payload = report.to_dict()
     payload.pop("wall_seconds")
     return json.dumps(payload, sort_keys=True)
-
-
-class KillAtNth:
-    """Crash at the ``nth`` time the engine crosses ``phase``."""
-
-    def __init__(self, phase: str, nth: int) -> None:
-        self.phase = phase
-        self.nth = nth
-        self.seen = 0
-
-    def note_interactions(self, count: int) -> None:
-        pass
-
-    def phase_boundary(self, phase: str) -> None:
-        if phase == self.phase:
-            self.seen += 1
-            if self.seen == self.nth:
-                raise SimulatedCrash(f"at {phase} #{self.nth}", 0)
 
 
 class TestResultsLog:
@@ -550,6 +553,146 @@ class TestResultsLog:
         (tmp_path / SERVE_RESULTS).unlink()
         with pytest.raises(CheckpointError, match="holds only 0"):
             durable_engine(tiny_domain, tmp_path, resume=True)
+
+    def test_checkpoint_holds_journal_watermark_not_answers(
+        self, tiny_domain, tmp_path
+    ):
+        engine, _ = durable_engine(tiny_domain, tmp_path)
+        with engine:
+            serve_all(engine)
+        payload = json.loads((tmp_path / SERVE_CHECKPOINT).read_text())
+        records = read_journal(tmp_path / SERVE_JOURNAL)
+        assert payload["journal"] == {"records": len(records)}
+        # The journal is the answers' one durable copy: no cache, no
+        # lost-answer totals and no absorbed-span counts ride along.
+        assert "cache" not in payload
+        assert sorted(payload["faults"]) == ["breaker", "clock"]
+        assert sorted(payload["agg"]) == ["model"]
+
+    def test_answer_journal_synced_before_every_save(
+        self, tiny_domain, tmp_path, monkeypatch
+    ):
+        calls = []
+        real_sync, real_save = Journal.sync, CheckpointStore.save
+
+        def sync(journal):
+            calls.append(journal.path.name)
+            real_sync(journal)
+
+        def save(store, payload):
+            calls.append("save")
+            real_save(store, payload)
+
+        monkeypatch.setattr(Journal, "sync", sync)
+        monkeypatch.setattr(CheckpointStore, "save", save)
+        engine, _ = durable_engine(tiny_domain, tmp_path)
+        with engine:
+            serve_all(engine)
+        saves = [index for index, call in enumerate(calls) if call == "save"]
+        assert len(saves) == len(LOGGED_REQUESTS)
+        previous = -1
+        for index in saves:
+            assert SERVE_JOURNAL in calls[previous + 1 : index]
+            previous = index
+
+    def test_cache_snapshot_checkpoint_refused(self, tiny_domain, tmp_path):
+        engine, _ = durable_engine(tiny_domain, tmp_path)
+        with engine:
+            serve_all(engine)
+        # Rewrite the checkpoint the way builds that snapshotted the
+        # cache into it did: answers inline, no journal watermark.
+        store = CheckpointStore(tmp_path, SERVE_CHECKPOINT)
+        payload = store.load()
+        del payload["journal"]
+        answers = [
+            record["answer"]
+            for record in read_journal(tmp_path / SERVE_JOURNAL)
+            if record["kind"] == "value" and record["object"] == 0
+        ]
+        payload["cache"] = {
+            "entries": [{"object": 0, "attribute": "target", "answers": answers}],
+            "hits": 0,
+            "misses": 0,
+        }
+        store.save(payload)
+        assert_resume_refused(tiny_domain, tmp_path, "answer-journal watermark")
+
+    def test_journal_shorter_than_watermark_refused(self, tiny_domain, tmp_path):
+        engine, _ = durable_engine(tiny_domain, tmp_path)
+        with engine:
+            serve_all(engine)
+        journal = tmp_path / SERVE_JOURNAL
+        lines = journal.read_bytes().splitlines(keepends=True)
+        kept = len(lines) // 2
+        journal.write_bytes(b"".join(lines[:kept]))
+        assert_resume_refused(tiny_domain, tmp_path, f"holds only {kept}$")
+
+    def test_fresh_run_over_used_dir_resumes_like_an_empty_one(
+        self, tiny_domain, tmp_path
+    ):
+        # Run A fills the directory.  Run B starts fresh there, dies in
+        # its second wave after that wave's answers are journaled and
+        # charged, and is resumed: it must end where the same crash in
+        # an empty directory ends, charged once for each answer it bought.
+        used = tmp_path / "used"
+        first, _ = durable_engine(tiny_domain, used)
+        with first:
+            serve_all(first)
+
+        def crash_then_resume(directory):
+            crashed, _ = durable_engine(
+                tiny_domain, directory, chaos=KillAtNth("serve.evaluate", 2)
+            )
+            with crashed, pytest.raises(SimulatedCrash):
+                serve_all(crashed, LOGGED_REQUESTS[3:])
+            resumed, platform = durable_engine(tiny_domain, directory, resume=True)
+            with resumed:
+                report = serve_all(resumed, LOGGED_REQUESTS[3:])
+            return platform.ledger.snapshot(), report_bytes(report)
+
+        clean_ledger, clean_report = crash_then_resume(tmp_path / "clean")
+        assert clean_ledger["questions_by_category"]["value"] == 24
+        assert clean_ledger["spent_by_category"]["value"] == pytest.approx(9.6)
+        ledger, report = crash_then_resume(used)
+        assert ledger == clean_ledger
+        assert report == clean_report
+
+    def test_fresh_run_crashed_in_first_save_ignores_old_checkpoint(
+        self, tiny_domain, tmp_path, monkeypatch
+    ):
+        # Run B serves six queries in one wave and dies inside that
+        # wave's checkpoint save.  Resuming must not pick up run A's
+        # checkpoint and pass B's logged results off as committed.
+        requests = LOGGED_REQUESTS + [
+            QueryRequest("q5", ("target",), tuple(range(10, 14)))
+        ]
+        used = tmp_path / "used"
+        first, _ = durable_engine(tiny_domain, used)
+        with first:
+            serve_all(first)
+        real_save = CheckpointStore.save
+
+        def crash_in_save(store, payload):
+            raise SimulatedCrash("inside the first checkpoint save", 0)
+
+        def crash_then_resume(directory):
+            monkeypatch.setattr(CheckpointStore, "save", crash_in_save)
+            crashed, _ = durable_engine(tiny_domain, directory, wave_size=None)
+            with crashed, pytest.raises(SimulatedCrash):
+                serve_all(crashed, requests)
+            monkeypatch.setattr(CheckpointStore, "save", real_save)
+            resumed, platform = durable_engine(
+                tiny_domain, directory, wave_size=None, resume=True
+            )
+            with resumed:
+                report = serve_all(resumed, requests)
+            return report, platform.ledger.snapshot()
+
+        clean_report, clean_ledger = crash_then_resume(tmp_path / "clean")
+        report, ledger = crash_then_resume(used)
+        assert not any(result.from_checkpoint for result in report.results)
+        assert report_bytes(report) == report_bytes(clean_report)
+        assert ledger == clean_ledger
 
     def test_fresh_run_starts_an_empty_log(self, tiny_domain, tmp_path):
         engine, _ = durable_engine(tiny_domain, tmp_path)
