@@ -48,7 +48,7 @@ from repro.core.online import OnlineEvaluator
 from repro.crowd.platform import CrowdPlatform
 from repro.crowd.pool import WorkerPool
 from repro.crowd.recording import AnswerRecorder
-from repro.durability import run_disq
+from repro.durability import CrashInjector, SimulatedCrash, run_disq
 from repro.experiments.runner import make_query
 from repro.serve import QueryRequest, ServeEngine
 
@@ -142,33 +142,37 @@ SERVE_REQUESTS = (
 def drive_serve(plan, tmp: Path, label: str, crash: bool = False) -> dict:
     """Serve the fixed workload with a fresh reliability aggregator.
 
-    With ``crash=True`` the engine serves only the first wave, writes a
-    checkpoint and dies; a second engine then resumes from it and
-    serves the whole workload.
+    With ``crash=True`` the engine crashes at its first ``serve.wave``
+    boundary, right after the first wave commits; a second engine then
+    resumes from its log and serves the whole workload.
     """
     domain = recipes_domain()
 
-    def fresh(resume: bool):
+    def fresh(resume: bool, chaos=None):
         platform = CrowdPlatform(domain, recorder=AnswerRecorder(), seed=3)
         engine = ServeEngine(
             platform,
             wave_size=1,
             checkpoint_dir=tmp / label,
             resume=resume,
+            chaos=chaos,
             aggregator=make_aggregator("reliability", model=ReliabilityModel()),
         )
         return engine, platform
 
     if crash:
-        crashed, _ = fresh(resume=False)
-        for request in SERVE_REQUESTS:
-            crashed.submit(request, plan)
-        # Serve exactly one wave (wave_size=1 keeps boundaries aligned
-        # with the straight-through run), checkpoint, crash.
-        wave, crashed._queue = crashed._queue[:1], crashed._queue[1:]
-        crashed._serve_wave(wave)
-        crashed._checkpoint()
-        crashed.close()
+        # wave_size=1 keeps wave boundaries aligned with the
+        # straight-through run.
+        crashed, _ = fresh(resume=False, chaos=CrashInjector(at_phase="serve.wave"))
+        with crashed:
+            for request in SERVE_REQUESTS:
+                crashed.submit(request, plan)
+            try:
+                crashed.run()
+            except SimulatedCrash:
+                pass
+            else:
+                raise SystemExit(f"FAIL: {label} engine did not crash")
         engine, platform = fresh(resume=True)
         if not engine.resumed:
             raise SystemExit(f"FAIL: {label} engine did not resume")

@@ -498,8 +498,8 @@ def cmd_serve(args) -> int:
         args.admit_headroom,
     )
     decisions: dict[str, int] | None = None
-    # The engine owns the answer journal and results log; the context
-    # manager guarantees neither outlives the command.
+    # The engine owns the serve log; the context manager guarantees it
+    # does not outlive the command.
     with ServeEngine(
         platform,
         max_queue=args.max_queue,
@@ -519,7 +519,8 @@ def cmd_serve(args) -> int:
         if engine.resumed:
             print(
                 f"resumed serving run: {engine.cache.total_answers} cached "
-                f"answers restored"
+                f"answers restored, {engine.pending_answers} more from the "
+                f"crashed wave"
             )
         # One offline plan per distinct target set; queries sharing
         # targets share the plan (and, through the cache, each other's

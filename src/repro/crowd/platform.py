@@ -275,10 +275,11 @@ class CrowdPlatform:
     def check_values_affordable(self, attribute: str, count: int) -> float:
         """Budget pre-check for ``count`` value questions (no debit).
 
-        The serving engine's write-ahead commit wants *journal before
-        charge* (so a crash inside the charge re-charges from the
-        journal instead of losing paid answers), but must never journal
-        answers it cannot pay for.  This is the check it runs first.
+        The serving engine's write-ahead commit wants *log before
+        charge* (so a crash inside the charge re-applies the logged
+        purchase when its wave re-runs, instead of losing paid
+        answers), but must never log answers it cannot pay for.  This
+        is the check it runs first.
         Raises :class:`~repro.errors.BudgetExhaustedError`; returns the
         cost that passed.
         """

@@ -28,6 +28,12 @@ A ``resume`` marker — appended whenever a run restores a checkpoint —
 rewinds the reconstruction to the checkpointed tape lengths and ledger
 totals, so the records the resumed run re-executes deterministically
 land on the same indices they originally had.
+
+The serving engine's log (:mod:`repro.serve.engine`) is the same file
+format with its own record kinds — ``header``, ``purchase``,
+``result`` and ``commit`` — which it writes through :meth:`Journal.
+append` and folds itself on resume, from the records
+:class:`Journal` scanned on open (:attr:`Journal.recovered`).
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.crowd.pricing import CostLedger
@@ -185,6 +191,9 @@ class Journal:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.truncated_bytes = 0
         self._seq = 0
+        #: The committed records found on open (empty for a new file),
+        #: for an owner that folds its own log on resume.
+        self.recovered: list[dict] = []
         if self.path.exists():
             records, valid_bytes, total_bytes = _scan(self.path)
             with open(self.path, "r+b") as handle:
@@ -199,6 +208,7 @@ class Journal:
                     if handle.read(1) != b"\n":
                         handle.write(b"\n")
             self._seq = len(records)
+            self.recovered = records
         self._handle = open(self.path, "a", encoding="utf-8")
 
     @property
@@ -223,9 +233,9 @@ class Journal:
     def truncate(self, records: int) -> None:
         """Drop every record after the first ``records``.
 
-        For an owner that commits records in batches and keeps its own
-        watermark (the serving engine's results log): records past the
-        last committed watermark were written but never committed.
+        For an owner that commits records in batches (the serving
+        engine's log): records a crash left past the last commit were
+        written but never committed.
         """
         if not 0 <= records <= self._seq:
             raise ConfigurationError(
@@ -264,29 +274,6 @@ class Journal:
                 "event": event,
                 "category": str(category),
                 "cost": float(cost),
-                "count": int(count),
-            }
-        )
-
-    def record_lost(self, key, count: int) -> None:
-        """Journal value answers lost to exhausted retries for one key.
-
-        The serving engine's fault-injected stream consumes one stream
-        index per *attempted* answer, obtained or not, so its per-key
-        stream cursor runs ahead of the cache by the number of lost
-        answers.  Journaling each loss keeps that cursor durable: a
-        resumed run replays ``Σ count`` per key and continues the
-        stream exactly where the crashed run would have, never
-        re-drawing (or double-buying) an index it already consumed.
-        """
-        if count < 1:
-            raise ConfigurationError(f"lost count must be >= 1: {count}")
-        object_id, attribute = key
-        self.append(
-            {
-                "kind": "lost",
-                "object": int(object_id),
-                "attribute": str(attribute),
                 "count": int(count),
             }
         )
@@ -342,17 +329,12 @@ class JournalReplay:
         Committed records replayed.
     resumes:
         Resume markers encountered (0 for an uninterrupted run).
-    lost:
-        ``(object_id, attribute) -> answers lost to exhausted retries``
-        (the serving engine's fault-stream cursor offsets; empty for
-        offline journals and fault-free serving runs).
     """
 
     recorder: AnswerRecorder
     ledger: CostLedger
     record_count: int
     resumes: int
-    lost: dict = field(default_factory=dict)
 
 
 def _apply_answer(recorder: AnswerRecorder, record: dict) -> None:
@@ -427,14 +409,10 @@ def replay_journal(path: str | Path) -> JournalReplay:
     recorder = AnswerRecorder()
     ledger = CostLedger()
     resumes = 0
-    lost: dict = {}
     for record in records:
         kind = record.get("kind")
         if kind in ANSWER_KINDS:
             _apply_answer(recorder, record)
-        elif kind == "lost":
-            key = (int(record["object"]), str(record["attribute"]))
-            lost[key] = lost.get(key, 0) + int(record["count"])
         elif kind == "ledger":
             event = record["event"]
             if event == "charge":
@@ -462,5 +440,4 @@ def replay_journal(path: str | Path) -> JournalReplay:
         ledger=ledger,
         record_count=len(records),
         resumes=resumes,
-        lost=lost,
     )

@@ -35,12 +35,7 @@ from repro.serve.degrade import (
     evidence_confidence,
     widened_interval,
 )
-from repro.serve.engine import (
-    SERVE_CHECKPOINT,
-    SERVE_JOURNAL,
-    SERVE_RESULTS,
-    ServeEngine,
-)
+from repro.serve.engine import SERVE_JOURNAL, ServeEngine
 from repro.serve.faults import KeyPurchase, ResilientValueStream
 from repro.serve.load import LoadSpec, generate_workload, percentile, zipf_weights
 from repro.serve.report import (
@@ -58,9 +53,7 @@ from repro.serve.stream import BatchedValueStream, DeterministicValueStream
 __all__ = [
     "DECISIONS",
     "DEGRADE_REASONS",
-    "SERVE_CHECKPOINT",
     "SERVE_JOURNAL",
-    "SERVE_RESULTS",
     "SHED_REASONS",
     "STATUSES",
     "AdmissionPolicy",

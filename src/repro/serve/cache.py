@@ -21,13 +21,11 @@ the cache:
   evaluators after a wave's purchases have landed: pure cache reads,
   no accounting, trivially thread-safe.
 
-The cache itself is never persisted.  Every freshly purchased answer
-can be journaled write-ahead (``journal.record_answer("value", key,
-index, answer)`` — the same record shape the offline
-:class:`~repro.crowd.recording.AnswerRecorder` writes), and that journal
-is the one durable copy: a resuming :class:`~repro.serve.engine.
-ServeEngine` replays it into an empty cache, so a crashed serving run
-resumes without re-purchasing.
+The cache itself is never persisted.  A durable
+:class:`~repro.serve.engine.ServeEngine` logs each key's purchase
+write-ahead in its serve log, the one durable copy of every purchased
+answer, and a resume folds the log back into an empty cache, so a
+crashed serving run resumes without re-purchasing.
 """
 
 from __future__ import annotations
@@ -171,17 +169,8 @@ class CachedAnswerSource:
     stream:
         Deterministic answer generator; built over ``platform`` when
         omitted.
-    journal:
-        Optional write-ahead journal (duck-typed against
-        :class:`~repro.durability.journal.Journal`); every purchased
-        answer is journaled *before* it joins the cache.
     metrics:
         Optional metrics sink for the ``serve.cache.*`` counters.
-    attribute_workers:
-        When True, every fresh purchase also derives and stores the
-        answering worker's id (journaled alongside the answer), so
-        reliability aggregation can weigh the tape later.  Off by
-        default: attribution-free runs keep historical journal bytes.
     """
 
     def __init__(
@@ -189,20 +178,16 @@ class CachedAnswerSource:
         platform: CrowdPlatform,
         cache: AnswerCache | None = None,
         stream: DeterministicValueStream | None = None,
-        journal: Any = None,
         metrics: Any = None,
-        attribute_workers: bool = False,
     ) -> None:
         self.platform = platform
         self.cache = cache if cache is not None else AnswerCache()
         self.stream = (
             stream if stream is not None else DeterministicValueStream(platform)
         )
-        self.journal = journal
         self.metrics = metrics
-        self.attribute_workers = bool(attribute_workers)
-        #: Serializes charge + journal + cache-insert so concurrent
-        #: fetches cannot double-buy a key or tear the ledger.
+        #: Serializes charge + cache-insert so concurrent fetches cannot
+        #: double-buy a key or tear the ledger.
         self._lock = threading.Lock()
 
     def fetch(self, object_id: int, attribute: str, n: int) -> np.ndarray:
@@ -223,30 +208,7 @@ class CachedAnswerSource:
                 # the charge; generation is pure and cannot fail.
                 self.platform.charge_values(attribute, shortfall)
                 fresh = self.stream.answers(object_id, attribute, cached, shortfall)
-                worker_ids = None
-                if self.attribute_workers:
-                    worker_ids = self.stream.worker_ids(
-                        object_id, attribute, cached, shortfall
-                    )
-                if self.journal is not None:
-                    key = (object_id, attribute)
-                    for offset, answer in enumerate(fresh):
-                        # The worker kwarg only appears when provenance
-                        # is on, so plain journal sinks (and the byte
-                        # format) are untouched by default.
-                        if worker_ids is not None:
-                            self.journal.record_answer(
-                                "value",
-                                key,
-                                cached + offset,
-                                answer,
-                                worker=worker_ids[offset],
-                            )
-                        else:
-                            self.journal.record_answer(
-                                "value", key, cached + offset, answer
-                            )
-                self.cache.add(object_id, attribute, fresh, worker_ids)
+                self.cache.add(object_id, attribute, fresh)
             if hits:
                 self.platform.record_value_savings(attribute, hits)
             if self.metrics is not None:

@@ -17,17 +17,16 @@ and runs four phases, one after another on the calling thread:
    answer — and every fault roll, retry and worker redraw around it —
    is a pure function of ``(seed, object, attribute, index, attempt)``
    plus the frozen quarantine snapshot taken in phase 1.
-3. **Commit** (sorted key order).  Check affordability, journal each
-   answer (and any lost-answer cursor advance) write-ahead, charge the
-   platform ledger, and insert into the shared
-   :class:`~repro.serve.cache.AnswerCache` — one key at a time, in
-   sorted order, so ledger float accumulation and journal sequence
-   numbers depend only on the wave's keys.  Fault side effects
-   (breaker outcomes, simulated latency, retry/abandon ledger events)
-   are replayed here from the purchase logs, in the same canonical
-   order.  A key the budget cannot cover is skipped entirely (its
-   queries come back ``degraded``/``budget``); cheaper keys later in
-   the order may still fit.
+3. **Commit** (sorted key order).  Check affordability, log the key's
+   whole purchase write-ahead, replay its fault side effects (breaker
+   outcomes, simulated latency, retry/abandon ledger events, the
+   lost-answer cursor), charge the platform ledger, and insert into
+   the shared :class:`~repro.serve.cache.AnswerCache` — one key at a
+   time, in sorted order, so ledger float accumulation and log
+   sequence numbers depend only on the wave's keys.  A key the budget
+   cannot cover is skipped entirely (its queries come back
+   ``degraded``/``budget``); cheaper keys later in the order may still
+   fit.
 4. **Evaluation** (read-only, admission order).  Each query runs the
    standard :class:`~repro.core.online.OnlineEvaluator` over a
    :class:`~repro.serve.cache.CacheReadSource` — pure reads of the now
@@ -51,18 +50,17 @@ dropped.  With ``shed_expired=True`` a query whose deadline has already
 passed when its wave forms is shed as ``shed``/``deadline`` instead of
 being evaluated; the default degrades it rather than shedding.
 
-Durability: with a ``checkpoint_dir``, every purchased answer is
-journaled write-ahead (``serve.journal.jsonl``) and every completed
-wave appends its newly finished results to ``serve.results.jsonl``.
-The wave then fsyncs both logs and atomically replaces
-``serve.checkpoint.json``: platform, fault and model state plus each
-log's record count as a watermark.  The cache is not in it — the
-journal is the one durable copy of every purchased answer.  Resuming
-replays the journal into an empty cache, re-charging the answers
-journaled past the watermark so the ledger matches the crashed run, and
-re-serves queries finished up to the results watermark from the results
-log without touching the crowd.  A run without ``resume`` empties both
-logs and removes the checkpoint before it serves.
+Durability: with a ``checkpoint_dir``, the engine appends to one log,
+``serve.journal.jsonl``.  A fresh run starts it with a ``header``
+record (format version, budget total); each wave then appends one
+``purchase`` record per funded key before charging it, one ``result``
+record per newly finished query, and a ``commit`` record holding the
+ledger snapshot, followed by one fsync.  Resuming folds the committed
+purchases back through the same per-key commit, restores the ledger
+from the last commit, and serves committed queries from their result
+records without touching the crowd.  Purchases past the last commit
+belong to the crashed wave; its re-run uses them instead of buying
+again.  A run without ``resume`` starts the log afresh.
 """
 
 from __future__ import annotations
@@ -72,14 +70,13 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.agg.base import UNATTRIBUTED, Aggregator
+from repro.agg.base import Aggregator
 from repro.core.model import PreprocessingPlan
 from repro.core.online import OnlineEvaluator
 from repro.crowd.faults import FaultProfile, RetryPolicy, SimulatedClock
 from repro.crowd.platform import CrowdPlatform
 from repro.crowd.quality import WorkerCircuitBreaker
-from repro.durability.checkpoint import CheckpointStore
-from repro.durability.journal import Journal, read_journal
+from repro.durability.journal import Journal
 from repro.errors import (
     BudgetExhaustedError,
     CheckpointError,
@@ -94,16 +91,24 @@ from repro.serve.degrade import (
     order_reasons,
     widened_interval,
 )
-from repro.serve.faults import KeyPurchase, ResilientValueStream
+from repro.serve.faults import Attempt, KeyPurchase, ResilientValueStream
 from repro.serve.report import QueryRequest, QueryResult, ServeReport
 from repro.serve.stream import BatchedValueStream
 
-#: Journal, results-log and checkpoint filenames under the engine's
-#: checkpoint_dir (distinct from the offline pipeline's files so one
-#: directory can host both).
+#: The serve log's filename under the engine's checkpoint_dir (distinct
+#: from the offline pipeline's files so one directory can host both).
 SERVE_JOURNAL = "serve.journal.jsonl"
-SERVE_RESULTS = "serve.results.jsonl"
-SERVE_CHECKPOINT = "serve.checkpoint.json"
+
+#: Format version in the log's header record.
+SERVE_LOG_VERSION = 2
+
+#: What earlier builds kept beside (or instead of) the log: a resume
+#: over any of them is refused, and a fresh run removes them.
+_OLD_LAYOUT = (
+    "serve.checkpoint.json",
+    "serve.results.jsonl",
+    "serve.shard*.journal.jsonl",
+)
 
 #: Knuth-style multiplier decorrelating the fault-stream seed from the
 #: answer-stream seed (the same scheme the offline platform uses for
@@ -111,78 +116,47 @@ SERVE_CHECKPOINT = "serve.checkpoint.json"
 _FAULT_SEED_MIX = 2654435761
 
 
-def _watermark(payload: dict, section: str) -> int | None:
-    """A checkpoint's ``{"records": N}`` watermark, or ``None`` if absent."""
-    entry = payload.get(section)
-    if isinstance(entry, dict) and isinstance(entry.get("records"), int):
-        return entry["records"]
-    return None
+def _purchase_record(
+    key: CacheKey, start: int, purchase: KeyPurchase, worker_ids: list[int] | None
+) -> dict:
+    """One key's purchase as a log record: the whole :class:`KeyPurchase`."""
+    record = {
+        "kind": "purchase",
+        "object": int(key[0]),
+        "attribute": key[1],
+        "start": int(start),
+        "answers": [float(answer) for answer in purchase.answers],
+        "attempts": [
+            [attempt.worker_id, attempt.fault] for attempt in purchase.attempts
+        ],
+        "retries": purchase.retries,
+        "timeouts": purchase.timeouts,
+        "abandons": purchase.abandons,
+        "garbage": purchase.garbage,
+        "lost": purchase.lost,
+        "sim_seconds": purchase.sim_seconds,
+    }
+    if worker_ids is not None:
+        record["workers"] = [int(worker) for worker in worker_ids]
+    return record
 
 
-#: One key's replayed tape: answers, worker ids (``None`` when no record
-#: names a worker) and how many answers the checkpoint already paid for.
-_Tape = tuple[list[float], list[int] | None, int]
-
-
-def _replay_answers(
-    records: list[dict], watermark: int
-) -> tuple[dict[CacheKey, _Tape], dict[CacheKey, int]]:
-    """Fold the answer journal's records into per-key tapes.
-
-    Returns ``(tapes, lost)``.  ``tapes`` maps each key to its answers,
-    the worker behind each (a missing one reads as ``UNATTRIBUTED``)
-    and how many of its answers the first ``watermark`` records hold —
-    the ones the checkpointed ledger already paid for.  ``lost`` sums
-    each key's lost-answer deltas: the fault stream's cursor for a key
-    runs that many indices past its cache count.  A record that
-    contradicts an earlier one for the same index, or a tape with a
-    missing index, is corruption and raises
-    :class:`~repro.errors.JournalCorruptionError`.
-    """
-    values: dict[CacheKey, dict[int, float]] = {}
-    workers: dict[CacheKey, dict[int, int]] = {}
-    lost: dict[CacheKey, int] = {}
-
-    def fold(record: dict) -> None:
-        kind = record.get("kind")
-        if kind not in ("value", "lost"):
-            return
-        key = (int(record["object"]), str(record["attribute"]))
-        if kind == "lost":
-            lost[key] = lost.get(key, 0) + int(record["count"])
-            return
-        index = int(record["index"])
-        answer = float(record["answer"])
-        tape = values.setdefault(key, {})
-        if tape.setdefault(index, answer) != answer:
-            raise JournalCorruptionError(
-                f"serve journal disagrees with itself on {key!r}[{index}]"
-            )
-        worker = record.get("worker")
-        if worker is not None:
-            workers.setdefault(key, {})[index] = int(worker)
-
-    for record in records[:watermark]:
-        fold(record)
-    paid = {key: len(tape) for key, tape in values.items()}
-    for record in records[watermark:]:
-        fold(record)
-    tapes: dict[CacheKey, _Tape] = {}
-    for key, indexed in values.items():
-        count = len(indexed)
-        if sorted(indexed) != list(range(count)):
-            raise JournalCorruptionError(
-                f"serve journal leaves a gap in the tape for {key!r}"
-            )
-        known = workers.get(key)
-        tapes[key] = (
-            [indexed[index] for index in range(count)],
-            None
-            if known is None
-            else [known.get(index, UNATTRIBUTED) for index in range(count)],
-            paid.get(key, 0),
-        )
-    return tapes, lost
+def _purchase_of(record: dict) -> tuple[CacheKey, int, KeyPurchase, list[int] | None]:
+    """Invert :func:`_purchase_record`: ``(key, start, purchase, worker_ids)``."""
+    purchase = KeyPurchase(
+        answers=[float(answer) for answer in record["answers"]],
+        lost=int(record["lost"]),
+        attempts=[
+            Attempt(int(worker), bool(fault)) for worker, fault in record["attempts"]
+        ],
+        retries=int(record["retries"]),
+        timeouts=int(record["timeouts"]),
+        abandons=int(record["abandons"]),
+        garbage=int(record["garbage"]),
+        sim_seconds=float(record["sim_seconds"]),
+    )
+    key = (int(record["object"]), str(record["attribute"]))
+    return key, int(record["start"]), purchase, record.get("workers")
 
 
 @dataclass
@@ -228,14 +202,13 @@ class ServeEngine:
     seed:
         Answer-stream seed; defaults to the platform's seed.
     checkpoint_dir:
-        Enables durability (answer journal, results log and per-wave
-        checkpoints) when set.  Without ``resume``, whatever an earlier
-        run left there is discarded before serving.
+        Enables durability (the serve log, committed once per wave)
+        when set.  Without ``resume``, whatever an earlier run left
+        there is discarded before serving.
     resume:
-        Restore a previous run's checkpoint/journal from
-        ``checkpoint_dir`` before serving.  A directory holding
-        per-shard journals (``serve.shard*.journal.jsonl``, written by
-        builds that sharded the engine) is refused with
+        Fold a previous run's serve log in ``checkpoint_dir`` back in
+        before serving.  An older build's files, a log from another
+        build or one written under another budget are refused with
         :class:`~repro.errors.CheckpointError`.
     clock:
         Monotonic clock used for deadlines (injectable for tests).
@@ -264,9 +237,9 @@ class ServeEngine:
         Answer-aggregation strategy for the evaluation phase
         (``None`` or uniform keeps the byte-exact mean path).  A
         reliability aggregator additionally turns on worker
-        provenance: journal records and cache tapes carry worker ids,
-        the model absorbs every committed span serially, and its
-        state rides in the wave checkpoint for bit-identical resume.
+        provenance: purchase records and cache tapes carry worker ids,
+        and the model absorbs every committed span serially, so the
+        resume fold rebuilds it bit for bit.
     plan_source:
         Callable resolving a request to its preprocessing plans when
         :meth:`submit` is called without explicit ``plans`` — the plan
@@ -339,7 +312,7 @@ class ServeEngine:
         self._lost: dict[CacheKey, int] = {}
         self._queue: list[_Pending] = []
         self._results: list[QueryResult] = []
-        #: How many of ``_results`` the results log already covers.
+        #: How many of ``_results`` the serve log already covers.
         self._logged = 0
         self._seen_ids: set[str] = set()
         self._checkpointed: dict[str, QueryResult] = {}
@@ -349,13 +322,13 @@ class ServeEngine:
         self._coalesced = 0
         self._peak_queue = 0
         self.resumed = False
-        #: Answers journaled past the checkpoint's watermark, re-charged
-        #: on resume so the ledger matches the crashed run.
-        self.restored_answers = 0
+        #: Answers the crashed wave logged before it died; its re-run
+        #: reuses them instead of buying them again.
+        self.pending_answers = 0
         # Aggregation: "uniform" is the byte-exact mean path with no
         # provenance bookkeeping; robust aggregators reshape the
         # evaluator; a reliability aggregator additionally records who
-        # answered what (journal + cache worker tapes) and absorbs
+        # answered what (log + cache worker tapes) and absorbs
         # every committed span into its model in sorted commit order, so
         # a resumed run learns exactly what the straight-through run did.
         if aggregator is not None and aggregator.name == "uniform":
@@ -368,169 +341,184 @@ class ServeEngine:
         #: Per-key answer counts already absorbed into the model.
         self._agg_seen: dict[CacheKey, int] = {}
         self.journal: Journal | None = None
-        self._results_log: Journal | None = None
-        self.checkpoints: CheckpointStore | None = None
+        #: The crashed wave's logged purchases, keyed by ``(key, start,
+        #: answers requested)``, waiting for its re-run to ask for them.
+        self._crashed_wave: dict[
+            tuple[CacheKey, int, int], tuple[KeyPurchase, list[int] | None]
+        ] = {}
         if checkpoint_dir is not None:
             directory = Path(checkpoint_dir)
-            self.checkpoints = CheckpointStore(directory, SERVE_CHECKPOINT)
-            committed = self._restore(directory) if resume else 0
-            # Records past the watermark were logged by a wave whose
-            # checkpoint never landed: that wave re-runs, so drop them.
-            self._results_log = Journal(directory / SERVE_RESULTS)
-            self._results_log.truncate(committed)
-            self.journal = Journal(directory / SERVE_JOURNAL)
-            if not resume:
-                # A fresh run inherits nothing.  The checkpoint goes
-                # last: a crash mid-reset leaves its watermarks past
-                # what the logs hold, and resume refuses it.
-                self.journal.truncate(0)
-                self.checkpoints.path.unlink(missing_ok=True)
+            if resume:
+                self.journal = self._resume(directory)
+            else:
+                # A fresh run inherits nothing.  The log goes first: a
+                # crash mid-reset leaves no log (a fresh start) or an
+                # old-layout file (refused), never another run's state.
+                for pattern in (SERVE_JOURNAL, *_OLD_LAYOUT):
+                    for path in sorted(directory.glob(pattern)):
+                        path.unlink()
+                self.journal = Journal(directory / SERVE_JOURNAL)
+            if not self.journal.record_count:
+                self.journal.append(self._header())
 
     # -- durability ------------------------------------------------------
 
-    def _restore(self, directory: Path) -> int:
-        """Rebuild the last committed state; returns the results watermark.
+    def _header(self) -> dict:
+        """The log's first record: format version and budget total."""
+        budget = self.platform.budget
+        return {
+            "kind": "header",
+            "version": SERVE_LOG_VERSION,
+            "budget": None if budget is None else budget.total,
+        }
 
-        The checkpoint commits two watermarks: how many results-log
-        records and how many answer-journal records its wave had
-        written.  The cache is rebuilt from the journal alone.  Both
-        logs are read and checked against their watermarks before any
-        state is touched, so a directory this build cannot honour raises
-        :class:`CheckpointError` (or
-        :class:`~repro.errors.JournalCorruptionError`) instead of
-        half-resuming.
+    def _resume(self, directory: Path) -> Journal:
+        """Fold the log's committed waves back in; returns the open log.
+
+        Refuses, with :class:`CheckpointError` and before any state
+        changes, a directory holding an older build's files, a log that
+        does not start with this build's header, and a log written under
+        another budget.  Every committed purchase then goes through
+        :meth:`_apply_purchase`, exactly as the live commit applied it,
+        and the ledger is restored from the last commit record (cache
+        savings are booked per query, so no fold can rebuild them).
+        Purchases past the last commit belong to the crashed wave: they
+        wait in ``_crashed_wave`` for its re-run, and the results it
+        logged are truncated away.
         """
-        assert self.checkpoints is not None
-        shard_journals = sorted(directory.glob("serve.shard*.journal.jsonl"))
-        if shard_journals:
+        old = sorted(
+            path.name for pattern in _OLD_LAYOUT for path in directory.glob(pattern)
+        )
+        if old:
             raise CheckpointError(
-                f"{directory} holds per-shard serve journals "
-                f"({', '.join(path.name for path in shard_journals)}) from a "
-                f"sharded build; this build serves from one {SERVE_JOURNAL} "
-                f"and cannot resume them"
+                f"{directory} holds {', '.join(old)} from an older build; this "
+                f"build keeps one {SERVE_JOURNAL} and cannot resume them"
             )
-        payload = None
-        committed = answered = 0
-        records: list[dict] = []
-        if self.checkpoints.exists():
-            payload = self.checkpoints.load()
-            committed = _watermark(payload, "results")
-            if committed is None:
-                raise CheckpointError(
-                    f"serve checkpoint {self.checkpoints.path} has no results-log "
-                    f"watermark (written before finished results moved to "
-                    f"{SERVE_RESULTS}); it cannot be resumed"
-                )
-            answered = _watermark(payload, "journal")
-            if answered is None:
-                raise CheckpointError(
-                    f"serve checkpoint {self.checkpoints.path} has no "
-                    f"answer-journal watermark (written when the cache was "
-                    f"snapshotted into the checkpoint); it cannot be resumed"
-                )
-            log_path = directory / SERVE_RESULTS
-            records = read_journal(log_path) if log_path.exists() else []
-            if len(records) < committed:
-                raise CheckpointError(
-                    f"serve checkpoint commits {committed} finished results but "
-                    f"{log_path} holds only {len(records)}"
-                )
-        journal_path = directory / SERVE_JOURNAL
-        journal = read_journal(journal_path) if journal_path.exists() else []
-        if len(journal) < answered:
-            raise CheckpointError(
-                f"serve checkpoint commits {answered} answer-journal records "
-                f"but {journal_path} holds only {len(journal)}"
+        journal = Journal(directory / SERVE_JOURNAL)
+        records = journal.recovered
+        if not records:
+            return journal
+        header, first = self._header(), records[0]
+        problem: str | None = None
+        if first.get("kind") != "header" or first.get("version") != SERVE_LOG_VERSION:
+            problem = f"does not start with a version-{SERVE_LOG_VERSION} header"
+        elif first.get("budget") != header["budget"]:
+            problem = (
+                f"was written under a {first.get('budget')} cent budget, "
+                f"not this platform's {header['budget']}"
             )
-        tapes, lost = _replay_answers(journal, answered)
-
-        absorbed = False
-        if payload is not None:
-            self.platform.restore_state(payload["platform"])
-            faults = payload.get("faults")
-            if faults is not None:
-                self.fault_clock.restore_state(faults["clock"])
-                if self.breaker is not None and faults.get("breaker") is not None:
-                    self.breaker.restore_state(faults["breaker"])
-            agg = payload.get("agg")
-            if agg is not None and self._agg_model is not None:
-                # The restored model has absorbed every answer journaled
-                # before the watermark.
-                self._agg_model.restore_state(agg["model"])
-                absorbed = True
-            for record in records[:committed]:
+        if problem is not None:
+            journal.close()
+            raise CheckpointError(f"serve log {journal.path} {problem}")
+        last = max(
+            (i for i, record in enumerate(records) if record["kind"] == "commit"),
+            default=0,
+        )
+        for record in records[1 : last + 1]:
+            kind = record["kind"]
+            if kind == "purchase":
+                key, start, purchase, worker_ids = _purchase_of(record)
+                if self.cache.count(*key) != start:
+                    raise JournalCorruptionError(
+                        f"serve log record {record['seq']} buys {key!r} from "
+                        f"index {start}, but the log holds {self.cache.count(*key)}"
+                    )
+                self._apply_purchase(key, start, purchase, worker_ids, log=False)
+            elif kind == "result":
                 result = QueryResult.from_dict(record["result"])
                 result.from_checkpoint = True
                 self._checkpointed[result.query_id] = result
-            self.resumed = True
-        self._lost = lost
-        restored = 0
-        for key in sorted(tapes):
-            answers, worker_ids, paid = tapes[key]
-            object_id, attribute = key
-            # Answers past the watermark were paid for by the crashed
-            # run after its last checkpoint; re-charging them (count ×
-            # price, sorted key order) makes the ledger match it.
-            fresh = len(answers) - paid
-            if fresh:
-                self.platform.charge_values(attribute, fresh)
-            self.cache.add(object_id, attribute, answers, worker_ids)
-            if absorbed:
-                self._agg_seen[key] = paid
-            if fresh:
-                self._observe_agg(key)
-            restored += fresh
-        self.restored_answers = restored
-        if payload is not None:
+            elif kind != "commit":
+                raise JournalCorruptionError(
+                    f"unknown serve log record kind {kind!r} (record {record['seq']})"
+                )
+        if last:
+            self.platform.ledger.restore(records[last]["ledger"])
+        for record in records[last + 1 :]:
+            if record["kind"] != "purchase":
+                break
+            key, start, purchase, worker_ids = _purchase_of(record)
+            requested = len(purchase.answers) + purchase.lost
+            self._crashed_wave[(key, start, requested)] = (purchase, worker_ids)
+            self.pending_answers += len(purchase.answers)
+        journal.truncate(last + 1 + len(self._crashed_wave))
+        self.resumed = len(records) > 1
+        if self.resumed:
             self.obs.tracer.event(
                 "serve.resume",
                 results=len(self._checkpointed),
-                cached_answers=self.cache.total_answers - restored,
+                cached_answers=self.cache.total_answers,
+                pending_answers=self.pending_answers,
             )
-        if restored:
-            self.resumed = True
-            self.obs.tracer.event("serve.journal_tail", answers=restored)
-        return committed
+        return journal
 
     def _checkpoint(self) -> None:
-        """Commit one wave: log its finished results, then checkpoint.
+        """Commit one wave: its results, a commit record, one fsync.
 
-        Results finished since the last checkpoint are appended to the
-        results log (results served from a restored checkpoint are
-        already in it).  The answer journal and the log are fsynced,
-        and only then is the checkpoint — platform, fault and
-        aggregation state, and each log's record count as a watermark —
-        atomically replaced.  Neither finished results nor cached
-        answers ride in it, so its size does not track either.  A crash
-        between the syncs and the rename leaves log tails past the
-        watermarks: resume re-charges the journal's and truncates the
-        results log's.
+        Results finished since the last commit are appended (results
+        served from a resumed log are already in it), then a ``commit``
+        record holding the ledger snapshot, and the log is fsynced once.
         """
-        if self.checkpoints is None:
+        journal = self.journal
+        if journal is None:
             return
-        journal, log = self.journal, self._results_log
-        assert journal is not None and log is not None
         for result in self._results[self._logged :]:
             if not result.from_checkpoint:
-                log.append({"kind": "result", "result": result.to_dict()})
+                journal.append({"kind": "result", "result": result.to_dict()})
         self._logged = len(self._results)
+        journal.append({"kind": "commit", "ledger": self.platform.ledger.snapshot()})
         journal.sync()
-        log.sync()
-        payload = {
-            "platform": self.platform.capture_state(),
-            "journal": {"records": journal.record_count},
-            "results": {"records": log.record_count},
-        }
+
+    def _apply_purchase(
+        self,
+        key: CacheKey,
+        start: int,
+        purchase: KeyPurchase,
+        worker_ids: list[int] | None,
+        log: bool,
+    ) -> bool:
+        """Commit one key's purchase; ``False`` when the budget cannot cover it.
+
+        The live commit phase, the resume fold and the crashed wave's
+        re-run all go through here, in sorted key order: affordability
+        check, the ``purchase`` record (``log``: live purchases only,
+        before any side effect), fault side-effect replay, charge, cache
+        insert and model absorb.  A logged purchase the budget cannot
+        cover means the log and the platform disagree.
+        """
+        object_id, attribute = key
+        obtained = len(purchase.answers)
+        try:
+            self.platform.check_values_affordable(attribute, obtained)
+        except BudgetExhaustedError:
+            if not log:
+                raise CheckpointError(
+                    f"the budget cannot cover the logged purchase of {key!r}"
+                ) from None
+            return False
+        if log and self.journal is not None:
+            self.journal.append(_purchase_record(key, start, purchase, worker_ids))
+        if purchase.attempts:  # fault-free purchases have no side effects
+            self._replay_purchase(key, purchase)
+        if obtained:
+            self.platform.charge_values(attribute, obtained)
+            self.cache.add(object_id, attribute, purchase.answers, worker_ids)
+            if self._agg_model is not None:
+                self._observe_agg(key)
+        return True
+
+    def _worker_ids(
+        self, key: CacheKey, start: int, purchase: KeyPurchase
+    ) -> list[int] | None:
+        """Who answered a fresh purchase (``None`` when it got no answers)."""
+        if not len(purchase.answers):
+            return None
         if self.resilient is not None:
-            payload["faults"] = {
-                "clock": self.fault_clock.state_dict(),
-                "breaker": (
-                    self.breaker.state_dict() if self.breaker is not None else None
-                ),
-            }
-        if self._agg_model is not None:
-            payload["agg"] = {"model": self._agg_model.state_dict()}
-        self.checkpoints.save(payload)
+            # Non-fault attempts align 1:1, in order, with the answers.
+            return [
+                attempt.worker_id for attempt in purchase.attempts if not attempt.fault
+            ]
+        return self.stream.worker_ids(key[0], key[1], start, len(purchase.answers))
 
     def _observe_agg(self, key: CacheKey) -> None:
         """Absorb one key's fresh cache span into the reliability model.
@@ -554,11 +542,9 @@ class ServeEngine:
         self._agg_seen[key] = total
 
     def close(self) -> None:
-        """Flush and close the answer journal and the results log."""
+        """Flush and close the serve log."""
         if self.journal is not None:
             self.journal.close()
-        if self._results_log is not None:
-            self._results_log.close()
 
     def __enter__(self) -> "ServeEngine":
         return self
@@ -800,6 +786,14 @@ class ServeEngine:
             for key in sorted(demands)
             if demands[key] > pre_counts[key]
         ]
+        if self._crashed_wave:
+            stray = sorted(set(self._crashed_wave).difference(shortfalls))
+            if stray:
+                raise CheckpointError(
+                    f"this wave does not ask for {len(stray)} purchases the "
+                    f"crashed wave logged (first: {stray[0]!r}); resume with the "
+                    f"same queries in the same order"
+                )
         # Frozen quarantine snapshot: worker exclusion is decided once
         # per wave, so generation stays a pure function of the wave's
         # requests and the commit replays breaker outcomes afterwards.
@@ -821,99 +815,65 @@ class ServeEngine:
             metrics.inc("serve.coalesced", independent - fresh_total)
 
         # Phase 2 (pure): generate every shortfall answer in one batched
-        # call.  The fault-free branch draws from the per-coordinate
-        # answer stream; the resilient branch purchases through
-        # per-attempt derived RNGs (see serve/faults.py) against the
-        # frozen quarantine snapshot.
+        # call, except the purchases the crashed wave already logged.
+        # The fault-free branch draws from the per-coordinate answer
+        # stream; the resilient branch purchases through per-attempt
+        # derived RNGs (see serve/faults.py) against the frozen
+        # quarantine snapshot.
         with self.obs.tracer.span(
             "serve.purchase", keys=len(shortfalls), answers=fresh_total
         ):
-            generated: list
+            crashed = self._crashed_wave
+            buy = [need for need in shortfalls if need not in crashed]
+            generated: list[KeyPurchase]
             if self.resilient is None:
-                generated = self.stream.answers_many(
-                    [(key[0], key[1], start, count) for key, start, count in shortfalls]
-                )
+                generated = [
+                    KeyPurchase(answers=answers)
+                    for answers in self.stream.answers_many(
+                        [(key[0], key[1], start, count) for key, start, count in buy]
+                    )
+                ]
             else:
                 generated = self.resilient.purchase_batch(
                     [
                         (key[0], key[1], start + self._lost.get(key, 0), count)
-                        for key, start, count in shortfalls
+                        for key, start, count in buy
                     ],
                     blocked,
                 )
             self._kill_point("serve.generate")
 
-            # Phase 3 (sorted key order): check affordability,
-            # journal write-ahead, charge, insert.  An unfunded key is
-            # skipped wholesale — no journal entry, no fault replay, no
-            # cursor advance — as if its questions were never asked;
-            # a crash inside the charge (chaos fires there) is healed
-            # on resume by re-charging the already-journaled tail.
+            # Phase 3 (sorted key order): apply each purchase — logged
+            # write-ahead when fresh — through _apply_purchase.  An
+            # unfunded key is skipped wholesale — no log record, no
+            # fault replay, no cursor advance — as if its questions were
+            # never asked.
             unfunded: set[CacheKey] = set()
             purchased = 0
-            journal = self.journal
-            for (key, start, count), produced in zip(shortfalls, generated):
-                object_id, attribute = key
-                purchase: KeyPurchase | None = None
-                if isinstance(produced, KeyPurchase):
-                    purchase = produced
-                    answers = purchase.answers
+            fresh = iter(generated)
+            for need in shortfalls:
+                key, start, _ = need
+                logged = crashed.pop(need, None)
+                if logged is not None:
+                    purchase, worker_ids = logged
                 else:
-                    answers = produced
-                obtained = len(answers)
-                try:
-                    self.platform.check_values_affordable(attribute, obtained)
-                except BudgetExhaustedError:
+                    purchase = next(fresh)
+                    worker_ids = None
+                    if self._attribute_workers:
+                        worker_ids = self._worker_ids(key, start, purchase)
+                if not self._apply_purchase(
+                    key, start, purchase, worker_ids, log=logged is None
+                ):
                     unfunded.add(key)
                     metrics.inc("serve.budget_stops")
                     self.obs.tracer.event(
                         "serve.budget_stop",
-                        object_id=object_id,
-                        attribute=attribute,
-                        answers=obtained,
+                        object_id=key[0],
+                        attribute=key[1],
+                        answers=len(purchase.answers),
                     )
                     continue
-                worker_ids: list[int] | None = None
-                if self._attribute_workers and obtained:
-                    if purchase is not None:
-                        # Fault path: non-fault attempts align 1:1, in
-                        # order, with the answers actually obtained.
-                        worker_ids = [
-                            attempt.worker_id
-                            for attempt in purchase.attempts
-                            if not attempt.fault
-                        ]
-                    else:
-                        worker_ids = self.stream.worker_ids(
-                            object_id, attribute, start, obtained
-                        )
-                if journal is not None:
-                    if worker_ids is not None:
-                        for offset, answer in enumerate(answers):
-                            journal.record_answer(
-                                "value",
-                                key,
-                                start + offset,
-                                answer,
-                                worker=worker_ids[offset],
-                            )
-                    else:
-                        for offset, answer in enumerate(answers):
-                            journal.record_answer(
-                                "value", key, start + offset, answer
-                            )
-                    if purchase is not None and purchase.lost:
-                        # Journaled as a delta; replay sums deltas into
-                        # the key's total cursor advance.
-                        journal.record_lost(key, purchase.lost)
-                if purchase is not None:
-                    self._replay_purchase(key, purchase)
-                if obtained:
-                    self.platform.charge_values(attribute, obtained)
-                    self.cache.add(object_id, attribute, answers, worker_ids)
-                    if self._agg_model is not None:
-                        self._observe_agg(key)
-                    purchased += obtained
+                purchased += len(purchase.answers)
             if purchased:
                 self._batches += 1
                 metrics.inc("serve.cache.misses", purchased)

@@ -63,10 +63,12 @@ class KeyPurchase:
 
     ``answers`` holds the validated values actually obtained (possibly
     fewer than requested — the difference is ``lost``); the remaining
-    fields are the side-effect log the engine replays serially.
+    fields are the side-effect log the engine replays serially.  The
+    engine also carries fault-free purchases in this shape: the batched
+    stream's answer array, and no attempts.
     """
 
-    answers: list[float] = field(default_factory=list)
+    answers: list[float] | np.ndarray = field(default_factory=list)
     #: Answers whose retry budget was exhausted (never obtained).
     lost: int = 0
     #: Every worker interaction, in attempt order.
@@ -159,7 +161,8 @@ class ResilientValueStream:
         """
         canonical, attr_key, low, high = self._resolve_key(attribute)
         domain = self.stream.domain
-        result = KeyPurchase()
+        answers: list[float] = []
+        result = KeyPurchase(answers=answers)
         for index in range(start, start + count):
             obtained = False
             for attempt in range(self.policy.max_attempts):
@@ -189,7 +192,7 @@ class ResilientValueStream:
                     result.garbage += 1
                 if plausible_value(answer, low, high):
                     result.attempts.append(Attempt(worker.worker_id, False))
-                    result.answers.append(float(answer))
+                    answers.append(float(answer))
                     obtained = True
                     break
                 result.attempts.append(Attempt(worker.worker_id, True))

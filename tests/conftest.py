@@ -7,6 +7,8 @@ domains.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from repro.domains.taxonomy import DismantleTaxonomy
 from repro.domains.pictures import make_pictures_domain
 from repro.domains.recipes import make_recipes_domain
 from repro.durability.chaos import SimulatedCrash
+from repro.durability.journal import _crc
 
 
 def make_tiny_spec(
@@ -93,3 +96,14 @@ class KillAtNth:
             self.seen += 1
             if self.seen == self.nth:
                 raise SimulatedCrash(f"at {phase} #{self.nth}", 0)
+
+
+def rewrite_serve_header(directory, **fields) -> None:
+    """Change a serve log's header fields, keeping its checksum valid."""
+    path = directory / "serve.journal.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    header.update(fields)
+    header["crc"] = _crc(header)
+    lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+    path.write_bytes(b"".join(lines))

@@ -3,11 +3,11 @@
 A characterization test: it pins the SHA-256 of everything a serve run
 leaves behind — the report (minus its wall-clock field and the
 engine-width field older builds carried), the ledger snapshot, and the
-bytes of the answer journal, the results log and the wave checkpoint —
-so a refactor of the engine cannot move an answer, a cent or a journal
-byte without failing here.  The three runs cover the fault-free uniform
-path, the faulted reliability-weighted path with durability, and that
-same run crashed at a ``serve.commit`` boundary and resumed.
+bytes of the serve log — so a refactor of the engine cannot move an
+answer, a cent or a log byte without failing here.  The three runs
+cover the fault-free uniform path, the faulted reliability-weighted
+path with durability, and that same run crashed at a ``serve.commit``
+boundary and resumed, which must leave the faulted run's log and ledger.
 
 The digests depend on numpy's generators; if a numpy upgrade moves
 them, re-record every digest from one commit and check that nothing
@@ -33,42 +33,30 @@ from repro.crowd.platform import CrowdPlatform
 from repro.crowd.pricing import Budget
 from repro.crowd.recording import AnswerRecorder
 from repro.durability.chaos import CrashInjector, SimulatedCrash
-from repro.serve import (
-    SERVE_CHECKPOINT,
-    SERVE_JOURNAL,
-    SERVE_RESULTS,
-    Predicate,
-    QueryRequest,
-    ServeEngine,
-)
+from repro.serve import SERVE_JOURNAL, Predicate, QueryRequest, ServeEngine
 
 pytestmark = pytest.mark.serve
 
 #: Digests recorded from the serial engine; see the module docstring.
-#: The checkpoint digests were re-recorded when the checkpoint stopped
-#: carrying a cache snapshot; every other digest is unchanged.
+#: The log digests were re-recorded when the three serve files became
+#: one log, and so was the crashed run's report digest (its resumed
+#: results now carry the uncrashed run's savings attribution); the
+#: report and ledger digests of the two uncrashed runs are unchanged.
 GOLDEN = {
     "fault_free": {
         "report": "8558d64eb94b1c958e8dc7b6f91fc1b9950c219b942136d0710076d0b781ab8f",
         "ledger": "10a2121e771b6f5eac53fd292eb2887ae5155ac6900742a295e3461cc7a4e07a",
-        SERVE_JOURNAL: "24ad79900326c93c28df6ff058c4b667ecc4242fa371a561bc8919b4540f8b71",
-        SERVE_RESULTS: "18836b9d9d33e4818288749eaaca77367c2a64436897430638b84f8681007e63",
-        SERVE_CHECKPOINT: "43786c109edfca7ccbbbe7926a23daf5433fdb2612b036f846a49b1b4719bc40",
+        SERVE_JOURNAL: "571be3167b8caa62df6e4d8e0dcaec98404dff26661c0dc159fb44e5fcd20907",
     },
     "faulted": {
         "report": "6b5064b3e0c8b80b47f6b682a20ce30ff65b76f3364da1be9ab3a3923566731c",
         "ledger": "811b7f56a79723d8fd5f11007b4be26e928ce48fb4813f08df56b1b46b549e94",
-        SERVE_JOURNAL: "007c06331a204165fef5b7ab7a0b6f128b10602cdff2842de8cff7be4a339598",
-        SERVE_RESULTS: "ae0d5d099f92d57e27e8f1306045041a90a6977d50cb78e6b78f9cabd97e49d6",
-        SERVE_CHECKPOINT: "ef38a1af05432d370ea3e3157a7d924d78e9facca80a3bddadc850668c49f464",
+        SERVE_JOURNAL: "7112dd73d2ae80eb2e80b0a94bdfcbfe0c3e32f319e3eb4ca91f18e95aa10df3",
     },
+    # Resuming buys nothing twice and books what the uncrashed run
+    # booked: the log and the ledger are the faulted run's.
     "crash_resumed": {
-        "report": "d070f73de86eb8b3d4a55ee16bf8e6e014deaea867b292c65496bed01d996fe1",
-        "ledger": "6b5a215614ba833d24378dc835b3bae58a8da6a260eff84f5e11a42a21c7a6bb",
-        # Resuming re-purchases nothing: the journal is the faulted run's.
-        SERVE_JOURNAL: "007c06331a204165fef5b7ab7a0b6f128b10602cdff2842de8cff7be4a339598",
-        SERVE_RESULTS: "9717a8361e677c75d3b52121a62e5d252a4590168f3e768ee2cb48b07e4995f8",
-        SERVE_CHECKPOINT: "8ef058e3d40482b4092570260a6f21a4e6201f1fdadd94d7f696ccd8a94e6cc9",
+        "report": "0b4575c14702913679f542eb98b4af2a5dacfcc5e340c17cef5fdf5a7d6c85cb",
     },
 }
 
@@ -130,15 +118,6 @@ def _submissions() -> list[tuple[QueryRequest, PreprocessingPlan, bool]]:
     ]
 
 
-#: Top-level sections of each run's final checkpoint: engine state and
-#: log watermarks, never cached answers.
-CHECKPOINT_KEYS = {
-    "fault_free": ["journal", "platform", "results", "version"],
-    "faulted": ["agg", "faults", "journal", "platform", "results", "version"],
-    "crash_resumed": ["agg", "faults", "journal", "platform", "results", "version"],
-}
-
-
 def _engine(
     domain, directory, faulted: bool, resume: bool = False
 ) -> tuple[ServeEngine, CrowdPlatform]:
@@ -184,13 +163,10 @@ def _digests(report, platform: CrowdPlatform, directory) -> dict[str, str]:
             json.dumps(platform.ledger.snapshot(), sort_keys=True).encode()
         ),
     }
-    for name in (SERVE_JOURNAL, SERVE_RESULTS, SERVE_CHECKPOINT):
-        digests[name] = _sha((directory / name).read_bytes())
+    digests[SERVE_JOURNAL] = _sha((directory / SERVE_JOURNAL).read_bytes())
+    # A durable serve directory holds the log and nothing else.
+    assert sorted(path.name for path in directory.iterdir()) == [SERVE_JOURNAL]
     return digests
-
-
-def _checkpoint_keys(directory) -> list[str]:
-    return sorted(json.loads((directory / SERVE_CHECKPOINT).read_text()))
 
 
 class TestServeGoldenDigests:
@@ -200,7 +176,6 @@ class TestServeGoldenDigests:
             _submit(engine, _submissions())
             report = engine.run()
         assert _digests(report, platform, tmp_path) == GOLDEN["fault_free"]
-        assert _checkpoint_keys(tmp_path) == CHECKPOINT_KEYS["fault_free"]
 
     def test_faulted_reliability_durable(self, tiny_domain, tmp_path):
         engine, platform = _engine(tiny_domain, tmp_path, faulted=True)
@@ -208,15 +183,14 @@ class TestServeGoldenDigests:
             _submit(engine, _submissions())
             report = engine.run()
         assert _digests(report, platform, tmp_path) == GOLDEN["faulted"]
-        assert _checkpoint_keys(tmp_path) == CHECKPOINT_KEYS["faulted"]
 
     def test_crash_at_commit_then_resume(self, tiny_domain, tmp_path):
         submissions = _submissions()
         crashed, _ = _engine(tiny_domain, tmp_path, faulted=True)
         with crashed:
-            # Two waves commit and checkpoint; the third crashes after
-            # its answers are journaled and charged, before it is
-            # evaluated or checkpointed.
+            # Two waves commit; the third crashes after its purchases
+            # are logged and charged, before it is evaluated or
+            # committed.
             _submit(crashed, submissions[:6])
             crashed.run()
             crashed.chaos = CrashInjector(at_phase="serve.commit")
@@ -226,9 +200,11 @@ class TestServeGoldenDigests:
 
         resumed, platform = _engine(tiny_domain, tmp_path, faulted=True, resume=True)
         with resumed:
-            assert resumed.resumed and resumed.restored_answers > 0
+            assert resumed.resumed and resumed.pending_answers > 0
             _submit(resumed, submissions)
             report = resumed.run()
         assert sum(r.from_checkpoint for r in report.results) == 6
-        assert _digests(report, platform, tmp_path) == GOLDEN["crash_resumed"]
-        assert _checkpoint_keys(tmp_path) == CHECKPOINT_KEYS["crash_resumed"]
+        digests = _digests(report, platform, tmp_path)
+        assert digests["report"] == GOLDEN["crash_resumed"]["report"]
+        assert digests["ledger"] == GOLDEN["faulted"]["ledger"]
+        assert digests[SERVE_JOURNAL] == GOLDEN["faulted"][SERVE_JOURNAL]

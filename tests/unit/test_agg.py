@@ -23,8 +23,11 @@ from repro.core.model import (
 )
 from repro.crowd.platform import CrowdPlatform
 from repro.crowd.recording import AnswerRecorder
+from repro.durability.chaos import SimulatedCrash
 from repro.errors import ConfigurationError
 from repro.serve import QueryRequest, ServeEngine
+
+from tests.conftest import KillAtNth
 
 pytestmark = pytest.mark.agg
 
@@ -253,13 +256,21 @@ class TestServeReliabilityDurability:
     """Reliability state must survive a crash bit-for-bit (DESIGN.md §16)."""
 
     def test_checkpoint_carries_model_state(self, tiny_domain, tmp_path):
+        # The committed log carries the model's state as the attributed
+        # spans a resume folds back in, in the live commit's order.
         engine, _ = reliability_engine(tiny_domain, checkpoint_dir=tmp_path)
-        engine.submit(QueryRequest("q1", ("target",), (0, 1, 2)), identity_plan("target"))
-        engine.run()
-        engine.close()
-        payload = engine.checkpoints.load()
-        assert "agg" in payload
-        assert payload["agg"]["model"] == engine.aggregator.model.state_dict()
+        with engine:
+            engine.submit(
+                QueryRequest("q1", ("target",), (0, 1, 2)), identity_plan("target")
+            )
+            engine.run()
+        resumed, _ = reliability_engine(
+            tiny_domain, checkpoint_dir=tmp_path, resume=True
+        )
+        resumed.close()
+        assert resumed.aggregator.model.state_dict() == (
+            engine.aggregator.model.state_dict()
+        )
 
     def test_crash_resume_model_bitwise_identical(self, tiny_domain, tmp_path):
         plan = identity_plan("target")
@@ -275,22 +286,23 @@ class TestServeReliabilityDurability:
         reference = straight.run()
         straight.close()
 
-        # Serve the first wave, checkpoint, then "crash" before q2.
+        # Serve and commit the first wave, then "crash" before q2.
         crashed, _ = reliability_engine(
-            tiny_domain, wave_size=1, checkpoint_dir=tmp_path / "crash"
+            tiny_domain,
+            wave_size=1,
+            checkpoint_dir=tmp_path / "crash",
+            chaos=KillAtNth("serve.wave", 1),
         )
-        for request in requests:
-            crashed.submit(request, plan)
-        wave, crashed._queue = crashed._queue[:1], crashed._queue[1:]
-        crashed._serve_wave(wave)
-        crashed._checkpoint()
-        crashed.close()
+        with crashed, pytest.raises(SimulatedCrash):
+            for request in requests:
+                crashed.submit(request, plan)
+            crashed.run()
 
         resumed, resumed_platform = reliability_engine(
             tiny_domain, wave_size=1, checkpoint_dir=tmp_path / "crash", resume=True
         )
         assert resumed.resumed
-        # Restored model state is exactly the checkpointed state.
+        # The folded model is exactly the committed one.
         assert (
             resumed.aggregator.model.state_dict()
             == crashed.aggregator.model.state_dict()
@@ -315,24 +327,28 @@ class TestServeReliabilityDurability:
         )
 
     def test_journal_tail_restores_worker_attribution(self, tiny_domain, tmp_path):
-        # Crash after journaling a wave but before its checkpoint: the
-        # resumed engine must recover the worker ids from the journal
-        # and absorb the span into a fresh model.
+        # Crash after logging a wave's purchases but before its commit:
+        # re-running the wave must take the worker ids from the log's
+        # tail and absorb the span exactly as the crashed run did.
         plan = identity_plan("target")
-        crashed, _ = reliability_engine(tiny_domain, checkpoint_dir=tmp_path)
-        crashed.submit(QueryRequest("q1", ("target",), (0, 1)), plan)
-        wave, crashed._queue = crashed._queue[:1], crashed._queue[1:]
-        crashed._serve_wave(wave)  # journaled, never checkpointed
-        crashed.close()
+        request = QueryRequest("q1", ("target",), (0, 1))
+        crashed, _ = reliability_engine(
+            tiny_domain, checkpoint_dir=tmp_path, chaos=KillAtNth("serve.evaluate", 1)
+        )
+        with crashed, pytest.raises(SimulatedCrash):
+            crashed.submit(request, plan)
+            crashed.run()
 
         resumed, _ = reliability_engine(
             tiny_domain, checkpoint_dir=tmp_path, resume=True
         )
-        assert resumed.restored_answers == 8
+        with resumed:
+            assert resumed.pending_answers == 8
+            resumed.submit(request, plan)
+            resumed.run()
         workers = resumed.cache.workers(0, "target", 4)
         assert UNATTRIBUTED not in workers.tolist()
         assert (
             resumed.aggregator.model.state_dict()
             == crashed.aggregator.model.state_dict()
         )
-        resumed.close()

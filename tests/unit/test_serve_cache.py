@@ -127,22 +127,6 @@ class TestCachedAnswerSource:
         # A smaller request still fits.
         assert len(source.fetch(1, "target", 2)) == 2
 
-    def test_journal_receives_every_purchase(self, tiny_platform):
-        class Sink:
-            def __init__(self):
-                self.records = []
-
-            def record_answer(self, kind, key, index, item):
-                self.records.append((kind, key, index, item))
-
-        sink = Sink()
-        source = CachedAnswerSource(tiny_platform, journal=sink)
-        got = source.fetch(1, "target", 3)
-        source.fetch(1, "target", 3)  # cache hit: no new records
-        assert [r[2] for r in sink.records] == [0, 1, 2]
-        assert [r[3] for r in sink.records] == got.tolist()
-        assert all(r[0] == "value" and r[1] == (1, "target") for r in sink.records)
-
 
 class TestCacheReadSource:
     def test_reads_never_purchase(self, tiny_platform):

@@ -17,13 +17,10 @@ from repro.crowd.platform import CrowdPlatform
 from repro.crowd.pricing import Budget
 from repro.crowd.recording import AnswerRecorder
 from repro.durability.chaos import CrashInjector, SimulatedCrash
-from repro.durability.checkpoint import CheckpointStore
 from repro.durability.journal import Journal, read_journal
 from repro.errors import CheckpointError, ConfigurationError
 from repro.serve import (
-    SERVE_CHECKPOINT,
     SERVE_JOURNAL,
-    SERVE_RESULTS,
     DegradedResult,
     Predicate,
     QueryRequest,
@@ -34,7 +31,7 @@ from repro.serve import (
     load_query_file,
 )
 
-from tests.conftest import KillAtNth
+from tests.conftest import KillAtNth, rewrite_serve_header
 
 
 def identity_plan(target: str, n_questions: int = 4) -> PreprocessingPlan:
@@ -276,16 +273,17 @@ class TestServeEngine:
             reference_engine.submit(request, plan)
         reference = reference_engine.run()
 
-        # Serve only the first wave, checkpoint, then "crash".
+        # Serve and commit only the first wave, then "crash".
         crashed, crashed_platform = make_engine(
-            tiny_domain, wave_size=1, checkpoint_dir=tmp_path
+            tiny_domain,
+            wave_size=1,
+            checkpoint_dir=tmp_path,
+            chaos=KillAtNth("serve.wave", 1),
         )
-        for request in requests:
-            crashed.submit(request, plan)
-        wave, crashed._queue = crashed._queue[:1], crashed._queue[1:]
-        crashed._serve_wave(wave)
-        crashed._checkpoint()
-        crashed.close()
+        with crashed, pytest.raises(SimulatedCrash):
+            for request in requests:
+                crashed.submit(request, plan)
+            crashed.run()
 
         resumed_engine, resumed_platform = make_engine(
             tiny_domain, checkpoint_dir=tmp_path, resume=True
@@ -307,30 +305,46 @@ class TestServeEngine:
         )
 
     def test_journal_tail_recharges_unchecked_answers(self, tiny_domain, tmp_path):
-        # Crash *between* journal writes and the wave checkpoint: the
-        # journal runs ahead; resume must re-charge and reuse its tail.
+        # Crash after a wave's purchases are logged and charged, before
+        # its commit: the log's tail is the uncommitted wave.  Resume
+        # charges nothing up front; re-running the wave re-charges the
+        # tail's answers without buying them again.
         plan = identity_plan("target", 4)
-        crashed, crashed_platform = make_engine(
-            tiny_domain, checkpoint_dir=tmp_path
+        request = QueryRequest("q1", ("target",), (0, 1))
+        straight, straight_platform = make_engine(
+            tiny_domain, checkpoint_dir=tmp_path / "straight"
         )
-        crashed.submit(QueryRequest("q1", ("target",), (0, 1)), plan)
-        wave, crashed._queue = crashed._queue[:1], crashed._queue[1:]
-        crashed._serve_wave(wave)  # journaled, but never checkpointed
-        crashed.close()
+        with straight:
+            straight.submit(request, plan)
+            reference = straight.run()
+
+        directory = tmp_path / "crash"
+        crashed, crashed_platform = make_engine(
+            tiny_domain,
+            checkpoint_dir=directory,
+            chaos=KillAtNth("serve.evaluate", 1),
+        )
+        with crashed, pytest.raises(SimulatedCrash):
+            crashed.submit(request, plan)
+            crashed.run()
         spent = crashed_platform.ledger.total_spent
         assert spent > 0
 
         resumed, resumed_platform = make_engine(
-            tiny_domain, checkpoint_dir=tmp_path, resume=True
+            tiny_domain, checkpoint_dir=directory, resume=True
         )
-        assert resumed.restored_answers == 8
-        assert resumed_platform.ledger.total_spent == pytest.approx(spent)
-        resumed.submit(QueryRequest("q1", ("target",), (0, 1)), plan)
-        report = resumed.run()
-        resumed.close()
-        # Fully served from the restored cache: no new spend.
-        assert resumed_platform.ledger.total_spent == pytest.approx(spent)
-        assert report.result("q1").saved_answers == 8
+        assert resumed.resumed and resumed.pending_answers == 8
+        assert resumed_platform.ledger.total_spent == 0.0
+        assert resumed.cache.total_answers == 0
+        with resumed:
+            resumed.submit(request, plan)
+            report = resumed.run()
+        assert resumed_platform.ledger.total_spent == spent
+        assert report.result("q1").fresh_answers == 8
+        assert report_bytes(report) == report_bytes(reference)
+        assert (directory / SERVE_JOURNAL).read_bytes() == (
+            tmp_path / "straight" / SERVE_JOURNAL
+        ).read_bytes()
 
     def test_resume_requires_checkpoint_dir(self, tiny_domain):
         with pytest.raises(ConfigurationError):
@@ -348,23 +362,10 @@ class TestServeEngine:
         (tmp_path / "serve.shard00.journal.jsonl").write_bytes(
             (tmp_path / SERVE_JOURNAL).read_bytes()
         )
-
-        def refused_resume() -> None:
-            platform = CrowdPlatform(tiny_domain, recorder=AnswerRecorder(), seed=3)
-            # Built in two steps so the half-made engine stays inspectable.
-            engine = ServeEngine.__new__(ServeEngine)
-            with pytest.raises(CheckpointError, match="serve.shard00.journal"):
-                engine.__init__(platform, checkpoint_dir=tmp_path, resume=True)
-            assert platform.ledger.total_spent == 0.0
-            assert platform.ledger.questions_by_category.get("value", 0) == 0
-            assert engine.cache.total_answers == 0
-            assert not engine.resumed
-
-        refused_resume()
-        # Also with no checkpoint (a crash inside the first wave): the
-        # journal tail alone must not be re-charged either.
-        (tmp_path / SERVE_CHECKPOINT).unlink()
-        refused_resume()
+        assert_resume_refused(tiny_domain, tmp_path, "serve.shard00.journal")
+        # Also with no serve log beside it.
+        (tmp_path / SERVE_JOURNAL).unlink()
+        assert_resume_refused(tiny_domain, tmp_path, "serve.shard00.journal")
 
     def test_report_lookup_and_counts(self):
         report = ServeReport(
@@ -410,9 +411,9 @@ def serve_all(engine: ServeEngine, requests=LOGGED_REQUESTS) -> ServeReport:
     return engine.run()
 
 
-def assert_resume_refused(domain, directory, match: str) -> None:
+def assert_resume_refused(domain, directory, match: str, budget=None) -> None:
     """Resuming ``directory`` raises CheckpointError before restoring anything."""
-    platform = CrowdPlatform(domain, recorder=AnswerRecorder(), seed=3)
+    platform = CrowdPlatform(domain, recorder=AnswerRecorder(), seed=3, budget=budget)
     # Built in two steps so the half-made engine stays inspectable.
     engine = ServeEngine.__new__(ServeEngine)
     with pytest.raises(CheckpointError, match=match):
@@ -425,11 +426,16 @@ def assert_resume_refused(domain, directory, match: str) -> None:
     assert not engine.resumed
 
 
-def logged_ids(directory) -> list[str]:
+def records_of(directory, kind: str) -> list[dict]:
     return [
-        record["result"]["query_id"]
-        for record in read_journal(directory / SERVE_RESULTS)
+        record
+        for record in read_journal(directory / SERVE_JOURNAL)
+        if record["kind"] == kind
     ]
+
+
+def logged_ids(directory) -> list[str]:
+    return [record["result"]["query_id"] for record in records_of(directory, "result")]
 
 
 def report_bytes(report: ServeReport) -> str:
@@ -438,8 +444,27 @@ def report_bytes(report: ServeReport) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def crash_before_commit(nth: int):
+    """A ``Journal.append`` stand-in that dies before the ``nth`` commit record."""
+    real_append = Journal.append
+    commits = []
+
+    def append(journal, record):
+        if record["kind"] == "commit":
+            commits.append(None)
+            if len(commits) == nth:
+                raise SimulatedCrash(f"before commit record #{nth}", 0)
+        real_append(journal, record)
+
+    return append
+
+
 class TestResultsLog:
-    """Finished results live in an append-only log, not the checkpoint."""
+    """Finished results live in the serve log as ``result`` records.
+
+    A wave's checkpoint is its ``commit`` record: its place in the log
+    is the commit watermark, and it carries the ledger snapshot only.
+    """
 
     def test_crash_resume_finish_logs_each_query_once(self, tiny_domain, tmp_path):
         straight, _ = durable_engine(tiny_domain, tmp_path / "straight")
@@ -469,90 +494,70 @@ class TestResultsLog:
                 == reference.result(query_id).estimates
             )
 
-    def test_crash_before_checkpoint_rename_truncates_log_tail(
+    def test_crash_before_commit_truncates_result_tail(
         self, tiny_domain, tmp_path, monkeypatch
     ):
-        # The crash the log adds: wave 3's results are logged and
-        # synced, but its checkpoint never replaces wave 2's.
-        real_save = CheckpointStore.save
-        saves = []
-
-        def crash_on_third(store, payload):
-            saves.append(payload)
-            if len(saves) == 3:
-                raise SimulatedCrash("before the checkpoint rename", 0)
-            real_save(store, payload)
-
+        # Wave 3's purchases and result are logged, but its commit
+        # record never lands.
+        straight, _ = durable_engine(tiny_domain, tmp_path / "straight")
+        with straight:
+            serve_all(straight)
         torn = tmp_path / "torn"
-        monkeypatch.setattr(CheckpointStore, "save", crash_on_third)
-        crashed, _ = durable_engine(tiny_domain, torn)
-        with pytest.raises(SimulatedCrash):
-            serve_all(crashed)
-        crashed.close()
-        monkeypatch.setattr(CheckpointStore, "save", real_save)
+        with monkeypatch.context() as patch:
+            patch.setattr(Journal, "append", crash_before_commit(3))
+            crashed, _ = durable_engine(tiny_domain, torn)
+            with crashed, pytest.raises(SimulatedCrash):
+                serve_all(crashed)
         assert logged_ids(torn) == ["q0", "q1", "q2"]
-        checkpoint = json.loads((torn / SERVE_CHECKPOINT).read_text())
-        assert checkpoint["results"] == {"records": 2}
+        assert len(records_of(torn, "commit")) == 2
 
-        # The same crash as the engine could always have it: after wave
-        # 3's evaluation, before anything of its commit was written.
+        # The same wave dies earlier: after its evaluation, before
+        # anything of its commit was written.
         early = tmp_path / "early"
         crashed, _ = durable_engine(
             tiny_domain, early, chaos=KillAtNth("serve.evaluate", 3)
         )
-        with pytest.raises(SimulatedCrash):
+        with crashed, pytest.raises(SimulatedCrash):
             serve_all(crashed)
-        crashed.close()
         assert logged_ids(early) == ["q0", "q1"]
 
         reports = []
         for directory in (torn, early):
             resumed, _ = durable_engine(tiny_domain, directory, resume=True)
-            # The uncommitted tail is gone before anything is served.
+            # The uncommitted result is gone before anything is served;
+            # the crashed wave's purchases stay for its re-run.
             assert logged_ids(directory) == ["q0", "q1"]
-            reports.append(report_bytes(serve_all(resumed)))
-            resumed.close()
+            assert resumed.pending_answers > 0
+            with resumed:
+                reports.append(report_bytes(serve_all(resumed)))
             assert logged_ids(directory) == ["q0", "q1", "q2", "q3", "q4"]
+            assert (directory / SERVE_JOURNAL).read_bytes() == (
+                tmp_path / "straight" / SERVE_JOURNAL
+            ).read_bytes()
         assert reports[0] == reports[1]
 
     def test_checkpoint_carries_watermark_not_results(self, tiny_domain, tmp_path):
-        engine, _ = durable_engine(tiny_domain, tmp_path)
-        serve_all(engine)
-        engine.close()
-        text = (tmp_path / SERVE_CHECKPOINT).read_text()
-        assert json.loads(text)["results"] == {"records": len(LOGGED_REQUESTS)}
-        assert "query_id" not in text
-        assert not any(f'"{r.query_id}"' in text for r in LOGGED_REQUESTS)
+        engine, platform = durable_engine(tiny_domain, tmp_path)
+        with engine:
+            serve_all(engine)
         assert logged_ids(tmp_path) == [r.query_id for r in LOGGED_REQUESTS]
+        commits = records_of(tmp_path, "commit")
+        assert len(commits) == len(LOGGED_REQUESTS)
+        for commit in commits:
+            assert sorted(commit) == ["crc", "kind", "ledger", "seq"]
+            assert not any(f'"{r.query_id}"' in json.dumps(commit) for r in LOGGED_REQUESTS)
+        assert commits[-1]["ledger"] == platform.ledger.snapshot()
 
     def test_pre_log_checkpoint_refused(self, tiny_domain, tmp_path):
         engine, _ = durable_engine(tiny_domain, tmp_path)
         report = serve_all(engine)
         engine.close()
-        # Rewrite the checkpoint the way builds before the results log
-        # did: finished results embedded as a list.
-        store = CheckpointStore(tmp_path, SERVE_CHECKPOINT)
-        payload = store.load()
-        payload["results"] = [result.to_dict() for result in report.results]
-        store.save(payload)
-        platform = CrowdPlatform(tiny_domain, recorder=AnswerRecorder(), seed=3)
-        with pytest.raises(CheckpointError, match="watermark"):
-            ServeEngine(
-                platform,
-                checkpoint_dir=tmp_path,
-                resume=True,
-                aggregator=make_aggregator("reliability"),
-            )
-        # Refused before any state was restored: never half-resumed.
-        assert platform.ledger.total_spent == 0.0
-
-    def test_log_shorter_than_watermark_refused(self, tiny_domain, tmp_path):
-        engine, _ = durable_engine(tiny_domain, tmp_path)
-        serve_all(engine)
-        engine.close()
-        (tmp_path / SERVE_RESULTS).unlink()
-        with pytest.raises(CheckpointError, match="holds only 0"):
-            durable_engine(tiny_domain, tmp_path, resume=True)
+        # A checkpoint the way builds before the results log wrote it:
+        # finished results embedded as a list.
+        (tmp_path / "serve.checkpoint.json").write_text(
+            json.dumps({"results": [result.to_dict() for result in report.results]})
+        )
+        assert_resume_refused(tiny_domain, tmp_path, "serve.checkpoint.json")
 
     def test_checkpoint_holds_journal_watermark_not_answers(
         self, tiny_domain, tmp_path
@@ -560,78 +565,80 @@ class TestResultsLog:
         engine, _ = durable_engine(tiny_domain, tmp_path)
         with engine:
             serve_all(engine)
-        payload = json.loads((tmp_path / SERVE_CHECKPOINT).read_text())
-        records = read_journal(tmp_path / SERVE_JOURNAL)
-        assert payload["journal"] == {"records": len(records)}
-        # The journal is the answers' one durable copy: no cache, no
-        # lost-answer totals and no absorbed-span counts ride along.
-        assert "cache" not in payload
-        assert sorted(payload["faults"]) == ["breaker", "clock"]
-        assert sorted(payload["agg"]) == ["model"]
+        # The log is the answers' one durable copy: purchase records
+        # hold them, each once; no other record holds answers, a cache,
+        # fault state or model state.
+        purchases = records_of(tmp_path, "purchase")
+        assert sum(len(record["answers"]) for record in purchases) == (
+            engine.cache.total_answers
+        )
+        for kind in ("header", "result", "commit"):
+            for record in records_of(tmp_path, kind):
+                assert not {"answers", "cache", "faults", "agg"} & set(record)
 
-    def test_answer_journal_synced_before_every_save(
-        self, tiny_domain, tmp_path, monkeypatch
-    ):
+    def test_log_synced_once_per_commit(self, tiny_domain, tmp_path, monkeypatch):
         calls = []
-        real_sync, real_save = Journal.sync, CheckpointStore.save
+        real_sync, real_append = Journal.sync, Journal.append
 
         def sync(journal):
-            calls.append(journal.path.name)
+            calls.append("sync")
             real_sync(journal)
 
-        def save(store, payload):
-            calls.append("save")
-            real_save(store, payload)
+        def append(journal, record):
+            calls.append(record["kind"])
+            real_append(journal, record)
 
         monkeypatch.setattr(Journal, "sync", sync)
-        monkeypatch.setattr(CheckpointStore, "save", save)
+        monkeypatch.setattr(Journal, "append", append)
         engine, _ = durable_engine(tiny_domain, tmp_path)
         with engine:
             serve_all(engine)
-        saves = [index for index, call in enumerate(calls) if call == "save"]
-        assert len(saves) == len(LOGGED_REQUESTS)
-        previous = -1
-        for index in saves:
-            assert SERVE_JOURNAL in calls[previous + 1 : index]
-            previous = index
+        # One fsync per wave, right after its commit record.
+        assert calls.count("sync") == calls.count("commit") == len(LOGGED_REQUESTS)
+        for index, call in enumerate(calls):
+            if call == "sync":
+                assert calls[index - 1] == "commit"
 
     def test_cache_snapshot_checkpoint_refused(self, tiny_domain, tmp_path):
         engine, _ = durable_engine(tiny_domain, tmp_path)
         with engine:
             serve_all(engine)
-        # Rewrite the checkpoint the way builds that snapshotted the
-        # cache into it did: answers inline, no journal watermark.
-        store = CheckpointStore(tmp_path, SERVE_CHECKPOINT)
-        payload = store.load()
-        del payload["journal"]
-        answers = [
-            record["answer"]
-            for record in read_journal(tmp_path / SERVE_JOURNAL)
-            if record["kind"] == "value" and record["object"] == 0
-        ]
-        payload["cache"] = {
-            "entries": [{"object": 0, "attribute": "target", "answers": answers}],
-            "hits": 0,
-            "misses": 0,
-        }
-        store.save(payload)
-        assert_resume_refused(tiny_domain, tmp_path, "answer-journal watermark")
+        # Builds that snapshotted the cache into the checkpoint kept it,
+        # and a results log, beside the answer journal.
+        (tmp_path / "serve.checkpoint.json").write_text(
+            json.dumps({"cache": {"entries": [], "hits": 0, "misses": 0}})
+        )
+        (tmp_path / "serve.results.jsonl").write_text("")
+        assert_resume_refused(
+            tiny_domain, tmp_path, "serve.checkpoint.json, serve.results.jsonl"
+        )
 
-    def test_journal_shorter_than_watermark_refused(self, tiny_domain, tmp_path):
+    def test_foreign_header_refused(self, tiny_domain, tmp_path):
         engine, _ = durable_engine(tiny_domain, tmp_path)
         with engine:
             serve_all(engine)
-        journal = tmp_path / SERVE_JOURNAL
-        lines = journal.read_bytes().splitlines(keepends=True)
-        kept = len(lines) // 2
-        journal.write_bytes(b"".join(lines[:kept]))
-        assert_resume_refused(tiny_domain, tmp_path, f"holds only {kept}$")
+        rewrite_serve_header(tmp_path, version=1)
+        assert_resume_refused(tiny_domain, tmp_path, "header")
+        # A log with no header at all, as the previous build's answer
+        # journal began.
+        path = tmp_path / SERVE_JOURNAL
+        with Journal(path) as journal:
+            journal.truncate(0)
+            journal.append({"kind": "value", "object": 0, "attribute": "target"})
+        assert_resume_refused(tiny_domain, tmp_path, "header")
+
+    def test_budget_mismatch_refused(self, tiny_domain, tmp_path):
+        engine, _ = durable_engine(tiny_domain, tmp_path, budget=Budget(30.0))
+        with engine:
+            serve_all(engine)
+        assert_resume_refused(tiny_domain, tmp_path, "budget", budget=Budget(31.0))
+        assert_resume_refused(tiny_domain, tmp_path, "budget")
 
     def test_fresh_run_over_used_dir_resumes_like_an_empty_one(
         self, tiny_domain, tmp_path
     ):
         # Run A fills the directory.  Run B starts fresh there, dies in
-        # its second wave after that wave's answers are journaled and
+        # its second wave after that wave's answers are logged and
         # charged, and is resumed: it must end where the same crash in
         # an empty directory ends, charged once for each answer it bought.
         used = tmp_path / "used"
@@ -661,8 +668,9 @@ class TestResultsLog:
         self, tiny_domain, tmp_path, monkeypatch
     ):
         # Run B serves six queries in one wave and dies inside that
-        # wave's checkpoint save.  Resuming must not pick up run A's
-        # checkpoint and pass B's logged results off as committed.
+        # wave's commit, before its commit record lands.  Resuming must
+        # not pick up run A's log and pass B's logged results off as
+        # committed.
         requests = LOGGED_REQUESTS + [
             QueryRequest("q5", ("target",), tuple(range(10, 14)))
         ]
@@ -670,17 +678,13 @@ class TestResultsLog:
         first, _ = durable_engine(tiny_domain, used)
         with first:
             serve_all(first)
-        real_save = CheckpointStore.save
-
-        def crash_in_save(store, payload):
-            raise SimulatedCrash("inside the first checkpoint save", 0)
 
         def crash_then_resume(directory):
-            monkeypatch.setattr(CheckpointStore, "save", crash_in_save)
-            crashed, _ = durable_engine(tiny_domain, directory, wave_size=None)
-            with crashed, pytest.raises(SimulatedCrash):
-                serve_all(crashed, requests)
-            monkeypatch.setattr(CheckpointStore, "save", real_save)
+            with monkeypatch.context() as patch:
+                patch.setattr(Journal, "append", crash_before_commit(1))
+                crashed, _ = durable_engine(tiny_domain, directory, wave_size=None)
+                with crashed, pytest.raises(SimulatedCrash):
+                    serve_all(crashed, requests)
             resumed, platform = durable_engine(
                 tiny_domain, directory, wave_size=None, resume=True
             )
@@ -698,8 +702,11 @@ class TestResultsLog:
         engine, _ = durable_engine(tiny_domain, tmp_path)
         serve_all(engine)
         engine.close()
+        (tmp_path / "serve.results.jsonl").write_text("")
         again, _ = durable_engine(tiny_domain, tmp_path)
-        assert logged_ids(tmp_path) == []
+        # Only the new run's header is left, and no older build's file.
+        assert [r["kind"] for r in read_journal(tmp_path / SERVE_JOURNAL)] == ["header"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == [SERVE_JOURNAL]
         again.submit(LOGGED_REQUESTS[0], identity_plan("target", 4))
         again.run()
         again.close()
@@ -716,6 +723,5 @@ class TestEngineShutdown:
                 )
                 engine.run()
                 raise RuntimeError("boom")
-        assert engine.journal is not None and engine._results_log is not None
+        assert engine.journal is not None
         assert engine.journal._handle.closed
-        assert engine._results_log._handle.closed
