@@ -75,8 +75,23 @@ class ExamplePool:
     object_ids: list[int] = field(default_factory=list)
     target_values: list[float] = field(default_factory=list)
     _answers: dict[str, list[list[float]]] = field(default_factory=dict)
-    #: Bumped on every mutation; lets the statistics store memoize.
+    #: Bumped on every mutation and checkpointed.  Each mutation also
+    #: copies it into the stamp of what it changed — the examples or one
+    #: attribute's batches — so stamps are unique within the pool and
+    #: only grow; the statistics store keys its memo on them.
     version: int = 0
+    #: Value of :attr:`version` at the last :meth:`add_example`.
+    examples_stamp: int = field(default=0, init=False, repr=False, compare=False)
+    #: Per attribute: value of :attr:`version` at the last change to its
+    #: batches (:meth:`record_answers`, :meth:`append_to_batch`).
+    _attribute_stamps: dict[str, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    #: Per attribute: ``(stamp, indices, means)`` of the whole measured
+    #: prefix, as :meth:`aligned_answer_means` last built it.
+    _aligned: dict[str, tuple[int, np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.object_ids)
@@ -87,6 +102,11 @@ class ExamplePool:
         self.object_ids.append(object_id)
         self.target_values.append(float(target_value))
         self.version += 1
+        self.examples_stamp = self.version
+
+    def attribute_stamp(self, attribute: str) -> int:
+        """Stamp of ``attribute``'s batches here (0 if it has none)."""
+        return self._attribute_stamps.get(attribute, 0)
 
     def measured_attributes(self) -> tuple[str, ...]:
         """Attributes with at least one answer batch in this pool."""
@@ -112,6 +132,7 @@ class ExamplePool:
             )
         existing.extend([list(batch) for batch in batches])
         self.version += 1
+        self._attribute_stamps[attribute] = self.version
 
     def append_to_batch(self, attribute: str, example_index: int, answers: list[float]) -> None:
         """Add extra answers to one example's existing batch.
@@ -127,23 +148,11 @@ class ExamplePool:
             )
         batches[example_index].extend(float(a) for a in answers)
         self.version += 1
+        self._attribute_stamps[attribute] = self.version
 
     def batch(self, attribute: str, example_index: int) -> list[float]:
         """The raw answers of one example for one attribute."""
         return list(self._answers[attribute][example_index])
-
-    def answer_means(self, attribute: str, limit: int | None = None) -> np.ndarray:
-        """Per-example answer means for ``attribute`` (measured prefix).
-
-        Empty batches (e.g. a fully spam-rejected answer set) are
-        skipped, so the result is NOT index-aligned with
-        :meth:`target_array`; covariance computations must use
-        :meth:`aligned_answer_means` instead.
-        """
-        batches = self._answers.get(attribute, [])
-        if limit is not None:
-            batches = batches[:limit]
-        return np.array([sum(batch) / len(batch) for batch in batches if batch])
 
     def aligned_answer_means(
         self, attribute: str, limit: int | None = None
@@ -155,15 +164,30 @@ class ExamplePool:
         came back empty: pairing the means with a plain prefix of the
         target values (or of another attribute's means) would shift
         every example after the hole by one.
+
+        The arrays of the whole prefix are built once per attribute
+        stamp and returned read-only; a ``limit`` slices them at the
+        first index it excludes.
         """
-        batches = self._answers.get(attribute, [])
-        if limit is not None:
-            batches = batches[:limit]
-        indices = [index for index, batch in enumerate(batches) if batch]
-        means = [
-            sum(batches[index]) / len(batches[index]) for index in indices
-        ]
-        return np.asarray(indices, dtype=int), np.asarray(means, dtype=float)
+        stamp = self.attribute_stamp(attribute)
+        cached = self._aligned.get(attribute)
+        if cached is None or cached[0] != stamp:
+            batches = self._answers.get(attribute, [])
+            rows = [index for index, batch in enumerate(batches) if batch]
+            means = [sum(batches[index]) / len(batches[index]) for index in rows]
+            cached = (
+                stamp,
+                np.asarray(rows, dtype=int),
+                np.asarray(means, dtype=float),
+            )
+            cached[1].flags.writeable = False
+            cached[2].flags.writeable = False
+            self._aligned[attribute] = cached
+        _, indices, means = cached
+        if limit is None:
+            return indices, means
+        end = int(np.searchsorted(indices, limit))
+        return indices[:end], means[:end]
 
     def n_answered(self, attribute: str, limit: int | None = None) -> int:
         """Number of examples with at least one answer for ``attribute``."""
@@ -218,6 +242,17 @@ class ExamplePool:
 class StatisticsStore:
     """Estimates of ``(S_o, S_a, S_c)`` over the discovered attributes.
 
+    Derived statistics are memoized, each under a key naming exactly the
+    inputs it reads: the pools an attribute is paired with, in the order
+    the computation visits them, with the attribute's batch stamp in
+    each (:meth:`_pairing_stamps`), and a pool's examples stamp where
+    target values are read.  A new answer batch therefore recomputes
+    only the statistics of the attribute it belongs to.  This relies on
+    pools changing only through :meth:`ExamplePool.add_example`,
+    :meth:`~ExamplePool.record_answers` and
+    :meth:`~ExamplePool.append_to_batch`, and pairings only through
+    :meth:`register_attribute` and :meth:`drop_attribute`.
+
     Parameters
     ----------
     targets:
@@ -238,20 +273,33 @@ class StatisticsStore:
         self.attributes: list[str] = []
         #: Which pools each attribute has been measured on.
         self.pairings: dict[str, set[str]] = {}
-        # Memoization of derived statistics, invalidated whenever any
-        # pool mutates (pools bump their version counters).
+        # Memoized derived statistics; see the class docstring for keys.
         self._cache: dict[tuple, float | None] = {}
-        self._cache_version: int = -1
 
-    def _memo(self, key: tuple, compute) -> float | None:
-        """Cache ``compute()`` under ``key`` until any pool changes."""
-        version = sum(pool.version for pool in self.pools.values())
-        if version != self._cache_version:
-            self._cache.clear()
-            self._cache_version = version
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
+    def _memo(self, key: tuple, compute, *args) -> float | None:
+        """``compute(*args)``, cached under ``key``.
+
+        ``key`` must cover every input ``compute`` reads.  Stamps only
+        grow, so an entry whose inputs changed is never read again; it
+        stays until the store is dropped or restored.
+        """
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = self._cache[key] = compute(*args)
+            return value
+
+    def _pairing_stamps(self, attribute: str) -> tuple[tuple[str, int], ...]:
+        """What ``S_c`` of ``attribute`` reads: its pools and batch stamps.
+
+        The pools come in the pairing set's iteration order, the order
+        every pooled sum visits them, so a rebuilt set that iterates
+        differently gets a fresh entry.
+        """
+        return tuple(
+            (target, self.pools[target].attribute_stamp(attribute))
+            for target in self.pairings.get(attribute, ())
+        )
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -289,7 +337,6 @@ class StatisticsStore:
             for target, state in payload["pools"].items()
         }
         self._cache.clear()
-        self._cache_version = -1
 
     # ------------------------------------------------------------------
     # Recording
@@ -341,7 +388,11 @@ class StatisticsStore:
         Pooled mean of ``VarEst_k`` over every example (in any pool)
         with answers for the attribute.
         """
-        return self._memo(("s_c", attribute), lambda: self._compute_s_c(attribute))
+        return self._memo(
+            ("s_c", attribute, self._pairing_stamps(attribute)),
+            self._compute_s_c,
+            attribute,
+        )
 
     def _compute_s_c(self, attribute: str) -> float:
         estimates: list[np.ndarray] = []
@@ -378,8 +429,9 @@ class StatisticsStore:
         Examples with a single answer fall back to the subtraction form.
         """
         return self._memo(
-            ("denoised", attribute),
-            lambda: self._compute_denoised_variance(attribute),
+            ("denoised", attribute, self._pairing_stamps(attribute)),
+            self._compute_denoised_variance,
+            attribute,
         )
 
     def _compute_denoised_variance(self, attribute: str) -> float:
@@ -413,14 +465,15 @@ class StatisticsStore:
 
     def target_variance(self, target: str) -> float:
         """Variance of the true target values seen in its example pool."""
+        pool = self.pool(target)
 
         def compute() -> float:
-            values = self.pool(target).target_array()
+            values = pool.target_array()
             if values.size < 2:
                 return VARIANCE_FLOOR
             return max(float(np.var(values, ddof=1)), VARIANCE_FLOOR)
 
-        return self._memo(("target_var", target), compute)
+        return self._memo(("target_var", target, pool.examples_stamp), compute)
 
     def target_sigma(self, target: str) -> float:
         """Standard deviation of the true target values."""
@@ -442,13 +495,18 @@ class StatisticsStore:
         meaning — and monotonicity — of the objective).  We keep signs
         internally and take absolute values only for presentation.
         """
-        return self._memo(
-            ("s_o", target, attribute),
-            lambda: self._compute_s_o_measured(target, attribute),
-        )
-
-    def _compute_s_o_measured(self, target: str, attribute: str) -> float | None:
         pool = self.pool(target)
+        key = (
+            "s_o",
+            target,
+            attribute,
+            pool.examples_stamp,
+            pool.attribute_stamp(attribute),
+        )
+        return self._memo(key, self._compute_s_o_measured, pool, attribute)
+
+    @staticmethod
+    def _compute_s_o_measured(pool: ExamplePool, attribute: str) -> float | None:
         # Align by example index: an empty batch (fully spam-rejected)
         # must drop *its own* example's target value, not shift the
         # pairing of every later example.
@@ -467,9 +525,22 @@ class StatisticsStore:
         """
         if attribute_a == attribute_b:
             return self._denoised_variance(attribute_a)
-        key = ("s_a",) + tuple(sorted((attribute_a, attribute_b)))
         return self._memo(
-            key, lambda: self._compute_s_a_entry(attribute_a, attribute_b)
+            self._pair_key("s_a", attribute_a, attribute_b),
+            self._compute_s_a_entry,
+            attribute_a,
+            attribute_b,
+        )
+
+    def _pair_key(self, kind: str, attribute_a: str, attribute_b: str) -> tuple:
+        """Memo key of a symmetric pair statistic: both ``S_c`` inputs."""
+        first, second = sorted((attribute_a, attribute_b))
+        return (
+            kind,
+            first,
+            second,
+            self._pairing_stamps(first),
+            self._pairing_stamps(second),
         )
 
     def _compute_s_a_entry(
@@ -538,6 +609,16 @@ class StatisticsStore:
 
     def _s_a_shrunk(self, attribute_a: str, attribute_b: str) -> float | None:
         """Soft-thresholded off-diagonal ``S_a`` entry."""
+        return self._memo(
+            self._pair_key("s_a_shrunk", attribute_a, attribute_b),
+            self._compute_s_a_shrunk,
+            attribute_a,
+            attribute_b,
+        )
+
+    def _compute_s_a_shrunk(
+        self, attribute_a: str, attribute_b: str
+    ) -> float | None:
         entry = self.s_a_entry(attribute_a, attribute_b)
         if entry is None or attribute_a == attribute_b:
             return entry
@@ -622,7 +703,8 @@ class StatisticsStore:
         diag = np.diag(s_a).copy()
         reliable = diag > 2 * VARIANCE_FLOOR
         was_measured = np.array(
-            [self.s_o_measured(target, a) is not None for a in attributes]
+            [self.s_o_measured(target, a) is not None for a in attributes],
+            dtype=bool,
         )
         noise_only = ~reliable & was_measured
         s_o[noise_only] = 0.0

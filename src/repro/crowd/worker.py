@@ -179,17 +179,7 @@ class Worker(ABC):
         *not* co-vary with the one being dismantled (those would be
         legitimate answers, and the taxonomy already covers them).
         """
-        related = set(domain.dismantle_distribution(attribute))
-        candidates = [
-            name
-            for name in domain.attributes()
-            if name != attribute
-            and name not in related
-            and not domain.is_relevant(attribute, name)
-        ]
-        if not candidates:
-            candidates = [name for name in domain.attributes() if name != attribute]
-        return str(self._rng.choice(candidates))
+        return str(self._rng.choice(domain.unrelated_attributes(attribute)))
 
     def _surface_form(self, domain: Domain, attribute: str, synonym_rate: float) -> str:
         """Possibly replace an attribute name by one of its synonyms."""

@@ -15,7 +15,7 @@ attributes with values in ``[0, 1]``.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -153,6 +153,38 @@ class Domain(ABC):
         whose empirical face is the paper's Table 4.
         """
 
+    def unrelated_attributes(self, attribute: str) -> tuple[str, ...]:
+        """What an "irrelevant" dismantling answer about ``attribute`` names.
+
+        The attributes outside ``attribute``'s dismantle distribution
+        that are not relevant to it (:meth:`is_relevant`), in universe
+        order; every other attribute when none is left.  Built once per
+        attribute and domain instance: the taxonomy and true values a
+        domain answers from never change after construction (a domain
+        with another taxonomy is a new instance).
+        """
+        memo = self._unrelated
+        if attribute not in memo:
+            related = set(self.dismantle_distribution(attribute))
+            candidates = tuple(
+                name
+                for name in self.attributes()
+                if name != attribute
+                and name not in related
+                and not self.is_relevant(attribute, name)
+            )
+            if not candidates:
+                candidates = tuple(
+                    name for name in self.attributes() if name != attribute
+                )
+            memo[attribute] = candidates
+        return memo[attribute]
+
+    @cached_property
+    def _unrelated(self) -> dict[str, tuple[str, ...]]:
+        """Memo of :meth:`unrelated_attributes`, one per instance."""
+        return {}
+
     def synonyms(self, attribute: str) -> tuple[str, ...]:
         """Alternative surface forms workers may use for ``attribute``.
 
@@ -203,12 +235,3 @@ class Domain(ABC):
             f"{type(self).__name__}(name={self.name!r}, "
             f"objects={self.n_objects()}, attributes={len(self.attributes())})"
         )
-
-
-def cached_property_array(method):
-    """Decorate a zero-argument Domain method with per-instance caching.
-
-    Several base-class helpers recompute per-attribute vectors; concrete
-    domains with large object sets can wrap their hot paths with this.
-    """
-    return lru_cache(maxsize=None)(method)

@@ -34,7 +34,9 @@ class TestExamplePool:
         pool.add_example(2, 20.0)
         pool.record_answers("a", [[1.0, 3.0], [2.0, 4.0]])
         assert pool.n_measured("a") == 2
-        assert list(pool.answer_means("a")) == [2.0, 3.0]
+        indices, means = pool.aligned_answer_means("a")
+        assert list(indices) == [0, 1]
+        assert list(means) == [2.0, 3.0]
         assert list(pool.within_variances("a")) == [2.0, 2.0]
 
     def test_record_beyond_examples_rejected(self):
@@ -160,6 +162,10 @@ class TestShrinkageAndAssembly:
         s_o, s_a, s_c = store.assemble(["a"], "t")
         assert s_o.shape == (1,) and s_a.shape == (1, 1) and s_c.shape == (1,)
 
+    def test_assemble_over_no_attributes_is_empty(self):
+        s_o, s_a, s_c = build_store(n=10).assemble([], "t")
+        assert s_o.shape == (0,) and s_a.shape == (0, 0) and s_c.shape == (0,)
+
     def test_assemble_respects_cauchy_schwarz(self):
         store = build_store(n=60, seed=5)
         s_o, s_a, _ = store.assemble(["a"], "t")
@@ -194,8 +200,8 @@ class TestShrinkageAndAssembly:
 class TestEmptyBatchAlignment:
     """Regression: an empty answer batch (fully spam-rejected) used to
     shift the pairing of every later example in the S_o/S_a covariance
-    computations, because ``answer_means`` silently skips empty batches
-    while the target/means arrays were sliced by plain prefix."""
+    computations, because the answer means skipped empty batches while
+    the target/means arrays were sliced by plain prefix."""
 
     @staticmethod
     def pool_with_hole():
@@ -211,6 +217,15 @@ class TestEmptyBatchAlignment:
         indices, means = pool.aligned_answer_means("a")
         assert list(indices) == [0, 2, 3]
         assert list(means) == [2.0, 4.0, 5.0]
+
+    def test_limit_slices_like_the_filtered_prefix(self):
+        pool = self.pool_with_hole()
+        for limit in range(6):
+            prefix = [pool.batch("a", i) for i in range(min(limit, 4))]
+            rows = [i for i, batch in enumerate(prefix) if batch]
+            indices, means = pool.aligned_answer_means("a", limit=limit)
+            assert list(indices) == rows
+            assert list(means) == [sum(prefix[i]) / len(prefix[i]) for i in rows]
 
     def test_n_answered_counts_nonempty_only(self):
         pool = self.pool_with_hole()
@@ -264,7 +279,7 @@ class TestEmptyBatchAlignment:
         # Sanity: with no holes the aligned computation is the old one.
         store = build_store(n=60, seed=11)
         pool = store.pool("t")
-        means = pool.answer_means("a")
+        _, means = pool.aligned_answer_means("a")
         expected = float(np.cov(means, pool.target_array(), ddof=1)[0, 1])
         assert store.s_o_measured("t", "a") == pytest.approx(expected)
 
@@ -293,3 +308,28 @@ class TestMultiPoolStatistics:
         store.pool("t").record_answers("a", [[float(i)] * 2 for i in range(10)])
         store.pool("u").record_answers("b", [[float(i)] * 2 for i in range(10)])
         assert store.s_a_entry("a", "b") is None
+
+    @staticmethod
+    def two_pool_store(paired: set[str]) -> StatisticsStore:
+        """``a`` answered on both pools: VarEst 0.5 on t1, 8 on t2."""
+        store = StatisticsStore(("t1", "t2"), k=2)
+        for target in ("t1", "t2"):
+            for i in range(2):
+                store.pool(target).add_example(i, float(i))
+        store.register_attribute("a", paired)
+        store.pool("t1").record_answers("a", [[0.0, 1.0], [0.0, 1.0]])
+        store.pool("t2").record_answers("a", [[0.0, 4.0], [0.0, 4.0]])
+        return store
+
+    def test_widened_pairing_recomputes_s_c(self):
+        store = self.two_pool_store({"t1"})
+        assert store.s_c("a") == pytest.approx(0.5)
+        store.register_attribute("a", {"t2"})
+        assert store.s_c("a") == pytest.approx(4.25)
+
+    def test_reregistered_attribute_recomputes_s_c(self):
+        store = self.two_pool_store({"t1", "t2"})
+        assert store.s_c("a") == pytest.approx(4.25)
+        store.drop_attribute("a")
+        store.register_attribute("a", {"t1"})
+        assert store.s_c("a") == pytest.approx(0.5)

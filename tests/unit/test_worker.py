@@ -4,6 +4,16 @@ import numpy as np
 import pytest
 
 from repro.crowd.worker import BiasedWorker, HonestWorker, SpamWorker
+from repro.domains import (
+    DismantleTaxonomy,
+    GaussianDomain,
+    GaussianDomainSpec,
+    make_houses_domain,
+    make_laptops_domain,
+    make_pictures_domain,
+    make_recipes_domain,
+    make_synthetic_domain,
+)
 from repro.domains.base import IRRELEVANT
 
 
@@ -59,6 +69,71 @@ class TestHonestWorkerDismantle:
         # flag_a is always phrased via a synonym at rate 1.0.
         assert "flag_a" not in answers
         assert any(a in ("flagged", "marked") for a in answers)
+
+
+def unrelated_reference(domain, attribute: str) -> list[str]:
+    """The irrelevant-answer candidates, rebuilt per answer as workers did."""
+    related = set(domain.dismantle_distribution(attribute))
+    candidates = [
+        name
+        for name in domain.attributes()
+        if name != attribute
+        and name not in related
+        and not domain.is_relevant(attribute, name)
+    ]
+    if not candidates:
+        candidates = [name for name in domain.attributes() if name != attribute]
+    return candidates
+
+
+class TestUnrelatedAttributes:
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            make_recipes_domain,
+            make_pictures_domain,
+            make_houses_domain,
+            make_laptops_domain,
+            make_synthetic_domain,
+        ],
+    )
+    def test_matches_reference_on_shipped_domains(self, factory):
+        domain = factory(n_objects=100, seed=0)
+        for attribute in domain.attributes():
+            expected = unrelated_reference(domain, attribute)
+            assert list(domain.unrelated_attributes(attribute)) == expected
+            # The memoized list is the one later answers draw from.
+            assert list(domain.unrelated_attributes(attribute)) == expected
+
+    def test_fallback_when_everything_is_related(self):
+        spec = GaussianDomainSpec(
+            names=("x", "y", "z"),
+            means=(0.0, 0.0, 0.0),
+            sigmas=(1.0, 1.0, 1.0),
+            correlation=np.array(
+                [[1.0, 0.9, 0.0], [0.9, 1.0, 0.0], [0.0, 0.0, 1.0]]
+            ),
+            difficulties=(0.1, 0.1, 0.1),
+            binary=(False, False, False),
+            taxonomy=DismantleTaxonomy(edges={"x": {"z": 0.5}}),
+        )
+        domain = GaussianDomain(spec, n_objects=200, seed=0)
+        # y co-varies with x and z is in x's taxonomy: nothing unrelated.
+        assert unrelated_reference(domain, "x") == ["y", "z"]
+        assert domain.unrelated_attributes("x") == ("y", "z")
+        assert list(domain.unrelated_attributes("y")) == unrelated_reference(
+            domain, "y"
+        )
+
+    def test_domain_with_another_taxonomy_rebuilds_the_list(self, tiny_domain):
+        assert tiny_domain.unrelated_attributes("target") == ("flag_b",)
+        clone = tiny_domain.with_taxonomy(
+            DismantleTaxonomy(edges={"target": {"flag_b": 1.0}})
+        )
+        assert list(clone.unrelated_attributes("target")) == unrelated_reference(
+            clone, "target"
+        )
+        assert tiny_domain.unrelated_attributes("target") == ("flag_b",)
 
 
 class TestHonestWorkerVerification:
