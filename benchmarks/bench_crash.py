@@ -5,12 +5,14 @@ matrix of points — after N crowd interactions and at each phase
 boundary — resumes every kill from its checkpoint directory, and
 hard-fails unless each resumed run's plan formulas, budget allocation
 and ledger are **bit-identical** to the uninterrupted reference with
-zero re-purchased answers.
+zero re-purchased answers, and unless its checkpoint directory holds
+one file, a final ``disq.checkpoint.json`` byte-identical to that of a
+durable run that never crashed.
 
 Artifacts under ``benchmarks/out/``:
 
 * ``crash.txt`` — the matrix table (kill point, resumed-from phase,
-  journal records, verdict);
+  final checkpoint, verdict);
 * ``crash.manifest.json`` — a run manifest of the last resumed run,
   carrying the ``durability`` provenance section CI uploads.
 
@@ -20,13 +22,20 @@ Usage: ``PYTHONPATH=src:. python benchmarks/bench_crash.py``
 from __future__ import annotations
 
 import tempfile
+from pathlib import Path
 
 from benchmarks.common import OUT_DIR, write_report
 from repro.core.disq import DisQParams
 from repro.crowd.platform import CrowdPlatform
 from repro.crowd.recording import AnswerRecorder
 from repro.domains import make_synthetic_domain
-from repro.durability import CrashInjector, SimulatedCrash, durability_summary, run_disq
+from repro.durability import (
+    CHECKPOINT_FILENAME,
+    CrashInjector,
+    SimulatedCrash,
+    durability_summary,
+    run_disq,
+)
 from repro.experiments import render_table
 from repro.experiments.runner import make_query
 from repro.obs import Observability
@@ -60,8 +69,19 @@ def _state(run):
     }
 
 
+def _final_checkpoint(directory: str) -> bytes | None:
+    """The directory's one file, the checkpoint; ``None`` if anything else."""
+    names = sorted(path.name for path in Path(directory).iterdir())
+    if names != [CHECKPOINT_FILENAME]:
+        return None
+    return (Path(directory) / CHECKPOINT_FILENAME).read_bytes()
+
+
 def main() -> int:
     reference = _state(_run())
+    with tempfile.TemporaryDirectory() as scratch:
+        _run(checkpoint_dir=scratch)
+        reference_checkpoint = _final_checkpoint(scratch)
     kill_points = [("interactions", n) for n in KILL_INTERACTIONS]
     kill_points += [("phase", p) for p in KILL_PHASES]
 
@@ -81,14 +101,18 @@ def main() -> int:
             except SimulatedCrash:
                 pass
             resumed = _run(checkpoint_dir=scratch, resume=True)
-            identical = _state(resumed) == reference
+            checkpoint = _final_checkpoint(scratch)
+            same_checkpoint = (
+                checkpoint is not None and checkpoint == reference_checkpoint
+            )
+            identical = _state(resumed) == reference and same_checkpoint
             failures += 0 if identical else 1
             last_resumed = durability_summary(resumed)
             rows.append(
                 [
                     f"{mode}={value}",
                     resumed.resumed_from or "(fresh)",
-                    resumed.journal_records,
+                    "identical" if same_checkpoint else "DIFFERS",
                     "bit-identical" if identical else "MISMATCH",
                 ]
             )
@@ -96,7 +120,7 @@ def main() -> int:
     write_report(
         "crash",
         render_table(
-            ["kill point", "resumed from", "journal records", "verdict"],
+            ["kill point", "resumed from", "final checkpoint", "verdict"],
             rows,
             title=f"chaos matrix over {len(kill_points)} kill points "
             f"(synthetic domain, B_prc={B_PRC:g}c)",

@@ -126,7 +126,11 @@ def _add_durability(parser: argparse.ArgumentParser, chaos: bool = False) -> Non
         "--checkpoint-dir",
         metavar="DIR",
         default=None,
-        help="journal answers and checkpoint phase boundaries under DIR",
+        help=(
+            "keep resumable state under DIR (plan/evaluate: one checkpoint "
+            "rewritten at each phase boundary; serve: one append-only log; "
+            "sweep: per-cell results)"
+        ),
     )
     parser.add_argument(
         "--resume",
@@ -966,10 +970,12 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point (``python -m repro ...``).
 
     Exit codes: 0 on success, :data:`EXIT_CONFIGURATION_ERROR` (2) for
-    bad configuration, a damaged catalog, or a checkpoint or journal
+    bad configuration, a damaged catalog, or a checkpoint or serve log
     that cannot be resumed, :data:`EXIT_CRASH` (70) for an unexpected
     crash mid-run — in which case a ready-to-paste ``--resume`` command
-    is printed when a checkpoint directory holds recoverable state.
+    is printed when the checkpoint directory holds recoverable state (a
+    fresh plan, evaluate or serve removes an earlier run's state first,
+    so what a crash leaves there is its own).
     """
     effective_argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(effective_argv)
@@ -984,8 +990,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIGURATION_ERROR
     except DurabilityError as exc:
-        # A checkpoint or journal this build cannot trust: resuming it
-        # again would fail the same way, so no resume hint.
+        # A checkpoint or serve log this build cannot trust: resuming
+        # it again would fail the same way, so no resume hint.
         print(f"durability error: {exc}", file=sys.stderr)
         return EXIT_CONFIGURATION_ERROR
     except Exception as exc:  # noqa: BLE001 - crash boundary by design

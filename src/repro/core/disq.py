@@ -270,11 +270,6 @@ class DisQPlanner:
         set, the planner saves its full deterministic state at every
         phase boundary (atomically), which is what makes a resumed run
         bit-identical to an uninterrupted one.
-    journal:
-        Optional duck-typed write-ahead journal (a
-        :class:`repro.durability.journal.Journal`): attached to the
-        forked platform's recorder and ledger so every crowd
-        interaction is durable before it is applied.
     chaos:
         Optional duck-typed crash injector (a
         :class:`repro.durability.chaos.CrashInjector`) for the chaos
@@ -294,7 +289,6 @@ class DisQPlanner:
         b_prc_cents: float,
         params: DisQParams | None = None,
         checkpoints: object | None = None,
-        journal: object | None = None,
         chaos: object | None = None,
         resume: bool = False,
     ) -> None:
@@ -323,10 +317,6 @@ class DisQPlanner:
         # Durability hooks (duck-typed so this module never imports
         # repro.durability — that package imports this one).
         self._checkpoints = checkpoints
-        self._journal = journal
-        if journal is not None:
-            self.platform.recorder.journal = journal
-            self.platform.ledger.journal = journal
         if chaos is not None:
             self.platform.chaos = chaos
         #: Index into :data:`PHASES` of the last completed phase.
@@ -334,17 +324,8 @@ class DisQPlanner:
         self._restored_allocation: BudgetDistribution | None = None
         #: Phase name this run resumed from (None for a fresh run).
         self.resumed_from: str | None = None
-        #: Journal records already committed when the run resumed.
-        self.restored_journal_records = 0
         if resume and checkpoints is not None and checkpoints.exists():
             self._restore_checkpoint(checkpoints.load())
-            if journal is not None:
-                self.restored_journal_records = journal.record_count
-                journal.mark_resume(
-                    self.resumed_from,
-                    self.platform.recorder,
-                    self.platform.ledger,
-                )
 
     # ------------------------------------------------------------------
     # Public API
@@ -500,11 +481,6 @@ class DisQPlanner:
                 "platform": self.platform.capture_state(),
                 "allocation": (
                     dict(allocation.counts) if allocation is not None else None
-                ),
-                "journal_records": (
-                    self._journal.record_count
-                    if self._journal is not None
-                    else 0
                 ),
                 "metrics": sink.to_dict() if sink is not None else None,
             }
@@ -917,8 +893,8 @@ class DisQPlanner:
         The fitted model is kept on :attr:`reliability_model` so the
         online phase aggregates with the same precisions the allocator
         planned with.  Returns ``None`` (no adjustment) when no
-        attributed residuals exist, e.g. on tapes replayed from an old
-        provenance-free journal.
+        attributed residuals exist, e.g. on tapes restored from an old
+        provenance-free recorder snapshot.
         """
         groups: list[tuple[list[float], list[int]]] = []
         workers_by_attribute: dict[str, list[int]] = {}

@@ -202,8 +202,8 @@ class CrowdPlatform:
 
         #: Optional duck-typed chaos hook (a
         #: :class:`repro.durability.chaos.CrashInjector`).  Notified
-        #: *after* each batch is charged and journaled, so a simulated
-        #: crash never loses a paid interaction.
+        #: *after* each batch is charged and recorded, so a simulated
+        #: crash lands between two interactions, never inside one.
         self.chaos: object | None = None
 
     # ------------------------------------------------------------------

@@ -117,12 +117,6 @@ class CostLedger:
     #: ``None`` (the default) keeps the uninstrumented path to a single
     #: identity check.
     metrics: object | None = field(default=None, repr=False, compare=False)
-    #: Optional duck-typed write-ahead journal (a
-    #: :class:`repro.durability.journal.Journal`).  Every entry is
-    #: journaled *before* it mutates the ledger, so a crash between the
-    #: two leaves the journal strictly ahead — replay reapplies the
-    #: entry instead of losing it, and nothing is double-charged.
-    journal: object | None = field(default=None, repr=False, compare=False)
 
     @property
     def total_spent(self) -> float:
@@ -140,8 +134,6 @@ class CostLedger:
             raise ConfigurationError(f"unknown ledger category: {category!r}")
         if cost < 0 or count < 0:
             raise ConfigurationError("ledger entries must be non-negative")
-        if self.journal is not None:
-            self.journal.record_ledger("charge", category, cost=cost, count=count)
         self.spent_by_category[category] += cost
         self.questions_by_category[category] += count
         if self.metrics is not None:
@@ -164,8 +156,6 @@ class CostLedger:
             raise ConfigurationError(f"unknown ledger category: {category!r}")
         if count < 0:
             raise ConfigurationError("ledger entries must be non-negative")
-        if self.journal is not None:
-            self.journal.record_ledger("retry", category, count=count)
         self.retries_by_category[category] += count
         if self.metrics is not None:
             self.metrics.inc(f"crowd.retries.{category}", count)
@@ -191,8 +181,6 @@ class CostLedger:
             raise ConfigurationError(f"unknown ledger category: {category!r}")
         if cost < 0 or count < 0:
             raise ConfigurationError("ledger entries must be non-negative")
-        if self.journal is not None:
-            self.journal.record_ledger("saving", category, cost=cost, count=count)
         self.saved_by_category[category] += cost
         self.saved_answers_by_category[category] += count
         if self.metrics is not None:
@@ -205,8 +193,6 @@ class CostLedger:
             raise ConfigurationError(f"unknown ledger category: {category!r}")
         if count < 0:
             raise ConfigurationError("ledger entries must be non-negative")
-        if self.journal is not None:
-            self.journal.record_ledger("abandon", category, count=count)
         self.abandons_by_category[category] += count
         if self.metrics is not None:
             self.metrics.inc(f"crowd.abandons.{category}", count)
@@ -214,9 +200,9 @@ class CostLedger:
     def snapshot(self) -> dict[str, dict]:
         """JSON-serialisable copy of the full ledger state.
 
-        Used by checkpoints and journal resume markers; restore with
-        :meth:`restore`.  For before/after spend diffs, read
-        ``snapshot()["spent_by_category"]``.
+        Used by the planner's checkpoints and the serve log's commit
+        records; restore with :meth:`restore`.  For before/after spend
+        diffs, read ``snapshot()["spent_by_category"]``.
         """
         return {
             "spent_by_category": dict(self.spent_by_category),
@@ -230,8 +216,9 @@ class CostLedger:
     def restore(self, payload: dict) -> None:
         """Replace all counters with a :meth:`snapshot` payload (in place).
 
-        Neither the metrics sink nor the journal sees restored entries:
-        both already observed them when the entries were first recorded.
+        The metrics sink does not see restored entries: it observed
+        them when they were first recorded (a resumed planner merges
+        the checkpointed metrics instead).
         """
         self.spent_by_category = {
             str(k): float(v) for k, v in payload["spent_by_category"].items()

@@ -29,14 +29,7 @@ ExampleRecord = tuple[int, dict[str, float]]
 
 
 class AnswerRecorder:
-    """Append-only store of crowd answers keyed by question identity.
-
-    When ``journal`` is set (duck-typed against
-    :class:`repro.durability.journal.Journal`), every *freshly
-    generated* answer is journaled before it joins a tape — replayed
-    prefixes cost nothing and are not re-journaled — so replaying the
-    journal reconstructs the recorder exactly.
-    """
+    """Append-only store of crowd answers keyed by question identity."""
 
     def __init__(self) -> None:
         self._values: dict[tuple[int, str], list[float]] = {}
@@ -49,7 +42,6 @@ class AnswerRecorder:
         #: :meth:`value_worker_ids`), so pre-attribution answers need no
         #: retroactive padding.
         self._value_workers: dict[tuple[int, str], list[int]] = {}
-        self.journal: object | None = None
 
     # ------------------------------------------------------------------
     # Generic prefix access
@@ -58,17 +50,13 @@ class AnswerRecorder:
     def _extend_to(
         self,
         store: dict[Hashable, list[T]],
-        kind: str,
         key: Hashable,
         length: int,
         generate: Callable[[], T],
     ) -> list[T]:
         sequence = store.setdefault(key, [])
         while len(sequence) < length:
-            item = generate()
-            if self.journal is not None:
-                self.journal.record_answer(kind, key, len(sequence), item)
-            sequence.append(item)
+            sequence.append(generate())
         return sequence
 
     # ------------------------------------------------------------------
@@ -85,7 +73,7 @@ class AnswerRecorder:
     ) -> list[float]:
         """Answers ``start .. start+count`` for one (object, attribute)."""
         sequence = self._extend_to(
-            self._values, "value", (object_id, attribute), start + count, generate
+            self._values, (object_id, attribute), start + count, generate
         )
         return sequence[start : start + count]
 
@@ -100,21 +88,16 @@ class AnswerRecorder:
         """Like :meth:`value_answers`, with per-answer worker provenance.
 
         ``generate`` returns ``(answer, worker_id)`` pairs; the worker
-        id is journaled with the answer and kept on a parallel tape so
-        reliability inference can pool residuals per worker.  Replayed
-        prefixes return whatever provenance was recorded when they were
-        first generated (:data:`UNATTRIBUTED` for answers that predate
-        attribution).
+        id is kept on a parallel tape so reliability inference can pool
+        residuals per worker.  Replayed prefixes return whatever
+        provenance was recorded when they were first generated
+        (:data:`UNATTRIBUTED` for answers that predate attribution).
         """
         key = (object_id, attribute)
         sequence = self._values.setdefault(key, [])
         workers = self._value_workers.setdefault(key, [])
         while len(sequence) < start + count:
             answer, worker = generate()
-            if self.journal is not None:
-                self.journal.record_answer(
-                    "value", key, len(sequence), answer, worker=worker
-                )
             # Pad the provenance tape up to this index first, so the
             # fresh id lands aligned even after unattributed history.
             while len(workers) < len(sequence):
@@ -136,18 +119,6 @@ class AnswerRecorder:
             for i in range(start, start + count)
         ]
 
-    def note_value_worker(
-        self, object_id: int, attribute: str, index: int, worker: int
-    ) -> None:
-        """Record provenance for one already-stored answer (journal replay)."""
-        workers = self._value_workers.setdefault((object_id, attribute), [])
-        while len(workers) < index:
-            workers.append(UNATTRIBUTED)
-        if index == len(workers):
-            workers.append(int(worker))
-        else:
-            workers[index] = int(worker)
-
     def attributed_value_tapes(
         self,
     ) -> Iterator[tuple[tuple[int, str], list[float], list[int]]]:
@@ -166,7 +137,7 @@ class AnswerRecorder:
     ) -> list[str]:
         """Dismantling answers ``start .. start+count`` for one attribute."""
         sequence = self._extend_to(
-            self._dismantles, "dismantle", attribute, start + count, generate
+            self._dismantles, attribute, start + count, generate
         )
         return sequence[start : start + count]
 
@@ -180,7 +151,7 @@ class AnswerRecorder:
     ) -> list[bool]:
         """Verification votes ``start .. start+count`` for one pair."""
         sequence = self._extend_to(
-            self._votes, "verification", (attribute, candidate), start + count, generate
+            self._votes, (attribute, candidate), start + count, generate
         )
         return sequence[start : start + count]
 
@@ -193,7 +164,7 @@ class AnswerRecorder:
     ) -> list[ExampleRecord]:
         """Example records ``start .. start+count`` for one target tuple."""
         sequence = self._extend_to(
-            self._examples, "example", targets, start + count, generate
+            self._examples, targets, start + count, generate
         )
         return sequence[start : start + count]
 
@@ -229,8 +200,8 @@ class AnswerRecorder:
         Entry shapes: ``value`` → ``[object, attribute, length]``,
         ``dismantle`` → ``[attribute, length]``, ``verification`` →
         ``[attribute, candidate, length]``, ``example`` →
-        ``[[targets...], length]``.  Journal resume markers embed this
-        so replay can rewind to a checkpoint's exact state.
+        ``[[targets...], length]``.  A compact census of what the
+        recorder holds, e.g. which objects have value answers.
         """
         return {
             "value": [
@@ -257,8 +228,8 @@ class AnswerRecorder:
     def restore(self, payload: dict) -> None:
         """Replace all tapes with a :meth:`snapshot` payload (in place).
 
-        Bypasses the journal: restoring a checkpoint re-installs
-        answers that were already journaled when first generated.
+        How a checkpoint restore re-installs the answers bought before
+        it; nothing is generated, so no answer is bought twice.
         """
         other = AnswerRecorder.from_dict(payload)
         self._values = other._values

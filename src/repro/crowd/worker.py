@@ -23,60 +23,6 @@ import numpy as np
 from repro.domains.base import IRRELEVANT, Domain
 
 
-def clip_binary(values: np.ndarray, binary) -> np.ndarray:
-    """In-place ``[0, 1]`` clip over all lanes (or a lane mask).
-
-    ``binary`` is ``True``/``False`` for a single-attribute batch, or a
-    boolean lane mask when lanes mix binary and continuous attributes.
-    Uses the same ufunc as the scalar ``np.clip`` call, so clipped
-    lanes are bit-identical to the scalar path.
-    """
-    if binary is True:
-        np.clip(values, 0.0, 1.0, out=values)
-    elif binary is not False:
-        np.clip(values, 0.0, 1.0, out=values, where=binary)
-    return values
-
-
-def honest_values(truths, noise_sds, normals, binary) -> np.ndarray:
-    """Vectorized :meth:`HonestWorker.answer_value_stateless` core.
-
-    ``truths + normal(0, sd)`` per lane, clipped on binary lanes.  The
-    ``+ 0.0`` mirrors ``Generator.normal``'s ``loc + scale * z`` (it
-    canonicalizes ``-0.0`` noise to ``+0.0``), keeping every lane
-    bit-identical to the scalar draw.
-    """
-    values = np.asarray(noise_sds, dtype=np.float64) * normals
-    values += 0.0
-    values += truths
-    return clip_binary(values, binary)
-
-
-def biased_shift(values, biases, binary) -> np.ndarray:
-    """Vectorized :class:`BiasedWorker` post-shift (in place).
-
-    Adds the persistent per-(worker, attribute) bias *after* the honest
-    clip and re-clips binary lanes — the same two-clip order as the
-    scalar path, which is observable when an answer saturates a bound.
-    Lanes with bias ``0.0`` (honest workers in a mixed batch) are
-    unchanged bit for bit: honest values are never ``-0.0`` (noise is
-    canonicalized and the clip bounds are positive zeros).
-    """
-    values += biases
-    return clip_binary(values, binary)
-
-
-def spam_values(lows, highs, uniforms) -> np.ndarray:
-    """Vectorized :meth:`SpamWorker.answer_value_stateless` core.
-
-    ``low + (high - low) * u`` per lane — the exact arithmetic of
-    ``Generator.uniform(low, high)``.
-    """
-    values = (np.asarray(highs, dtype=np.float64) - lows) * uniforms
-    values += lows
-    return values
-
-
 class Worker(ABC):
     """One crowd member with a private random stream.
 
@@ -148,28 +94,6 @@ class Worker(ABC):
         raise NotImplementedError(
             f"{type(self).__name__} does not support stateless value answers"
         )
-
-    def answer_values_stateless(
-        self,
-        domain: Domain,
-        object_ids: np.ndarray,
-        attribute: str,
-        variates: np.ndarray,
-    ) -> np.ndarray:
-        """Vectorized :meth:`answer_value_stateless` over one attribute.
-
-        ``variates`` are this worker type's raw unit draws — standard
-        normals for the honest family, unit uniforms for spammers —
-        already extracted from each lane's per-coordinate generator.
-        Must return bit-identical values to the scalar method lane by
-        lane; the batched stream only routes lanes here when the
-        worker's exact type is known to honour that contract.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support batched value answers"
-        )
-
-    # -- helpers ---------------------------------------------------------
 
     def _resolve_irrelevant(self, domain: Domain, attribute: str) -> str:
         """Pick a uniformly random attribute genuinely unrelated to ``attribute``.
@@ -251,25 +175,6 @@ class HonestWorker(Worker):
         if domain.is_binary(attribute):
             answer = float(np.clip(answer, 0.0, 1.0))
         return float(answer)
-
-    def answer_values_stateless(
-        self,
-        domain: Domain,
-        object_ids: np.ndarray,
-        attribute: str,
-        variates: np.ndarray,
-    ) -> np.ndarray:
-        truths = np.array(
-            [domain.true_value(int(oid), attribute) for oid in object_ids],
-            dtype=np.float64,
-        )
-        noise_sd = np.sqrt(self.skill * domain.difficulty(attribute))
-        return honest_values(
-            truths,
-            noise_sd,
-            np.asarray(variates, dtype=np.float64),
-            bool(domain.is_binary(attribute)),
-        )
 
     def answer_dismantle(self, domain: Domain, attribute: str) -> str:
         distribution = domain.dismantle_distribution(attribute)
@@ -360,22 +265,6 @@ class BiasedWorker(HonestWorker):
             self._stateless_biases[attribute] = cached
         return cached
 
-    def answer_values_stateless(
-        self,
-        domain: Domain,
-        object_ids: np.ndarray,
-        attribute: str,
-        variates: np.ndarray,
-    ) -> np.ndarray:
-        values = super().answer_values_stateless(
-            domain, object_ids, attribute, variates
-        )
-        return biased_shift(
-            values,
-            self.stateless_bias(domain, attribute),
-            bool(domain.is_binary(attribute)),
-        )
-
     def state_dict(self) -> dict:
         # Biases are drawn lazily from the worker RNG; without them a
         # restored worker would redraw and shift its random stream.
@@ -459,24 +348,6 @@ class CollusionRingWorker(HonestWorker):
         if domain.is_binary(attribute):
             answer = float(np.clip(answer, 0.0, 1.0))
         return answer
-
-    def answer_values_stateless(
-        self,
-        domain: Domain,
-        object_ids: np.ndarray,
-        attribute: str,
-        variates: np.ndarray,
-    ) -> np.ndarray:
-        values = super().answer_values_stateless(
-            domain, object_ids, attribute, variates
-        )
-        biases = np.array(
-            [
-                self._ring_bias(domain, attribute, object_id)
-                for object_id in object_ids
-            ]
-        )
-        return biased_shift(values, biases, bool(domain.is_binary(attribute)))
 
 
 class DriftingWorker(HonestWorker):
@@ -593,16 +464,6 @@ class SpamWorker(Worker):
     ) -> float:
         low, high = domain.answer_range(attribute)
         return float(rng.uniform(low, high))
-
-    def answer_values_stateless(
-        self,
-        domain: Domain,
-        object_ids: np.ndarray,
-        attribute: str,
-        variates: np.ndarray,
-    ) -> np.ndarray:
-        low, high = domain.answer_range(attribute)
-        return spam_values(low, high, np.asarray(variates, dtype=np.float64))
 
     def answer_dismantle(self, domain: Domain, attribute: str) -> str:
         candidates = [name for name in domain.attributes() if name != attribute]

@@ -1,19 +1,18 @@
-"""Crash safety for the preprocessing pipeline.
+"""Crash safety for the preprocessing pipeline and the serving engine.
 
 The paper's crowd answers were "recorded in a database and reused in
 following experiments" (Section 5) precisely because crowd answers are
 expensive and slow to re-buy.  This package makes the in-memory
 pipeline state durable:
 
-* :mod:`~repro.durability.journal` — a write-ahead JSONL log of every
-  crowd interaction (answers, charges, retries), checksummed per
-  record so a torn tail is detected and truncated, never double
-  counted.  Replaying a journal reconstructs the
-  :class:`~repro.crowd.recording.AnswerRecorder` and
-  :class:`~repro.crowd.pricing.CostLedger` exactly.
 * :mod:`~repro.durability.checkpoint` — atomic phase-boundary
   snapshots of the full DisQ planner state (statistics, frontier,
-  allocation, platform RNGs), written via temp-file + ``os.replace``.
+  allocation, platform RNGs, recorder tapes, ledger), written via
+  temp-file + ``os.replace``.  The checkpoint is the planner's one
+  durable artifact.
+* :mod:`~repro.durability.journal` — the append-only JSONL record
+  format of the serving engine's log, checksummed per record so a
+  torn tail is detected and truncated, never double counted.
 * :mod:`~repro.durability.chaos` — a :class:`CrashInjector` that
   raises :class:`SimulatedCrash` at configurable interaction counts or
   phase boundaries, for the crash/resume test matrix.
@@ -25,10 +24,9 @@ pipeline state durable:
 
 from repro.durability.chaos import CrashInjector, SimulatedCrash
 from repro.durability.checkpoint import CheckpointStore, atomic_write_text
-from repro.durability.journal import Journal, JournalReplay, read_journal, replay_journal
+from repro.durability.journal import Journal, read_journal
 from repro.durability.recovery import (
     CHECKPOINT_FILENAME,
-    JOURNAL_FILENAME,
     RecoveredRun,
     durability_summary,
     run_disq,
@@ -36,16 +34,13 @@ from repro.durability.recovery import (
 
 __all__ = [
     "CHECKPOINT_FILENAME",
-    "JOURNAL_FILENAME",
     "CheckpointStore",
     "CrashInjector",
     "Journal",
-    "JournalReplay",
     "RecoveredRun",
     "SimulatedCrash",
     "atomic_write_text",
     "durability_summary",
     "read_journal",
-    "replay_journal",
     "run_disq",
 ]

@@ -17,11 +17,11 @@ from repro.errors import ConfigurationError
 
 #: Kill points inside the serving engine's wave loop, in wave order.
 #: ``serve.need`` fires after the serial need-computation, ``serve.
-#: generate`` after parallel answer generation (before any side
-#: effect), ``serve.commit`` after the charge/journal/insert loop,
+#: generate`` after batched answer generation (before any side
+#: effect), ``serve.commit`` after the per-key charge/log/insert loop,
 #: ``serve.evaluate`` after query evaluation, and ``serve.wave`` after
-#: the wave checkpoint is written — mirroring the offline pipeline's
-#: post-checkpoint phase boundaries.
+#: the wave's commit record is synced — mirroring the offline
+#: pipeline's post-checkpoint phase boundaries.
 SERVE_PHASES = (
     "serve.need",
     "serve.generate",
@@ -56,8 +56,10 @@ class CrashInjector:
     at_interactions:
         Crash once this many crowd answers have been paid for (the
         platform notes every charged batch).  The crash fires *after*
-        the batch that crosses the threshold is charged and journaled,
-        mimicking a process death between two interactions.
+        the batch that crosses the threshold is charged, mimicking a
+        process death between two interactions; the answers bought
+        since the last checkpoint die with it, and resume asks for
+        them again.
     at_phase:
         Crash at this phase boundary (one of
         :data:`~repro.core.disq.PHASES` for the offline pipeline, or

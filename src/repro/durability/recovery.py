@@ -1,22 +1,24 @@
 """The crash-safe DisQ entry point: :func:`run_disq`.
 
-Given a checkpoint directory, :func:`run_disq` arranges the full
-durability stack around one :class:`~repro.core.disq.DisQPlanner` run:
+Given a checkpoint directory, :func:`run_disq` attaches a
+:class:`~repro.durability.checkpoint.CheckpointStore` to one
+:class:`~repro.core.disq.DisQPlanner` run.  The store keeps one file,
+``<dir>/disq.checkpoint.json``, rewritten atomically at every phase
+boundary with the complete deterministic state: planner bookkeeping,
+statistics, allocation, and the platform's RNGs, cursors, budget,
+ledger and recorder tapes.
 
-* a write-ahead :class:`~repro.durability.journal.Journal` under
-  ``<dir>/journal.jsonl`` receives every crowd interaction before it is
-  applied;
-* a :class:`~repro.durability.checkpoint.CheckpointStore` under
-  ``<dir>/disq.checkpoint.json`` captures the complete deterministic
-  state at every phase boundary;
-* with ``resume=True`` an interrupted run restores the checkpoint and
-  re-executes only the remaining phases — producing a plan, model and
-  ledger bit-identical to a run that never crashed, with zero
-  re-purchased answers (the journal and recorder tapes make replayed
-  questions free).
+* A fresh run owns its directory: it removes an earlier run's
+  checkpoint before it asks its first question, so a crash can only
+  ever leave this run's own state behind.
+* With ``resume=True`` an interrupted run restores the checkpoint and
+  re-executes only the remaining phases.  Answers bought after the
+  last phase boundary were lost with the crash; the restored RNGs ask
+  for exactly the same ones again, so the plan, model, ledger and
+  final checkpoint are bit-identical to a run that never crashed.
 
-Without a checkpoint directory the function degrades to a plain
-planner run, so callers can use one code path for both modes.
+Without a checkpoint directory the function is a plain planner run,
+so callers can use one code path for both modes.
 """
 
 from __future__ import annotations
@@ -28,11 +30,13 @@ from repro.core.disq import DisQParams, DisQPlanner
 from repro.core.model import PreprocessingPlan, Query
 from repro.crowd.platform import CrowdPlatform
 from repro.durability.checkpoint import CheckpointStore
-from repro.durability.journal import Journal
 
-#: File names used inside a checkpoint directory.
+#: The checkpoint's file name inside a checkpoint directory.
 CHECKPOINT_FILENAME = "disq.checkpoint.json"
-JOURNAL_FILENAME = "journal.jsonl"
+
+#: The write-ahead answer journal earlier builds kept beside the
+#: checkpoint.  No build's resume reads it; every run removes it.
+_OLD_JOURNAL = "journal.jsonl"
 
 
 @dataclass
@@ -48,22 +52,15 @@ class RecoveredRun:
         ledger and recorder — useful for audits and the online phase).
     resumed_from:
         Phase name the run resumed from, or ``None`` for a fresh run.
-    journal_records:
-        Committed journal records after the run (0 when unjournaled).
-    journal_truncated_bytes:
-        Bytes of torn trailing record the journal discarded on open.
-    checkpoint_path / journal_path:
-        Where the durability artifacts live (``None`` without a
-        checkpoint directory).
+    checkpoint_path:
+        Where the checkpoint lives (``None`` without a checkpoint
+        directory).
     """
 
     plan: PreprocessingPlan
     planner: DisQPlanner
     resumed_from: str | None = None
-    journal_records: int = 0
-    journal_truncated_bytes: int = 0
     checkpoint_path: Path | None = None
-    journal_path: Path | None = None
 
     @property
     def resumed(self) -> bool:
@@ -83,61 +80,42 @@ def run_disq(
 ) -> RecoveredRun:
     """Run the DisQ offline phase with optional crash safety.
 
-    With ``checkpoint_dir`` set, every crowd interaction is journaled
-    write-ahead and every phase boundary checkpointed atomically; pass
-    ``resume=True`` after a crash to continue from the saved state.
+    With ``checkpoint_dir`` set, every phase boundary is checkpointed
+    atomically; pass ``resume=True`` after a crash to continue from the
+    saved state.  Without ``resume`` the run starts over: it first
+    removes any checkpoint in ``checkpoint_dir``.  Either way it
+    removes the answer journal an older build may have left there.
     ``chaos`` (a :class:`~repro.durability.chaos.CrashInjector`) kills
     the run at its configured point; the :class:`SimulatedCrash` it
     raises propagates to the caller exactly like a process death would.
     """
-    if checkpoint_dir is None:
-        planner = DisQPlanner(
-            platform, query, b_obj_cents, b_prc_cents, params, chaos=chaos
-        )
-        return RecoveredRun(plan=planner.preprocess(), planner=planner)
-
-    directory = Path(checkpoint_dir)
-    checkpoints = CheckpointStore(directory, CHECKPOINT_FILENAME)
-    journal = Journal(directory / JOURNAL_FILENAME)
-    try:
-        planner = DisQPlanner(
-            platform,
-            query,
-            b_obj_cents,
-            b_prc_cents,
-            params,
-            checkpoints=checkpoints,
-            journal=journal,
-            chaos=chaos,
-            resume=resume,
-        )
-        plan = planner.preprocess()
-        return RecoveredRun(
-            plan=plan,
-            planner=planner,
-            resumed_from=planner.resumed_from,
-            journal_records=journal.record_count,
-            journal_truncated_bytes=journal.truncated_bytes,
-            checkpoint_path=checkpoints.path,
-            journal_path=journal.path,
-        )
-    finally:
-        # Closed even when a (simulated) crash propagates: the journal
-        # is flushed per record, so nothing committed is ever lost.
-        # Detach it from the (shared) recorder too — the online phase
-        # reuses that recorder and must not write to a closed journal;
-        # the journal's scope is the offline B_prc spend.
-        journal.close()
-        if getattr(platform.recorder, "journal", None) is journal:
-            platform.recorder.journal = None
+    checkpoints = None
+    if checkpoint_dir is not None:
+        checkpoints = CheckpointStore(Path(checkpoint_dir), CHECKPOINT_FILENAME)
+        (checkpoints.directory / _OLD_JOURNAL).unlink(missing_ok=True)
+        if not resume:
+            checkpoints.path.unlink(missing_ok=True)
+    planner = DisQPlanner(
+        platform,
+        query,
+        b_obj_cents,
+        b_prc_cents,
+        params,
+        checkpoints=checkpoints,
+        chaos=chaos,
+        resume=resume,
+    )
+    return RecoveredRun(
+        plan=planner.preprocess(),
+        planner=planner,
+        resumed_from=planner.resumed_from,
+        checkpoint_path=checkpoints.path if checkpoints is not None else None,
+    )
 
 
 def durability_summary(run: RecoveredRun) -> dict:
     """The manifest ``durability`` section for one run."""
-    summary: dict = {
-        "resumed": run.resumed,
-        "journal_records": run.journal_records,
-    }
+    summary: dict = {"resumed": run.resumed}
     if run.resumed_from is not None:
         summary["resumed_from"] = run.resumed_from
     if run.checkpoint_path is not None:

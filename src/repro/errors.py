@@ -112,12 +112,13 @@ class DurabilityError(ReproError):
 
 
 class JournalCorruptionError(DurabilityError):
-    """Raised when a write-ahead journal cannot be replayed.
+    """Raised when a journal (the serving engine's log) cannot be read.
 
     A *trailing* half-written record is not corruption — the journal
     detects it by checksum and truncates it on open.  This error means
     the damage is unrecoverable: a bad checksum or sequence gap in the
-    middle of the file, or replayed records that contradict each other.
+    middle of the file, or records the engine cannot fold (an unknown
+    kind, a purchase that contradicts the records before it).
     """
 
 
@@ -147,7 +148,7 @@ class CatalogCorruptionError(CatalogError):
     """Raised when a catalog entry file cannot be read back intact.
 
     Covers torn or truncated files (invalid JSON), checksum mismatches
-    and schema-version drift.  Unlike the answer journal's torn *tail*
+    and schema-version drift.  Unlike the serve log's torn *tail*
     — which is expected after a crash and repaired on open — a catalog
     entry is written atomically, so any damage means the file was
     tampered with or the storage failed; the entry must be rebuilt

@@ -51,7 +51,10 @@ from repro.errors import ConfigurationError
 #: front-end).
 #: v6: removed ``serve.shards`` with the sharded engine (the serving
 #: tier runs one serial shard).
-SCHEMA_VERSION = 6
+#: v7: the ``durability`` section no longer counts journal records and
+#: requires only ``resumed``: the planner's answer journal is gone (a
+#: durable plan keeps only its checkpoint).
+SCHEMA_VERSION = 7
 
 _NUMBER_MAP = {"type": "object", "additionalProperties": {"type": "number"}}
 _INTEGER_MAP = {"type": "object", "additionalProperties": {"type": "integer"}}
@@ -152,10 +155,9 @@ MANIFEST_SCHEMA = {
         },
         "durability": {
             "type": "object",
-            "required": ["resumed", "journal_records"],
+            "required": ["resumed"],
             "properties": {
                 "resumed": {"type": "boolean"},
-                "journal_records": {"type": "integer"},
                 "resumed_from": {"type": "string"},
                 "checkpoint": {"type": "string"},
             },

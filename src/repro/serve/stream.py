@@ -33,12 +33,12 @@ processes and Python versions), never ``hash()`` (salted per process).
 source of truth but derives a whole wave's draws at once through the
 vectorized kernels in :mod:`repro.serve.vecrng`: one entropy matrix row
 per answer coordinate, one batched PCG64 step per draw, and the worker
-math applied as array ops (:meth:`~repro.crowd.worker.Worker.
-answer_values_stateless`).  Lanes the kernels cannot finish exactly —
-ziggurat wedge/tail rejections, Lemire redraws, worker types without a
-vectorized contract — are replayed through the scalar
-:meth:`DeterministicValueStream.answer`, so the batched stream is
-byte-identical to the scalar one on every lane.
+math applied as array ops over the whole wave
+(:meth:`BatchedValueStream._worker_math`).  Lanes the kernels cannot
+finish exactly — ziggurat wedge/tail rejections, Lemire redraws,
+worker types without a vectorized contract — are replayed through the
+scalar :meth:`DeterministicValueStream.answer`, so the batched stream
+is byte-identical to the scalar one on every lane.
 """
 
 from __future__ import annotations

@@ -223,7 +223,33 @@ class TestCliDurability:
         assert "plan for targets attr_00" in out
         payload = json.loads(open(manifest).read())
         assert payload["durability"]["resumed"] is True
-        assert payload["durability"]["journal_records"] > 0
+        assert payload["durability"]["resumed_from"] in (
+            "examples", "statistics", "dismantle", "allocate"
+        )
+        assert [path.name for path in (tmp_path / "ck").iterdir()] == [
+            "disq.checkpoint.json"
+        ]
+
+    def test_fresh_plan_over_used_dir_resumes(self, tmp_path, capsys):
+        from repro.cli import EXIT_CRASH, main
+
+        used = str(tmp_path / "used")
+        assert main(self.PLAN + ["--checkpoint-dir", used]) == 0
+        capsys.readouterr()
+        # Another budget: the finished run's checkpoint would be refused.
+        plan = list(self.PLAN)
+        plan[plan.index("--b-prc") + 1] = "500"
+        assert main(plan) == 0
+        plain = capsys.readouterr().out
+        code = main(plan + ["--checkpoint-dir", used, "--chaos-after", "5"])
+        assert code == EXIT_CRASH
+        # The crash came before the fresh run's first checkpoint, and
+        # the finished run's went before its first question: nothing to
+        # resume from, so no hint.
+        assert "resume with:" not in capsys.readouterr().err
+        assert list((tmp_path / "used").iterdir()) == []
+        assert main(plan + ["--checkpoint-dir", used, "--resume"]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_sweep_checkpoint_resume(self, tmp_path, capsys):
         from repro.cli import main

@@ -1,57 +1,36 @@
-"""Property-based tests: journal round-trips for arbitrary interleavings.
+"""Property-based tests: journal round-trips for arbitrary record lists.
 
-The journal's contract is that write → replay reconstructs the live
-``AnswerRecorder`` and ``CostLedger`` exactly, whatever order value /
-dismantle / verification / example answers and ledger events arrive in,
-and that a corrupted final record (a torn write) is discarded without
-affecting the committed prefix.
+The journal's contract is that :func:`read_journal` returns exactly the
+records appended — without the journal's own ``seq`` and ``crc``
+fields — whatever they hold, and that a corrupted final record (a torn
+write) is discarded without affecting the committed prefix.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crowd.pricing import CATEGORIES, CostLedger
-from repro.crowd.recording import AnswerRecorder
-from repro.durability.journal import Journal, read_journal, replay_journal
+from repro.durability.journal import Journal, read_journal
 
-ATTRIBUTES = ("alpha", "beta")
-CANDIDATES = ("c1", "c2")
-
-finite_floats = st.floats(
-    min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False
-)
-
-value_op = st.tuples(
-    st.just("value"),
-    st.integers(min_value=0, max_value=3),
-    st.sampled_from(ATTRIBUTES),
-    finite_floats,
-)
-dismantle_op = st.tuples(
-    st.just("dismantle"), st.sampled_from(ATTRIBUTES), st.sampled_from(CANDIDATES)
-)
-verification_op = st.tuples(
-    st.just("verification"),
-    st.sampled_from(ATTRIBUTES),
-    st.sampled_from(CANDIDATES),
-    st.booleans(),
-)
-example_op = st.tuples(
-    st.just("example"),
-    st.sampled_from([("alpha",), ("alpha", "beta")]),
-    st.integers(min_value=0, max_value=3),
-    finite_floats,
-)
-ledger_op = st.tuples(
-    st.sampled_from(["charge", "retry", "abandon"]),
-    st.sampled_from(sorted(CATEGORIES)),
-    finite_floats,
-    st.integers(min_value=1, max_value=3),
+#: JSON-safe record values, nested like the serve log's records
+#: (purchases carry answer lists, commits a ledger mapping).
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**53), max_value=2**53)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
 )
 
-operations = st.lists(
-    st.one_of(value_op, dismantle_op, verification_op, example_op, ledger_op),
-    max_size=40,
+records = st.lists(
+    st.dictionaries(
+        st.text(max_size=8).filter(lambda key: key not in ("seq", "crc")),
+        json_values,
+        max_size=5,
+    ),
+    max_size=30,
 )
 
 #: Torn-tail bytes: anything without a newline (a newline would split
@@ -64,91 +43,50 @@ torn_tail = st.binary(min_size=0, max_size=60).map(
 )
 
 
-def apply_operations(journal, operations):
-    """Drive a journal-backed recorder + ledger through ``operations``."""
-    recorder = AnswerRecorder()
-    ledger = CostLedger()
-    recorder.journal = journal
-    ledger.journal = journal
-    for op in operations:
-        kind = op[0]
-        if kind == "value":
-            _, object_id, attribute, answer = op
-            start = recorder.recorded_value_count(object_id, attribute)
-            recorder.value_answers(
-                object_id, attribute, start, 1, lambda: answer
-            )
-        elif kind == "dismantle":
-            _, attribute, candidate = op
-            start = recorder.recorded_dismantle_count(attribute)
-            recorder.dismantle_answers(attribute, start, 1, lambda: candidate)
-        elif kind == "verification":
-            _, attribute, candidate, vote = op
-            start = len(recorder._votes.get((attribute, candidate), []))
-            recorder.verification_votes(
-                attribute, candidate, start, 1, lambda: vote
-            )
-        elif kind == "example":
-            _, targets, object_id, value = op
-            start = len(recorder._examples.get(targets, []))
-            record = (object_id, {t: value for t in targets})
-            recorder.examples(targets, start, 1, lambda: record)
-        elif kind == "charge":
-            _, category, cost, count = op
-            ledger.record(category, cost, count)
-        elif kind == "retry":
-            _, category, _, count = op
-            ledger.record_retry(category, count)
-        elif kind == "abandon":
-            _, category, _, count = op
-            ledger.record_abandon(category, count)
-    return recorder, ledger
+def write_records(path, appended):
+    with Journal(path) as journal:
+        for record in appended:
+            journal.append(record)
+
+
+def bodies(read):
+    """Records without the journal's own ``seq`` and ``crc`` fields."""
+    return [
+        {key: value for key, value in record.items() if key not in ("seq", "crc")}
+        for record in read
+    ]
 
 
 class TestJournalRoundTrip:
-    @given(operations)
-    @settings(max_examples=80, deadline=None)
-    def test_replay_reconstructs_exactly(self, tmp_path_factory, ops):
-        path = tmp_path_factory.mktemp("journal") / "journal.jsonl"
-        with Journal(path) as journal:
-            recorder, ledger = apply_operations(journal, ops)
-        replay = replay_journal(path)
-        assert replay.recorder.to_dict() == recorder.to_dict()
-        assert replay.ledger.snapshot() == ledger.snapshot()
-        assert replay.resumes == 0
-
-    @given(operations, torn_tail)
+    @given(records, torn_tail)
     @settings(max_examples=80, deadline=None)
     def test_corrupted_final_record_is_discarded(
-        self, tmp_path_factory, ops, garbage
+        self, tmp_path_factory, appended, garbage
     ):
         path = tmp_path_factory.mktemp("journal") / "journal.jsonl"
-        with Journal(path) as journal:
-            recorder, ledger = apply_operations(journal, ops)
+        write_records(path, appended)
+        assert bodies(read_journal(path)) == appended
         path.write_bytes(path.read_bytes() + garbage)
-        # Replay ignores the torn tail: the committed prefix is intact.
-        replay = replay_journal(path)
-        assert replay.recorder.to_dict() == recorder.to_dict()
-        assert replay.ledger.snapshot() == ledger.snapshot()
+        # Reading ignores the torn tail: the committed prefix is intact.
+        assert bodies(read_journal(path)) == appended
         # Reopening truncates the tail and keeps the sequence intact.
         with Journal(path) as reopened:
             assert reopened.truncated_bytes == len(garbage)
-            assert reopened.record_count == len(read_journal(path))
+            assert reopened.record_count == len(appended)
+            assert bodies(reopened.recovered) == appended
 
-    @given(operations)
+    @given(records)
     @settings(max_examples=40, deadline=None)
     def test_truncating_final_record_loses_exactly_one_operation(
-        self, tmp_path_factory, ops
+        self, tmp_path_factory, appended
     ):
         path = tmp_path_factory.mktemp("journal") / "journal.jsonl"
-        with Journal(path) as journal:
-            apply_operations(journal, ops)
-        full = read_journal(path)
-        if not full:
+        write_records(path, appended)
+        if not appended:
             return
         # Chop mid-way through the last record: a classic torn write.
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 3])
         survivors = read_journal(path)
-        assert [r["seq"] for r in survivors] == list(range(len(full) - 1))
-        replay_journal(path)  # still replays cleanly
+        assert [r["seq"] for r in survivors] == list(range(len(appended) - 1))
+        assert bodies(survivors) == appended[:-1]

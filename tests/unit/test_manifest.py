@@ -211,7 +211,6 @@ class TestDurabilitySection:
             NULL_OBS,
             durability={
                 "resumed": True,
-                "journal_records": 630,
                 "resumed_from": "allocate",
                 "checkpoint": "/tmp/ck/disq.checkpoint.json",
             },
@@ -222,12 +221,12 @@ class TestDurabilitySection:
     def test_minimal_section_is_valid(self):
         manifest = build_manifest(
             "durable", NULL_OBS,
-            durability={"resumed": False, "journal_records": 0},
+            durability={"resumed": False},
         )
         validate_manifest(manifest)
 
     def test_missing_required_keys_rejected(self):
         manifest = build_manifest("durable", NULL_OBS)
-        manifest["durability"] = {"resumed": True}
+        manifest["durability"] = {"resumed_from": "allocate"}
         errors = manifest_errors(manifest)
-        assert any("journal_records" in e for e in errors)
+        assert any("missing required key 'resumed'" in e for e in errors)

@@ -100,21 +100,6 @@ class TestAdversarialPersonas:
         assert stateless == pytest.approx(shared)
         assert stateful == pytest.approx(shared)
 
-    def test_ring_vectorized_path_matches_scalar_bias(self, tiny_domain):
-        ring = CollusionRingWorker(0, seed=11, ring_seed=99, bias_scale=2.0)
-        twin = HonestWorker(0, seed=11)
-        object_ids = np.array([0, 3, 7])
-        variates = np.array([0.5, -1.0, 2.0])
-        delta = ring.answer_values_stateless(
-            tiny_domain, object_ids, "target", variates.copy()
-        ) - twin.answer_values_stateless(
-            tiny_domain, object_ids, "target", variates.copy()
-        )
-        expected = [
-            ring._ring_bias(tiny_domain, "target", int(o)) for o in object_ids
-        ]
-        np.testing.assert_allclose(delta, expected)
-
     def test_drifting_worker_noise_grows_with_object_id(self, tiny_domain):
         worker = DriftingWorker(0, seed=2, drift_rate=0.5)
         early = worker._drifted_sd(tiny_domain, 0, "target")

@@ -155,28 +155,3 @@ class TestCostLedger:
         assert other.total_questions == ledger.total_questions
         assert other.total_retries == ledger.total_retries
         assert other.total_abandons == ledger.total_abandons
-
-    def test_restore_does_not_echo_into_journal(self):
-        events = []
-
-        class FakeJournal:
-            def record_ledger(self, event, category, cost=0.0, count=1):
-                events.append((event, category, cost, count))
-
-        ledger = CostLedger(journal=FakeJournal())
-        ledger.record("value", 0.4, 1)
-        assert events == [("charge", "value", 0.4, 1)]
-        ledger.restore(ledger.snapshot())
-        assert len(events) == 1
-
-    def test_journal_written_before_mutation(self):
-        class ExplodingJournal:
-            def record_ledger(self, *args, **kwargs):
-                raise RuntimeError("disk full")
-
-        ledger = CostLedger(journal=ExplodingJournal())
-        with pytest.raises(RuntimeError):
-            ledger.record("value", 0.4, 1)
-        # Write-ahead: the failed journal write left the ledger untouched.
-        assert ledger.total_spent == 0.0
-        assert ledger.total_questions == 0
