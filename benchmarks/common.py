@@ -71,11 +71,12 @@ def laptops_domain():
 def bench_parallel() -> ParallelConfig | None:
     """Sweep parallelism for the figure benches, from ``BENCH_WORKERS``.
 
-    ``BENCH_WORKERS=N`` (N > 1) fans repetitions over N worker
-    processes — results are bit-identical to serial, only the
-    wall-clock in the report footers changes.  Unset/0/1 keeps the
-    serial path (the right default on single-core CI runners, where
-    process fan-out only adds overhead).
+    ``BENCH_WORKERS=N`` (N > 1) makes the experiment engine
+    (:func:`repro.experiments.parallel.run_grid`) fan repetitions over
+    N worker processes — results are bit-identical to in-process runs,
+    only the wall-clock in the report footers changes.  Unset/0/1 runs
+    the repetitions in-process, one after another (the right default on
+    single-core runners, where process fan-out only adds overhead).
     """
     workers = int(os.environ.get("BENCH_WORKERS", "0"))
     if workers > 1:
@@ -91,10 +92,13 @@ def bench_obs() -> Observability:
     ``out/<name>.manifest.json`` next to its ``.txt`` report via
     :func:`write_bench_manifest`.  Unset keeps the shared no-op bundle:
     results are byte-identical either way, instrumentation only adds
-    the manifest.  Composes with ``BENCH_WORKERS``: worker processes
-    serialize their registries back for merging (see
-    :func:`repro.experiments.parallel.run_grid`), so counters in the
-    manifest equal a serial run's.
+    the manifest.  Composes with ``BENCH_WORKERS``: every repetition
+    records into its own registry, in a worker process or not, and the
+    bundle merges them in repetition order (see
+    :func:`repro.experiments.parallel.run_grid`), so the manifest's
+    counters do not depend on ``BENCH_WORKERS``.  Pool workers' phase
+    spans stay in the workers; in-process repetitions trace into the
+    bundle.
     """
     if os.environ.get("BENCH_MANIFEST"):
         return Observability.collecting()

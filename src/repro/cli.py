@@ -129,7 +129,7 @@ def _add_durability(parser: argparse.ArgumentParser, chaos: bool = False) -> Non
         help=(
             "keep resumable state under DIR (plan/evaluate: one checkpoint "
             "rewritten at each phase boundary; serve: one append-only log; "
-            "sweep: per-cell results)"
+            "sweep: one record per finished repetition)"
         ),
     )
     parser.add_argument(
@@ -225,6 +225,24 @@ def _validate_cents(name: str, value: float) -> float:
             f"{name} must be a finite, non-negative cent amount, got {value!r}"
         )
     return float(value)
+
+
+def _parse_values(text: str) -> list[float]:
+    """``--values`` as a list of validated cent amounts."""
+    try:
+        values = [float(value) for value in text.split(",")]
+    except ValueError:
+        raise ConfigurationError(
+            f"--values must be comma-separated cent amounts, got {text!r}"
+        ) from None
+    return [_validate_cents("--values", value) for value in values]
+
+
+def _validate_repetitions(value: int) -> int:
+    """Admission-time repetition count: at least one run per point."""
+    if value < 1:
+        raise ConfigurationError(f"--repetitions must be at least 1, got {value}")
+    return value
 
 
 def _parse_fault_profile(spec: str | None) -> FaultProfile | None:
@@ -394,6 +412,8 @@ def _build(args, obs: Observability | None = None) -> tuple:
 def cmd_plan(args) -> int:
     """Run the offline phase and print the plan."""
     _check_durability_flags(args)
+    _validate_cents("--b-obj", args.b_obj)
+    _validate_cents("--b-prc", args.b_prc)
     obs = _make_obs(args)
     domain, platform, query = _build(args, obs)
     params = DisQParams(n1=args.n1, **_agg_params(args))
@@ -433,6 +453,8 @@ def cmd_plan(args) -> int:
 def cmd_evaluate(args) -> int:
     """Plan, then run the online phase and report the query error."""
     _check_durability_flags(args)
+    _validate_cents("--b-obj", args.b_obj)
+    _validate_cents("--b-prc", args.b_prc)
     obs = _make_obs(args)
     domain, platform, query = _build(args, obs)
     params = DisQParams(n1=args.n1, **_agg_params(args))
@@ -680,15 +702,17 @@ def cmd_query(args) -> int:
 def cmd_sweep(args) -> int:
     """Sweep one budget axis across algorithms and print the series."""
     _check_durability_flags(args)
-    obs = _make_obs(args)
-    domain, _, query = _build(args)
+    _validate_cents("--b-obj", args.b_obj)
+    _validate_cents("--b-prc", args.b_prc)
+    values = _parse_values(args.values)
     config = ExperimentConfig(
         n_objects=args.n_objects,
         n1=args.n1,
-        repetitions=args.repetitions,
+        repetitions=_validate_repetitions(args.repetitions),
         eval_objects=args.objects,
     )
-    values = [float(v) for v in args.values.split(",")]
+    obs = _make_obs(args)
+    domain, _, query = _build(args)
     algorithms = args.algorithms.split(",")
     if args.axis == "b_obj":
         series = sweep_b_obj(
@@ -725,10 +749,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_coverage(args) -> int:
     """Run the gold-standard coverage experiment for one target."""
-    domain, _, _ = _build(args)
+    _validate_cents("--b-obj", args.b_obj)
+    _validate_cents("--b-prc", args.b_prc)
     config = ExperimentConfig(
-        n_objects=args.n_objects, n1=args.n1, repetitions=args.repetitions
+        n_objects=args.n_objects,
+        n1=args.n1,
+        repetitions=_validate_repetitions(args.repetitions),
     )
+    domain, _, _ = _build(args)
     result = coverage_experiment(
         domain, args.target[0], args.b_obj, args.b_prc, config
     )
@@ -974,8 +1002,8 @@ def main(argv: list[str] | None = None) -> int:
     that cannot be resumed, :data:`EXIT_CRASH` (70) for an unexpected
     crash mid-run — in which case a ready-to-paste ``--resume`` command
     is printed when the checkpoint directory holds recoverable state (a
-    fresh plan, evaluate or serve removes an earlier run's state first,
-    so what a crash leaves there is its own).
+    fresh plan, evaluate, serve or sweep removes an earlier run's state
+    first, so what a crash leaves there is its own).
     """
     effective_argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(effective_argv)

@@ -46,22 +46,6 @@ class AnswerSource(Protocol):
         ...
 
 
-class AttributedAnswerSource(AnswerSource, Protocol):
-    """An answer source that also knows *who* produced each answer.
-
-    Reliability-weighted aggregation needs per-answer worker ids;
-    sources that can supply them implement :meth:`fetch_attributed`
-    (one call returning both, so impure sources never double-purchase).
-    Positions without provenance use the ``-1`` sentinel.
-    """
-
-    def fetch_attributed(
-        self, object_id: int, attribute: str, n: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(answers, worker_ids)`` aligned 1:1, float64 / int64."""
-        ...
-
-
 class PlatformAnswerSource:
     """The paper-faithful source: every answer is bought from the crowd."""
 

@@ -108,10 +108,6 @@ class ExamplePool:
         """Stamp of ``attribute``'s batches here (0 if it has none)."""
         return self._attribute_stamps.get(attribute, 0)
 
-    def measured_attributes(self) -> tuple[str, ...]:
-        """Attributes with at least one answer batch in this pool."""
-        return tuple(self._answers)
-
     def n_measured(self, attribute: str) -> int:
         """Number of examples with answers for ``attribute``."""
         return len(self._answers.get(attribute, []))

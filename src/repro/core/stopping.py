@@ -135,11 +135,3 @@ class PreprocessingBudgetManager:
         committed = self.next_round_cost(expected_pools)
         committed += self.training_cost_estimate(n_attributes + 1)
         return self.budget.remaining >= committed
-
-    def can_afford_initial_setup(self, n_attributes: int) -> bool:
-        """Whether statistics collection for the query attributes fits."""
-        setup = self.n_targets * self.n1 * self.prices.example
-        setup += (
-            n_attributes * self.n_targets * self.k * self.n1 * self.average_value_price
-        )
-        return self.budget.remaining >= setup

@@ -190,14 +190,6 @@ class GaussianDomain(Domain):
         self.check_attribute(target)
         return self._spec.gold_standards.get(target, frozenset())
 
-    # ------------------------------------------------------------------
-    # Calibration helpers
-    # ------------------------------------------------------------------
-
-    def true_correlation_matrix(self) -> np.ndarray:
-        """Empirical correlation matrix of the sampled true values."""
-        return np.corrcoef(self._values, rowvar=False)
-
     def with_taxonomy(self, taxonomy: DismantleTaxonomy) -> "GaussianDomain":
         """Clone this domain with a replaced dismantling taxonomy.
 

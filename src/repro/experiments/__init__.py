@@ -4,10 +4,12 @@
   algorithm registry;
 * :mod:`~repro.experiments.runner` — run one algorithm once/averaged on
   shared recorded crowd answers ("equivalent settings" as in the paper);
+* :mod:`~repro.experiments.parallel` — the one experiment engine,
+  :func:`run_grid`: repetitions in-process or across worker processes
+  with identical results, and one fingerprinted checkpoint record per
+  finished repetition;
 * :mod:`~repro.experiments.sweeps` — budget sweeps (Figures 1, 3, 4) and
-  error-target inversion (Figure 2);
-* :mod:`~repro.experiments.parallel` — process-pool execution of
-  repetitions with results bit-identical to serial;
+  error-target inversion (Figure 2), as grids through :func:`run_grid`;
 * :mod:`~repro.experiments.coverage` — gold-standard attribute coverage
   (Section 5.3.1);
 * :mod:`~repro.experiments.robustness` — the Section 5.4 assumption
@@ -16,7 +18,7 @@
 """
 
 from repro.experiments.config import ALGORITHMS, ExperimentConfig
-from repro.experiments.parallel import ParallelConfig, run_averaged_parallel, run_grid
+from repro.experiments.parallel import ParallelConfig, run_grid
 from repro.experiments.runner import RunResult, run_algorithm, run_averaged
 from repro.experiments.sweeps import (
     required_budget,
@@ -37,7 +39,6 @@ __all__ = [
     "required_budget",
     "run_algorithm",
     "run_averaged",
-    "run_averaged_parallel",
     "run_grid",
     "sweep_b_obj",
     "sweep_b_prc",

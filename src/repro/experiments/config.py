@@ -113,8 +113,6 @@ class ExperimentConfig:
         Runs averaged per point (paper: 30).
     eval_objects:
         Database objects processed by the online phase per run.
-    domain_seed:
-        Seed of the ground-truth world (fixed across algorithms).
     base_seed:
         Offset added to the repetition index to form each run's crowd
         seed (repetition ``r`` runs with seed ``base_seed + r``).  Two
@@ -130,7 +128,6 @@ class ExperimentConfig:
     n1: int = 80
     repetitions: int = 3
     eval_objects: int = 80
-    domain_seed: int = 1
     base_seed: int = 0
     params_overrides: dict = field(default_factory=dict)
 

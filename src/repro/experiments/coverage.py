@@ -78,7 +78,8 @@ def coverage_experiment(
     per_run_naive: list[float] = []
     all_disq: set[str] = set()
     all_naive: set[str] = set()
-    for seed in range(config.repetitions):
+    for repetition in range(config.repetitions):
+        seed = config.base_seed + repetition
         try:
             disq = run_algorithm(
                 "DisQ", domain, query, b_obj_cents, b_prc_cents, config, seed

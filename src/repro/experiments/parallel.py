@@ -1,4 +1,4 @@
-"""Parallel experiment execution with serial-identical results.
+"""The experiment engine: every averaged run and budget sweep.
 
 The paper's methodology shares one :class:`~repro.crowd.recording.
 AnswerRecorder` per repetition across every algorithm and every sweep
@@ -6,24 +6,38 @@ point, so the crowd answers any run sees depend on the *order* in which
 earlier runs over the same recorder asked their questions.  That makes
 the (point, algorithm) grid inherently sequential **within** one
 repetition — but repetitions never share a recorder, a worker pool, or
-a seed, so they are embarrassingly parallel.
+a seed, so they are independent.
 
-This module therefore fans *repetitions* across a
-:class:`~concurrent.futures.ProcessPoolExecutor`: each worker process
-replays its repetition's full (point, algorithm) grid serially, in
-exactly the order the serial sweep would have used, against its own
-fresh recorder and ``base_seed + repetition`` seed.  Merging simply
-averages per-(point, algorithm) errors in repetition order, which is
-the identical float reduction the serial path performs — results are
-bit-identical to serial execution by construction (asserted in
+:func:`run_grid` therefore runs whole repetitions: each replays its
+full (point, algorithm) grid in sweep order against its own fresh
+recorder and ``base_seed + repetition`` seed, either in-process or in a
+:class:`~concurrent.futures.ProcessPoolExecutor` worker.  Merging
+averages per-(point, algorithm) errors in repetition order, so both
+give the same floats (asserted in
 ``tests/integration/test_parallel_experiments.py`` and the perf
 harness).
+
+Every repetition collects its counters into its own registry, which the
+caller's registry merges in repetition order; in-process and pool runs,
+and resumed and uninterrupted runs, therefore report equal counters.
+In-process repetitions trace into the caller's tracer; a worker
+process's spans stay in the worker.
+
+With a checkpoint directory, each finished repetition writes one
+record, ``rep-<r>.grid.json``, holding its errors, its counters and the
+sweep's configuration fingerprint.  The records are the sweep's only
+resume state: resume reruns only the repetitions without one, and
+refuses a record from another configuration, another version or an
+unreadable file with :class:`~repro.errors.CheckpointError`.  A run
+without resume first removes the directory's earlier records, so a
+directory holds one sweep.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,12 +48,27 @@ import numpy as np
 from repro.core.model import Query
 from repro.crowd.recording import AnswerRecorder
 from repro.domains.base import Domain
-from repro.errors import PlanningError
+from repro.durability.checkpoint import CheckpointStore
+from repro.errors import CheckpointError, PlanningError
 from repro.experiments.config import ExperimentConfig
-from repro.obs import NULL_OBS, Observability
+from repro.obs import (
+    NULL_OBS,
+    NULL_TRACER,
+    MetricsRegistry,
+    NullTracer,
+    Observability,
+    Tracer,
+)
 
 #: One sweep grid point: ``(b_obj_cents, b_prc_cents)``.
 GridPoint = tuple[float, float]
+
+#: One repetition's outcome: ``errors[point_index][algorithm_index]``
+#: (``None`` where preprocessing was infeasible) and its counters.
+Outcome = tuple[list[list[float | None]], dict]
+
+#: The per-cell checkpoints older builds wrote; no build reads them.
+_OLD_SWEEP_CHECKPOINTS = "*.sweep.json"
 
 
 @dataclass(frozen=True)
@@ -64,32 +93,24 @@ class ParallelConfig:
 
 
 def _repetition_grid(
-    args: tuple[
-        Sequence[str],
-        Domain,
-        Query,
-        Sequence[GridPoint],
-        ExperimentConfig,
-        int,
-        bool,
+    task: tuple[
+        Sequence[str], Domain, Query, Sequence[GridPoint], ExperimentConfig, int
     ],
-) -> tuple[list[list[float | None]], dict | None]:
-    """Worker: one repetition's full grid, serially, on a fresh recorder.
+    tracer: Tracer | NullTracer = NULL_TRACER,
+) -> Outcome:
+    """One repetition's full grid, serially, on a fresh recorder.
 
-    Returns ``(errors, metrics_payload)`` where
-    ``errors[point_index][algorithm_index]`` is ``None`` where
-    preprocessing was infeasible (the serial path's skipped runs) and
-    ``metrics_payload`` is the repetition's serialized
-    :class:`~repro.obs.metrics.MetricsRegistry` when instrumentation
-    was requested (``None`` otherwise).  Module-level so it pickles for
-    the process pool.
+    Returns the repetition's errors and its serialized
+    :class:`~repro.obs.metrics.MetricsRegistry`.  Module-level so it
+    pickles for the process pool; pool workers keep the default no-op
+    ``tracer``.
     """
     # Imported lazily so worker processes pay the import once, and to
     # keep this module import-light for the executor bootstrap.
     from repro.experiments.runner import run_algorithm
 
-    names, domain, query, points, config, repetition, instrument = args
-    obs = Observability.collecting() if instrument else NULL_OBS
+    names, domain, query, points, config, repetition = task
+    obs = Observability(tracer=tracer, metrics=MetricsRegistry())
     recorder = AnswerRecorder()
     errors: list[list[float | None]] = []
     for b_obj, b_prc in points:
@@ -113,49 +134,49 @@ def _repetition_grid(
                 row.append(None)
                 obs.metrics.inc("runs.infeasible")
         errors.append(row)
-    return errors, (obs.metrics.to_dict() if instrument else None)
+    return errors, obs.metrics.to_dict()
 
 
-def _repetition_cache_path(cache_dir: Path, repetition: int) -> Path:
-    return cache_dir / f"rep-{repetition}.grid.json"
+def _fingerprint(
+    algorithms: Sequence[str],
+    domain: Domain,
+    query: Query,
+    points: Sequence[GridPoint],
+    config: ExperimentConfig,
+) -> dict:
+    """The sweep configuration a repetition record must match."""
+    fingerprint = {
+        "algorithms": list(algorithms),
+        "domain": domain.name,
+        "n_objects": int(domain.n_objects()),
+        "targets": list(query.targets),
+        "weights": [float(query.weight(t)) for t in query.targets],
+        "points": [[float(b_obj), float(b_prc)] for b_obj, b_prc in points],
+        # Default reprs embed object addresses, which differ across
+        # processes; strip them as the planner checkpoint does.
+        "config": re.sub(r" at 0x[0-9a-f]+", "", repr(config)),
+    }
+    # Compared in the form a record reads back as.
+    return json.loads(json.dumps(fingerprint))
 
 
-def _load_cached_repetition(
-    cache_dir: Path, repetition: int
-) -> tuple[list[list[float | None]], dict | None] | None:
-    """A cached repetition outcome, or ``None`` if absent/unreadable.
-
-    An unreadable cache file (torn write from a crash — the writes are
-    atomic, so this is belt-and-braces) is treated as missing: the
-    repetition simply reruns, which is always safe because repetitions
-    are deterministic and independent.
-    """
-    path = _repetition_cache_path(cache_dir, repetition)
-    if not path.exists():
-        return None
-    try:
-        payload = json.loads(path.read_text())
-        return payload["errors"], payload.get("metrics")
-    except (json.JSONDecodeError, KeyError, TypeError):
-        return None
-
-
-def _store_cached_repetition(
-    cache_dir: Path,
-    repetition: int,
-    outcome: tuple[list[list[float | None]], dict | None],
-) -> None:
-    from repro.durability.checkpoint import atomic_write_text
-
-    errors, metrics = outcome
-    atomic_write_text(
-        _repetition_cache_path(cache_dir, repetition),
-        json.dumps({"errors": errors, "metrics": metrics}, sort_keys=True),
-    )
+def _load_record(store: CheckpointStore, fingerprint: dict) -> Outcome:
+    """A finished repetition's outcome, refusing any other sweep's."""
+    document = store.load()
+    if document.get("fingerprint") != fingerprint:
+        raise CheckpointError(
+            f"sweep record {store.path} was written by a sweep with another "
+            "configuration (algorithms, domain, query, points or "
+            "ExperimentConfig); refusing to resume"
+        )
+    errors, metrics = document.get("errors"), document.get("metrics")
+    if not isinstance(errors, list) or not isinstance(metrics, dict):
+        raise CheckpointError(f"sweep record {store.path} is damaged")
+    return errors, metrics
 
 
 def _merge_errors(per_repetition: list[float | None]) -> float:
-    """Average one cell's repetition errors exactly as the serial path.
+    """Average one cell's repetition errors in repetition order.
 
     Infeasible repetitions are skipped; all-infeasible cells are
     ``inf`` (the paper never plots underfunded points).
@@ -174,72 +195,82 @@ def run_grid(
     config: ExperimentConfig,
     parallel: ParallelConfig | None = None,
     obs: Observability | None = None,
-    cache_dir: str | Path | None = None,
+    checkpoint_dir: str | Path | None = None,
     resume: bool = False,
 ) -> dict[tuple[int, str], float]:
     """Mean error per (point index, algorithm) over all repetitions.
 
     Repetitions run across processes per ``parallel`` (in-process when
     ``parallel`` is ``None`` or resolves to one worker); each keeps the
-    paper's shared-recorder replay semantics internally, so the merged
-    result is bit-identical to the serial nested loops.
+    paper's shared-recorder replay semantics internally, so the result
+    does not depend on the worker count.  Runs whose preprocessing
+    budget cannot even buy the example pools are skipped; a cell whose
+    every repetition was skipped is ``inf``.
 
-    With a recording ``obs``, each worker collects its repetition's
-    counters into a fresh registry and ships it back for merging (in
-    repetition order).  Error results are unaffected; integer counters
-    equal what a serial instrumented sweep records, while float spend
-    totals may differ from serial in the last ulp (different addition
-    order).  Worker-side tracer spans are not shipped back — phase
-    timing across processes is not meaningfully mergeable.
+    ``obs`` receives every repetition's counters, merged in repetition
+    order, and the spans of in-process repetitions.
 
-    ``cache_dir`` persists each repetition's outcome atomically as it
-    completes; with ``resume`` cached repetitions are loaded instead of
-    rerun, so an interrupted grid only pays for the repetitions it
-    never finished.  Repetitions are deterministic, so cached and rerun
-    outcomes are interchangeable.
+    With ``checkpoint_dir``, each repetition's record is written
+    atomically as soon as it finishes (in-process: after the
+    repetition; in the pool: as its outcome is collected, in
+    repetition order).  With ``resume``, recorded repetitions are read
+    back instead of rerun and their counters merged as if they had run;
+    a record from another configuration raises
+    :class:`~repro.errors.CheckpointError`.  Without ``resume`` the
+    directory's earlier records are removed first.  Either way the
+    per-cell checkpoints of older builds are removed.
     """
-    instrument = obs is not None and obs.metrics.enabled
-    cache = Path(cache_dir) if cache_dir is not None else None
-    if cache is not None:
-        cache.mkdir(parents=True, exist_ok=True)
+    obs = obs if obs is not None else NULL_OBS
     tasks = [
-        (
-            tuple(algorithms),
-            domain,
-            query,
-            tuple(points),
-            config,
-            repetition,
-            instrument,
-        )
+        (tuple(algorithms), domain, query, tuple(points), config, repetition)
         for repetition in range(config.repetitions)
     ]
-    cached: dict[int, tuple[list[list[float | None]], dict | None]] = {}
-    if cache is not None and resume:
-        for repetition in range(config.repetitions):
-            loaded = _load_cached_repetition(cache, repetition)
-            if loaded is not None:
-                cached[repetition] = loaded
-    pending = [task for task in tasks if task[5] not in cached]
+    outcomes: dict[int, Outcome] = {}
+    stores: list[CheckpointStore] = []
+    fingerprint: dict = {}
+    if checkpoint_dir is not None:
+        directory = Path(checkpoint_dir)
+        directory.mkdir(parents=True, exist_ok=True)
+        for old in directory.glob(_OLD_SWEEP_CHECKPOINTS):
+            old.unlink()
+        if not resume:
+            for record in directory.glob("rep-*.grid.json"):
+                record.unlink()
+        fingerprint = _fingerprint(algorithms, domain, query, points, config)
+        stores = [
+            CheckpointStore(directory, f"rep-{repetition}.grid.json")
+            for repetition in range(config.repetitions)
+        ]
+        for repetition, store in enumerate(stores):
+            if resume and store.exists():
+                outcomes[repetition] = _load_record(store, fingerprint)
+
+    def finish(repetition: int, outcome: Outcome) -> None:
+        outcomes[repetition] = outcome
+        if stores:
+            errors, metrics = outcome
+            stores[repetition].save(
+                {"fingerprint": fingerprint, "errors": errors, "metrics": metrics}
+            )
+
+    pending = [task for task in tasks if task[5] not in outcomes]
     workers = (parallel or ParallelConfig(max_workers=1)).resolve(
         max(1, len(pending))
     )
     if workers <= 1:
-        fresh = [_repetition_grid(task) for task in pending]
+        for task in pending:
+            finish(task[5], _repetition_grid(task, obs.tracer))
     else:
         with ProcessPoolExecutor(max_workers=workers) as executor:
-            fresh = list(executor.map(_repetition_grid, pending))
-    for task, outcome in zip(pending, fresh):
-        cached[task[5]] = outcome
-        if cache is not None:
-            _store_cached_repetition(cache, task[5], outcome)
-    # Merge in repetition order regardless of cached/fresh provenance.
-    outcomes = [cached[repetition] for repetition in range(config.repetitions)]
-    per_repetition = [errors for errors, _ in outcomes]
-    if instrument:
-        for _, payload in outcomes:  # repetition order, deterministic
-            if payload is not None:
-                obs.metrics.merge(payload)
+            for task, outcome in zip(
+                pending, executor.map(_repetition_grid, pending)
+            ):
+                finish(task[5], outcome)
+    per_repetition = []
+    for repetition in range(config.repetitions):
+        errors, metrics = outcomes[repetition]
+        obs.metrics.merge(metrics)
+        per_repetition.append(errors)
     merged: dict[tuple[int, str], float] = {}
     for point_index in range(len(points)):
         for algorithm_index, name in enumerate(algorithms):
@@ -247,78 +278,3 @@ def run_grid(
                 [grid[point_index][algorithm_index] for grid in per_repetition]
             )
     return merged
-
-
-def _repetition_single(
-    args: tuple[str, Domain, Query, float, float, ExperimentConfig, int, bool],
-) -> tuple[float | None, dict | None]:
-    """Worker: one repetition of one algorithm on a fresh recorder.
-
-    Returns ``(error, metrics_payload)``; the payload mirrors
-    :func:`_repetition_grid`.
-    """
-    from repro.experiments.runner import run_algorithm
-
-    name, domain, query, b_obj, b_prc, config, repetition, instrument = args
-    obs = Observability.collecting() if instrument else NULL_OBS
-    try:
-        error = run_algorithm(
-            name,
-            domain,
-            query,
-            b_obj,
-            b_prc,
-            config,
-            seed=config.base_seed + repetition,
-            recorder=None,
-            obs=obs,
-        ).error
-        obs.metrics.inc("runs.completed")
-    except PlanningError:
-        error = None
-        obs.metrics.inc("runs.infeasible")
-    return error, (obs.metrics.to_dict() if instrument else None)
-
-
-def run_averaged_parallel(
-    name: str,
-    domain: Domain,
-    query: Query,
-    b_obj_cents: float,
-    b_prc_cents: float,
-    config: ExperimentConfig,
-    parallel: ParallelConfig,
-    obs: Observability | None = None,
-) -> float:
-    """Parallel :func:`~repro.experiments.runner.run_averaged`.
-
-    Only valid for independent repetitions (no caller-shared
-    recorders); each repetition gets a fresh recorder exactly as the
-    serial path does when no recorders are passed.  Worker metrics are
-    merged back into ``obs`` in repetition order (see :func:`run_grid`).
-    """
-    instrument = obs is not None and obs.metrics.enabled
-    tasks = [
-        (
-            name,
-            domain,
-            query,
-            b_obj_cents,
-            b_prc_cents,
-            config,
-            repetition,
-            instrument,
-        )
-        for repetition in range(config.repetitions)
-    ]
-    workers = parallel.resolve(len(tasks))
-    if workers <= 1:
-        outcomes = [_repetition_single(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            outcomes = list(executor.map(_repetition_single, tasks))
-    if instrument:
-        for _, payload in outcomes:
-            if payload is not None:
-                obs.metrics.merge(payload)
-    return _merge_errors([error for error, _ in outcomes])

@@ -71,12 +71,12 @@ def _averaged(
     config: ExperimentConfig,
 ) -> float:
     errors = []
-    for seed in range(config.repetitions):
+    for repetition in range(config.repetitions):
         try:
             errors.append(
                 _run_on_platform(
                     name,
-                    make_platform(seed),
+                    make_platform(config.base_seed + repetition),
                     domain,
                     query,
                     b_obj_cents,

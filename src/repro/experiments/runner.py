@@ -6,50 +6,21 @@ all algorithms of one repetition share an
 :class:`~repro.crowd.recording.AnswerRecorder`, and each gets a fresh
 platform fork (cursors reset) so it sees the same answer streams.
 :func:`run_averaged` repeats over seeds and averages, as the paper's
-30-run averages do.
+30-run averages do, through the one experiment engine
+(:func:`~repro.experiments.parallel.run_grid`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-import numpy as np
-
-if TYPE_CHECKING:
-    from repro.experiments.parallel import ParallelConfig
 
 from repro.core.model import PreprocessingPlan, Query
 from repro.core.online import OnlineEvaluator, default_weights, query_error
 from repro.crowd.platform import CrowdPlatform
 from repro.crowd.recording import AnswerRecorder
 from repro.domains.base import Domain
-from repro.errors import ConfigurationError, PlanningError
 from repro.experiments.config import ExperimentConfig, algorithm
 from repro.obs import NULL_OBS, Observability
-
-
-def dump_recorders(recorders: list[AnswerRecorder]) -> list[dict]:
-    """JSON-serialisable snapshots of per-repetition recorders.
-
-    The sweep checkpoint (:class:`~repro.experiments.sweeps.
-    SweepCheckpoint`) persists these after every completed cell so a
-    resumed sweep replays the exact answers the interrupted one bought.
-    """
-    return [recorder.to_dict() for recorder in recorders]
-
-
-def restore_recorders(
-    recorders: list[AnswerRecorder], payloads: list[dict]
-) -> None:
-    """Restore :func:`dump_recorders` output onto fresh recorders."""
-    if len(recorders) != len(payloads):
-        raise ConfigurationError(
-            f"checkpoint holds {len(payloads)} repetition recorders, "
-            f"this sweep needs {len(recorders)} — repetitions changed?"
-        )
-    for recorder, payload in zip(recorders, payloads):
-        recorder.restore(payload)
 
 
 @dataclass(frozen=True)
@@ -126,56 +97,19 @@ def run_averaged(
     b_obj_cents: float,
     b_prc_cents: float,
     config: ExperimentConfig,
-    recorders: list[AnswerRecorder] | None = None,
-    parallel: "ParallelConfig | None" = None,
     obs: Observability | None = None,
 ) -> float:
     """Mean query error over ``config.repetitions`` independent runs.
 
     Repetition ``r`` runs with seed ``config.base_seed + r``, so two
     experiments only share crowd randomness when they share a
-    ``base_seed``.  Pass ``recorders`` (one per repetition) to compare
-    several algorithms on the *same* crowd answers — the paper's
-    methodology.  Runs whose preprocessing budget cannot even buy the
+    ``base_seed``.  Runs whose preprocessing budget cannot even buy the
     example pools are skipped (the paper never plots such underfunded
     points); if all repetitions are infeasible the result is ``inf``.
-
-    With a :class:`~repro.experiments.parallel.ParallelConfig` and no
-    caller-shared ``recorders``, repetitions fan out across worker
-    processes with bit-identical results (each repetition is
-    independent).  Shared recorders force the serial path: their
-    mutation order is part of the replay semantics, and sweep-level
-    parallelism (see :mod:`~repro.experiments.parallel`) handles that
-    case instead.
+    This is :func:`~repro.experiments.parallel.run_grid` over one point
+    and one algorithm.
     """
-    if parallel is not None and recorders is None:
-        from repro.experiments.parallel import run_averaged_parallel
+    from repro.experiments.parallel import run_grid
 
-        return run_averaged_parallel(
-            name, domain, query, b_obj_cents, b_prc_cents, config, parallel,
-            obs=obs,
-        )
-    obs = obs if obs is not None else NULL_OBS
-    errors: list[float] = []
-    for repetition in range(config.repetitions):
-        recorder = recorders[repetition] if recorders else None
-        try:
-            result = run_algorithm(
-                name,
-                domain,
-                query,
-                b_obj_cents,
-                b_prc_cents,
-                config,
-                seed=config.base_seed + repetition,
-                recorder=recorder,
-                obs=obs,
-            )
-        except PlanningError:
-            obs.metrics.inc("runs.infeasible")
-            continue
-        obs.metrics.inc("runs.completed")
-        errors.append(result.error)
-    if not errors:
-        return float("inf")
-    return float(np.mean(errors))
+    point = (b_obj_cents, b_prc_cents)
+    return run_grid([name], domain, query, [point], config, obs=obs)[(0, name)]

@@ -9,141 +9,35 @@ These produce the data behind the paper's line plots:
 * Figure 2: the ``B_obj`` needed by each algorithm to reach given
   error targets (inversion of a ``B_obj`` sweep).
 
-Both sweep functions accept a :class:`~repro.experiments.parallel.
-ParallelConfig`: repetitions then fan out across worker processes (each
-replaying its full point/algorithm grid serially against its own
-recorder), producing results bit-identical to the serial nested loops
-— see :mod:`repro.experiments.parallel` for why that is the only
-parallel axis compatible with the shared-recorder replay semantics.
+Both sweep functions build their grid points and run them through
+:func:`~repro.experiments.parallel.run_grid`, which also owns the
+optional :class:`~repro.experiments.parallel.ParallelConfig` fan-out
+and the per-repetition checkpoint records behind ``checkpoint_dir`` /
+``resume``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Sequence
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro.core.model import Query
-from repro.crowd.recording import AnswerRecorder
 from repro.domains.base import Domain
-from repro.errors import CheckpointError, ConfigurationError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import (
-    dump_recorders,
-    restore_recorders,
-    run_averaged,
-)
-
-if TYPE_CHECKING:
-    from repro.experiments.parallel import ParallelConfig
-    from repro.obs import Observability
+from repro.experiments.parallel import ParallelConfig, run_grid
+from repro.obs import Observability
 
 #: A sweep result: algorithm -> list of (budget, mean error) points.
 SweepSeries = dict[str, list[tuple[float, float]]]
 
-#: Bumped whenever the sweep-checkpoint layout changes.
-SWEEP_CHECKPOINT_VERSION = 1
 
-
-class SweepCheckpoint:
-    """Cell-level resume state for a serial budget sweep.
-
-    A sweep is a grid of (axis value, algorithm) cells over shared
-    per-repetition recorders.  After each completed cell the checkpoint
-    atomically persists the cell's mean error plus every recorder's
-    full answer tape; a resumed sweep restores the recorders, skips the
-    finished cells, and — because later cells replay earlier cells'
-    answers from the recorders — produces the identical series a never-
-    interrupted sweep would, without re-buying a single answer.
-    """
-
-    def __init__(self, directory: str | Path, axis: str) -> None:
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.path = self.directory / f"{axis}.sweep.json"
-        self._done: dict[str, float] = {}
-
-    @staticmethod
-    def cell_key(name: str, axis_value: float) -> str:
-        return f"{name}@{axis_value!r}"
-
-    def resume_into(self, recorders: list[AnswerRecorder]) -> dict[str, float]:
-        """Load saved state, restoring ``recorders``; returns done cells.
-
-        Missing file means nothing to resume (empty dict).  A version
-        or repetition-count mismatch raises
-        :class:`~repro.errors.CheckpointError` — silently mixing
-        incompatible answer tapes would corrupt the series.
-        """
-        if not self.path.exists():
-            return {}
-        try:
-            payload = json.loads(self.path.read_text())
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(
-                f"unreadable sweep checkpoint {self.path}: {exc}"
-            ) from exc
-        if payload.get("version") != SWEEP_CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"sweep checkpoint {self.path} has version "
-                f"{payload.get('version')!r}, expected {SWEEP_CHECKPOINT_VERSION}"
-            )
-        try:
-            restore_recorders(recorders, payload["recorders"])
-        except ConfigurationError as exc:
-            raise CheckpointError(str(exc)) from exc
-        self._done = {
-            str(key): float(value) for key, value in payload["done"].items()
-        }
-        return dict(self._done)
-
-    def mark_done(
-        self, key: str, error: float, recorders: list[AnswerRecorder]
-    ) -> None:
-        """Record one finished cell and persist atomically."""
-        from repro.durability.checkpoint import atomic_write_text
-
-        self._done[key] = float(error)
-        payload = {
-            "version": SWEEP_CHECKPOINT_VERSION,
-            "done": self._done,
-            "recorders": dump_recorders(recorders),
-        }
-        # allow_nan keeps math.inf (all-infeasible cells) round-trippable.
-        atomic_write_text(self.path, json.dumps(payload, sort_keys=True))
-
-
-def _shared_recorders(config: ExperimentConfig) -> list[AnswerRecorder]:
-    """One recorder per repetition, shared by every algorithm/point.
-
-    Sharing across sweep points as well (not only algorithms) mirrors
-    the paper's reuse of previously collected answers and keeps curves
-    smooth: a larger budget strictly extends the smaller budget's data.
-    """
-    return [AnswerRecorder() for _ in range(config.repetitions)]
-
-
-def _parallel_series(
+def _series(
     algorithms: Sequence[str],
-    domain: Domain,
-    query: Query,
-    points: list[tuple[float, float]],
     axis_values: Sequence[float],
-    config: ExperimentConfig,
-    parallel: "ParallelConfig",
-    obs: "Observability | None" = None,
-    cache_dir: "str | Path | None" = None,
-    resume: bool = False,
+    merged: dict[tuple[int, str], float],
 ) -> SweepSeries:
-    """Run the grid through the parallel engine and shape the series."""
-    from repro.experiments.parallel import run_grid
-
-    merged = run_grid(
-        algorithms, domain, query, points, config, parallel, obs=obs,
-        cache_dir=cache_dir, resume=resume,
-    )
+    """Shape :func:`run_grid`'s cells into one series per algorithm."""
     return {
         name: [
             (axis_value, merged[(index, name)])
@@ -153,53 +47,6 @@ def _parallel_series(
     }
 
 
-def _serial_sweep(
-    algorithms: Sequence[str],
-    domain: Domain,
-    query: Query,
-    cells: list[tuple[float, float, float]],
-    config: ExperimentConfig,
-    obs: "Observability | None",
-    axis: str,
-    checkpoint_dir: str | Path | None,
-    resume: bool,
-) -> SweepSeries:
-    """The shared serial sweep loop over ``(axis_value, b_obj, b_prc)``.
-
-    With ``checkpoint_dir`` each finished cell is persisted (error +
-    recorder tapes); with ``resume`` previously finished cells are
-    skipped and their errors read back, on recorders restored to the
-    exact post-cell state — the resumed series is identical to an
-    uninterrupted one.
-    """
-    recorders = _shared_recorders(config)
-    checkpoint = (
-        SweepCheckpoint(checkpoint_dir, axis)
-        if checkpoint_dir is not None
-        else None
-    )
-    done = (
-        checkpoint.resume_into(recorders)
-        if checkpoint is not None and resume
-        else {}
-    )
-    series: SweepSeries = {name: [] for name in algorithms}
-    for axis_value, b_obj, b_prc in cells:
-        for name in algorithms:
-            key = SweepCheckpoint.cell_key(name, axis_value)
-            if key in done:
-                error = done[key]
-            else:
-                error = run_averaged(
-                    name, domain, query, b_obj, b_prc, config, recorders,
-                    obs=obs,
-                )
-                if checkpoint is not None:
-                    checkpoint.mark_done(key, error, recorders)
-            series[name].append((axis_value, error))
-    return series
-
-
 def sweep_b_prc(
     algorithms: Sequence[str],
     domain: Domain,
@@ -207,23 +54,18 @@ def sweep_b_prc(
     b_obj_cents: float,
     b_prc_values: Sequence[float],
     config: ExperimentConfig,
-    parallel: "ParallelConfig | None" = None,
-    obs: "Observability | None" = None,
+    parallel: ParallelConfig | None = None,
+    obs: Observability | None = None,
     checkpoint_dir: str | Path | None = None,
     resume: bool = False,
 ) -> SweepSeries:
     """Error versus preprocessing budget at fixed ``B_obj``."""
-    if parallel is not None:
-        points = [(b_obj_cents, b_prc) for b_prc in b_prc_values]
-        return _parallel_series(
-            algorithms, domain, query, points, b_prc_values, config, parallel,
-            obs=obs, cache_dir=checkpoint_dir, resume=resume,
-        )
-    cells = [(b_prc, b_obj_cents, b_prc) for b_prc in b_prc_values]
-    return _serial_sweep(
-        algorithms, domain, query, cells, config, obs,
-        "b_prc", checkpoint_dir, resume,
+    points = [(b_obj_cents, b_prc) for b_prc in b_prc_values]
+    merged = run_grid(
+        algorithms, domain, query, points, config, parallel, obs=obs,
+        checkpoint_dir=checkpoint_dir, resume=resume,
     )
+    return _series(algorithms, b_prc_values, merged)
 
 
 def sweep_b_obj(
@@ -233,23 +75,18 @@ def sweep_b_obj(
     b_obj_values: Sequence[float],
     b_prc_cents: float,
     config: ExperimentConfig,
-    parallel: "ParallelConfig | None" = None,
-    obs: "Observability | None" = None,
+    parallel: ParallelConfig | None = None,
+    obs: Observability | None = None,
     checkpoint_dir: str | Path | None = None,
     resume: bool = False,
 ) -> SweepSeries:
     """Error versus per-object budget at fixed ``B_prc``."""
-    if parallel is not None:
-        points = [(b_obj, b_prc_cents) for b_obj in b_obj_values]
-        return _parallel_series(
-            algorithms, domain, query, points, b_obj_values, config, parallel,
-            obs=obs, cache_dir=checkpoint_dir, resume=resume,
-        )
-    cells = [(b_obj, b_obj, b_prc_cents) for b_obj in b_obj_values]
-    return _serial_sweep(
-        algorithms, domain, query, cells, config, obs,
-        "b_obj", checkpoint_dir, resume,
+    points = [(b_obj, b_prc_cents) for b_obj in b_obj_values]
+    merged = run_grid(
+        algorithms, domain, query, points, config, parallel, obs=obs,
+        checkpoint_dir=checkpoint_dir, resume=resume,
     )
+    return _series(algorithms, b_obj_values, merged)
 
 
 def required_budget(

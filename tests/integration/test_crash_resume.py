@@ -5,9 +5,14 @@ subsystem: for every kill point, resuming an interrupted DisQ run
 produces a plan, model and ledger **bit-identical** to a run that never
 crashed, with zero re-purchased answers, and leaves one file — a final
 checkpoint byte-identical to that of a durable run that never crashed.
+A durable sweep keeps one fingerprinted record per finished repetition:
+a sweep crashed in any repetition resumes to the uninterrupted series
+and counters without rerunning a finished repetition, and resume
+refuses another configuration's records.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -23,7 +28,9 @@ from repro.durability import (
     run_disq,
 )
 from repro.errors import CheckpointError
+from repro.experiments import ExperimentConfig, ParallelConfig, runner, sweep_b_prc
 from repro.experiments.runner import make_query
+from repro.obs import Observability
 
 B_OBJ = 4.0
 B_PRC = 400.0
@@ -293,30 +300,100 @@ class TestGuards:
             run_to_completion(checkpoint_dir=tmp_path, resume=True)
 
 
-class TestSweepResume:
-    def test_interrupted_sweep_resumes_identically(self, tmp_path):
-        from repro.experiments import ExperimentConfig, sweep_b_prc
+SWEEP_ALGORITHMS = ("DisQ", "NaiveAverage")
+SWEEP_VALUES = (300.0, 400.0)
+SWEEP_CONFIG = ExperimentConfig(n_objects=60, n1=12, repetitions=3, eval_objects=20)
+SWEEP_RECORDS = ["rep-0.grid.json", "rep-1.grid.json", "rep-2.grid.json"]
 
-        domain, _, query = fresh()
-        config = ExperimentConfig(
-            n_objects=60, n1=12, repetitions=1, eval_objects=20
-        )
-        algorithms = ["DisQ", "NaiveAverage"]
-        values = [300.0, 400.0]
-        reference = sweep_b_prc(
-            algorithms, domain, query, B_OBJ, values, config
-        )
-        # Simulate an interrupted sweep: only the first cell completed.
-        partial = sweep_b_prc(
-            algorithms, domain, query, B_OBJ, values[:1], config,
-            checkpoint_dir=tmp_path,
-        )
-        assert partial["DisQ"][0] == reference["DisQ"][0]
-        resumed = sweep_b_prc(
-            algorithms, domain, query, B_OBJ, values, config,
-            checkpoint_dir=tmp_path, resume=True,
-        )
-        assert resumed == reference
+
+def sweep(
+    directory=None, resume=False, parallel=None, obs=None, b_obj=B_OBJ,
+    values=SWEEP_VALUES, algorithms=SWEEP_ALGORITHMS, config=SWEEP_CONFIG,
+):
+    domain, _, query = fresh()
+    return sweep_b_prc(
+        list(algorithms), domain, query, b_obj, list(values), config,
+        parallel=parallel, obs=obs, checkpoint_dir=directory, resume=resume,
+    )
+
+
+def count_runs(monkeypatch, log, crash_seed=None):
+    """Log every run's seed to ``log``; crash the run with ``crash_seed``.
+
+    The log is a file so runs in pool workers are counted too.  Pool
+    workers see the patch because the pool forks them after it is made
+    (``fork`` is the default start method on Linux).
+    """
+    real = runner.run_algorithm
+
+    def logged(*args, seed, **kwargs):
+        with open(log, "a") as handle:
+            handle.write(f"{seed}\n")
+        if seed == crash_seed:
+            raise RuntimeError(f"crash in the repetition with seed {seed}")
+        return real(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(runner, "run_algorithm", logged)
+
+
+def logged_seeds(log):
+    return Counter(int(line) for line in log.read_text().split())
+
+
+def records(directory):
+    return sorted(path.name for path in directory.iterdir())
+
+
+@pytest.fixture(scope="module")
+def uninterrupted_sweep():
+    """The reference sweep's series and counters: no directory, no crash."""
+    obs = Observability.collecting()
+    return sweep(obs=obs), obs.metrics.counters()
+
+
+class TestSweepResume:
+    """A durable sweep keeps one fingerprinted record per finished
+    repetition, and those records are its only resume state."""
+
+    def test_interrupted_sweep_resumes_identically(
+        self, tmp_path, monkeypatch, uninterrupted_sweep
+    ):
+        count_runs(monkeypatch, tmp_path / "runs.log", crash_seed=1)
+        with pytest.raises(RuntimeError, match="seed 1"):
+            sweep(tmp_path / "ck")
+        monkeypatch.undo()
+        resumed = sweep(tmp_path / "ck", resume=True)
+        assert resumed == uninterrupted_sweep[0]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("crashed", [0, 1, 2])
+    def test_crash_in_any_repetition_resumes_identically(
+        self, tmp_path, monkeypatch, uninterrupted_sweep, workers, crashed
+    ):
+        series, counters = uninterrupted_sweep
+        directory, log = tmp_path / "ck", tmp_path / "runs.log"
+        parallel = ParallelConfig(max_workers=workers)
+        base = SWEEP_CONFIG.base_seed
+        count_runs(monkeypatch, log, crash_seed=base + crashed)
+        with pytest.raises(RuntimeError, match="crash in the repetition"):
+            sweep(directory, parallel=parallel)
+        # Every repetition before the crashed one left its record.
+        assert records(directory) == SWEEP_RECORDS[:crashed]
+
+        monkeypatch.undo()
+        log.unlink()
+        count_runs(monkeypatch, log)
+        obs = Observability.collecting()
+        resumed = sweep(directory, resume=True, parallel=parallel, obs=obs)
+        assert resumed == series
+        assert obs.metrics.counters() == counters
+        # Finished repetitions were read back, never run again.
+        cells = len(SWEEP_VALUES) * len(SWEEP_ALGORITHMS)
+        assert logged_seeds(log) == {
+            base + repetition: cells
+            for repetition in range(crashed, SWEEP_CONFIG.repetitions)
+        }
+        assert records(directory) == SWEEP_RECORDS
 
     def test_repetition_mismatch_refused(self, tmp_path):
         from repro.experiments import ExperimentConfig, sweep_b_prc
@@ -337,3 +414,77 @@ class TestSweepResume:
                 ["NaiveAverage"], domain, query, B_OBJ, [300.0], bigger,
                 checkpoint_dir=tmp_path, resume=True,
             )
+
+
+#: A cheap sweep for the refusal and directory-ownership cases.
+QUICK = {
+    "algorithms": ("NaiveAverage",),
+    "config": ExperimentConfig(n_objects=60, n1=12, repetitions=1, eval_objects=20),
+}
+
+
+def _set_version(document):
+    document["version"] = 0
+
+
+def _edit_fingerprint(document):
+    document["fingerprint"]["points"][0][0] = 2.0
+
+
+def _drop_errors(document):
+    del document["errors"]
+
+
+class TestSweepRecordGuards:
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"b_obj": 2.0},
+            {"values": (300.0, 500.0)},
+            {"algorithms": ("NaiveAverage", "DisQ")},
+            {"config": QUICK["config"].scaled(repetitions=2)},
+        ],
+        ids=["b_obj", "values", "algorithms", "repetitions"],
+    )
+    def test_resume_under_another_configuration_refused(self, tmp_path, change):
+        sweep(tmp_path, **QUICK)
+        with pytest.raises(CheckpointError, match="another"):
+            sweep(tmp_path, resume=True, **{**QUICK, **change})
+
+    @pytest.mark.parametrize(
+        "tamper", [_set_version, _edit_fingerprint, _drop_errors, None],
+        ids=["version", "fingerprint", "errors", "torn"],
+    )
+    def test_tampered_record_refused(self, tmp_path, tamper):
+        sweep(tmp_path, **QUICK)
+        record = tmp_path / "rep-0.grid.json"
+        if tamper is None:
+            record.write_text(record.read_text()[:60])
+        else:
+            document = json.loads(record.read_text())
+            tamper(document)
+            record.write_text(json.dumps(document))
+        with pytest.raises(CheckpointError):
+            sweep(tmp_path, resume=True, **QUICK)
+
+    def test_fresh_sweep_over_used_dir_resumes_like_empty_one(
+        self, tmp_path, monkeypatch
+    ):
+        used, empty = tmp_path / "used", tmp_path / "empty"
+        sweep(used, **QUICK)
+        resumed = {}
+        for directory in (used, empty):
+            count_runs(monkeypatch, tmp_path / "runs.log", crash_seed=0)
+            with pytest.raises(RuntimeError):
+                sweep(directory, b_obj=2.0, **QUICK)
+            monkeypatch.undo()
+            # The finished sweep's record went before the first run.
+            assert records(directory) == []
+            resumed[directory] = sweep(directory, b_obj=2.0, resume=True, **QUICK)
+        assert resumed[used] == resumed[empty] == sweep(b_obj=2.0, **QUICK)
+
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_older_builds_cell_checkpoint_removed(self, tmp_path, resume):
+        (tmp_path / "b_prc.sweep.json").write_text('{"version": 1, "done": {}}')
+        sweep(tmp_path, resume=resume, **QUICK)
+        assert records(tmp_path) == ["rep-0.grid.json"]

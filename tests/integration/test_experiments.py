@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.crowd.recording import AnswerRecorder
+from repro.domains import make_houses_domain
 from repro.experiments import (
     ALGORITHMS,
     ExperimentConfig,
@@ -85,14 +86,22 @@ class TestRunner:
     def test_shared_recorders_make_algorithms_comparable(
         self, tiny_domain, query, config
     ):
-        recorders = [AnswerRecorder() for _ in range(config.repetitions)]
-        first = run_averaged(
-            "SimpleDisQ", tiny_domain, query, 2.0, 800.0, config, recorders
+        """A run over a shared recorder replays the answers an earlier
+        run bought, even under another crowd seed."""
+        recorder = AnswerRecorder()
+        first = run_algorithm(
+            "SimpleDisQ", tiny_domain, query, 2.0, 800.0, config, seed=0,
+            recorder=recorder,
         )
-        second = run_averaged(
-            "SimpleDisQ", tiny_domain, query, 2.0, 800.0, config, recorders
+        second = run_algorithm(
+            "SimpleDisQ", tiny_domain, query, 2.0, 800.0, config, seed=1,
+            recorder=recorder,
         )
-        assert first == second
+        alone = run_algorithm(
+            "SimpleDisQ", tiny_domain, query, 2.0, 800.0, config, seed=1
+        )
+        assert second.error == first.error
+        assert alone.error != first.error
 
 
 class TestSweeps:
@@ -122,6 +131,25 @@ class TestCoverage:
         assert 0.0 <= result.coverage_naive <= 1.0
         assert 0.0 <= result.coverage_disq <= 1.0
         assert result.gold == tiny_domain.gold_standard("target")
+
+    def test_repetitions_seed_from_base_seed(self):
+        """Repetition r runs with seed base_seed + r, as in every sweep.
+
+        Houses is used because seeds 0 and 5 discover different sets
+        there, so a run that ignored ``base_seed`` would not match.
+        """
+        domain = make_houses_domain(n_objects=60, seed=1)
+        query = make_query(domain, ("price",))
+        config = ExperimentConfig(
+            n_objects=60, n1=12, repetitions=1, eval_objects=20, base_seed=5
+        )
+        result = coverage_experiment(domain, "price", 4.0, 1500.0, config)
+        for name, discovered in (
+            ("DisQ", result.discovered_disq),
+            ("OnlyQueryAttributes", result.discovered_naive),
+        ):
+            run = run_algorithm(name, domain, query, 4.0, 1500.0, config, seed=5)
+            assert discovered == frozenset(run.plans[0].attributes) - {"price"}
 
 
 class TestReport:

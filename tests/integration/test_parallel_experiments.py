@@ -63,20 +63,6 @@ class TestSweepBitIdentity:
 
 
 class TestRunAveragedParallel:
-    def test_matches_serial(self, tiny_domain):
-        query = tiny_query(tiny_domain)
-        serial = run_averaged("DisQ", tiny_domain, query, 2.0, 300.0, SMALL)
-        parallel = run_averaged(
-            "DisQ",
-            tiny_domain,
-            query,
-            2.0,
-            300.0,
-            SMALL,
-            parallel=ParallelConfig(max_workers=2),
-        )
-        assert parallel == serial
-
     def test_base_seed_threads_through(self, tiny_domain):
         """Repetition r runs with seed base_seed + r (the old hard-coded
         seed=r behaviour is base_seed=0)."""

@@ -12,7 +12,7 @@ from repro.experiments.robustness import (
     with_price_scale,
     with_rho_constant,
 )
-from repro.experiments.runner import make_query
+from repro.experiments.runner import make_query, run_algorithm
 
 
 @pytest.fixture
@@ -56,6 +56,18 @@ class TestNormalizationModes:
 
 
 class TestRhoConstant:
+    def test_repetitions_seed_from_base_seed(self, tiny_domain, query, config):
+        """Repetition r runs with seed base_seed + r, as in every sweep."""
+        shifted = config.scaled(repetitions=1, base_seed=5)
+        errors = with_rho_constant(
+            tiny_domain, query, 2.0, 900.0, shifted, rho_values=(0.5,)
+        )
+        at_seed_5 = run_algorithm(
+            "DisQ", tiny_domain, query, 2.0, 900.0,
+            shifted.scaled(params_overrides={"rho_constant": 0.5}), seed=5,
+        )
+        assert errors[0.5] == at_seed_5.error
+
     def test_sweep_returns_one_error_per_value(self, tiny_domain, query, config):
         results = with_rho_constant(
             tiny_domain, query, 2.0, 900.0, config, rho_values=(0.3, 0.7)

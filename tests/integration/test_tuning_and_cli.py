@@ -274,3 +274,109 @@ class TestCliDurability:
         assert main(argv + ["--resume"]) == 0
         # All cells replayed from the checkpoint: identical series.
         assert capsys.readouterr().out == first
+
+    def test_sweep_resume_under_another_budget_exits_2_without_hint(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import EXIT_CONFIGURATION_ERROR, main
+
+        sweep = [
+            "sweep",
+            "--domain", "synthetic",
+            "--target", "attr_00",
+            "--n-objects", "60",
+            "--n1", "12",
+            "--axis", "b_prc",
+            "--values", "300,400",
+            "--objects", "20",
+            "--repetitions", "2",
+            "--algorithms", "NaiveAverage",
+            "--checkpoint-dir", str(tmp_path),
+        ]
+        assert main(sweep + ["--b-obj", "4"]) == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "rep-0.grid.json", "rep-1.grid.json"
+        ]
+        capsys.readouterr()
+        code = main(sweep + ["--b-obj", "2", "--resume"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIGURATION_ERROR
+        assert "durability error:" in err
+        assert "resume with:" not in err
+
+
+def _with(argv: list[str], flag: str, value: str) -> list[str]:
+    """``argv`` with ``flag``'s value replaced (or the flag appended)."""
+    argv = list(argv)
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    return argv
+
+
+_PLAN = [
+    "plan", "--domain", "synthetic", "--target", "attr_00",
+    "--n-objects", "60", "--n1", "12", "--b-obj", "4", "--b-prc", "400",
+]
+_EVALUATE = ["evaluate"] + _PLAN[1:] + ["--objects", "20"]
+_SWEEP = [
+    "sweep", "--domain", "synthetic", "--target", "attr_00",
+    "--n-objects", "60", "--n1", "12", "--axis", "b_prc",
+    "--values", "300,400", "--b-obj", "4", "--objects", "20",
+    "--repetitions", "1", "--algorithms", "NaiveAverage",
+]
+_COVERAGE = [
+    "coverage", "--domain", "houses", "--target", "price",
+    "--n-objects", "60", "--n1", "12", "--b-obj", "4", "--b-prc", "1500",
+    "--repetitions", "1",
+]
+
+
+class TestCliValidation:
+    """Every door checks its cents and repetitions before any work."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            _with(_PLAN, "--b-obj", "nan"),
+            _with(_PLAN, "--b-obj", "inf"),
+            _with(_PLAN, "--b-prc", "-1"),
+            _with(_EVALUATE, "--b-obj", "nan"),
+            _with(_EVALUATE, "--b-prc", "inf"),
+            _with(_SWEEP, "--b-obj", "nan"),
+            _with(_with(_SWEEP, "--axis", "b_obj"), "--b-prc", "inf"),
+            _with(_with(_SWEEP, "--axis", "b_obj"), "--values", "inf,2"),
+            _with(_SWEEP, "--values", "nan,300"),
+            _with(_SWEEP, "--values", "300,-5"),
+            _with(_SWEEP, "--values", "300,abc"),
+            _with(_SWEEP, "--repetitions", "0"),
+            _with(_COVERAGE, "--b-obj", "nan"),
+            _with(_COVERAGE, "--b-prc", "inf"),
+            _with(_COVERAGE, "--repetitions", "0"),
+        ],
+        ids=[
+            "plan-b_obj-nan",
+            "plan-b_obj-inf",
+            "plan-b_prc-negative",
+            "evaluate-b_obj-nan",
+            "evaluate-b_prc-inf",
+            "sweep-b_obj-nan",
+            "sweep-b_prc-inf",
+            "sweep-values-inf",
+            "sweep-values-nan",
+            "sweep-values-negative",
+            "sweep-values-text",
+            "sweep-repetitions-0",
+            "coverage-b_obj-nan",
+            "coverage-b_prc-inf",
+            "coverage-repetitions-0",
+        ],
+    )
+    def test_bad_input_exits_2(self, argv, capsys):
+        from repro.cli import EXIT_CONFIGURATION_ERROR, main
+
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIGURATION_ERROR
+        assert "configuration error:" in err
