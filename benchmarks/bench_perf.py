@@ -4,9 +4,10 @@ Two measurements, both with a built-in correctness gate:
 
 * **Allocator microbenchmark** — greedy budget allocation over random
   correlated statistics (the property-test generator's regime) at
-  several attribute counts, timing ``greedy_counts_reference`` against
-  ``greedy_counts_fast``.  Hard-fails if the two ever select different
-  counts.
+  several attribute counts, timing the naive oracle loop
+  (``greedy_counts_reference`` in ``tests/allocator_oracle.py``)
+  against the shipped ``greedy_counts``.  Hard-fails if the two ever
+  select different counts.
 * **End-to-end sweep** — a small ``B_prc`` sweep on the Pictures
   domain, serial versus the process-pool engine.  Hard-fails if the
   two series are not bit-identical.
@@ -15,7 +16,9 @@ Results land in ``BENCH_perf.json`` at the repo root so CI (the
 ``perf-smoke`` job) and EXPERIMENTS.md can quote machine-readable
 numbers.  Run with ``--quick`` for the CI-sized variant::
 
-    PYTHONPATH=src python benchmarks/bench_perf.py [--quick]
+    PYTHONPATH=src:. python benchmarks/bench_perf.py [--quick]
+
+(the repo root on the path makes the oracle importable from ``tests``).
 
 Note the recorded ``machine.cpu_count``: parallel sweep speedup is
 bounded by physical cores, so on a single-core runner the parallel
@@ -36,15 +39,11 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from repro.core.budget import (
-    TargetObjective,
-    greedy_counts,
-    greedy_counts_fast,
-    greedy_counts_reference,
-)
+from repro.core.budget import TargetObjective, greedy_counts
 from repro.experiments import ParallelConfig, sweep_b_prc
 from repro.obs import Observability
 from repro.obs.metrics import MetricsRegistry
+from tests.allocator_oracle import greedy_counts_reference
 
 from common import BENCH_CONFIG, pictures_domain
 
@@ -86,7 +85,7 @@ def bench_allocator(sizes: tuple[int, ...], instances: int) -> list[dict]:
 
         start = time.perf_counter()
         fast = [
-            greedy_counts_fast(objs, costs, budget)
+            greedy_counts(objs, costs, budget)
             for objs, costs, budget in cases
         ]
         fast_s = time.perf_counter() - start
@@ -168,7 +167,7 @@ def bench_sweep(workers: int, quick: bool) -> dict:
 def bench_obs_overhead(quick: bool) -> dict:
     """Observability cost: disabled must be free, enabled must be exact.
 
-    * Allocator: times ``greedy_counts_fast`` with ``metrics=None``
+    * Allocator: times ``greedy_counts`` with ``metrics=None``
       (the default — one ``None`` check per call, after the grant
       loop) against a recording :class:`MetricsRegistry`; hard-fails
       if the counts ever differ or the registry's grant total does not
@@ -191,7 +190,7 @@ def bench_obs_overhead(quick: bool) -> dict:
 
     start = time.perf_counter()
     disabled = [
-        greedy_counts_fast(objs, costs, budget) for objs, costs, budget in cases
+        greedy_counts(objs, costs, budget) for objs, costs, budget in cases
     ]
     alloc_disabled_s = time.perf_counter() - start
 

@@ -238,10 +238,10 @@ def _parse_values(text: str) -> list[float]:
     return [_validate_cents("--values", value) for value in values]
 
 
-def _validate_repetitions(value: int) -> int:
-    """Admission-time repetition count: at least one run per point."""
+def _validate_count(name: str, value: int) -> int:
+    """Admission-time count (repetitions, evaluated objects): at least 1."""
     if value < 1:
-        raise ConfigurationError(f"--repetitions must be at least 1, got {value}")
+        raise ConfigurationError(f"{name} must be at least 1, got {value}")
     return value
 
 
@@ -455,6 +455,7 @@ def cmd_evaluate(args) -> int:
     _check_durability_flags(args)
     _validate_cents("--b-obj", args.b_obj)
     _validate_cents("--b-prc", args.b_prc)
+    _validate_count("--objects", args.objects)
     obs = _make_obs(args)
     domain, platform, query = _build(args, obs)
     params = DisQParams(n1=args.n1, **_agg_params(args))
@@ -708,8 +709,8 @@ def cmd_sweep(args) -> int:
     config = ExperimentConfig(
         n_objects=args.n_objects,
         n1=args.n1,
-        repetitions=_validate_repetitions(args.repetitions),
-        eval_objects=args.objects,
+        repetitions=_validate_count("--repetitions", args.repetitions),
+        eval_objects=_validate_count("--objects", args.objects),
     )
     obs = _make_obs(args)
     domain, _, query = _build(args)
@@ -754,7 +755,7 @@ def cmd_coverage(args) -> int:
     config = ExperimentConfig(
         n_objects=args.n_objects,
         n1=args.n1,
-        repetitions=_validate_repetitions(args.repetitions),
+        repetitions=_validate_count("--repetitions", args.repetitions),
     )
     domain, _, _ = _build(args)
     result = coverage_experiment(

@@ -9,26 +9,20 @@ until the per-object budget is exhausted.  Dividing by cost implements
 the paper's handling of heterogeneous question prices ("divide each
 attribute's contribution by its cost").
 
-Two implementations share that contract:
-
-* ``method="reference"`` — the naive loop: every candidate at every
-  grant step is evaluated by a fresh ``O(k^3)`` solve
-  (``O(B_obj * n * k^3)`` per target).  Kept verbatim as the ground
-  truth the fast path is tested against.
-* ``method="fast"`` (default) — the same scan order and comparison
-  semantics as the reference, but every candidate is evaluated through
-  one :class:`~repro.core.objective.IncrementalObjective` per target
-  (Sherman–Morrison / bordered inverse updates, vectorized across
-  candidates), dropping a grant step from ``O(n * k^3)`` solves to a
-  couple of BLAS calls.  Selects identical counts to the reference
-  (asserted by the test suite and the perf-smoke CI job).
+Every candidate is evaluated through one
+:class:`~repro.core.objective.IncrementalObjective` per target
+(Sherman–Morrison / bordered inverse updates, vectorized across
+candidates), so a grant step costs a couple of BLAS calls instead of
+``O(n * k^3)`` fresh solves.  The naive loop that re-solves every
+candidate lives in the test suite (``tests/allocator_oracle.py``) as
+the oracle this loop must match count for count.
 
 A CELF-style lazy-greedy queue is deliberately absent: its skip rule is
 exact only under diminishing marginal gains, and the explained-variance
 objective is *not* submodular (granting questions to one attribute can
 raise another's marginal gain — the suppressor-variable effect in
 linear regression), so it could pick different counts than the
-reference (DESIGN.md §9).
+naive loop (DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -46,9 +40,6 @@ EPSILON = 1e-15
 
 #: Slack used when checking a cost against the remaining budget.
 _AFFORD_SLACK = 1e-9
-
-#: Known allocator methods (``DisQParams.allocator`` values).
-ALLOCATOR_METHODS = ("fast", "reference")
 
 
 @dataclass(frozen=True)
@@ -84,95 +75,6 @@ def _validate(
     return costs
 
 
-def greedy_counts_reference(
-    objectives: list[TargetObjective],
-    costs: np.ndarray,
-    budget_cents: float,
-) -> np.ndarray:
-    """The naive greedy loop (reference implementation)."""
-    costs = _validate(objectives, costs)
-    n = len(costs)
-    counts = np.zeros(n, dtype=int)
-    remaining = float(budget_cents)
-    current = _total_value(objectives, counts)
-    while True:
-        affordable = np.where(costs <= remaining + _AFFORD_SLACK)[0]
-        if affordable.size == 0:
-            break
-        best_index = -1
-        best_rate = -np.inf
-        best_value = current
-        for i in affordable:
-            trial = counts.copy()
-            trial[i] += 1
-            value = _total_value(objectives, trial)
-            rate = (value - current) / costs[i]
-            if rate > best_rate + EPSILON:
-                best_rate = rate
-                best_index = int(i)
-                best_value = value
-        if best_index < 0:
-            break
-        # Even a zero marginal gain consumes budget that cannot improve
-        # anything else either, so we stop instead of burning it.
-        if best_rate <= EPSILON and counts.sum() > 0:
-            break
-        counts[best_index] += 1
-        remaining -= costs[best_index]
-        current = best_value
-    return counts
-
-
-def greedy_counts_fast(
-    objectives: list[TargetObjective],
-    costs: np.ndarray,
-    budget_cents: float,
-) -> np.ndarray:
-    """Incremental forward selection: reference semantics, fast math.
-
-    Replays the reference loop's exact scan order and comparison rule
-    (ascending index, strict ``EPSILON`` improvement to displace the
-    incumbent), but candidate values come from the incremental
-    evaluators' vectorized batch evaluation instead of per-candidate
-    ``O(k^3)`` solves — so the selected counts match the reference
-    while each grant step costs a couple of BLAS calls.
-    """
-    costs = _validate(objectives, costs)
-    n = len(costs)
-    evaluators = [
-        IncrementalObjective(o.s_o, o.s_a, o.s_c, weight=o.weight)
-        for o in objectives
-    ]
-    counts = np.zeros(n, dtype=int)
-    remaining = float(budget_cents)
-    granted = 0
-    while True:
-        affordable = np.where(costs <= remaining + _AFFORD_SLACK)[0]
-        if affordable.size == 0:
-            break
-        current = sum(evaluator.value for evaluator in evaluators)
-        totals = evaluators[0].values_with_all()
-        for evaluator in evaluators[1:]:
-            totals = totals + evaluator.values_with_all()
-        best_index = -1
-        best_rate = -np.inf
-        for i in affordable:
-            rate = (totals[i] - current) / costs[i]
-            if rate > best_rate + EPSILON:
-                best_rate = rate
-                best_index = int(i)
-        if best_index < 0:
-            break
-        if best_rate <= EPSILON and granted > 0:
-            break
-        counts[best_index] += 1
-        granted += 1
-        remaining -= costs[best_index]
-        for evaluator in evaluators:
-            evaluator.commit(best_index)
-    return counts
-
-
 def apply_reliability_gains(
     objectives: list[TargetObjective], gains: np.ndarray
 ) -> list[TargetObjective]:
@@ -188,9 +90,9 @@ def apply_reliability_gains(
     (and therefore byte-identical counts) because ``x / 1.0 == x``
     exactly in IEEE-754.
 
-    Applied to the *inputs* of the greedy loop, so both allocator
-    methods (fast / reference) see the identical adjusted problem and
-    keep their equivalence guarantee.
+    Applied to the *inputs* of the greedy loop, so the loop itself
+    (and the naive oracle it is tested against) sees one adjusted
+    problem.
     """
     gains = np.asarray(gains, dtype=float)
     if not objectives:
@@ -215,11 +117,14 @@ def greedy_counts(
     objectives: list[TargetObjective],
     costs: np.ndarray,
     budget_cents: float,
-    method: str = "fast",
     metrics=None,
     gains: np.ndarray | None = None,
 ) -> np.ndarray:
     """Greedy forward selection of per-attribute question counts.
+
+    Each step scans the affordable attributes in ascending index order
+    and grants one question to the best marginal gain per cent; a
+    candidate displaces the incumbent only by more than ``EPSILON``.
 
     Parameters
     ----------
@@ -230,9 +135,6 @@ def greedy_counts(
         Cost in cents of one value question per attribute.
     budget_cents:
         The per-object online budget ``B_obj``.
-    method:
-        ``"fast"`` (incremental evaluators, reference-identical counts,
-        default) or ``"reference"`` (the naive re-solving loop).
     metrics:
         Optional duck-typed metrics sink
         (:class:`repro.obs.metrics.MetricsRegistry`).  One
@@ -247,14 +149,40 @@ def greedy_counts(
     """
     if gains is not None:
         objectives = apply_reliability_gains(objectives, gains)
-    if method == "fast":
-        counts = greedy_counts_fast(objectives, costs, budget_cents)
-    elif method == "reference":
-        counts = greedy_counts_reference(objectives, costs, budget_cents)
-    else:
-        raise ConfigurationError(
-            f"unknown allocator method {method!r}; choose from {ALLOCATOR_METHODS}"
-        )
+    costs = _validate(objectives, costs)
+    evaluators = [
+        IncrementalObjective(o.s_o, o.s_a, o.s_c, weight=o.weight)
+        for o in objectives
+    ]
+    counts = np.zeros(len(costs), dtype=int)
+    remaining = float(budget_cents)
+    granted = 0
+    while True:
+        affordable = np.where(costs <= remaining + _AFFORD_SLACK)[0]
+        if affordable.size == 0:
+            break
+        current = sum(evaluator.value for evaluator in evaluators)
+        totals = evaluators[0].values_with_all()
+        for evaluator in evaluators[1:]:
+            totals = totals + evaluator.values_with_all()
+        best_index = -1
+        best_rate = -np.inf
+        for i in affordable:
+            rate = (totals[i] - current) / costs[i]
+            if rate > best_rate + EPSILON:
+                best_rate = rate
+                best_index = int(i)
+        if best_index < 0:
+            break
+        # Even a zero marginal gain consumes budget that cannot improve
+        # anything else either, so we stop instead of burning it.
+        if best_rate <= EPSILON and granted > 0:
+            break
+        counts[best_index] += 1
+        granted += 1
+        remaining -= costs[best_index]
+        for evaluator in evaluators:
+            evaluator.commit(best_index)
     if metrics is not None:
         metrics.inc("allocator.calls")
         metrics.inc("allocator.grants", int(counts.sum()))
@@ -266,7 +194,6 @@ def find_budget_distribution(
     attributes: list[str],
     costs: np.ndarray,
     budget_cents: float,
-    method: str = "fast",
     metrics=None,
     gains: np.ndarray | None = None,
 ) -> BudgetDistribution:
@@ -275,7 +202,6 @@ def find_budget_distribution(
         objectives,
         np.asarray(costs, dtype=float),
         budget_cents,
-        method=method,
         metrics=metrics,
         gains=gains,
     )
@@ -288,15 +214,12 @@ def max_explained_variance(
     objectives: list[TargetObjective],
     costs: np.ndarray,
     budget_cents: float,
-    method: str = "fast",
 ) -> float:
     """Best (greedy) weighted explained variance achievable under a budget.
 
     This is the ``max_b`` term of the paper's loss function ``L(A, u, v)``.
-    The final value is always computed by the reference formula on the
-    selected counts, so both methods report it identically.
+    The final value is computed by the closed-form objective on the
+    selected counts, not read off the incremental evaluators.
     """
-    counts = greedy_counts(
-        objectives, np.asarray(costs, dtype=float), budget_cents, method=method
-    )
+    counts = greedy_counts(objectives, np.asarray(costs, dtype=float), budget_cents)
     return _total_value(objectives, counts)

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.budget import TargetObjective, max_explained_variance
-from repro.core.model import Query
 from repro.core.statistics import SoFill, StatisticsStore
 from repro.errors import ConfigurationError
 
@@ -44,6 +43,26 @@ def probability_of_new_answer(n_asked: int) -> float:
     if n_asked < 0:
         raise ConfigurationError(f"question count cannot be negative: {n_asked}")
     return (n_asked + 1) / (n_asked**2 + 3 * n_asked + 2)
+
+
+def ranking_key(
+    probability_new: float, gain: float, loss: float
+) -> tuple[int, float]:
+    """Selection key of expression 8/9, robust to all-negative scores.
+
+    When ``G - L < 0`` for every candidate, maximizing ``Pr * (G - L)``
+    degenerates into preferring the *smallest* ``Pr(new)`` — i.e.
+    endlessly re-asking the most exhausted attribute.  Since a
+    discovered attribute never forces the budget allocator to use it
+    (``b(a) = 0`` is always available), the pessimistic loss is not
+    actually realized; among negative-score candidates we therefore
+    rank by expected information ``Pr * G`` instead.  The planner's
+    dismantle loop ranks its candidates with this key.
+    """
+    score = probability_new * (gain - loss)
+    if score > 0:
+        return (1, score)
+    return (0, probability_new * gain)
 
 
 @dataclass(frozen=True)
@@ -62,21 +81,8 @@ class CandidateScore:
 
     @property
     def ranking(self) -> tuple[int, float]:
-        """Selection key, robust to all-negative scores.
-
-        When ``G - L < 0`` for every candidate, maximizing
-        ``Pr * (G - L)`` degenerates into preferring the *smallest*
-        ``Pr(new)`` — i.e. endlessly re-asking the most exhausted
-        attribute.  Since a discovered attribute never forces the budget
-        allocator to use it (``b(a) = 0`` is always available), the
-        pessimistic loss is not actually realized; among negative-score
-        candidates we therefore rank by expected information
-        ``Pr * G`` instead.
-        """
-        score = self.score
-        if score > 0:
-            return (1, score)
-        return (0, self.probability_new * self.gain)
+        """Selection key: :func:`ranking_key` of this breakdown."""
+        return ranking_key(self.probability_new, self.gain, self.loss)
 
 
 class DismantleScorer:
@@ -124,57 +130,19 @@ class DismantleScorer:
         costs: np.ndarray,
         budget_cents: float,
         unit_cost: float,
-        method: str = "fast",
     ) -> float:
         """``L(A, u, v)``: value lost by freeing one question's budget.
 
         With heterogeneous prices "one question" is ``unit_cost`` cents
         (the price of the question the new attribute would receive).
-        ``method`` selects the greedy allocator implementation (see
-        :func:`~repro.core.budget.greedy_counts`).
         """
         if not objectives or len(costs) == 0:
             return 0.0
-        full = max_explained_variance(objectives, costs, budget_cents, method=method)
+        full = max_explained_variance(objectives, costs, budget_cents)
         reduced = max_explained_variance(
-            objectives, costs, max(budget_cents - unit_cost, 0.0), method=method
+            objectives, costs, max(budget_cents - unit_cost, 0.0)
         )
         return max(full - reduced, 0.0)
-
-    # ------------------------------------------------------------------
-
-    def score_candidates(
-        self,
-        stats: StatisticsStore,
-        query: Query,
-        candidates: list[str],
-        question_counts: dict[str, int],
-        objectives: list[TargetObjective],
-        costs: np.ndarray,
-        budget_cents: float,
-        unit_cost: float,
-        s_o_fill: SoFill | None = None,
-        method: str = "fast",
-    ) -> list[CandidateScore]:
-        """Score every candidate; the loss term is shared across them."""
-        loss = self.loss(objectives, costs, budget_cents, unit_cost, method=method)
-        scores = []
-        for attribute in candidates:
-            total_gain = sum(
-                query.weight(target) * self.gain(stats, target, attribute, s_o_fill)
-                for target in query.targets
-            )
-            scores.append(
-                CandidateScore(
-                    attribute=attribute,
-                    probability_new=probability_of_new_answer(
-                        question_counts.get(attribute, 0)
-                    ),
-                    gain=total_gain,
-                    loss=loss,
-                )
-            )
-        return scores
 
     @staticmethod
     def choose(scores: list[CandidateScore]) -> CandidateScore | None:

@@ -38,12 +38,12 @@ from repro.agg.base import (
     validate_trim_fraction,
 )
 from repro.agg.reliability import ReliabilityModel
-from repro.core.budget import (
-    ALLOCATOR_METHODS,
-    TargetObjective,
-    find_budget_distribution,
+from repro.core.budget import TargetObjective, find_budget_distribution
+from repro.core.dismantling import (
+    DismantleScorer,
+    probability_of_new_answer,
+    ranking_key,
 )
-from repro.core.dismantling import DismantleScorer, probability_of_new_answer
 from repro.core.model import BudgetDistribution, PreprocessingPlan, Query
 from repro.core.pairing import NaiveMeanEstimator, PairingRule, ZeroEstimator
 from repro.core.regression import (
@@ -111,8 +111,6 @@ class DisQParams:
         Hard safety cap on dismantling rounds (None = budget decides).
     verifier:
         Sequential verification configuration.
-    training_size_cap:
-        Optional cap on ``N_2`` (None = the Green rule).
     example_pooling:
         ``"shared"`` — one example question supplies true values for
         *all* query targets at once (the paper's GetExamples extension:
@@ -121,6 +119,8 @@ class DisQParams:
         targets.  ``"split"`` — one independent example pool per target
         (Section 4's general case, Table 3), where the pairing rule and
         the graph estimation of missing ``S_o`` entries come into play.
+        Both run one code path: shared pooling is split pooling over a
+        single group of all targets.
     formula_family:
         ``"linear"`` — the paper's assembly formulas; ``"quadratic"`` —
         degree-2 polynomial assembly (the Section 7 "more general
@@ -142,13 +142,6 @@ class DisQParams:
         recorded in the plan's
         :class:`~repro.crowd.faults.ResilienceReport`.  Off by default
         so the paper-faithful abort behavior is unchanged.
-    allocator:
-        Budget-allocation engine: ``"fast"`` (greedy over
-        Sherman–Morrison incremental evaluators, the default) or
-        ``"reference"`` (the naive re-solving loop, kept as ground
-        truth).  Both produce identical budget distributions; the fast
-        path is an order of magnitude quicker once the discovered
-        attribute set grows.
     aggregator:
         Answer-aggregation strategy for the online phase: ``"uniform"``
         (the paper's plain mean, default), ``"trimmed"``, ``"huber"``
@@ -171,23 +164,16 @@ class DisQParams:
     stop_on_nonpositive_score: bool = False
     max_rounds: int | None = None
     verifier: SequentialVerifier = field(default_factory=SequentialVerifier)
-    training_size_cap: int | None = None
     example_pooling: str = "shared"
     formula_family: str = "linear"
     min_probability_new: float = 0.02
     graceful_degradation: bool = False
-    allocator: str = "fast"
     aggregator: str = "uniform"
     trim_fraction: float = 0.1
     huber_delta: float = 1.5
     em_iterations: int = 5
 
     def __post_init__(self) -> None:
-        if self.allocator not in ALLOCATOR_METHODS:
-            raise ConfigurationError(
-                f"unknown allocator {self.allocator!r}; "
-                f"choose from {ALLOCATOR_METHODS}"
-            )
         if self.aggregator not in AGGREGATORS:
             raise ConfigurationError(
                 f"unknown aggregator {self.aggregator!r}; "
@@ -300,6 +286,16 @@ class DisQPlanner:
         self.params = params if params is not None else DisQParams()
         self.platform = platform.fork(budget=Budget(b_prc_cents))
         self.stats = StatisticsStore(query.targets, k=self.params.k)
+        #: Targets that share one example pool, in query order: one
+        #: group of every target with shared pooling, one group per
+        #: target with split pooling.  An example question asks for a
+        #: whole group's values, and an attribute's answers measured on
+        #: a group's first pool serve the rest of the group.
+        self._pool_groups: list[tuple[str, ...]] = (
+            [tuple(query.targets)]
+            if self.params.example_pooling == "shared"
+            else [(target,) for target in query.targets]
+        )
         self._fill = self.params.make_fill()
         self._scorer = DismantleScorer(rho_constant=self.params.rho_constant)
         self._question_counts: dict[str, int] = {}
@@ -331,16 +327,6 @@ class DisQPlanner:
     # Public API
     # ------------------------------------------------------------------
 
-    @property
-    def _shared_pooling(self) -> bool:
-        """Whether all targets share one example pool (same objects)."""
-        return self.params.example_pooling == "shared"
-
-    @property
-    def _n_pools(self) -> int:
-        """Number of independently-paid example pools."""
-        return 1 if self._shared_pooling else len(self.query.targets)
-
     def preprocess(self) -> PreprocessingPlan:
         """Run the full offline phase and return the ``(l, b)`` plan.
 
@@ -356,7 +342,7 @@ class DisQPlanner:
             b_obj_cents=self.b_obj_cents,
             n1=self.params.n1,
             k=self.params.k,
-            n_targets=self._n_pools,
+            n_targets=len(self._pool_groups),
             expected_verification_votes=self.params.verifier.expected_votes(True),
         )
         obs = self.platform.obs
@@ -528,15 +514,15 @@ class DisQPlanner:
     # ------------------------------------------------------------------
 
     def _collect_examples(self) -> None:
-        if self._shared_pooling:
-            # One example question yields true values for every target
-            # (the paper's GetExamples extension); all pools then hold
-            # the same objects in the same order.
-            targets = tuple(self.query.targets)
+        # One example question yields true values for a whole group (the
+        # paper's GetExamples extension), so a group's pools hold the
+        # same objects in the same order.
+        for group in self._pool_groups:
+            pools = [self.stats.pool(target) for target in group]
             strikes = 0
             for _ in range(self.params.n1):
                 try:
-                    object_id, values = self.platform.ask_example(targets)
+                    object_id, values = self.platform.ask_example(group)
                 except BudgetExhaustedError:
                     break
                 except CrowdFaultError:
@@ -545,39 +531,16 @@ class DisQPlanner:
                     strikes += 1
                     if strikes >= FAULT_STRIKE_LIMIT:
                         self._degrade(
-                            f"example collection stopped after {strikes} "
-                            f"consecutive crowd faults "
-                            f"({len(self.stats.pool(targets[0]))} of "
-                            f"{self.params.n1} examples collected)"
+                            f"example collection for {'+'.join(group)!r} "
+                            f"stopped after {strikes} consecutive crowd "
+                            f"faults ({len(pools[0])} of {self.params.n1} "
+                            f"examples)"
                         )
                         break
                     continue
                 strikes = 0
-                for target in targets:
-                    self.stats.pool(target).add_example(object_id, values[target])
-        else:
-            for target in self.query.targets:
-                pool = self.stats.pool(target)
-                strikes = 0
-                for _ in range(self.params.n1):
-                    try:
-                        object_id, values = self.platform.ask_example((target,))
-                    except BudgetExhaustedError:
-                        break
-                    except CrowdFaultError:
-                        if not self.params.graceful_degradation:
-                            raise
-                        strikes += 1
-                        if strikes >= FAULT_STRIKE_LIMIT:
-                            self._degrade(
-                                f"example collection for {target!r} stopped "
-                                f"after {strikes} consecutive crowd faults "
-                                f"({len(pool)} of {self.params.n1} examples)"
-                            )
-                            break
-                        continue
-                    strikes = 0
-                    pool.add_example(object_id, values[target])
+                for pool in pools:
+                    pool.add_example(object_id, values[pool.target])
         for target in self.query.targets:
             if len(self.stats.pool(target)) < 4:
                 if self.params.graceful_degradation:
@@ -606,32 +569,30 @@ class DisQPlanner:
     def _add_attribute(self, attribute: str, paired_targets: set[str]) -> None:
         """Register an attribute and collect its k-answer statistics.
 
-        With shared example pooling the pools hold the same objects, so
-        the answers collected once serve every target: the attribute is
-        paired with all targets and the batches are copied for free.
+        The attribute is paired with every pool of each group that holds
+        a paired target.  Groups are measured in query-target order (not
+        set iteration order, which follows the string-hash seed), each
+        on its first pool; the batches are copied for free to the
+        group's other pools, which hold the same objects.
         """
-        if self._shared_pooling:
-            paired_targets = set(self.query.targets)
-        self.stats.register_attribute(attribute, paired_targets)
+        groups = [g for g in self._pool_groups if not paired_targets.isdisjoint(g)]
+        self.stats.register_attribute(
+            attribute, {target for group in groups for target in group}
+        )
         self._question_counts.setdefault(attribute, 0)
-        if self._shared_pooling:
-            primary = self.query.targets[0]
-            self._measure_on_pool(attribute, primary)
-            primary_pool = self.stats.pool(primary)
-            measured = primary_pool.n_measured(attribute)
-            for target in self.query.targets[1:]:
+        for group in groups:
+            self._measure_on_pool(attribute, group[0])
+            primary = self.stats.pool(group[0])
+            measured = primary.n_measured(attribute)
+            for target in group[1:]:
                 pool = self.stats.pool(target)
-                start = pool.n_measured(attribute)
                 pool.record_answers(
                     attribute,
                     [
-                        primary_pool.batch(attribute, index)
-                        for index in range(start, measured)
+                        primary.batch(attribute, index)
+                        for index in range(pool.n_measured(attribute), measured)
                     ],
                 )
-        else:
-            for target in paired_targets:
-                self._measure_on_pool(attribute, target)
 
     def _measure_on_pool(self, attribute: str, target: str) -> None:
         pool = self.stats.pool(target)
@@ -684,10 +645,7 @@ class DisQPlanner:
         ]
 
     def _expected_pools(self) -> float:
-        if self._shared_pooling:
-            return 1.0
-        n = len(self.query.targets)
-        return (1.0 + n) / 2.0
+        return (1.0 + len(self._pool_groups)) / 2.0
 
     def _dismantle_loop(self, manager: PreprocessingBudgetManager) -> None:
         # The gain and loss terms of the expression-8/9 score depend only
@@ -716,7 +674,6 @@ class DisQPlanner:
                     costs,
                     self.b_obj_cents,
                     self.platform.prices.numeric_value,
-                    method=self.params.allocator,
                 )
                 cached_gains = {
                     attribute: sum(
@@ -730,16 +687,13 @@ class DisQPlanner:
             loss = cached_loss
 
             def ranking(attribute: str) -> tuple[int, float]:
-                probability = probability_of_new_answer(
-                    self._question_counts.get(attribute, 0)
+                return ranking_key(
+                    probability_of_new_answer(
+                        self._question_counts.get(attribute, 0)
+                    ),
+                    gains.get(attribute, 0.0),
+                    loss,
                 )
-                gain = gains.get(attribute, 0.0)
-                score = probability * (gain - loss)
-                if score > 0:
-                    return (1, score)
-                # All-negative regime: rank by expected information
-                # instead (see CandidateScore.ranking for the rationale).
-                return (0, probability * gain)
 
             best_attribute = max(candidates, key=ranking)
             if self.params.stop_on_nonpositive_score:
@@ -931,7 +885,6 @@ class DisQPlanner:
             attributes,
             costs,
             self.b_obj_cents,
-            method=self.params.allocator,
             metrics=self.platform.obs.metrics_sink,
             gains=gains,
         )
@@ -964,24 +917,14 @@ class DisQPlanner:
     # Phase 5: the regression training set and fit (FindRegression)
     # ------------------------------------------------------------------
 
-    def _training_size(self, budget: BudgetDistribution) -> int:
-        n2 = recommended_training_size(len(budget.attributes))
-        if self.params.training_size_cap is not None:
-            n2 = min(n2, self.params.training_size_cap)
-        return n2
-
     def _learn_regressions(self, budget: BudgetDistribution) -> dict:
         formulas = {}
-        n2 = self._training_size(budget)
-        if self._shared_pooling and len(self.query.targets) > 1:
-            rows_by_target = self._shared_training_rows(budget, n2)
-        else:
-            rows_by_target = None
+        n2 = recommended_training_size(len(budget.attributes))
+        rows_by_target: dict[str, list[TrainingRow]] = {}
+        for group in self._pool_groups:
+            rows_by_target.update(self._training_rows(group, budget, n2))
         for target in self.query.targets:
-            if rows_by_target is not None:
-                rows = rows_by_target[target]
-            else:
-                rows = self._training_rows(target, budget, n2)
+            rows = rows_by_target[target]
             # An under-determined fit (fewer rows than features) returns
             # the minimum-norm solution, which extrapolates wildly on
             # fresh objects; a starving budget degrades to the constant
@@ -1007,109 +950,35 @@ class DisQPlanner:
                 )
         return formulas
 
-    def _shared_training_rows(
-        self, budget: BudgetDistribution, n2: int
-    ) -> dict[str, list[TrainingRow]]:
-        """Training rows in shared-pool mode: one feature vector per
-        example serves every target's regression (the answers are about
-        the same object), so value questions are paid once."""
-        rows_by_target: dict[str, list[TrainingRow]] = {
-            target: [] for target in self.query.targets
-        }
-        primary = self.query.targets[0]
-        pool = self.stats.pool(primary)
-        support = budget.attributes
-
-        for index in range(min(len(pool), n2)):
-            object_id = pool.object_ids[index]
-            means: dict[str, float] = {}
-            try:
-                for attribute in support:
-                    means[attribute] = self._answer_mean(
-                        pool, index, object_id, attribute, budget[attribute]
-                    )
-            except BudgetExhaustedError:
-                return rows_by_target
-            except CrowdFaultError:
-                if not self.params.graceful_degradation:
-                    raise
-                self._degrade(
-                    f"shared regression training truncated at "
-                    f"{len(rows_by_target[primary])} of {n2} rows by "
-                    f"persistent crowd faults"
-                )
-                return rows_by_target
-            for target in self.query.targets:
-                label = self.stats.pool(target).target_values[index]
-                rows_by_target[target].append((means, label))
-
-        while len(rows_by_target[primary]) < n2:
-            try:
-                object_id, values = self.platform.ask_example(
-                    tuple(self.query.targets)
-                )
-                means = {
-                    attribute: float(
-                        np.mean(
-                            self.platform.ask_value(
-                                object_id, attribute, budget[attribute]
-                            )
-                        )
-                    )
-                    for attribute in support
-                }
-            except BudgetExhaustedError:
-                break
-            except CrowdFaultError:
-                if not self.params.graceful_degradation:
-                    raise
-                self._degrade(
-                    f"shared regression training truncated at "
-                    f"{len(rows_by_target[primary])} of {n2} rows by "
-                    f"persistent crowd faults"
-                )
-                break
-            for target in self.query.targets:
-                rows_by_target[target].append((means, values[target]))
-        return rows_by_target
-
     def _training_rows(
-        self, target: str, budget: BudgetDistribution, n2: int
-    ) -> list[TrainingRow]:
-        """Assemble training rows mirroring the online phase.
+        self, group: tuple[str, ...], budget: BudgetDistribution, n2: int
+    ) -> dict[str, list[TrainingRow]]:
+        """Assemble one group's training rows, mirroring the online phase.
 
-        The first ``N_1`` examples reuse their ``k`` statistics answers
-        (only ``b(a) - k`` extra answers are bought); further examples
-        are freshly collected with full ``b(a)`` answers, exactly as in
-        Section 3.1 / Table 1b.
+        One feature vector per example serves every target of the group
+        (its answers are about the same object), so value questions are
+        paid once per group.  The first ``N_1`` examples reuse their
+        ``k`` statistics answers (only ``b(a) - k`` extra answers are
+        bought); further examples are freshly collected with full
+        ``b(a)`` answers, exactly as in Section 3.1 / Table 1b.
         """
-        pool = self.stats.pool(target)
-        rows: list[TrainingRow] = []
+        rows: dict[str, list[TrainingRow]] = {target: [] for target in group}
+        primary = self.stats.pool(group[0])
         support = budget.attributes
-
-        for index in range(min(len(pool), n2)):
-            object_id = pool.object_ids[index]
-            means: dict[str, float] = {}
-            try:
-                for attribute in support:
-                    means[attribute] = self._answer_mean(
-                        pool, index, object_id, attribute, budget[attribute]
+        try:
+            for index in range(min(len(primary), n2)):
+                object_id = primary.object_ids[index]
+                means = {
+                    attribute: self._answer_mean(
+                        primary, index, object_id, attribute, budget[attribute]
                     )
-            except BudgetExhaustedError:
-                return rows
-            except CrowdFaultError:
-                if not self.params.graceful_degradation:
-                    raise
-                self._degrade(
-                    f"regression training for {target!r} truncated at "
-                    f"{len(rows)} of {n2} rows by persistent crowd faults"
-                )
-                return rows
-            rows.append((means, pool.target_values[index]))
-
-        while len(rows) < n2:
-            try:
-                object_id, values = self.platform.ask_example((target,))
+                    for attribute in support
+                }
+                for target in group:
+                    label = self.stats.pool(target).target_values[index]
+                    rows[target].append((means, label))
+            while len(rows[group[0]]) < n2:
+                object_id, values = self.platform.ask_example(group)
                 means = {
                     attribute: float(
                         np.mean(
@@ -1120,17 +989,17 @@ class DisQPlanner:
                     )
                     for attribute in support
                 }
-            except BudgetExhaustedError:
-                break
-            except CrowdFaultError:
-                if not self.params.graceful_degradation:
-                    raise
-                self._degrade(
-                    f"regression training for {target!r} truncated at "
-                    f"{len(rows)} of {n2} rows by persistent crowd faults"
-                )
-                break
-            rows.append((means, values[target]))
+                for target in group:
+                    rows[target].append((means, values[target]))
+        except BudgetExhaustedError:
+            pass  # train on the rows bought so far
+        except CrowdFaultError:
+            if not self.params.graceful_degradation:
+                raise
+            self._degrade(
+                f"regression training for {'+'.join(group)!r} truncated at "
+                f"{len(rows[group[0]])} of {n2} rows by persistent crowd faults"
+            )
         return rows
 
     def _answer_mean(

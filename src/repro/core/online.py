@@ -332,6 +332,8 @@ def target_error(
     domain: Domain, estimates: np.ndarray, object_ids: Sequence[int], target: str
 ) -> float:
     """Mean squared error of one target's estimates against ground truth."""
+    if len(object_ids) == 0:
+        raise ConfigurationError("query error needs at least one object")
     truth = np.array([domain.true_value(oid, target) for oid in object_ids])
     estimates = np.asarray(estimates, dtype=float)
     if estimates.shape != truth.shape:

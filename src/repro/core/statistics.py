@@ -267,8 +267,10 @@ class StatisticsStore:
         }
         #: Attribute measurement order (Table 1's column order).
         self.attributes: list[str] = []
-        #: Which pools each attribute has been measured on.
-        self.pairings: dict[str, set[str]] = {}
+        #: Which pools each attribute has been measured on, in query-target
+        #: order.  Every pooled sum visits them in this order, never in a
+        #: set's iteration order, which follows the string-hash seed.
+        self.pairings: dict[str, tuple[str, ...]] = {}
         # Memoized derived statistics; see the class docstring for keys.
         self._cache: dict[tuple, float | None] = {}
 
@@ -286,16 +288,16 @@ class StatisticsStore:
             return value
 
     def _pairing_stamps(self, attribute: str) -> tuple[tuple[str, int], ...]:
-        """What ``S_c`` of ``attribute`` reads: its pools and batch stamps.
-
-        The pools come in the pairing set's iteration order, the order
-        every pooled sum visits them, so a rebuilt set that iterates
-        differently gets a fresh entry.
-        """
+        """What ``S_c`` of ``attribute`` reads: its pools and batch stamps."""
         return tuple(
             (target, self.pools[target].attribute_stamp(attribute))
             for target in self.pairings.get(attribute, ())
         )
+
+    def _common_targets(self, attribute_a: str, attribute_b: str) -> list[str]:
+        """The pools both attributes are paired with, in query-target order."""
+        paired_b = self.pairings.get(attribute_b, ())
+        return [t for t in self.pairings.get(attribute_a, ()) if t in paired_b]
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -325,7 +327,7 @@ class StatisticsStore:
             )
         self.attributes = [str(a) for a in payload["attributes"]]
         self.pairings = {
-            str(attribute): {str(t) for t in targets}
+            str(attribute): self._in_target_order({str(t) for t in targets})
             for attribute, targets in payload["pairings"].items()
         }
         self.pools = {
@@ -338,16 +340,21 @@ class StatisticsStore:
     # Recording
     # ------------------------------------------------------------------
 
+    def _in_target_order(self, targets: set[str]) -> tuple[str, ...]:
+        return tuple(target for target in self.targets if target in targets)
+
     def register_attribute(self, attribute: str, paired_targets: set[str]) -> None:
-        """Declare a new attribute and the pools it is measured on."""
-        if attribute in self.pairings:
-            self.pairings[attribute] |= set(paired_targets)
-            return
+        """Declare a new attribute and the pools it is measured on.
+
+        Registering a known attribute again widens its pairing.
+        """
         unknown = set(paired_targets) - set(self.targets)
         if unknown:
             raise ConfigurationError(f"pairing with unknown targets: {unknown}")
-        self.attributes.append(attribute)
-        self.pairings[attribute] = set(paired_targets)
+        if attribute not in self.pairings:
+            self.attributes.append(attribute)
+        paired = set(self.pairings.get(attribute, ())) | set(paired_targets)
+        self.pairings[attribute] = self._in_target_order(paired)
 
     def drop_attribute(self, attribute: str) -> None:
         """Remove an attribute from the discovered set.
@@ -544,10 +551,7 @@ class StatisticsStore:
     ) -> float | None:
         covariances: list[float] = []
         weights: list[int] = []
-        common = self.pairings.get(attribute_a, set()) & self.pairings.get(
-            attribute_b, set()
-        )
-        for target in common:
+        for target in self._common_targets(attribute_a, attribute_b):
             pool = self.pools[target]
             n = min(pool.n_measured(attribute_a), pool.n_measured(attribute_b))
             if n < 2:
@@ -619,10 +623,7 @@ class StatisticsStore:
         if entry is None or attribute_a == attribute_b:
             return entry
         n = 0
-        common = self.pairings.get(attribute_a, set()) & self.pairings.get(
-            attribute_b, set()
-        )
-        for target in common:
+        for target in self._common_targets(attribute_a, attribute_b):
             pool = self.pools[target]
             n += min(pool.n_measured(attribute_a), pool.n_measured(attribute_b))
         if n < 2:

@@ -19,12 +19,12 @@ FORMAT_VERSION = 1
 
 def save_recorder(recorder: AnswerRecorder, path: str | Path) -> None:
     """Write a recorder snapshot as JSON to ``path`` (atomically)."""
-    target = Path(path)
+    # Imported here: repro.durability imports the planner, which
+    # imports this package through repro.core.model.
+    from repro.durability.checkpoint import atomic_write_text
+
     payload = {"version": FORMAT_VERSION, "recorder": recorder.to_dict()}
-    temp = target.with_suffix(target.suffix + ".tmp")
-    with open(temp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
-    temp.replace(target)
+    atomic_write_text(path, json.dumps(payload))
 
 
 def load_recorder(path: str | Path) -> AnswerRecorder:

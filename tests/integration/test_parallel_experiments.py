@@ -1,5 +1,7 @@
 """The parallel experiment engine is bit-identical to serial runs."""
 
+from repro.catalog import serialize_plan
+from repro.core import budget
 from repro.core.disq import DisQParams, DisQPlanner
 from repro.core.model import Query
 from repro.core.online import default_weights
@@ -13,6 +15,7 @@ from repro.experiments import (
     sweep_b_obj,
     sweep_b_prc,
 )
+from tests.allocator_oracle import greedy_counts_oracle
 
 SMALL = ExperimentConfig(n_objects=200, n1=12, repetitions=2, eval_objects=20)
 
@@ -85,20 +88,42 @@ class TestRunAveragedParallel:
 
 
 class TestAllocatorMethodsEndToEnd:
-    def test_fast_and_reference_plans_identical(self, tiny_domain):
-        """On the same recorded answers, the fast allocator must drive
-        the planner to byte-identical plans and budget distributions."""
+    def test_fast_and_reference_plans_identical(self, tiny_domain, monkeypatch):
+        """On the same recorded answers, the incremental allocator and
+        the naive oracle loop, patched in as the planner's allocator,
+        drive the planner to byte-identical plans: at 300c the plan
+        only allocates, at 600c it dismantles first."""
         query = tiny_query(tiny_domain)
-        recorder = AnswerRecorder()
-        plans = {}
-        for method in ("fast", "reference"):
-            platform = CrowdPlatform(tiny_domain, recorder=recorder, seed=11)
-            params = DisQParams(n1=12, allocator=method)
-            plans[method] = DisQPlanner(
-                platform, query, 2.0, 300.0, params
-            ).preprocess()
-        fast, reference = plans["fast"], plans["reference"]
-        assert fast.budget.counts == reference.budget.counts
-        assert fast.attributes == reference.attributes
-        assert fast.preprocessing_cost == reference.preprocessing_cost
-        assert fast.dismantle_rounds == reference.dismantle_rounds
+        recorders = {300.0: AnswerRecorder(), 600.0: AnswerRecorder()}
+
+        def plans():
+            return [
+                DisQPlanner(
+                    CrowdPlatform(tiny_domain, recorder=recorder, seed=11),
+                    query,
+                    2.0,
+                    b_prc,
+                    DisQParams(n1=12),
+                ).preprocess()
+                for b_prc, recorder in recorders.items()
+            ]
+
+        fast = plans()
+        oracle_calls = []
+
+        def oracle(*args, **kwargs):
+            oracle_calls.append(args)
+            return greedy_counts_oracle(*args, **kwargs)
+
+        monkeypatch.setattr(budget, "greedy_counts", oracle)
+        reference = plans()
+        # Both final distributions and every dismantle loss term went
+        # through the oracle.
+        assert len(oracle_calls) > 2
+        assert fast[1].dismantle_rounds > 0
+        for ours, theirs in zip(fast, reference):
+            assert ours.budget.counts == theirs.budget.counts
+            assert ours.attributes == theirs.attributes
+            assert ours.preprocessing_cost == theirs.preprocessing_cost
+            assert ours.dismantle_rounds == theirs.dismantle_rounds
+            assert serialize_plan(ours) == serialize_plan(theirs)

@@ -334,7 +334,8 @@ _COVERAGE = [
 
 
 class TestCliValidation:
-    """Every door checks its cents and repetitions before any work."""
+    """Every door checks its cents, repetitions and evaluated objects
+    before any work."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -344,6 +345,8 @@ class TestCliValidation:
             _with(_PLAN, "--b-prc", "-1"),
             _with(_EVALUATE, "--b-obj", "nan"),
             _with(_EVALUATE, "--b-prc", "inf"),
+            _with(_EVALUATE, "--objects", "0"),
+            _with(_EVALUATE, "--objects", "-3"),
             _with(_SWEEP, "--b-obj", "nan"),
             _with(_with(_SWEEP, "--axis", "b_obj"), "--b-prc", "inf"),
             _with(_with(_SWEEP, "--axis", "b_obj"), "--values", "inf,2"),
@@ -351,6 +354,7 @@ class TestCliValidation:
             _with(_SWEEP, "--values", "300,-5"),
             _with(_SWEEP, "--values", "300,abc"),
             _with(_SWEEP, "--repetitions", "0"),
+            _with(_SWEEP, "--objects", "0"),
             _with(_COVERAGE, "--b-obj", "nan"),
             _with(_COVERAGE, "--b-prc", "inf"),
             _with(_COVERAGE, "--repetitions", "0"),
@@ -361,6 +365,8 @@ class TestCliValidation:
             "plan-b_prc-negative",
             "evaluate-b_obj-nan",
             "evaluate-b_prc-inf",
+            "evaluate-objects-0",
+            "evaluate-objects-negative",
             "sweep-b_obj-nan",
             "sweep-b_prc-inf",
             "sweep-values-inf",
@@ -368,6 +374,7 @@ class TestCliValidation:
             "sweep-values-negative",
             "sweep-values-text",
             "sweep-repetitions-0",
+            "sweep-objects-0",
             "coverage-b_obj-nan",
             "coverage-b_prc-inf",
             "coverage-repetitions-0",

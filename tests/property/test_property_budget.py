@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 from repro.core.budget import (
     TargetObjective,
     greedy_counts,
-    greedy_counts_fast,
-    greedy_counts_reference,
     max_explained_variance,
 )
 from repro.core.objective import explained_variance
+from tests.allocator_oracle import greedy_counts_reference
 
 
 @st.composite
@@ -97,12 +96,12 @@ class TestGreedyProperties:
     @settings(max_examples=60, deadline=None)
     def test_fast_matches_reference_counts(self, trio, budget, cost_seed):
         """The incremental allocator is count-identical to the naive
-        loop on arbitrary statistics, costs and budgets."""
+        oracle loop on arbitrary statistics, costs and budgets."""
         s_o, s_a, s_c, _ = trio
         objective = TargetObjective(1.0, s_o, s_a, s_c)
         costs = np.random.default_rng(cost_seed).uniform(0.1, 1.0, len(s_o))
         reference = greedy_counts_reference([objective], costs, budget)
-        fast = greedy_counts_fast([objective], costs, budget)
+        fast = greedy_counts([objective], costs, budget)
         assert (fast == reference).all()
 
     @given(statistics_trio(), st.floats(min_value=0.5, max_value=4.0))

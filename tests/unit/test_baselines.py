@@ -79,7 +79,7 @@ class TestPairingVariants:
         planner.preprocess()
         stats = planner.stats
         for attribute in stats.attributes:
-            assert stats.pairings[attribute] == {"target", "helper"}
+            assert stats.pairings[attribute] == ("target", "helper")
 
     def test_one_connection_single_pool_for_new(self, tiny_platform, fast_params):
         planner = make_one_connection_planner(

@@ -1,18 +1,16 @@
-"""Fast allocator parity against the reference loop."""
+"""Allocator parity against the naive oracle loop."""
 
 import numpy as np
 import pytest
 
 from repro.core.budget import (
-    ALLOCATOR_METHODS,
     TargetObjective,
     find_budget_distribution,
     greedy_counts,
-    greedy_counts_fast,
-    greedy_counts_reference,
     max_explained_variance,
 )
-from repro.errors import ConfigurationError
+from repro.obs.metrics import MetricsRegistry
+from tests.allocator_oracle import greedy_counts_oracle, greedy_counts_reference
 
 
 def random_objective(n: int, seed: int, weight: float = 1.0):
@@ -30,7 +28,8 @@ def random_objective(n: int, seed: int, weight: float = 1.0):
 
 
 class TestFastMatchesReference:
-    """Seeded property-style sweep: fast must be count-identical."""
+    """Seeded property-style sweep: the incremental loop must be
+    count-identical to the oracle."""
 
     @pytest.mark.parametrize("seed", range(30))
     def test_single_objective_random_instances(self, seed):
@@ -40,7 +39,7 @@ class TestFastMatchesReference:
         costs = rng.uniform(0.1, 1.2, n)
         budget = float(rng.uniform(0.2, 3.0 * n))
         reference = greedy_counts_reference(objectives, costs, budget)
-        fast = greedy_counts_fast(objectives, costs, budget)
+        fast = greedy_counts(objectives, costs, budget)
         assert np.array_equal(fast, reference), (seed, fast, reference)
 
     @pytest.mark.parametrize("seed", range(12))
@@ -54,7 +53,7 @@ class TestFastMatchesReference:
         costs = rng.uniform(0.05, 2.0, n)
         budget = float(rng.uniform(1.0, 4.0 * n))
         reference = greedy_counts_reference(objectives, costs, budget)
-        fast = greedy_counts_fast(objectives, costs, budget)
+        fast = greedy_counts(objectives, costs, budget)
         assert np.array_equal(fast, reference), (seed, fast, reference)
 
     def test_tiny_and_large_budgets(self):
@@ -62,7 +61,7 @@ class TestFastMatchesReference:
         costs = np.full(5, 0.4)
         for budget in (0.0, 0.3, 0.4, 40.0):
             reference = greedy_counts_reference(objectives, costs, budget)
-            fast = greedy_counts_fast(objectives, costs, budget)
+            fast = greedy_counts(objectives, costs, budget)
             assert np.array_equal(fast, reference), budget
 
     def test_singular_ridge_instance(self):
@@ -74,7 +73,7 @@ class TestFastMatchesReference:
         objectives = [TargetObjective(1.0, s_o, s_a, s_c)]
         costs = np.array([0.3, 0.3, 0.3])
         reference = greedy_counts_reference(objectives, costs, 2.4)
-        fast = greedy_counts_fast(objectives, costs, 2.4)
+        fast = greedy_counts(objectives, costs, 2.4)
         assert np.array_equal(fast, reference)
 
     def test_dispatch_and_wrappers_agree(self):
@@ -82,24 +81,24 @@ class TestFastMatchesReference:
         costs = np.array([0.5, 0.3, 0.7, 0.4])
         attributes = ["a", "b", "c", "d"]
         budget = 3.0
-        for method in ALLOCATOR_METHODS:
-            counts = greedy_counts(objectives, costs, budget, method=method)
-            distribution = find_budget_distribution(
-                objectives, attributes, costs, budget, method=method
-            )
-            assert [
-                distribution.counts.get(a, 0) for a in attributes
-            ] == list(counts)
-        assert max_explained_variance(
-            objectives, costs, budget, method="fast"
-        ) == pytest.approx(
-            max_explained_variance(objectives, costs, budget, method="reference")
+        counts = greedy_counts(objectives, costs, budget)
+        reference = greedy_counts_reference(objectives, costs, budget)
+        assert np.array_equal(counts, reference)
+        distribution = find_budget_distribution(objectives, attributes, costs, budget)
+        assert [distribution.counts.get(a, 0) for a in attributes] == list(counts)
+        assert max_explained_variance(objectives, costs, budget) == pytest.approx(
+            sum(objective.value(reference) for objective in objectives)
         )
 
-    def test_unknown_method_rejected(self):
-        objectives = [random_objective(2, seed=0)]
-        # "lazy" (the removed CELF queue) is refused like any other name.
-        for method in ("best", "lazy"):
-            with pytest.raises(ConfigurationError):
-                greedy_counts(objectives, np.array([0.5, 0.5]), 1.0, method=method)
-
+    def test_gains_and_metrics_match_the_oracle_drop_in(self):
+        """Reliability gains adjust the inputs of both loops alike, and
+        the drop-in records the same allocator counters."""
+        objectives = [random_objective(5, seed=13), random_objective(5, seed=14)]
+        costs = np.array([0.5, 0.3, 0.7, 0.4, 0.6])
+        gains = np.array([1.0, 1.0, 1.0, 4.0, 4.0])
+        registries = [MetricsRegistry(), MetricsRegistry()]
+        counts = greedy_counts(objectives, costs, 4.0, registries[0], gains)
+        oracle = greedy_counts_oracle(objectives, costs, 4.0, registries[1], gains)
+        assert np.array_equal(counts, oracle)
+        assert not np.array_equal(counts, greedy_counts(objectives, costs, 4.0))
+        assert registries[0].to_dict() == registries[1].to_dict()

@@ -9,7 +9,6 @@ from repro.core.dismantling import (
     DismantleScorer,
     probability_of_new_answer,
 )
-from repro.core.model import Query
 from repro.errors import ConfigurationError
 from tests.unit.test_statistics import build_store
 
@@ -94,25 +93,23 @@ class TestLoss:
 
 class TestScoring:
     def test_score_candidates_and_choose(self):
+        """A candidate scores as the planner scores it: expression 4's
+        Pr(new), the weighted gain and the shared loss term."""
         store = build_store(rho=0.8)
-        query = Query.single("t")
         s_o, s_a, s_c = store.assemble(["a"], "t")
         objectives = [TargetObjective(1.0, s_o, s_a, s_c)]
         scorer = DismantleScorer()
-        scores = scorer.score_candidates(
-            stats=store,
-            query=query,
-            candidates=["a"],
-            question_counts={"a": 2},
-            objectives=objectives,
-            costs=np.array([0.4]),
-            budget_cents=4.0,
-            unit_cost=0.4,
+        loss = scorer.loss(objectives, np.array([0.4]), 4.0, 0.4)
+        score = CandidateScore(
+            "a",
+            probability_new=probability_of_new_answer(2),
+            gain=scorer.gain(store, "t", "a"),
+            loss=loss,
         )
-        assert len(scores) == 1
-        assert scores[0].probability_new == pytest.approx(1 / 4)
-        best = scorer.choose(scores)
-        assert best is scores[0]
+        assert score.probability_new == pytest.approx(1 / 4)
+        assert score.score == pytest.approx(0.25 * (score.gain - loss))
+        best = scorer.choose([score])
+        assert best is score
 
     def test_choose_empty_returns_none(self):
         assert DismantleScorer.choose([]) is None

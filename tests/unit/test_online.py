@@ -235,6 +235,13 @@ class TestErrorMetrics:
         with pytest.raises(ConfigurationError):
             target_error(tiny_domain, np.zeros(3), range(5), "target")
 
+    def test_no_objects_rejected(self, tiny_domain):
+        """An error over zero objects is a configuration fault, not NaN."""
+        with pytest.raises(ConfigurationError):
+            target_error(tiny_domain, np.zeros(0), range(0), "target")
+        with pytest.raises(ConfigurationError):
+            query_error(tiny_domain, {"target": np.zeros(0)}, [], Query.single("target"))
+
     def test_query_error_weights_targets(self, tiny_domain):
         query = Query(targets=("target", "helper"), weights={"target": 2.0})
         truth_t = np.array([tiny_domain.true_value(o, "target") for o in range(4)])

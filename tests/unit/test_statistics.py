@@ -136,10 +136,14 @@ class TestStatisticsEstimation:
 
     def test_reregistration_merges_pairings(self):
         store = StatisticsStore(("t", "u"), k=2)
+        store.register_attribute("u_first", {"u"})
+        store.register_attribute("u_first", {"t"})
         store.register_attribute("a", {"t"})
         store.register_attribute("a", {"u"})
-        assert store.pairings["a"] == {"t", "u"}
-        assert store.attributes == ["a"]
+        # Pairings keep query-target order, whatever the registration order.
+        assert store.pairings["a"] == ("t", "u")
+        assert store.pairings["u_first"] == ("t", "u")
+        assert store.attributes == ["u_first", "a"]
 
     def test_invalid_k_rejected(self):
         with pytest.raises(ConfigurationError):
