@@ -26,7 +26,8 @@ Hard gates (process exit != 0 on failure):
   and the learned model state all match exactly.
 
 Results land in ``BENCH_aggregation.json`` at the repo root (CI's
-``agg-smoke`` job and EXPERIMENTS.md quote it)::
+``agg-smoke`` job and EXPERIMENTS.md quote it); ``--quick`` writes
+``benchmarks/out/BENCH_aggregation.quick.json`` instead::
 
     PYTHONPATH=src python benchmarks/bench_aggregation.py [--quick]
 """
@@ -52,10 +53,8 @@ from repro.durability import CrashInjector, SimulatedCrash, run_disq
 from repro.experiments.runner import make_query
 from repro.serve import QueryRequest, ServeEngine
 
-from common import recipes_domain, write_report
+from common import recipes_domain, results_path, write_report
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-OUTPUT = REPO_ROOT / "BENCH_aggregation.json"
 
 TARGET = "calories"
 B_OBJ = 4.0
@@ -204,6 +203,7 @@ def main() -> int:
         "--quick", action="store_true", help="CI-sized variant (fewer seeds)"
     )
     args = parser.parse_args()
+    output = results_path("aggregation", args.quick)
     if args.quick:
         seeds, b_prc, n1, n_eval = range(3), 400.0, 24, 40
     else:
@@ -266,7 +266,7 @@ def main() -> int:
     lines.append("determinism: reliability serving identical across crash-resume")
     write_report("bench_aggregation", "\n".join(lines))
 
-    OUTPUT.write_text(
+    output.write_text(
         json.dumps(
             {
                 "config": {
@@ -296,7 +296,7 @@ def main() -> int:
         )
         + "\n"
     )
-    print(f"results written to {OUTPUT}")
+    print(f"results written to {output}")
     return 0
 
 

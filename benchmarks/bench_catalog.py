@@ -21,8 +21,9 @@ Built-in correctness gates (hard failures, not just numbers):
   preprocessing spend — the catalog's savings claim is audited against
   the ledger, not self-reported.
 
-Results land in ``BENCH_catalog.json`` at the repo root (CI's
-``catalog-smoke`` job and EXPERIMENTS.md quote it)::
+Results land in ``BENCH_catalog.json`` at the repo root (EXPERIMENTS.md
+quotes it); ``--quick`` (CI's ``catalog-smoke`` job) writes
+``benchmarks/out/BENCH_catalog.quick.json`` instead::
 
     PYTHONPATH=src python benchmarks/bench_catalog.py [--quick]
 """
@@ -44,10 +45,8 @@ from repro.crowd.recording import AnswerRecorder
 from repro.obs import Observability
 from repro.serve import ServeEngine
 
-from common import recipes_domain, write_report
+from common import recipes_domain, results_path, write_report
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-OUTPUT = REPO_ROOT / "BENCH_catalog.json"
 
 SEED = 3
 
@@ -155,6 +154,7 @@ def main() -> int:
         "--quick", action="store_true", help="CI-sized variant (smaller plans)"
     )
     args = parser.parse_args()
+    output = results_path("catalog", args.quick)
     if args.quick:
         n_objects, b_obj, b_prc, n1 = 20, 2.0, 700.0, 25
     else:
@@ -228,7 +228,7 @@ def main() -> int:
     )
     write_report("bench_catalog", "\n".join(lines))
 
-    OUTPUT.write_text(
+    output.write_text(
         json.dumps(
             {
                 "config": {
@@ -261,7 +261,7 @@ def main() -> int:
         )
         + "\n"
     )
-    print(f"results written to {OUTPUT}")
+    print(f"results written to {output}")
     return 0
 
 

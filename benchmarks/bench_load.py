@@ -24,8 +24,9 @@ Hard gates (process exit != 0 on failure):
 * at least 90% of non-completed queries are degraded rather than shed;
 * sustained harness throughput >= a (lenient) wall-clock floor.
 
-Results land in ``BENCH_load.json`` at the repo root (CI's
-``load-smoke`` job and EXPERIMENTS.md quote it)::
+Results land in ``BENCH_load.json`` at the repo root (EXPERIMENTS.md
+quotes it); ``--quick`` (CI's ``load-smoke`` job) writes
+``benchmarks/out/BENCH_load.quick.json`` instead::
 
     PYTHONPATH=src python benchmarks/bench_load.py [--quick]
 """
@@ -48,10 +49,8 @@ from repro.durability import run_disq
 from repro.experiments.runner import make_query
 from repro.serve import LoadSpec, ServeEngine, generate_workload, percentile
 
-from common import recipes_domain, write_report
+from common import recipes_domain, results_path, write_report
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-OUTPUT = REPO_ROOT / "BENCH_load.json"
 
 SEED = 3
 TARGET = "protein"
@@ -190,6 +189,7 @@ def main() -> int:
         "--quick", action="store_true", help="CI-sized variant (fewer queries)"
     )
     args = parser.parse_args()
+    output = results_path("load", args.quick)
     # The full variant scales query count, not plan size: a larger
     # offline plan multiplies unique answers (and their simulated
     # service latency) past what the arrival span can absorb, which
@@ -261,7 +261,7 @@ def main() -> int:
     )
     write_report("bench_load", "\n".join(lines))
 
-    OUTPUT.write_text(
+    output.write_text(
         json.dumps(
             {
                 "config": {
@@ -295,7 +295,7 @@ def main() -> int:
         )
         + "\n"
     )
-    print(f"results written to {OUTPUT}")
+    print(f"results written to {output}")
     return 0
 
 

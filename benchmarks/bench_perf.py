@@ -12,9 +12,10 @@ Two measurements, both with a built-in correctness gate:
   domain, serial versus the process-pool engine.  Hard-fails if the
   two series are not bit-identical.
 
-Results land in ``BENCH_perf.json`` at the repo root so CI (the
-``perf-smoke`` job) and EXPERIMENTS.md can quote machine-readable
-numbers.  Run with ``--quick`` for the CI-sized variant::
+Results land in ``BENCH_perf.json`` at the repo root so EXPERIMENTS.md
+can quote machine-readable numbers.  Run with ``--quick`` for the
+CI-sized variant (the ``perf-smoke`` job), which writes
+``benchmarks/out/BENCH_perf.quick.json`` instead::
 
     PYTHONPATH=src:. python benchmarks/bench_perf.py [--quick]
 
@@ -45,10 +46,8 @@ from repro.obs import Observability
 from repro.obs.metrics import MetricsRegistry
 from tests.allocator_oracle import greedy_counts_reference
 
-from common import BENCH_CONFIG, pictures_domain
+from common import BENCH_CONFIG, pictures_domain, results_path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-OUTPUT = REPO_ROOT / "BENCH_perf.json"
 
 
 def random_objective(n: int, seed: int) -> TargetObjective:
@@ -273,6 +272,7 @@ def main() -> None:
         help="CI-sized run: fewer instances, smaller sweep",
     )
     args = parser.parse_args()
+    output = results_path("perf", args.quick)
 
     sizes = (8, 20) if args.quick else (8, 20, 40)
     instances = 10 if args.quick else 25
@@ -286,8 +286,8 @@ def main() -> None:
         "sweep": bench_sweep(workers, args.quick),
         "obs": bench_obs_overhead(args.quick),
     }
-    OUTPUT.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {OUTPUT}")
+    output.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {output}")
 
 
 if __name__ == "__main__":

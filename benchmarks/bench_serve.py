@@ -25,7 +25,8 @@ Built-in correctness gates (hard failures, not just numbers):
   warn-only in ``--quick`` — CI treats wall-clock as advisory).
 
 Results land in ``BENCH_serve.json`` at the repo root (CI's
-``serve-smoke`` job and EXPERIMENTS.md quote it)::
+``serve-smoke`` job and EXPERIMENTS.md quote it); ``--quick`` writes
+``benchmarks/out/BENCH_serve.quick.json`` instead::
 
     PYTHONPATH=src python benchmarks/bench_serve.py [--quick]
 """
@@ -51,10 +52,8 @@ from repro.experiments.runner import make_query
 from repro.obs import Observability
 from repro.serve import CachedAnswerSource, QueryRequest, ServeEngine, saving_percent
 
-from common import recipes_domain, write_report
+from common import recipes_domain, results_path, write_report
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-OUTPUT = REPO_ROOT / "BENCH_serve.json"
 
 SEED = 3
 TARGET = "protein"
@@ -186,6 +185,7 @@ def main() -> int:
         "--quick", action="store_true", help="CI-sized variant (fewer points)"
     )
     args = parser.parse_args()
+    output = results_path("serve", args.quick)
     if args.quick:
         overlaps, m, b_prc, n1 = (0.0, 0.5), 30, 800.0, 40
     else:
@@ -241,7 +241,7 @@ def main() -> int:
     )
     write_report("bench_serve", "\n".join(lines))
 
-    OUTPUT.write_text(
+    output.write_text(
         json.dumps(
             {
                 "config": {
@@ -271,7 +271,7 @@ def main() -> int:
         )
         + "\n"
     )
-    print(f"results written to {OUTPUT}")
+    print(f"results written to {output}")
     return 0
 
 

@@ -32,6 +32,23 @@ from repro.obs.manifest import build_manifest, write_manifest
 #: Where benches drop their rendered tables.
 OUT_DIR = Path(__file__).parent / "out"
 
+#: The repo root, where full runs keep their committed results.
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def results_path(name: str, quick: bool) -> Path:
+    """Where a bench writes its ``BENCH_<name>`` results.
+
+    A full run rewrites the committed ``BENCH_<name>.json`` at the repo
+    root; a ``--quick`` run (the CI-sized variant) writes the
+    git-ignored ``benchmarks/out/BENCH_<name>.quick.json`` and leaves
+    the committed file alone.
+    """
+    if not quick:
+        return REPO_ROOT / f"BENCH_{name}.json"
+    OUT_DIR.mkdir(exist_ok=True)
+    return OUT_DIR / f"BENCH_{name}.quick.json"
+
 #: The scaled-down default experiment configuration (see module doc).
 BENCH_CONFIG = ExperimentConfig(
     n_objects=250, n1=60, repetitions=2, eval_objects=60

@@ -25,8 +25,6 @@ objective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.core.budget import TargetObjective, max_explained_variance
@@ -63,26 +61,6 @@ def ranking_key(
     if score > 0:
         return (1, score)
     return (0, probability_new * gain)
-
-
-@dataclass(frozen=True)
-class CandidateScore:
-    """Score breakdown for one dismantle candidate (diagnostics)."""
-
-    attribute: str
-    probability_new: float
-    gain: float
-    loss: float
-
-    @property
-    def score(self) -> float:
-        """The expression-8/9 value driving the argmax."""
-        return self.probability_new * (self.gain - self.loss)
-
-    @property
-    def ranking(self) -> tuple[int, float]:
-        """Selection key: :func:`ranking_key` of this breakdown."""
-        return ranking_key(self.probability_new, self.gain, self.loss)
 
 
 class DismantleScorer:
@@ -143,10 +121,3 @@ class DismantleScorer:
             objectives, costs, max(budget_cents - unit_cost, 0.0)
         )
         return max(full - reduced, 0.0)
-
-    @staticmethod
-    def choose(scores: list[CandidateScore]) -> CandidateScore | None:
-        """The best-ranked candidate, or ``None`` when none exist."""
-        if not scores:
-            return None
-        return max(scores, key=lambda candidate: candidate.ranking)

@@ -2,7 +2,9 @@
 
 Given the preprocessing plan ``(l, b)``, the online phase processes
 each database object by asking ``b(a)`` value questions per attribute,
-averaging, and applying the linear formulas (Table 1c of the paper).
+averaging, and applying the formulas ``l`` (Table 1c of the paper).
+:meth:`OnlineEvaluator.estimate_objects` is that loop, and the only
+one: offline experiments and the serving engine both go through it.
 The error metrics implement the paper's definitions:
 
 * per-target error  ``Er(O.a^(*)) = E_O[(o.a - o.a^(*))^2]``;
@@ -11,7 +13,7 @@ The error metrics implement the paper's definitions:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import Protocol
 
 import numpy as np
@@ -27,6 +29,9 @@ from repro.errors import (
     CrowdFaultError,
 )
 
+#: One fetched term: (row, answers, worker ids or None).
+_Fetched = tuple[int, np.ndarray, np.ndarray | None]
+
 
 class AnswerSource(Protocol):
     """Where the online phase gets its ``b(a)`` value answers from.
@@ -34,11 +39,15 @@ class AnswerSource(Protocol):
     The default is :class:`PlatformAnswerSource` (buy every answer from
     the crowd platform, exactly the paper's online phase); the serving
     tier substitutes cache-backed sources (:mod:`repro.serve.cache`)
-    that serve cached answers and buy at most the shortfall.
+    that serve cached answers and buy at most the shortfall.  A source
+    may keep call-order state (budget, cursors, fault streams): the
+    evaluator always fetches object by object, then plan by plan, then
+    attribute by attribute, one call per (object, attribute) term.
     Implementations may raise
     :class:`~repro.errors.BudgetExhaustedError` or
     :class:`~repro.errors.CrowdFaultError`, which the evaluator absorbs
-    into its skip lists.
+    into its skip lists.  Aggregators that weigh workers also need a
+    ``fetch_attributed`` method returning the worker ids alongside.
     """
 
     def fetch(self, object_id: int, attribute: str, n: int) -> np.ndarray:
@@ -95,8 +104,8 @@ class OnlineEvaluator:
             if answer_source is not None
             else PlatformAnswerSource(platform)
         )
-        # ``uniform`` (the paper's plain mean) keeps the historical
-        # np.mean fast paths, bit for bit, by collapsing to None here.
+        # ``uniform`` (the paper's plain mean) collapses to None: its
+        # grouped axis means equal UniformAggregator.aggregate bit for bit.
         if aggregator is not None and aggregator.name == "uniform":
             aggregator = None
         self._aggregator = aggregator
@@ -158,164 +167,106 @@ class OnlineEvaluator:
             plan.budget.cost(self._price_of) for plan in self.plans
         )
 
-    def _fetch(
-        self, object_id: int, attribute: str, count: int
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """One source round-trip, attributed only when the aggregator
-        needs provenance (impure sources must never double-purchase)."""
-        aggregator = self._aggregator
-        if aggregator is not None and aggregator.needs_workers:
-            return self.source.fetch_attributed(  # type: ignore[attr-defined]
-                object_id, attribute, count
-            )
-        return self.source.fetch(object_id, attribute, count), None
+    def estimate_objects(self, object_ids: Sequence[int]) -> dict[str, np.ndarray]:
+        """Estimated target values (the paper's ``o.a^(*)``) for many
+        objects: target -> value vector aligned with ``object_ids``.
 
-    def _reduce(
-        self, answers: np.ndarray, workers: np.ndarray | None
-    ) -> float:
-        if self._aggregator is None:
-            return float(np.mean(answers))
-        return self._aggregator.aggregate(
-            answers, None if workers is None else list(workers)
-        )
-
-    def estimate_object(self, object_id: int) -> dict[str, float]:
-        """Estimated target values for one object (the paper's ``o.a^(*)``).
-
-        If the platform budget dies mid-object, formulas are applied to
-        whatever answer means were gathered (missing terms drop out)
-        and the truncation is recorded in :attr:`budget_skips`.
-        An attribute whose answers are lost to crowd faults (retries
-        exhausted) is skipped the same way — its formula term drops out
-        and the loss is noted in :attr:`fault_skips` — so a flaky crowd
-        degrades one term at a time instead of killing the whole run.
+        One loop in three steps.  *Fetch* asks object by object, then
+        plan by plan, then attribute by attribute, so a purchasing
+        source buys what a per-object loop buys.  If the platform budget
+        dies mid-object, the rest of that plan's terms drop out for that
+        object and the truncation is recorded in :attr:`budget_skips`;
+        an attribute whose answers are lost to crowd faults (retries
+        exhausted) drops only its own term and is noted in
+        :attr:`fault_skips`.  *Reduce* takes each attribute column once:
+        under uniform aggregation rows of equal answer count share one
+        axis mean (numpy's pairwise summation over a contiguous row is
+        bit-identical to ``np.mean`` of that row alone); any other
+        aggregator reduces row by row.  *Apply* runs each target's
+        ``formula.estimate`` row by row, whatever the formula family.
         Every dropped-out term bumps the ``agg.missing_terms`` counter,
-        so partially-evaluated formulas are observable instead of
-        silently blending into the error numbers.
+        so partially-evaluated formulas are observable.  Rows are
+        independent: an object listed twice is estimated twice.
         """
+        object_ids = list(object_ids)
         obs = self.platform.obs
-        obs.metrics.inc("online.objects")
-        estimates: dict[str, float] = {}
-        for plan, items in self._plan_items:
-            means: dict[str, float] = {}
-            for attribute, count in items:
-                try:
-                    answers, workers = self._fetch(object_id, attribute, count)
-                except BudgetExhaustedError:
-                    self.budget_skips.append((object_id, attribute))
-                    obs.metrics.inc("online.budget_skips")
-                    obs.tracer.event(
-                        "online.budget_skip",
-                        object_id=object_id,
-                        attribute=attribute,
-                    )
-                    break
-                except CrowdFaultError:
-                    self.fault_skips.append((object_id, attribute))
-                    obs.metrics.inc("online.fault_skips")
-                    obs.tracer.event(
-                        "online.fault_skip",
-                        object_id=object_id,
-                        attribute=attribute,
-                    )
-                    continue
-                if len(answers):
-                    means[attribute] = self._reduce(answers, workers)
+        obs.metrics.inc("online.objects", len(object_ids))
+        aggregator = self._aggregator
+        attributed = aggregator is not None and aggregator.needs_workers
+        source = self.source
+        # Per plan, per attribute: (row, answers, worker ids) of every
+        # row that got at least one answer.
+        fetched: list[dict[str, list[_Fetched]]] = [
+            {attribute: [] for attribute, _ in items} for _, items in self._plan_items
+        ]
+        for row, object_id in enumerate(object_ids):
+            for (_, items), columns in zip(self._plan_items, fetched):
+                for attribute, count in items:
+                    workers: np.ndarray | None = None
+                    try:
+                        if attributed:
+                            answers, workers = source.fetch_attributed(  # type: ignore[attr-defined]
+                                object_id, attribute, count
+                            )
+                        else:
+                            answers = source.fetch(object_id, attribute, count)
+                    except BudgetExhaustedError:
+                        self.budget_skips.append((object_id, attribute))
+                        obs.metrics.inc("online.budget_skips")
+                        obs.tracer.event(
+                            "online.budget_skip",
+                            object_id=object_id,
+                            attribute=attribute,
+                        )
+                        break
+                    except CrowdFaultError:
+                        self.fault_skips.append((object_id, attribute))
+                        obs.metrics.inc("online.fault_skips")
+                        obs.tracer.event(
+                            "online.fault_skip",
+                            object_id=object_id,
+                            attribute=attribute,
+                        )
+                        continue
+                    if len(answers):
+                        columns[attribute].append((row, answers, workers))
+
+        out: dict[str, np.ndarray] = {}
+        for (plan, _), columns in zip(self._plan_items, fetched):
+            means: list[dict[str, float]] = [{} for _ in object_ids]
+            for attribute, rows in columns.items():
+                for row, mean in self._reduce(rows):
+                    means[row][attribute] = mean
             for target in plan.query.targets:
                 formula = plan.formula(target)
                 missing = sum(
-                    1 for term in formula.coefficients if term not in means
+                    len(object_ids) - len(columns.get(term, ()))
+                    for term in formula.coefficients
                 )
                 if missing:
                     obs.metrics.inc("agg.missing_terms", missing)
-                estimates[target] = formula.estimate(means)
-        return estimates
-
-    def estimate_objects(self, object_ids: Sequence[int]) -> dict[str, np.ndarray]:
-        """Batched :meth:`estimate_object`: target -> aligned value vector.
-
-        When the answer source declares itself pure
-        (``side_effect_free = True``, e.g. :class:`~repro.serve.cache.
-        CacheReadSource`), the per-object formula applies collapse into
-        one design-matrix column fold per plan
-        (:func:`~repro.core.regression.apply_formula_columns`), fetching
-        attribute-major — allowed precisely because a pure source has
-        no call-order-dependent state and never raises mid-fetch.  Any
-        other source falls back to the scalar per-object loop, so
-        results are identical either way, bit for bit.
-        """
-        from repro.core.regression import apply_formula_columns
-
-        object_ids = list(object_ids)
-        obs = self.platform.obs
-        if not getattr(self.source, "side_effect_free", False):
-            series: dict[str, list[float]] = {}
-            for object_id in object_ids:
-                estimates = self.estimate_object(object_id)
-                for target in self.targets:
-                    series.setdefault(target, []).append(
-                        estimates.get(target, float("nan"))
-                    )
-            return {
-                target: np.array(series.get(target, []), dtype=np.float64)
-                for target in self.targets
-            }
-
-        obs.metrics.inc("online.objects", len(object_ids))
-        count_objects = len(object_ids)
-        out: dict[str, np.ndarray] = {}
-        for plan, items in self._plan_items:
-            columns: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-            for attribute, count in items:
-                means = np.full(count_objects, np.nan, dtype=np.float64)
-                present = np.zeros(count_objects, dtype=bool)
-                if self._aggregator is not None:
-                    # Weighted reductions are per-row scalar calls; only
-                    # the uniform mean has a grouped matrix form.
-                    for row, object_id in enumerate(object_ids):
-                        answers, workers = self._fetch(
-                            object_id, attribute, count
-                        )
-                        if len(answers):
-                            means[row] = self._reduce(answers, workers)
-                            present[row] = True
-                    columns[attribute] = (means, present)
-                    continue
-                rows = [
-                    self.source.fetch(object_id, attribute, count)
-                    for object_id in object_ids
-                ]
-                # Group rows by answer count and reduce each group with
-                # one axis-mean: numpy's pairwise summation over a
-                # contiguous row is bit-identical to np.mean of that
-                # row alone, so this matches the scalar loop exactly.
-                by_length: dict[int, list[int]] = {}
-                for row, answers in enumerate(rows):
-                    if len(answers):
-                        by_length.setdefault(len(answers), []).append(row)
-                for indices in by_length.values():
-                    stacked = np.stack([rows[i] for i in indices])
-                    means[indices] = np.mean(stacked, axis=1)
-                    present[indices] = True
-                columns[attribute] = (means, present)
-            for target in plan.query.targets:
-                formula = plan.formula(target)
-                missing = 0
-                for term in formula.coefficients:
-                    if term in columns:
-                        missing += int((~columns[term][1]).sum())
-                    else:
-                        missing += count_objects
-                if missing:
-                    obs.metrics.inc("agg.missing_terms", missing)
-                if columns:
-                    out[target] = apply_formula_columns(formula, columns)
-                else:
-                    # A support-less budget: constant predictor per row.
-                    out[target] = np.full(
-                        count_objects, formula.intercept, dtype=np.float64
-                    )
+                out[target] = np.array(
+                    [formula.estimate(row_means) for row_means in means],
+                    dtype=np.float64,
+                )
         return out
+
+    def _reduce(self, rows: list[_Fetched]) -> Iterator[tuple[int, float]]:
+        """``(row, aggregated answer)`` for one attribute column."""
+        aggregator = self._aggregator
+        if aggregator is not None:
+            for row, answers, workers in rows:
+                yield row, aggregator.aggregate(
+                    answers, None if workers is None else list(workers)
+                )
+            return
+        by_length: dict[int, list[int]] = {}
+        for index, (_, answers, _) in enumerate(rows):
+            by_length.setdefault(len(answers), []).append(index)
+        for indices in by_length.values():
+            stacked = np.stack([rows[index][1] for index in indices])
+            for index, mean in zip(indices, np.mean(stacked, axis=1).tolist()):
+                yield rows[index][0], mean
 
     def evaluate(self, object_ids: Iterable[int]) -> dict[str, np.ndarray]:
         """Estimates for many objects: target -> aligned value vector."""

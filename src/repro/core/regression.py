@@ -78,34 +78,6 @@ def fit_linear_regression(
     )
 
 
-def apply_formula_columns(
-    formula: EstimationFormula,
-    columns: dict[str, tuple[np.ndarray, np.ndarray]],
-) -> np.ndarray:
-    """Row-wise :meth:`EstimationFormula.estimate` as one column fold.
-
-    ``columns`` maps each attribute to ``(means, present)`` vectors
-    aligned over the objects being estimated; a row whose ``present``
-    is False drops that term, exactly like a mean missing from the
-    scalar dict.  The fold accumulates left to right in coefficient
-    order — the same ``value += coefficient * mean`` sequence the
-    scalar apply performs — so results are bit-identical per row (a
-    single ``design @ coefficients`` matrix product would not be: BLAS
-    reassociates the sum).
-    """
-    sized = next(iter(columns.values()), None)
-    if sized is None:
-        raise ConfigurationError("apply_formula_columns needs >= 1 column")
-    values = np.full(len(sized[0]), formula.intercept, dtype=np.float64)
-    for attribute, coefficient in formula.coefficients.items():
-        column = columns.get(attribute)
-        if column is None:
-            continue
-        means, present = column
-        np.copyto(values, values + coefficient * means, where=present)
-    return values
-
-
 def training_mse(formula: EstimationFormula, rows: list[TrainingRow]) -> float:
     """Mean squared error of a formula over training rows (diagnostics)."""
     if not rows:

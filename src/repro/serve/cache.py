@@ -240,12 +240,6 @@ class CacheReadSource:
     wave — so concurrent evaluators can share one instance freely.
     """
 
-    #: Contract flag for :meth:`OnlineEvaluator.estimate_objects`:
-    #: fetches are pure reads (no accounting, no mutation) and never
-    #: raise for ``n >= 0``, so the evaluator may reorder them freely
-    #: and use the batched design-matrix path.
-    side_effect_free = True
-
     def __init__(self, cache: AnswerCache) -> None:
         self.cache = cache
 

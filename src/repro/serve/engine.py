@@ -27,21 +27,26 @@ and runs four phases, one after another on the calling thread:
    cannot cover is skipped entirely (its queries come back
    ``degraded``/``budget``); cheaper keys later in the order may still
    fit.
-4. **Evaluation** (read-only, admission order).  Each query runs the
-   standard :class:`~repro.core.online.OnlineEvaluator` over a
-   :class:`~repro.serve.cache.CacheReadSource` — pure reads of the now
-   frozen wave cache — and applies its predicate.  Deadlines are
-   checked between objects; an expired query keeps its evaluated
-   prefix.  Any shortfall (deadline, budget or faults) produces a
-   ``degraded`` result carrying a :class:`~repro.serve.degrade.
-   DegradedResult` — widened intervals, per-term shortfall,
-   completeness — never a silent drop (DESIGN.md §13).
+4. **Evaluation** (read-only).  First every query is cut to its
+   deadline prefix: in admission order, the clock is polled once per
+   object and the first object polled past the deadline ends the
+   prefix, so evaluation time never counts against a deadline.  Then
+   the queries sharing plan objects form one group, and each group
+   makes one :meth:`~repro.core.online.OnlineEvaluator.
+   estimate_objects` call over its queries' concatenated prefixes,
+   reading the now frozen wave cache through a :class:`~repro.serve.
+   cache.CacheReadSource`; the result is sliced back per query.
+   Finally each query, in admission order, applies its predicate.  Any
+   shortfall (deadline, budget or faults) produces a ``degraded``
+   result carrying a :class:`~repro.serve.degrade.DegradedResult` —
+   widened intervals, per-term shortfall, completeness — never a
+   silent drop (DESIGN.md §13).
 
 Determinism (DESIGN.md §12): a wave is one serial pass, and every
 side effect happens in a canonical order — sorted keys for the commit,
-admission order for accounting and evaluation — so spend, savings,
-estimates and the journal depend only on the submitted queries, the
-seeds and the wave size.
+admission order for accounting, deadline polling and results — so
+spend, savings, estimates and the journal depend only on the submitted
+queries, the seeds and the wave size.
 
 Backpressure: at most ``max_queue`` queries may be pending; submissions
 beyond that are **shed** — refused up front with a ``shed``/
@@ -71,7 +76,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.agg.base import Aggregator
-from repro.core.model import PreprocessingPlan
+from repro.core.model import EstimationFormula, PreprocessingPlan
 from repro.core.online import OnlineEvaluator
 from repro.crowd.faults import FaultProfile, RetryPolicy, SimulatedClock
 from repro.crowd.platform import CrowdPlatform
@@ -634,6 +639,14 @@ class ServeEngine:
             raise ConfigurationError(
                 f"query {request.query_id!r} targets {missing} have no plan"
             )
+        for plan in plans:
+            for target, formula in plan.formulas.items():
+                if not isinstance(formula, EstimationFormula):
+                    raise ConfigurationError(
+                        f"query {request.query_id!r}: the {target!r} formula is a "
+                        f"{type(formula).__name__}; serving degrades and widens "
+                        f"intervals for linear formulas only"
+                    )
         self._seen_ids.add(request.query_id)
         metrics = self.obs.metrics
         if request.query_id in self._checkpointed:
@@ -943,11 +956,18 @@ class ServeEngine:
                     virtual[key] = max(seen, min(count, available))
             pending.result = result
 
-        # Phase 4b (read-only, admission order): evaluate every query
-        # over the frozen wave cache and apply predicates/deadlines.
+        # Phase 4b (read-only): cut every query to its deadline prefix,
+        # then evaluate each group of queries sharing plan objects with
+        # one estimate_objects call over the frozen wave cache, and
+        # apply predicates and degradation in admission order.
         read_source = CacheReadSource(self.cache)
         with self.obs.tracer.span("serve.evaluate", queries=len(wave)):
-            evaluated = [self._evaluate(pending, read_source) for pending in wave]
+            prefixes = [self._deadline_prefix(pending) for pending in wave]
+            estimates = self._estimate(wave, prefixes, read_source)
+            evaluated = [
+                self._evaluate(pending, prefix, values, read_source)
+                for pending, prefix, values in zip(wave, prefixes, estimates)
+            ]
         for result in evaluated:
             if result.status == "degraded":
                 metrics.inc("serve.degraded")
@@ -1008,36 +1028,73 @@ class ServeEngine:
             worker_ids = list(self.cache.workers(object_id, attribute, served))
         return self.aggregator.effective_count(answers, worker_ids)
 
-    def _evaluate(self, pending: _Pending, source: CacheReadSource) -> QueryResult:
-        """Run one query's online phase over the wave cache (pure reads)."""
+    def _deadline_prefix(self, pending: _Pending) -> tuple[int, ...]:
+        """The objects a query may still evaluate: those polled in time.
+
+        The clock is read once per object, in order, and the first
+        object polled past the deadline ends the prefix.  Polling runs
+        before the wave's evaluation, so evaluation time does not count
+        against a deadline.
+        """
+        request = pending.request
+        if request.deadline_s is None:
+            return request.object_ids
+        for position in range(len(request.object_ids)):
+            if self._clock() - pending.admitted_at > request.deadline_s:
+                return request.object_ids[:position]
+        return request.object_ids
+
+    def _estimate(
+        self,
+        wave: list[_Pending],
+        prefixes: list[tuple[int, ...]],
+        source: CacheReadSource,
+    ) -> list[dict[str, list[float]]]:
+        """Every query's estimates, one evaluation per plan group.
+
+        Queries sharing their plan objects share one
+        :meth:`~repro.core.online.OnlineEvaluator.estimate_objects` call
+        over their concatenated prefixes; the result is sliced back per
+        query.  Rows are independent and repeated objects are kept, so
+        each query's estimates and the ``online.objects`` and
+        ``agg.missing_terms`` totals equal those of a call per query.
+        """
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for index, pending in enumerate(wave):
+            groups.setdefault(tuple(map(id, pending.plans)), []).append(index)
+        estimates: list[dict[str, list[float]]] = [{} for _ in wave]
+        for members in groups.values():
+            evaluator = OnlineEvaluator(
+                self.platform,
+                wave[members[0]].plans,
+                answer_source=source,
+                aggregator=self.aggregator,
+            )
+            batch = evaluator.estimate_objects(
+                [object_id for index in members for object_id in prefixes[index]]
+            )
+            start = 0
+            for index in members:
+                end = start + len(prefixes[index])
+                estimates[index] = {
+                    target: batch[target][start:end].tolist()
+                    for target in wave[index].request.targets
+                }
+                start = end
+        return estimates
+
+    def _evaluate(
+        self,
+        pending: _Pending,
+        prefix: tuple[int, ...],
+        estimates: dict[str, list[float]],
+        source: CacheReadSource,
+    ) -> QueryResult:
+        """Finish one evaluated query: predicate, deadline and degradation."""
         request = pending.request
         result = pending.result
         assert result is not None  # filled by the accounting phase
-        evaluator = OnlineEvaluator(
-            self.platform,
-            pending.plans,
-            answer_source=source,
-            aggregator=self.aggregator,
-        )
-        estimates: dict[str, list[float]] = {t: [] for t in request.targets}
-        deadline_hit = False
-        if request.deadline_s is None:
-            # No deadline to poll between objects: evaluate the whole
-            # query as one design-matrix fold (bit-identical to the
-            # per-object loop below — see estimate_objects).
-            batch = evaluator.estimate_objects(list(request.object_ids))
-            result.object_ids.extend(request.object_ids)
-            for target in request.targets:
-                estimates[target] = batch[target].tolist()
-        else:
-            for object_id in request.object_ids:
-                if self._clock() - pending.admitted_at > request.deadline_s:
-                    deadline_hit = True
-                    break
-                values = evaluator.estimate_object(object_id)
-                result.object_ids.append(object_id)
-                for target in request.targets:
-                    estimates[target].append(values[target])
+        result.object_ids.extend(prefix)
         result.estimates = estimates
         if request.predicate is not None:
             predicate = request.predicate
@@ -1048,15 +1105,14 @@ class ServeEngine:
                 )
                 if predicate.matches(value)
             ]
-        if deadline_hit:
+        reasons = set(pending.reasons)
+        if len(prefix) < len(request.object_ids):
             self.obs.tracer.event(
                 "serve.deadline",
                 query=request.query_id,
-                evaluated=len(result.object_ids),
+                evaluated=len(prefix),
                 requested=len(request.object_ids),
             )
-        reasons = set(pending.reasons)
-        if deadline_hit:
             reasons.add("deadline")
         if reasons:
             ordered = order_reasons(reasons)

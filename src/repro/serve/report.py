@@ -124,10 +124,11 @@ class QueryRequest:
     targets: tuple[str, ...]
     object_ids: tuple[int, ...]
     predicate: Predicate | None = None
-    #: Wall-clock budget from admission to finished evaluation; ``None``
-    #: disables the deadline.  Estimates stay deterministic either way
-    #: (answers are pure per-key streams); only *how many* objects got
-    #: evaluated before the cutoff can vary with machine speed.
+    #: Wall-clock budget from admission to the wave's evaluation: an
+    #: object polled past it is not evaluated; ``None`` disables the
+    #: deadline.  Estimates stay deterministic either way (answers are
+    #: pure per-key streams); only *how many* objects made the cutoff
+    #: can vary with machine speed.
     deadline_s: float | None = None
 
     def __post_init__(self) -> None:

@@ -1,17 +1,21 @@
 """Differential property: the serve engine against the naive oracle.
 
 Random workloads — wave size, overlapping object ranges over two plans,
-cache-only admissions, a budget or none, faults or none, the default or
-a lossy retry policy, uniform or reliability aggregation — are served
-once by a durable :class:`~repro.serve.engine.ServeEngine` and once by
-:class:`tests.serve_oracle.NaiveServer`.  Estimates, statuses and
-degradation reasons must agree exactly; spend must equal the answers in
-the serve log's purchase records times their price, and the oracle's
-spend; no answer index may be logged twice; and the manifest counters
-must equal the ledger.  Crashes are left to the crash-anywhere property
-in ``test_property_serve_journal.py``, which compares every crashed run
-with the same kind of straight-through run.
+cache-only admissions, per-query deadlines under a clock that ticks on
+every read, a budget or none, faults or none, the default or a lossy
+retry policy, uniform or reliability aggregation — are served once by a
+durable :class:`~repro.serve.engine.ServeEngine` and once by
+:class:`tests.serve_oracle.NaiveServer`.  Evaluated objects, estimates,
+statuses and degradation reasons must agree exactly (so both read the
+deadline clock the same number of times, in the same order); spend
+must equal the answers in the serve log's purchase records times their
+price, and the oracle's spend; no answer index may be logged twice; and
+the manifest counters must equal the ledger.  Crashes are left to the
+crash-anywhere property in ``test_property_serve_journal.py``, which
+compares every crashed run with the same kind of straight-through run.
 """
+
+import itertools
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -49,7 +53,13 @@ def workloads(draw):
     for index in range(queries):
         start = draw(st.integers(min_value=0, max_value=10))
         length = draw(st.integers(min_value=1, max_value=6))
-        request = QueryRequest(f"q{index}", ("target",), tuple(range(start, start + length)))
+        deadline = draw(st.sampled_from((None, None, 0.0, 2.0, 5.0, 12.0)))
+        request = QueryRequest(
+            f"q{index}",
+            ("target",),
+            tuple(range(start, start + length)),
+            deadline_s=deadline,
+        )
         plan = PLANS[draw(st.sampled_from(sorted(PLANS)))]
         submissions.append((request, plan, draw(st.booleans())))
     return {
@@ -92,12 +102,17 @@ def test_engine_matches_the_naive_oracle(tiny_domain, tmp_path_factory, workload
     def aggregator():
         return make_aggregator("reliability") if workload["reliability"] else None
 
+    def ticking_clock():
+        ticks = itertools.count()
+        return lambda: float(next(ticks))
+
     submissions = workload["submissions"]
     oracle_platform = platform()
     expected = NaiveServer(
         oracle_platform,
         breaker=breaker(),
         aggregator=aggregator(),
+        clock=ticking_clock(),
         **options,
     ).serve(submissions, workload["wave_size"])
 
@@ -109,6 +124,7 @@ def test_engine_matches_the_naive_oracle(tiny_domain, tmp_path_factory, workload
         checkpoint_dir=directory,
         breaker=breaker(),
         aggregator=aggregator(),
+        clock=ticking_clock(),
         **options,
     ) as engine:
         for request, plan, cache_only in submissions:
@@ -117,6 +133,7 @@ def test_engine_matches_the_naive_oracle(tiny_domain, tmp_path_factory, workload
 
     for request, _, _ in submissions:
         got, want = report.result(request.query_id), expected[request.query_id]
+        assert got.object_ids == want.object_ids
         assert got.estimates == want.estimates
         assert (got.status, got.degraded_reason) == (want.status, want.degraded_reason)
 

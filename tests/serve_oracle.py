@@ -8,6 +8,10 @@ contract (DESIGN.md §12–§13), not its code:
 
 * a wave's demand for a key is the largest demand of its purchasing
   (not cache-only) queries, and only the shortfall is bought;
+* the clock is read once per admitted submission, before serving, and
+  then, wave by wave in admission order, once per object a query with
+  a deadline polls; the first object polled past its deadline ends the
+  query's evaluated prefix;
 * the quarantine set is read once, at wave start;
 * keys are bought in sorted order, and a key the budget cannot cover is
   skipped whole — its answers are neither charged, cached nor counted
@@ -15,7 +19,8 @@ contract (DESIGN.md §12–§13), not its code:
 * each purchase's fault side effects (clock, breaker, retry and abandon
   ledger events, the lost-answer cursor) apply before its charge, and
   the reliability model absorbs each key's new span right after it;
-* every query is then estimated object by object over the dict cache.
+* every query's prefix is then estimated object by object over the
+  dict cache by the naive online loop (``tests/online_oracle.py``).
 """
 
 from __future__ import annotations
@@ -24,18 +29,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.online import OnlineEvaluator
 from repro.crowd.faults import SimulatedClock
 from repro.errors import BudgetExhaustedError
 from repro.serve.degrade import DEGRADE_REASONS
 from repro.serve.faults import ResilientValueStream
 from repro.serve.stream import DeterministicValueStream
 
+from tests.online_oracle import estimate_naively
+
 
 @dataclass
 class OracleResult:
     """What the oracle says one query should come back as."""
 
+    object_ids: list[int]
     estimates: dict[str, list[float]]
     status: str
     degraded_reason: str | None
@@ -71,7 +78,8 @@ class NaiveServer:
 
     ``platform`` holds the budget and ledger; ``faults`` (with
     ``retry``, ``fault_seed`` and ``breaker``) turns on the scalar fault
-    path; ``aggregator`` is ``None`` for the plain mean.
+    path; ``aggregator`` is ``None`` for the plain mean; ``clock`` is
+    the deadline clock, needed only when a request has a deadline.
     """
 
     def __init__(
@@ -82,8 +90,11 @@ class NaiveServer:
         fault_seed: int = 0,
         breaker=None,
         aggregator=None,
+        clock=None,
     ) -> None:
         self.platform = platform
+        self.deadline_clock = clock
+        self.admitted_at: dict[str, float] = {}
         self.stream = DeterministicValueStream(platform)
         self.resilient = None
         if faults is not None:
@@ -98,6 +109,9 @@ class NaiveServer:
 
     def serve(self, submissions, wave_size: int | None) -> dict[str, OracleResult]:
         """Serve ``(request, plan, cache_only)`` triples in waves."""
+        if self.deadline_clock is not None:
+            for request, _, _ in submissions:
+                self.admitted_at[request.query_id] = self.deadline_clock()
         size = wave_size or len(submissions)
         results: dict[str, OracleResult] = {}
         for begin in range(0, len(submissions), size):
@@ -129,17 +143,19 @@ class NaiveServer:
                         reasons.add("admission")
                     else:
                         reasons.add("budget" if key in unfunded else "faults")
-            evaluator = OnlineEvaluator(
-                self.platform, [plan], answer_source=source, aggregator=self.aggregator
-            )
-            estimates: dict[str, list[float]] = {target: [] for target in request.targets}
-            for object_id in request.object_ids:
-                values = evaluator.estimate_object(object_id)
-                for target in request.targets:
-                    estimates[target].append(values[target])
+            prefix = list(request.object_ids)
+            if request.deadline_s is not None:
+                admitted = self.admitted_at[request.query_id]
+                for position in range(len(prefix)):
+                    if self.deadline_clock() - admitted > request.deadline_s:
+                        prefix = prefix[:position]
+                        reasons.add("deadline")
+                        break
+            outcome = estimate_naively([plan], source, prefix, self.aggregator)
+            estimates = {target: outcome.estimates[target] for target in request.targets}
             reason = next((r for r in DEGRADE_REASONS if r in reasons), None)
             results[request.query_id] = OracleResult(
-                estimates, "completed" if reason is None else "degraded", reason
+                prefix, estimates, "completed" if reason is None else "degraded", reason
             )
         return results
 

@@ -5,9 +5,9 @@ import pytest
 
 from repro.core.budget import TargetObjective
 from repro.core.dismantling import (
-    CandidateScore,
     DismantleScorer,
     probability_of_new_answer,
+    ranking_key,
 )
 from repro.errors import ConfigurationError
 from tests.unit.test_statistics import build_store
@@ -91,6 +91,12 @@ class TestLoss:
         assert DismantleScorer.loss([], np.array([]), 4.0, 0.4) == 0.0
 
 
+def planner_choice(candidates: dict[str, tuple[float, float, float]]) -> str:
+    """The dismantle loop's pick: the candidate with the largest
+    :func:`ranking_key` of its ``(Pr(new), G, L)``."""
+    return max(candidates, key=lambda name: ranking_key(*candidates[name]))
+
+
 class TestScoring:
     def test_score_candidates_and_choose(self):
         """A candidate scores as the planner scores it: expression 4's
@@ -100,26 +106,20 @@ class TestScoring:
         objectives = [TargetObjective(1.0, s_o, s_a, s_c)]
         scorer = DismantleScorer()
         loss = scorer.loss(objectives, np.array([0.4]), 4.0, 0.4)
-        score = CandidateScore(
-            "a",
-            probability_new=probability_of_new_answer(2),
-            gain=scorer.gain(store, "t", "a"),
-            loss=loss,
+        probability = probability_of_new_answer(2)
+        gain = scorer.gain(store, "t", "a")
+        assert probability == pytest.approx(1 / 4)
+        score = probability * (gain - loss)
+        assert ranking_key(probability, gain, loss) == (
+            (1, score) if score > 0 else (0, probability * gain)
         )
-        assert score.probability_new == pytest.approx(1 / 4)
-        assert score.score == pytest.approx(0.25 * (score.gain - loss))
-        best = scorer.choose([score])
-        assert best is score
-
-    def test_choose_empty_returns_none(self):
-        assert DismantleScorer.choose([]) is None
+        assert planner_choice({"a": (probability, gain, loss)}) == "a"
 
     def test_choose_prefers_higher_score(self):
-        a = CandidateScore("a", probability_new=0.5, gain=1.0, loss=0.0)
-        b = CandidateScore("b", probability_new=0.5, gain=3.0, loss=0.0)
-        assert DismantleScorer.choose([a, b]).attribute == "b"
+        candidates = {"a": (0.5, 1.0, 0.0), "b": (0.5, 3.0, 0.0)}
+        assert planner_choice(candidates) == "b"
 
     def test_asked_often_scores_lower(self):
-        fresh = CandidateScore("a", probability_new=0.5, gain=1.0, loss=0.0)
-        stale = CandidateScore("a", probability_new=0.05, gain=1.0, loss=0.0)
-        assert fresh.score > stale.score
+        fresh = ranking_key(0.5, 1.0, 0.0)
+        stale = ranking_key(0.05, 1.0, 0.0)
+        assert fresh > stale

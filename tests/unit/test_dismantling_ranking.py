@@ -1,34 +1,37 @@
 """Unit tests for the negative-score ranking and the exhaustion floor."""
 
-from repro.core.dismantling import CandidateScore, DismantleScorer
+from repro.core.dismantling import ranking_key
+
+from tests.unit.test_dismantling import planner_choice
 
 
 class TestNegativeScoreRanking:
     def test_positive_scores_ranked_by_score(self):
-        small = CandidateScore("a", probability_new=0.5, gain=2.0, loss=1.0)
-        large = CandidateScore("b", probability_new=0.4, gain=5.0, loss=1.0)
-        assert DismantleScorer.choose([small, large]).attribute == "b"
+        candidates = {"a": (0.5, 2.0, 1.0), "b": (0.4, 5.0, 1.0)}
+        assert planner_choice(candidates) == "b"
 
     def test_positive_beats_any_negative(self):
-        positive = CandidateScore("a", probability_new=0.01, gain=1.1, loss=1.0)
-        negative = CandidateScore("b", probability_new=0.5, gain=0.5, loss=1.0)
-        assert DismantleScorer.choose([positive, negative]).attribute == "a"
+        candidates = {"a": (0.01, 1.1, 1.0), "b": (0.5, 0.5, 1.0)}
+        assert planner_choice(candidates) == "a"
 
     def test_all_negative_prefers_fresh_informative_candidate(self):
         # The raw argmax of Pr*(G-L) would pick the exhausted 'stale'
         # (smallest Pr minimizes the negative product); the ranking must
         # pick the fresh, more informative candidate instead.
-        stale = CandidateScore("stale", probability_new=0.001, gain=0.5, loss=1.0)
-        fresh = CandidateScore("fresh", probability_new=0.5, gain=0.4, loss=1.0)
-        assert stale.score > fresh.score  # the raw-argmax trap
-        assert DismantleScorer.choose([stale, fresh]).attribute == "fresh"
+        candidates = {"stale": (0.001, 0.5, 1.0), "fresh": (0.5, 0.4, 1.0)}
+
+        def raw_score(name: str) -> float:
+            probability, gain, loss = candidates[name]
+            return probability * (gain - loss)
+
+        assert max(candidates, key=raw_score) == "stale"  # the raw-argmax trap
+        assert planner_choice(candidates) == "fresh"
 
     def test_ranking_tuple_structure(self):
-        positive = CandidateScore("a", probability_new=0.5, gain=3.0, loss=1.0)
-        negative = CandidateScore("b", probability_new=0.5, gain=0.5, loss=1.0)
-        assert positive.ranking[0] == 1
-        assert negative.ranking[0] == 0
-        assert negative.ranking[1] == 0.5 * 0.5  # Pr * G
+        assert ranking_key(0.5, 3.0, 1.0)[0] == 1
+        negative = ranking_key(0.5, 0.5, 1.0)
+        assert negative[0] == 0
+        assert negative[1] == 0.5 * 0.5  # Pr * G
 
 
 class TestExhaustionFloor:

@@ -113,13 +113,42 @@ class TestPlannerIntegration:
         plan = DisQPlanner(
             platform, Query.single("target"), 2.0, 1200.0, params
         ).preprocess()
-        assert isinstance(plan.formulas["target"], QuadraticFormula)
+        formula = plan.formulas["target"]
+        assert isinstance(formula, QuadraticFormula)
 
-        # And the online evaluator accepts the duck-typed formula.
-        from repro.core.online import OnlineEvaluator
+        # And the online evaluator applies the duck-typed formula exactly
+        # as the naive loop does: bought from the crowd (the oracle's
+        # fork replays the same recorded answers) ...
+        from repro.core.online import OnlineEvaluator, PlatformAnswerSource
+        from repro.serve import AnswerCache, CacheReadSource
+        from repro.serve.stream import DeterministicValueStream
 
-        estimates = OnlineEvaluator(platform.fork(), plan).evaluate(range(10))
-        assert np.isfinite(estimates["target"]).all()
+        from tests.online_oracle import estimate_naively
+
+        objects = list(range(10))
+        estimates = OnlineEvaluator(platform.fork(), plan).evaluate(objects)
+        expected = estimate_naively(
+            [plan], PlatformAnswerSource(platform.fork()), objects
+        )
+        assert estimates["target"].tolist() == expected.estimates["target"]
+
+        # ... and read from a serving cache, where one object has no
+        # answers and another has fewer than its budget asks for.
+        stream = DeterministicValueStream(platform)
+        cache = AnswerCache()
+        for object_id in objects[1:]:
+            for attribute in plan.budget.attributes:
+                count = plan.budget[attribute] - (object_id == 2)
+                cache.add(
+                    object_id, attribute, stream.answers(object_id, attribute, 0, count)
+                )
+        source = CacheReadSource(cache)
+        cached = OnlineEvaluator(platform, plan, answer_source=source).evaluate(objects)
+        expected = estimate_naively([plan], source, objects)
+        assert cached["target"].tolist() == expected.estimates["target"]
+        # A fold over linear coefficient keys alone returns the intercept.
+        assert cached["target"][0] == formula.intercept
+        assert (cached["target"][1:] != formula.intercept).all()
 
     def test_unknown_family_rejected(self):
         from repro.core.disq import DisQParams

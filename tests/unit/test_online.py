@@ -11,12 +11,17 @@ from repro.core.model import (
 )
 from repro.core.online import (
     OnlineEvaluator,
+    PlatformAnswerSource,
     default_weights,
     query_error,
     target_error,
 )
+from repro.crowd.platform import CrowdPlatform
+from repro.crowd.recording import AnswerRecorder
 from repro.data.table import DataTable
 from repro.errors import ConfigurationError
+
+from tests.online_oracle import estimate_naively
 
 
 def identity_plan(target: str, n_questions: int = 10) -> PreprocessingPlan:
@@ -41,13 +46,16 @@ class TestOnlineEvaluator:
         evaluator = OnlineEvaluator(tiny_platform, identity_plan("target", 10))
         assert evaluator.per_object_cost() == pytest.approx(4.0)  # 10 x 0.4c
 
-    def test_multiple_plans_merge_targets(self, tiny_platform):
-        evaluator = OnlineEvaluator(
-            tiny_platform,
-            [identity_plan("target", 4), identity_plan("helper", 4)],
-        )
-        estimates = evaluator.estimate_object(0)
+    def test_multiple_plans_merge_targets(self, tiny_domain, tiny_platform):
+        plans = [identity_plan("target", 4), identity_plan("helper", 4)]
+        estimates = OnlineEvaluator(tiny_platform, plans).estimate_objects([0, 3, 0])
         assert set(estimates) == {"target", "helper"}
+        # The oracle buys from an identically built platform.
+        twin = CrowdPlatform(tiny_domain, recorder=AnswerRecorder(), seed=3)
+        expected = estimate_naively(plans, PlatformAnswerSource(twin), [0, 3, 0])
+        for target, values in expected.estimates.items():
+            assert estimates[target].tolist() == values
+        assert tiny_platform.ledger.snapshot() == twin.ledger.snapshot()
 
     def test_overlapping_plans_rejected(self, tiny_platform):
         with pytest.raises(ConfigurationError):
@@ -67,7 +75,6 @@ class TestOnlineEvaluator:
         assert table.has_value(1, "target_estimate")
 
     def test_budget_exhaustion_degrades_gracefully(self, tiny_domain):
-        from repro.crowd.platform import CrowdPlatform
         from repro.crowd.pricing import Budget
 
         platform = CrowdPlatform(tiny_domain, budget=Budget(2.0), seed=0)
@@ -76,10 +83,9 @@ class TestOnlineEvaluator:
         assert len(estimates["target"]) == 5  # still one estimate per object
 
     def test_budget_exhaustion_recorded_in_budget_skips(self, tiny_domain):
-        # Regression: estimate_object used to swallow the truncation
+        # Regression: the evaluator used to swallow the truncation
         # with a bare break, leaving no trace that estimates were
         # partial.  The skip list mirrors fault_skips.
-        from repro.crowd.platform import CrowdPlatform
         from repro.crowd.pricing import Budget
 
         platform = CrowdPlatform(tiny_domain, budget=Budget(2.0), seed=0)
@@ -125,7 +131,6 @@ class TestOnlineEvaluator:
         assert platform.ask_value_calls == 10  # one fetch per object
 
     def test_budget_skips_feed_metrics_and_tracer(self, tiny_domain):
-        from repro.crowd.platform import CrowdPlatform
         from repro.crowd.pricing import Budget
         from repro.obs import Observability
 
@@ -145,7 +150,7 @@ class TestOnlineEvaluator:
 
 
 class TestEstimateObjectsBatched:
-    """The design-matrix path must equal the scalar per-object loop."""
+    """Grouped means over a cache source must equal the naive loop."""
 
     def fill_cache(self, platform, attributes, objects, count):
         from repro.serve import AnswerCache, CacheReadSource
@@ -167,37 +172,29 @@ class TestEstimateObjectsBatched:
         source = self.fill_cache(
             tiny_platform, ("target", "helper"), range(12), 5
         )
-        assert source.side_effect_free
         batched = OnlineEvaluator(
             tiny_platform, plans, answer_source=source
         ).estimate_objects(list(range(12)))
-        scalar_eval = OnlineEvaluator(
-            tiny_platform, plans, answer_source=source
-        )
-        scalar_eval.source = _OpaqueSource(source)  # forces the scalar loop
-        scalar = scalar_eval.estimate_objects(list(range(12)))
-        assert set(batched) == set(scalar) == {"target", "helper"}
-        for target in batched:
-            assert np.array_equal(batched[target], scalar[target])
+        expected = estimate_naively(plans, source, range(12))
+        assert set(batched) == set(expected.estimates) == {"target", "helper"}
+        for target, values in expected.estimates.items():
+            assert batched[target].tolist() == values
 
     def test_missing_answers_drop_terms_identically(self, tiny_platform):
         # Only even objects have cached answers: odd rows must fall back
-        # to the intercept in both paths, bit for bit.
+        # to the intercept, bit for bit with the naive loop.
         source = self.fill_cache(
             tiny_platform, ("target",), range(0, 10, 2), 4
         )
-        evaluator = OnlineEvaluator(
-            tiny_platform, identity_plan("target", 4), answer_source=source
-        )
-        batched = evaluator.estimate_objects(list(range(10)))
-        evaluator.source = _OpaqueSource(source)
-        scalar = evaluator.estimate_objects(list(range(10)))
-        assert np.array_equal(batched["target"], scalar["target"])
+        plan = identity_plan("target", 4)
+        batched = OnlineEvaluator(
+            tiny_platform, plan, answer_source=source
+        ).estimate_objects(list(range(10)))
+        expected = estimate_naively([plan], source, range(10))
+        assert batched["target"].tolist() == expected.estimates["target"]
         assert batched["target"][1] == 0.0  # identity plan's intercept
 
     def test_object_counter_counts_once_per_object(self, tiny_domain):
-        from repro.crowd.platform import CrowdPlatform
-        from repro.crowd.recording import AnswerRecorder
         from repro.obs import Observability
 
         obs = Observability.collecting()
@@ -209,16 +206,6 @@ class TestEstimateObjectsBatched:
             platform, identity_plan("target", 2), answer_source=source
         ).estimate_objects(list(range(6)))
         assert obs.metrics.counter("online.objects") == 6
-
-
-class _OpaqueSource:
-    """Wraps a pure source while hiding its ``side_effect_free`` flag."""
-
-    def __init__(self, source):
-        self._source = source
-
-    def fetch(self, object_id, attribute, n):
-        return self._source.fetch(object_id, attribute, n)
 
 
 class TestErrorMetrics:

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.model import BudgetDistribution, EstimationFormula
+from repro.core.model import BudgetDistribution
 from repro.core.regression import (
-    apply_formula_columns,
     fit_linear_regression,
     recommended_training_size,
     training_mse,
@@ -100,43 +99,3 @@ class TestTrainingMse:
         budget = BudgetDistribution({})
         formula = fit_linear_regression("t", [({}, 1.0)], budget)
         assert np.isnan(training_mse(formula, []))
-
-
-class TestApplyFormulaColumns:
-    FORMULA = EstimationFormula(
-        "t", {"a": 2.0, "b": -0.5}, 1.25, BudgetDistribution({"a": 3, "b": 3})
-    )
-
-    def test_matches_scalar_estimate_rowwise(self):
-        rng = np.random.default_rng(4)
-        n = 25
-        columns = {
-            "a": (rng.normal(size=n), np.ones(n, dtype=bool)),
-            "b": (rng.normal(size=n), rng.random(n) < 0.6),
-        }
-        values = apply_formula_columns(self.FORMULA, columns)
-        for row in range(n):
-            means = {
-                attribute: float(column[0][row])
-                for attribute, column in columns.items()
-                if column[1][row]
-            }
-            assert values[row] == self.FORMULA.estimate(means)
-
-    def test_unknown_columns_ignored(self):
-        n = 4
-        columns = {
-            "a": (np.full(n, 2.0), np.ones(n, dtype=bool)),
-            "unrelated": (np.full(n, 9.0), np.ones(n, dtype=bool)),
-        }
-        values = apply_formula_columns(self.FORMULA, columns)
-        assert values.tolist() == [1.25 + 2.0 * 2.0] * n
-
-    def test_absent_present_rows_keep_intercept_only(self):
-        columns = {"a": (np.full(3, 7.0), np.zeros(3, dtype=bool))}
-        values = apply_formula_columns(self.FORMULA, columns)
-        assert values.tolist() == [1.25] * 3
-
-    def test_empty_columns_rejected(self):
-        with pytest.raises(ConfigurationError):
-            apply_formula_columns(self.FORMULA, {})

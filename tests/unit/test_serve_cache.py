@@ -127,6 +127,50 @@ class TestCachedAnswerSource:
         # A smaller request still fits.
         assert len(source.fetch(1, "target", 2)) == 2
 
+    def test_evaluator_buys_what_the_naive_loop_buys(self, tiny_domain):
+        """The serving benchmark's independent baseline evaluates one
+        query at a time through this read-through source: repeated
+        objects hit the cache, and the budget dies mid-object, exactly
+        as the per-object loop would have it."""
+        from repro.core.model import (
+            BudgetDistribution,
+            EstimationFormula,
+            PreprocessingPlan,
+            Query,
+        )
+        from repro.core.online import OnlineEvaluator
+
+        from tests.online_oracle import estimate_naively
+
+        budget = BudgetDistribution({"helper": 3, "target": 2})
+        plan = PreprocessingPlan(
+            query=Query.single("target"),
+            attributes=("helper", "target"),
+            budget=budget,
+            formulas={
+                "target": EstimationFormula(
+                    "target", {"helper": 0.8, "target": 0.5}, 1.5, budget
+                )
+            },
+        )
+
+        def source() -> CachedAnswerSource:
+            platform = CrowdPlatform(
+                tiny_domain, recorder=AnswerRecorder(), seed=11, budget=Budget(9.0)
+            )
+            return CachedAnswerSource(platform)
+
+        objects = [0, 1, 0, 2, 3, 1, 4, 5]
+        served, twin = source(), source()
+        evaluator = OnlineEvaluator(served.platform, plan, answer_source=served)
+        estimates = evaluator.estimate_objects(objects)
+        expected = estimate_naively([plan], twin, objects)
+        assert estimates["target"].tolist() == expected.estimates["target"]
+        assert evaluator.budget_skips == expected.budget_skips
+        assert evaluator.budget_skips  # 9c runs out mid-object
+        assert served.platform.ledger.snapshot() == twin.platform.ledger.snapshot()
+        assert served.platform.ledger.total_saved_answers > 0  # repeats hit
+
 
 class TestCacheReadSource:
     def test_reads_never_purchase(self, tiny_platform):

@@ -235,6 +235,70 @@ class TestServeEngine:
         )
         assert result.degraded.objects_evaluated == len(result.object_ids)
 
+    def test_one_evaluation_per_plan_group(self, tiny_domain, monkeypatch):
+        """A wave evaluates each group of queries sharing plan objects
+        with one call over their concatenated objects, repeats kept."""
+        from repro.core.online import OnlineEvaluator
+
+        calls: list[list[int]] = []
+        original = OnlineEvaluator.estimate_objects
+
+        def counting(self, object_ids):
+            calls.append(list(object_ids))
+            return original(self, object_ids)
+
+        monkeypatch.setattr(OnlineEvaluator, "estimate_objects", counting)
+        shared, other = identity_plan("target"), identity_plan("target")
+        waves = {
+            "one plan": [shared, shared, shared],
+            "two plans": [shared, other, shared],
+        }
+        expected_calls = {
+            "one plan": [[0, 1, 2, 1, 2, 3, 2, 3, 4]],
+            "two plans": [[0, 1, 2, 2, 3, 4], [1, 2, 3]],
+        }
+        for name, plans in waves.items():
+            calls.clear()
+            engine, _ = make_engine(tiny_domain)
+            for index, plan in enumerate(plans):
+                objects = tuple(range(index, index + 3))
+                engine.submit(QueryRequest(f"q{index}", ("target",), objects), plan)
+            report = engine.run()
+            assert calls == expected_calls[name], name
+            for index in range(len(plans)):
+                result = report.result(f"q{index}")
+                assert result.object_ids == list(range(index, index + 3))
+                assert len(result.estimates["target"]) == 3
+        # An object repeated within one call gets one estimate.
+        q0, q2 = report.result("q0"), report.result("q2")
+        assert q2.estimates["target"][0] == q0.estimates["target"][2]
+
+    def test_non_linear_plan_refused(self, tiny_domain):
+        """Degradation widens linear terms only, so serving refuses any
+        other formula at submission, before it takes the query id."""
+        from repro.core.nonlinear import QuadraticFormula
+
+        budget = BudgetDistribution({"target": 4})
+        plan = PreprocessingPlan(
+            query=Query.single("target"),
+            attributes=("target",),
+            budget=budget,
+            formulas={
+                "target": QuadraticFormula(
+                    "target",
+                    {("target",): 1.0, ("target", "target"): 0.1},
+                    0.5,
+                    budget,
+                )
+            },
+        )
+        engine, _ = make_engine(tiny_domain, budget=Budget(3.0))
+        request = QueryRequest("q1", ("target",), tuple(range(10)))
+        with pytest.raises(ConfigurationError, match="QuadraticFormula"):
+            engine.submit(request, plan)
+        assert engine.queue_depth == 0
+        assert engine.submit(request, identity_plan("target"))
+
     def test_budget_exhaustion_degrades(self, tiny_domain):
         # 4 numeric answers cost 1.6c; allow only the first object's worth.
         engine, platform = make_engine(tiny_domain, budget=Budget(1.7))
