@@ -1,17 +1,12 @@
 """Tour of the extension features (the paper's Section 7 future work).
 
-Four extensions on top of the core reproduction:
+Two extensions on top of the core reproduction:
 
-1. adaptive online evaluation — sequential stopping saves per-object
-   budget on easy objects;
-2. precision/recall metrics for boolean targets (is_dessert);
-3. automatic splitting of one total budget into (B_prc, B_obj);
-4. gold-question worker screening against a spam-polluted crowd.
+1. precision/recall metrics for boolean targets (is_dessert);
+2. automatic splitting of one total budget into (B_prc, B_obj).
 
 Run:  python examples/extensions_tour.py
 """
-
-import numpy as np
 
 from repro import (
     CrowdPlatform,
@@ -19,45 +14,16 @@ from repro import (
     DisQPlanner,
     OnlineEvaluator,
     Query,
-    WorkerPool,
     default_weights,
     make_recipes_domain,
-    query_error,
 )
-from repro.core.adaptive import AdaptiveOnlineEvaluator
 from repro.core.metrics import boolean_report
 from repro.core.tuning import optimize_budget_split
-from repro.crowd.quality import GoldQuestionScreen, ScreenedPool
 from repro.crowd.recording import AnswerRecorder
 
 
-def adaptive_demo(domain) -> None:
-    print("=== 1. adaptive online evaluation ===")
-    platform = CrowdPlatform(domain, seed=2)
-    query = Query(targets=("protein",), weights=default_weights(domain, ("protein",)))
-    # A generous per-object budget gives the sequential stopper room
-    # to save on easy recipes.
-    plan = DisQPlanner(
-        platform, query, 10.0, 2500.0, DisQParams(n1=60)
-    ).preprocess()
-
-    recipes = range(60)
-    fixed = OnlineEvaluator(platform.fork(), plan)
-    fixed_error = query_error(domain, fixed.evaluate(recipes), recipes, query)
-
-    adaptive = AdaptiveOnlineEvaluator(platform.fork(), plan, tolerance=0.1)
-    adaptive.target_sigmas = {"protein": domain.true_sigma("protein")}
-    estimates, savings = adaptive.evaluate(recipes)
-    adaptive_error = query_error(domain, estimates, recipes, query)
-    print(f"fixed plan error    {fixed_error:.4f} at 100% of the online budget")
-    print(
-        f"adaptive error      {adaptive_error:.4f} using "
-        f"{1 - savings:.0%} of the online budget"
-    )
-
-
 def metrics_demo(domain) -> None:
-    print("\n=== 2. precision/recall for a boolean target ===")
+    print("=== 1. precision/recall for a boolean target ===")
     platform = CrowdPlatform(domain, seed=3)
     query = Query(targets=("dessert",))
     plan = DisQPlanner(
@@ -69,7 +35,7 @@ def metrics_demo(domain) -> None:
 
 
 def tuning_demo(domain) -> None:
-    print("\n=== 3. automatic budget splitting ===")
+    print("\n=== 2. automatic budget splitting ===")
     platform = CrowdPlatform(domain, recorder=AnswerRecorder(), seed=4)
     query = Query(targets=("protein",), weights=default_weights(domain, ("protein",)))
     best, grid = optimize_budget_split(
@@ -84,7 +50,7 @@ def tuning_demo(domain) -> None:
         repetitions=1,
     )
     for split in grid:
-        marker = " <- best" if split is not best and split.b_obj_cents == best.b_obj_cents else ""
+        marker = " <- best" if split is best else ""
         print(
             f"  B_obj={split.b_obj_cents:>4.1f}c  B_prc={split.b_prc_cents:>7.0f}c"
             f"  pilot error={split.pilot_error:.4f}{marker}"
@@ -92,31 +58,10 @@ def tuning_demo(domain) -> None:
     print(f"chosen: {best.b_obj_cents:g}c/object with B_prc={best.b_prc_cents:g}c")
 
 
-def quality_demo(domain) -> None:
-    print("\n=== 4. gold-question worker screening ===")
-    polluted = WorkerPool(size=80, seed=5, spam_fraction=0.35)
-    screen = GoldQuestionScreen(questions_per_worker=6, seed=5)
-    tracker = screen.screen(polluted, domain)
-    screened = ScreenedPool(polluted, tracker, screen)
-    print(f"pool: {len(polluted)} workers, {len(polluted) - len(screened)} banned")
-
-    truth = domain.true_value(0, "calories")
-    raw_platform = CrowdPlatform(domain, pool=polluted, seed=5)
-    clean_platform = CrowdPlatform(domain, pool=screened, seed=5)
-    raw = np.mean(raw_platform.ask_value(0, "calories", 40))
-    clean = np.mean(clean_platform.ask_value(0, "calories", 40))
-    print(
-        f"calories truth {truth:.0f}: raw crowd mean {raw:.0f}, "
-        f"screened crowd mean {clean:.0f}"
-    )
-
-
 def main() -> None:
     domain = make_recipes_domain(n_objects=250, seed=2)
-    adaptive_demo(domain)
     metrics_demo(domain)
     tuning_demo(domain)
-    quality_demo(domain)
 
 
 if __name__ == "__main__":

@@ -65,7 +65,6 @@ from repro.errors import (
     CatalogError,
     CatalogLockError,
     CatalogMismatchError,
-    ConfigurationError,
 )
 
 #: Schema version written into every catalog entry document.
@@ -239,17 +238,7 @@ def serialize_plan(plan: PreprocessingPlan) -> dict[str, Any]:
     """A JSON document from which :func:`deserialize_plan` rebuilds the
     plan bit-for-bit (floats survive the JSON round trip exactly, and
     order-sensitive maps travel as pair lists).
-
-    The format holds linear formulas only: any other formula raises
-    :class:`~repro.errors.ConfigurationError` instead of coming back
-    as a linear formula that drops every term.
     """
-    for target, formula in plan.formulas.items():
-        if not isinstance(formula, EstimationFormula):
-            raise ConfigurationError(
-                f"the catalog stores linear formulas only; the {target!r} "
-                f"formula is a {type(formula).__name__}"
-            )
     resilience = plan.resilience
     return {
         "query": {

@@ -38,14 +38,12 @@ from repro.core.pairing import NaiveMeanEstimator, PairingRule
 from repro.core.stopping import PreprocessingBudgetManager
 from repro.core.disq import DisQParams, DisQPlanner
 from repro.core.online import OnlineEvaluator, query_error
-from repro.core.adaptive import AdaptiveEstimate, AdaptiveOnlineEvaluator
 from repro.core.metrics import (
     ClassificationReport,
     boolean_report,
     categorical_accuracy,
     precision_recall_curve,
 )
-from repro.core.nonlinear import QuadraticFormula, fit_quadratic_regression
 from repro.core.tuning import BudgetSplit, optimize_budget_split
 from repro.core.baselines import (
     NaiveAverage,
@@ -58,8 +56,6 @@ from repro.core.baselines import (
 )
 
 __all__ = [
-    "AdaptiveEstimate",
-    "AdaptiveOnlineEvaluator",
     "BudgetDistribution",
     "BudgetSplit",
     "ClassificationReport",
@@ -74,7 +70,6 @@ __all__ = [
     "PairingRule",
     "PreprocessingBudgetManager",
     "PreprocessingPlan",
-    "QuadraticFormula",
     "Query",
     "SoGraphEstimator",
     "StatisticsStore",
@@ -82,7 +77,6 @@ __all__ = [
     "categorical_accuracy",
     "estimation_error",
     "explained_variance",
-    "fit_quadratic_regression",
     "find_budget_distribution",
     "fit_linear_regression",
     "make_full_planner",

@@ -45,7 +45,7 @@ from repro.core.dismantling import (
     ranking_key,
 )
 from repro.core.model import BudgetDistribution, PreprocessingPlan, Query
-from repro.core.pairing import NaiveMeanEstimator, PairingRule, ZeroEstimator
+from repro.core.pairing import NaiveMeanEstimator, PairingRule
 from repro.core.regression import (
     TrainingRow,
     fit_linear_regression,
@@ -103,8 +103,8 @@ class DisQParams:
         Target-pairing rule (Section 4); swap for the *Full* /
         *OneConnection* baselines.
     s_o_estimator:
-        Fill for missing ``S_o`` entries: ``"graph"`` (expr. 11),
-        ``"naive"`` (*NaiveEstimations* baseline) or ``"zero"``.
+        Fill for missing ``S_o`` entries: ``"graph"`` (expr. 11) or
+        ``"naive"`` (*NaiveEstimations* baseline).
     stop_on_nonpositive_score:
         Also stop dismantling when the best expression-8 score is <= 0.
     max_rounds:
@@ -121,10 +121,6 @@ class DisQParams:
         the graph estimation of missing ``S_o`` entries come into play.
         Both run one code path: shared pooling is split pooling over a
         single group of all targets.
-    formula_family:
-        ``"linear"`` — the paper's assembly formulas; ``"quadratic"`` —
-        degree-2 polynomial assembly (the Section 7 "more general
-        rules" extension), fit with ridge regularization.
     min_probability_new:
         Exhaustion floor: an attribute is no longer dismantled once
         ``Pr(new | a_j)`` drops below this (with the paper's
@@ -165,7 +161,6 @@ class DisQParams:
     max_rounds: int | None = None
     verifier: SequentialVerifier = field(default_factory=SequentialVerifier)
     example_pooling: str = "shared"
-    formula_family: str = "linear"
     min_probability_new: float = 0.02
     graceful_degradation: bool = False
     aggregator: str = "uniform"
@@ -190,15 +185,11 @@ class DisQParams:
             raise ConfigurationError(
                 f"unknown example pooling: {self.example_pooling!r}"
             )
-        if self.formula_family not in ("linear", "quadratic"):
-            raise ConfigurationError(
-                f"unknown formula family: {self.formula_family!r}"
-            )
         if not 0.0 <= self.min_probability_new <= 0.5:
             raise ConfigurationError(
                 f"min_probability_new must be in [0, 0.5]: {self.min_probability_new}"
             )
-        if self.s_o_estimator not in ("graph", "naive", "zero"):
+        if self.s_o_estimator not in ("graph", "naive"):
             raise ConfigurationError(
                 f"unknown S_o estimator: {self.s_o_estimator!r}"
             )
@@ -209,9 +200,7 @@ class DisQParams:
         """Instantiate the configured missing-``S_o`` estimator."""
         if self.s_o_estimator == "graph":
             return SoGraphEstimator()
-        if self.s_o_estimator == "naive":
-            return NaiveMeanEstimator()
-        return ZeroEstimator()
+        return NaiveMeanEstimator()
 
     def build_aggregator(
         self, model: ReliabilityModel | None = None
@@ -930,14 +919,7 @@ class DisQPlanner:
             # fresh objects; a starving budget degrades to the constant
             # predictor instead.
             if len(rows) >= len(budget.attributes) + 2:
-                if self.params.formula_family == "quadratic":
-                    from repro.core.nonlinear import fit_quadratic_regression
-
-                    formulas[target] = fit_quadratic_regression(
-                        target, rows, budget
-                    )
-                else:
-                    formulas[target] = fit_linear_regression(target, rows, budget)
+                formulas[target] = fit_linear_regression(target, rows, budget)
             else:
                 # Budget died before any training row: constant fallback
                 # from the example pool (never leaves the online phase

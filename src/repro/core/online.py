@@ -183,10 +183,10 @@ class OnlineEvaluator:
         axis mean (numpy's pairwise summation over a contiguous row is
         bit-identical to ``np.mean`` of that row alone); any other
         aggregator reduces row by row.  *Apply* runs each target's
-        ``formula.estimate`` row by row, whatever the formula family.
-        Every dropped-out term bumps the ``agg.missing_terms`` counter,
-        so partially-evaluated formulas are observable.  Rows are
-        independent: an object listed twice is estimated twice.
+        linear ``formula.estimate`` row by row.  Every dropped-out term
+        bumps the ``agg.missing_terms`` counter, so partially-evaluated
+        formulas are observable.  Rows are independent: an object
+        listed twice is estimated twice.
         """
         object_ids = list(object_ids)
         obs = self.platform.obs

@@ -107,13 +107,3 @@ class NaiveMeanEstimator:
             return 0.0
         return float(np.mean(measured))
 
-
-class ZeroEstimator:
-    """A fill that leaves missing ``S_o`` entries at zero.
-
-    Equivalent to passing no estimator; exists so ablations can name
-    the policy explicitly.
-    """
-
-    def __call__(self, stats: StatisticsStore, target: str, attribute: str) -> float:
-        return 0.0

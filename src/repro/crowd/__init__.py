@@ -24,24 +24,11 @@ from repro.crowd.faults import (
     RetryPolicy,
     SimulatedClock,
 )
-from repro.crowd.questions import (
-    DismantlingQuestion,
-    ExampleQuestion,
-    Question,
-    ValueQuestion,
-    VerificationQuestion,
-)
 from repro.crowd.pricing import Budget, CostLedger, PriceSchedule
 from repro.crowd.worker import BiasedWorker, HonestWorker, SpamWorker, Worker
 from repro.crowd.pool import WorkerPool
 from repro.crowd.recording import AnswerRecorder
-from repro.crowd.quality import (
-    BreakerState,
-    GoldQuestionScreen,
-    ReputationTracker,
-    ScreenedPool,
-    WorkerCircuitBreaker,
-)
+from repro.crowd.quality import BreakerState, WorkerCircuitBreaker
 from repro.crowd.spam import AgreementSpamFilter, SpamFilter, ZScoreSpamFilter
 from repro.crowd.verification import SequentialVerifier, VerificationResult
 from repro.crowd.normalization import (
@@ -59,27 +46,19 @@ __all__ = [
     "Budget",
     "CostLedger",
     "CrowdPlatform",
-    "DismantlingQuestion",
-    "ExampleQuestion",
     "FaultInjector",
     "FaultKind",
     "FaultProfile",
     "FaultRates",
-    "GoldQuestionScreen",
     "HonestWorker",
     "NormalizationMode",
     "PriceSchedule",
-    "Question",
-    "ReputationTracker",
     "ResilienceReport",
     "RetryPolicy",
-    "ScreenedPool",
     "SequentialVerifier",
     "SimulatedClock",
     "SpamFilter",
     "SpamWorker",
-    "ValueQuestion",
-    "VerificationQuestion",
     "VerificationResult",
     "Worker",
     "WorkerCircuitBreaker",

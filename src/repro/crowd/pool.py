@@ -65,7 +65,7 @@ class WorkerPool:
         object axis at ``drift_rate`` per object id.
     sleeper_fraction:
         Fraction of sleepers: honest on objects below
-        ``sleeper_patience`` (the gold-screened prefix), spam after.
+        ``sleeper_patience`` (the object-id prefix), spam after.
     collusion_bias_scale, drift_rate, sleeper_patience:
         Persona knobs, forwarded to the respective worker types.
     """

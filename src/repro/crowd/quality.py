@@ -1,22 +1,13 @@
-"""Worker quality management: gold questions and runtime quarantine.
+"""Runtime worker quarantine: the per-worker circuit breaker.
 
 The paper assumes "spam filters are employed to avoid malicious
 workers" and cites Ipeirotis et al.'s quality-management work on
-Mechanical Turk.  Besides the answer-level filters in
-:mod:`repro.crowd.spam`, this module provides two mechanisms:
-
-* the classical *gold-question* screen — each worker is probed with
-  value questions whose true answers are known, scored by how far
-  their answers fall from the truth, and banned when their error rate
-  is inconsistent with honest noise (:class:`GoldQuestionScreen` +
-  :class:`ScreenedPool`);
-* a runtime *circuit breaker* — :class:`WorkerCircuitBreaker` watches
-  operational outcomes (timeouts, abandons, malformed or spam-filtered
-  answers) per worker and quarantines workers whose fault rate crosses
-  a threshold, with half-open re-admission after a cooldown on the
-  simulated clock.  The breaker is the online complement to the
-  offline gold screen: it needs no ground truth and reacts to faults
-  the screen cannot see.
+Mechanical Turk.  The answer-level filters live in
+:mod:`repro.crowd.spam`; this module adds the operational complement:
+:class:`WorkerCircuitBreaker` watches outcomes (timeouts, abandons,
+malformed or spam-filtered answers) per worker and quarantines workers
+whose fault rate crosses a threshold, with half-open re-admission after
+a cooldown on the simulated clock.  It needs no ground truth.
 """
 
 from __future__ import annotations
@@ -24,189 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.crowd.pool import WorkerPool
-from repro.crowd.worker import Worker
-from repro.domains.base import Domain
 from repro.errors import ConfigurationError
-
-
-@dataclass
-class ReputationTracker:
-    """Per-worker record of gold-question outcomes."""
-
-    correct: dict[int, int] = field(default_factory=dict)
-    total: dict[int, int] = field(default_factory=dict)
-
-    def record(self, worker_id: int, passed: bool) -> None:
-        """Record one gold-question outcome for a worker."""
-        self.total[worker_id] = self.total.get(worker_id, 0) + 1
-        if passed:
-            self.correct[worker_id] = self.correct.get(worker_id, 0) + 1
-
-    def accuracy(self, worker_id: int) -> float:
-        """Fraction of gold questions the worker passed (1.0 if unprobed)."""
-        total = self.total.get(worker_id, 0)
-        if total == 0:
-            return 1.0
-        return self.correct.get(worker_id, 0) / total
-
-    def probed(self, worker_id: int) -> int:
-        """Number of gold questions the worker has answered."""
-        return self.total.get(worker_id, 0)
-
-
-class GoldQuestionScreen:
-    """Probes workers with known-answer questions and scores them.
-
-    A probe *passes* when the worker's answer lies within
-    ``tolerance_sigmas`` standard deviations of the truth — using the
-    attribute's honest-noise standard deviation, so an honest worker
-    passes with high probability while a uniform spammer fails most
-    probes on wide-range attributes.
-
-    Parameters
-    ----------
-    questions_per_worker:
-        Gold questions posed to each worker.
-    tolerance_sigmas:
-        Pass window around the truth, in honest-noise standard
-        deviations.
-    min_accuracy:
-        Workers below this pass rate are banned.
-    seed:
-        RNG seed for probe-object selection.
-    """
-
-    def __init__(
-        self,
-        questions_per_worker: int = 5,
-        tolerance_sigmas: float = 3.0,
-        min_accuracy: float = 0.6,
-        seed: int = 0,
-    ) -> None:
-        if questions_per_worker < 1:
-            raise ConfigurationError("need at least one gold question per worker")
-        if tolerance_sigmas <= 0:
-            raise ConfigurationError("tolerance must be positive")
-        if not 0.0 < min_accuracy <= 1.0:
-            raise ConfigurationError("min_accuracy must be in (0, 1]")
-        self.questions_per_worker = questions_per_worker
-        self.tolerance_sigmas = tolerance_sigmas
-        self.min_accuracy = min_accuracy
-        self._rng = np.random.default_rng(seed)
-
-    def probe_worker(
-        self, worker: Worker, domain: Domain, attribute: str
-    ) -> bool:
-        """One gold question: does the worker's answer pass?"""
-        object_id = domain.sample_object(self._rng)
-        answer = worker.answer_value(domain, object_id, attribute)
-        truth = domain.true_value(object_id, attribute)
-        noise_sd = float(np.sqrt(domain.difficulty(attribute)))
-        if domain.is_binary(attribute):
-            # Clipping makes sigma windows unreliable near the borders;
-            # a fixed half-unit window separates honest from uniform.
-            return abs(answer - truth) <= max(
-                0.5, self.tolerance_sigmas * noise_sd
-            ) and 0.0 <= answer <= 1.0
-        return abs(answer - truth) <= self.tolerance_sigmas * noise_sd
-
-    def screen(
-        self, pool: WorkerPool, domain: Domain, attributes: list[str] | None = None
-    ) -> ReputationTracker:
-        """Probe every worker in the pool and return their reputations.
-
-        Probing costs crowd questions in a real deployment; callers who
-        care about accounting should charge
-        ``len(pool) * questions_per_worker`` value questions.
-        """
-        if attributes is None:
-            # Prefer numeric attributes: their wide answer ranges make
-            # spam detectable in very few probes.
-            attributes = [
-                name for name in domain.attributes() if not domain.is_binary(name)
-            ] or list(domain.attributes())
-        tracker = ReputationTracker()
-        for worker in pool.workers:
-            for probe_index in range(self.questions_per_worker):
-                attribute = attributes[probe_index % len(attributes)]
-                tracker.record(
-                    worker.worker_id, self.probe_worker(worker, domain, attribute)
-                )
-        return tracker
-
-    def banned(self, tracker: ReputationTracker, worker_id: int) -> bool:
-        """Whether a worker's gold-question record bans them."""
-        if tracker.probed(worker_id) == 0:
-            return False
-        return tracker.accuracy(worker_id) < self.min_accuracy
-
-
-class ScreenedPool:
-    """A worker-pool view that only serves non-banned workers.
-
-    Quacks like :class:`~repro.crowd.pool.WorkerPool` (``draw``,
-    ``draw_distinct``, ``workers``, ``len``), so it drops into
-    :class:`~repro.crowd.platform.CrowdPlatform` unchanged.
-    """
-
-    def __init__(
-        self,
-        pool: WorkerPool,
-        tracker: ReputationTracker,
-        screen: GoldQuestionScreen,
-    ) -> None:
-        self._pool = pool
-        self._allowed = [
-            worker
-            for worker in pool.workers
-            if not screen.banned(tracker, worker.worker_id)
-        ]
-        if not self._allowed:
-            raise ConfigurationError(
-                "screening banned every worker; lower min_accuracy"
-            )
-        self._rng = np.random.default_rng(0)
-
-    def __len__(self) -> int:
-        return len(self._allowed)
-
-    @property
-    def workers(self) -> tuple[Worker, ...]:
-        """The surviving worker population."""
-        return tuple(self._allowed)
-
-    def draw(self) -> Worker:
-        """Sample one surviving worker uniformly (with replacement)."""
-        return self._allowed[int(self._rng.integers(0, len(self._allowed)))]
-
-    def draw_distinct(self, n: int) -> list[Worker]:
-        """Sample ``n`` distinct surviving workers (with fallback)."""
-        if n <= len(self._allowed):
-            indices = self._rng.choice(len(self._allowed), size=n, replace=False)
-        else:
-            indices = self._rng.integers(0, len(self._allowed), size=n)
-        return [self._allowed[int(i)] for i in indices]
-
-    def state_dict(self) -> dict:
-        """JSON-serialisable snapshot (own RNG + the wrapped pool)."""
-        return {
-            "rng": self._rng.bit_generator.state,
-            "pool": self._pool.state_dict(),
-        }
-
-    def restore_state(self, payload: dict) -> None:
-        """Restore :meth:`state_dict` (the survivor list is rebuilt by
-        re-screening with the same seeds, so only RNGs travel here)."""
-        self._rng.bit_generator.state = payload["rng"]
-        self._pool.restore_state(payload["pool"])
-
-
-# ----------------------------------------------------------------------
-# Runtime quarantine (circuit breaker)
-# ----------------------------------------------------------------------
 
 
 class BreakerState(enum.Enum):

@@ -400,14 +400,13 @@ class DriftingWorker(HonestWorker):
 
 
 class SleeperWorker(HonestWorker):
-    """A spammer who behaves until the gold screen stops looking.
+    """A spammer who answers objects below ``patience`` honestly.
 
-    Gold-standard screening checks workers on a known prefix of the
-    object set; a sleeper answers those honestly and turns to spam
-    afterwards.  The turn is keyed to the object id (``object_id >=
-    patience``) rather than a stateful answer counter so the stateless
-    serving paths agree with the offline path and answers stay pure
-    per-coordinate functions.
+    It passes any check that probes only that prefix of the object set,
+    such as a classical gold-question screen, and spams on every later
+    object.  The turn is keyed to the object id rather than a stateful
+    answer counter so the stateless serving paths agree with the
+    offline path and answers stay pure per-coordinate functions.
     """
 
     def __init__(

@@ -89,10 +89,6 @@ class Domain(ABC):
         """Population variance of the attribute's true values."""
         return float(np.var(self.true_values(attribute)))
 
-    def true_sigma(self, attribute: str) -> float:
-        """Population standard deviation of the attribute's true values."""
-        return float(np.sqrt(self.true_variance(attribute)))
-
     def answer_sigma(self, attribute: str) -> float:
         """Standard deviation of a single worker answer.
 

@@ -76,7 +76,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.agg.base import Aggregator
-from repro.core.model import EstimationFormula, PreprocessingPlan
+from repro.core.model import PreprocessingPlan
 from repro.core.online import OnlineEvaluator
 from repro.crowd.faults import FaultProfile, RetryPolicy, SimulatedClock
 from repro.crowd.platform import CrowdPlatform
@@ -639,14 +639,10 @@ class ServeEngine:
             raise ConfigurationError(
                 f"query {request.query_id!r} targets {missing} have no plan"
             )
-        for plan in plans:
-            for target, formula in plan.formulas.items():
-                if not isinstance(formula, EstimationFormula):
-                    raise ConfigurationError(
-                        f"query {request.query_id!r}: the {target!r} formula is a "
-                        f"{type(formula).__name__}; serving degrades and widens "
-                        f"intervals for linear formulas only"
-                    )
+        if len(plan_targets) != sum(len(plan.query.targets) for plan in plans):
+            raise ConfigurationError(
+                f"query {request.query_id!r}: plans estimate overlapping targets"
+            )
         self._seen_ids.add(request.query_id)
         metrics = self.obs.metrics
         if request.query_id in self._checkpointed:

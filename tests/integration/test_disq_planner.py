@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.disq import DisQParams, DisQPlanner
+from repro.core.disq import DisQParams, DisQPlanner, with_params
 from repro.core.model import Query
 from repro.crowd.platform import CrowdPlatform
 from repro.crowd.recording import AnswerRecorder
@@ -116,15 +116,34 @@ class TestParams:
             DisQParams(candidate_policy="everything")
 
     def test_invalid_estimator_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DisQParams(s_o_estimator="magic")
+        for name in ("magic", "zero"):
+            with pytest.raises(ConfigurationError):
+                DisQParams(s_o_estimator=name)
 
     def test_fill_factory(self):
-        from repro.core.pairing import NaiveMeanEstimator, ZeroEstimator
+        from repro.core.pairing import NaiveMeanEstimator
         from repro.core.sograph import SoGraphEstimator
 
         assert isinstance(DisQParams(s_o_estimator="graph").make_fill(), SoGraphEstimator)
         assert isinstance(
             DisQParams(s_o_estimator="naive").make_fill(), NaiveMeanEstimator
         )
-        assert isinstance(DisQParams(s_o_estimator="zero").make_fill(), ZeroEstimator)
+
+
+class TestWithParams:
+    def test_overrides_applied_to_defaults(self):
+        params = with_params(None, n1=33, dismantling=False)
+        assert params.n1 == 33
+        assert not params.dismantling
+        assert params.k == 2  # untouched default
+
+    def test_overrides_preserve_base(self):
+        base = DisQParams(n1=77, rho_constant=0.3)
+        derived = with_params(base, dismantling=False)
+        assert derived.n1 == 77
+        assert derived.rho_constant == 0.3
+        assert base.dismantling  # base untouched
+
+    def test_invalid_override_rejected(self):
+        with pytest.raises(ConfigurationError):
+            with_params(None, candidate_policy="nonsense")

@@ -1,39 +1,11 @@
 """Integration tests wiring the extension features through real plans."""
 
-import numpy as np
-from repro.core.adaptive import AdaptiveOnlineEvaluator
 from repro.core.disq import DisQParams, DisQPlanner
 from repro.core.metrics import boolean_report
 from repro.core.model import Query
-from repro.core.online import OnlineEvaluator, default_weights, query_error
+from repro.core.online import OnlineEvaluator
 from repro.crowd.platform import CrowdPlatform
-from repro.crowd.pool import WorkerPool
-from repro.crowd.quality import GoldQuestionScreen, ScreenedPool
 from repro.crowd.recording import AnswerRecorder
-
-
-class TestAdaptiveWithRealPlan:
-    def test_adaptive_saves_budget_on_planned_query(self, tiny_domain):
-        platform = CrowdPlatform(tiny_domain, recorder=AnswerRecorder(), seed=0)
-        query = Query(
-            targets=("target",), weights=default_weights(tiny_domain, ("target",))
-        )
-        params = DisQParams(n1=25, max_rounds=30)
-        plan = DisQPlanner(platform, query, 6.0, 1500.0, params).preprocess()
-
-        fixed = OnlineEvaluator(platform.fork(), plan)
-        fixed_error = query_error(
-            tiny_domain, fixed.evaluate(range(30)), range(30), query
-        )
-
-        adaptive = AdaptiveOnlineEvaluator(platform.fork(), plan, tolerance=0.15)
-        adaptive.target_sigmas = {"target": tiny_domain.true_sigma("target")}
-        estimates, savings = adaptive.evaluate(range(30))
-        adaptive_error = query_error(tiny_domain, estimates, range(30), query)
-
-        assert savings > 0.0
-        # The saved budget costs only bounded accuracy.
-        assert adaptive_error < 3.0 * fixed_error + 0.05
 
 
 class TestBooleanQueryPipeline:
@@ -46,47 +18,3 @@ class TestBooleanQueryPipeline:
         estimates = OnlineEvaluator(platform.fork(), plan).evaluate(oids)
         report = boolean_report(recipes_domain, estimates["dessert"], oids, "dessert")
         assert report.f1 > 0.7
-
-
-class TestScreenedPlatformPipeline:
-    def test_planning_through_screened_pool(self, tiny_domain):
-        polluted = WorkerPool(size=60, seed=0, spam_fraction=0.3)
-        screen = GoldQuestionScreen(questions_per_worker=6, seed=1)
-        tracker = screen.screen(polluted, tiny_domain)
-        screened = ScreenedPool(polluted, tracker, screen)
-
-        platform = CrowdPlatform(
-            tiny_domain, pool=screened, recorder=AnswerRecorder(), seed=0
-        )
-        query = Query(
-            targets=("target",), weights=default_weights(tiny_domain, ("target",))
-        )
-        params = DisQParams(n1=25, max_rounds=30)
-        plan = DisQPlanner(platform, query, 2.0, 1200.0, params).preprocess()
-        estimates = OnlineEvaluator(platform.fork(), plan).evaluate(range(30))
-        error = query_error(tiny_domain, estimates, range(30), query)
-        assert np.isfinite(error)
-
-    def test_screening_beats_polluted_planning(self, tiny_domain):
-        """With a heavily polluted crowd, screening should not hurt and
-        typically helps the planned query error."""
-        query = Query(
-            targets=("target",), weights=default_weights(tiny_domain, ("target",))
-        )
-        params = DisQParams(n1=30, max_rounds=30)
-
-        def run(pool, seeds=(0, 1, 2)):
-            errors = []
-            for seed in seeds:
-                platform = CrowdPlatform(
-                    tiny_domain, pool=pool, recorder=AnswerRecorder(), seed=seed
-                )
-                plan = DisQPlanner(platform, query, 2.0, 1200.0, params).preprocess()
-                estimates = OnlineEvaluator(platform.fork(), plan).evaluate(range(40))
-                errors.append(query_error(tiny_domain, estimates, range(40), query))
-            return float(np.mean(errors))
-
-        polluted = WorkerPool(size=80, seed=3, spam_fraction=0.4)
-        screen = GoldQuestionScreen(questions_per_worker=6, seed=3)
-        screened = ScreenedPool(polluted, screen.screen(polluted, tiny_domain), screen)
-        assert run(screened) < run(polluted) * 1.05

@@ -1,4 +1,4 @@
-"""Property-based tests for estimation formulas (linear and quadratic)."""
+"""Property-based tests for the linear estimation formulas."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.model import BudgetDistribution, EstimationFormula
-from repro.core.nonlinear import fit_quadratic_regression, quadratic_feature_names
 from repro.core.regression import fit_linear_regression
 
 names = st.lists(
@@ -61,32 +60,6 @@ class TestLinearFormulaProperties:
         _, _, _, rows, budget = problem
         formula = fit_linear_regression("t", rows, budget)
         assert formula.estimate({}) == formula.intercept
-
-
-class TestQuadraticFormulaProperties:
-    @given(linear_problem())
-    @settings(max_examples=25, deadline=None)
-    def test_quadratic_fits_linear_truth_too(self, problem):
-        attributes, _, _, rows, budget = problem
-        formula = fit_quadratic_regression("t", rows, budget, ridge=1e-8)
-        errors = [abs(formula.estimate(m) - y) for m, y in rows]
-        spread = np.std([y for _, y in rows]) + 1e-9
-        assert max(errors) < 0.05 * spread + 1e-6
-
-    @given(names)
-    @settings(max_examples=40)
-    def test_feature_count(self, attributes):
-        n = len(attributes)
-        features = quadratic_feature_names(tuple(attributes))
-        assert len(features) == n + n * (n + 1) // 2
-
-    @given(linear_problem(), st.floats(0.1, 100.0))
-    @settings(max_examples=25, deadline=None)
-    def test_predictions_finite_under_any_ridge(self, problem, ridge):
-        attributes, _, _, rows, budget = problem
-        formula = fit_quadratic_regression("t", rows, budget, ridge=ridge)
-        probe = {a: 2.5 for a in attributes}
-        assert np.isfinite(formula.estimate(probe))
 
 
 class TestFormulaRobustness:

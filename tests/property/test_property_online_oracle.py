@@ -1,14 +1,15 @@
 """Differential property: the online evaluator against the naive loop.
 
 Random evaluations — one or two plans with disjoint targets, each with a
-linear or a quadratic formula over a random budget; object lists with
-repeated objects; uniform, trimmed or reliability aggregation — run once
-through :meth:`~repro.core.online.OnlineEvaluator.estimate_objects` and
-once through :func:`tests.online_oracle.estimate_naively`, over one of
-three sources:
+linear formula over a random budget; object lists with repeated objects;
+uniform, trimmed or reliability aggregation — run once through
+:meth:`~repro.core.online.OnlineEvaluator.estimate_objects` and once
+through :func:`tests.online_oracle.estimate_naively`, over one of four
+sources:
 
 * a :class:`~repro.serve.cache.CacheReadSource` whose keys hold full,
   short or no answer tapes (both sides read the same cache);
+* a cache that holds every demanded answer;
 * a budgeted :class:`~repro.crowd.platform.CrowdPlatform` whose budget
   runs out mid-object;
 * a platform whose crowd faults lose answers after retries.
@@ -17,9 +18,13 @@ Each platform side gets its own, identically built platform.  Estimates
 must agree bit for bit, and so must the skip lists, the ledger
 snapshots, the recorder's tape lengths and the ``online.objects`` and
 ``agg.missing_terms`` totals.  A fetch order other than object, plan,
-attribute buys different answers from a purchasing source, and a formula
-apply that reads only linear coefficient keys returns a quadratic
-formula's intercept; either fails here.
+attribute buys different answers from a purchasing source and fails
+here.
+
+The oracle counts missing terms the way the evaluator does, so a
+miscount in both would pass that comparison; over the cache that holds
+every demanded answer the counts are also checked against the request:
+no term is missing and every listed object is counted.
 """
 
 import numpy as np
@@ -34,7 +39,6 @@ from repro.core.model import (
     PreprocessingPlan,
     Query,
 )
-from repro.core.nonlinear import QuadraticFormula, quadratic_feature_names
 from repro.core.online import OnlineEvaluator, PlatformAnswerSource
 from repro.crowd.faults import FaultProfile, RetryPolicy
 from repro.crowd.platform import CrowdPlatform
@@ -57,29 +61,15 @@ weights = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 
 @st.composite
 def plans(draw) -> list[PreprocessingPlan]:
-    """One or two single-target plans, each linear or quadratic."""
+    """One or two single-target plans over random budgets."""
     targets = ("target", "helper")[: draw(st.integers(1, 2), label="plans")]
     drawn = []
     for target in targets:
         support = draw(st.lists(st.sampled_from(ATTRIBUTES), unique=True, max_size=3))
         budget = BudgetDistribution({a: draw(st.integers(1, 4)) for a in support})
-        intercept = draw(weights)
-        if draw(st.booleans(), label="quadratic"):
-            monomials = quadratic_feature_names(tuple(support))
-            formula = QuadraticFormula(
-                target,
-                {monomial: draw(weights) for monomial in monomials},
-                intercept,
-                budget,
-                scaling={
-                    monomial: (draw(weights), draw(st.floats(0.5, 3.0)))
-                    for monomial in monomials
-                },
-            )
-        else:
-            formula = EstimationFormula(
-                target, {a: draw(weights) for a in support}, intercept, budget
-            )
+        formula = EstimationFormula(
+            target, {a: draw(weights) for a in support}, draw(weights), budget
+        )
         drawn.append(
             PreprocessingPlan(
                 query=Query.single(target),
@@ -96,7 +86,7 @@ def evaluations(draw):
     return {
         "plans": draw(plans()),
         "objects": draw(st.lists(st.sampled_from(OBJECTS), max_size=10)),
-        "source": draw(st.sampled_from(("cache", "budget", "faults"))),
+        "source": draw(st.sampled_from(("cache", "full", "budget", "faults"))),
         # Answers cached per (object, attribute): 0 leaves the key out.
         "cached": draw(
             st.lists(
@@ -163,6 +153,13 @@ def test_evaluator_matches_the_naive_loop(tiny_domain, evaluation):
     aggregator = build_aggregator(evaluation["aggregator"], stream)
     if evaluation["source"] == "cache":
         source = oracle_source = cache_source(stream, evaluation["cached"])
+    elif evaluation["source"] == "full":
+        demanded = [
+            max(plan.budget[attribute] for plan in evaluation["plans"])
+            for _ in OBJECTS
+            for attribute in ATTRIBUTES
+        ]
+        source = oracle_source = cache_source(stream, demanded)
     else:
         source, oracle_source = None, PlatformAnswerSource(twin)
     evaluator = OnlineEvaluator(
@@ -184,3 +181,8 @@ def test_evaluator_matches_the_naive_loop(tiny_domain, evaluation):
     metrics = served.obs.metrics
     assert metrics.counter("online.objects") == expected.objects
     assert metrics.counter("agg.missing_terms") == expected.missing_terms
+    if evaluation["source"] == "full":
+        # Counted against the request: the oracle mirrors the count.
+        assert metrics.counter("agg.missing_terms") == 0
+        assert metrics.counter("online.objects") == len(evaluation["objects"])
+

@@ -8,7 +8,6 @@ refresh-lock contention.  Damage must always raise a
 silent miss or a served stale plan.
 """
 
-import dataclasses
 import json
 
 import pytest
@@ -35,7 +34,6 @@ from repro.errors import (
     CatalogCorruptionError,
     CatalogLockError,
     CatalogMismatchError,
-    ConfigurationError,
 )
 from repro.obs import Observability
 
@@ -162,19 +160,6 @@ class TestPlanRoundTrip:
         del payload["formulas"]
         with pytest.raises(CatalogCorruptionError):
             deserialize_plan(payload)
-
-    def test_non_linear_formula_refused(self):
-        """The entry format holds linear formulas; a quadratic one would
-        come back linear and drop every term, so it is not stored."""
-        from repro.core.nonlinear import fit_quadratic_regression
-
-        plan = make_plan()
-        budget = plan.formulas["target"].budget
-        rows = [({"helper": float(i), "flag_a": 0.5}, float(i * i)) for i in range(12)]
-        quadratic = fit_quadratic_regression("target", rows, budget)
-        plan = dataclasses.replace(plan, formulas={"target": quadratic})
-        with pytest.raises(ConfigurationError, match="QuadraticFormula"):
-            serialize_plan(plan)
 
 
 class TestStoreAndLookup:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.pairing import NaiveMeanEstimator, PairingRule, ZeroEstimator
+from repro.core.pairing import NaiveMeanEstimator, PairingRule
 from repro.core.statistics import StatisticsStore
 from repro.errors import ConfigurationError
 
@@ -85,7 +85,3 @@ class TestEstimators:
     def test_naive_mean_zero_without_measurements(self):
         store = StatisticsStore(("t",), k=2)
         assert NaiveMeanEstimator()(store, "t", "a") == 0.0
-
-    def test_zero_estimator(self):
-        store = store_with_parent()
-        assert ZeroEstimator()(store, "t", "a") == 0.0

@@ -273,30 +273,18 @@ class TestServeEngine:
         q0, q2 = report.result("q0"), report.result("q2")
         assert q2.estimates["target"][0] == q0.estimates["target"][2]
 
-    def test_non_linear_plan_refused(self, tiny_domain):
-        """Degradation widens linear terms only, so serving refuses any
-        other formula at submission, before it takes the query id."""
-        from repro.core.nonlinear import QuadraticFormula
-
-        budget = BudgetDistribution({"target": 4})
-        plan = PreprocessingPlan(
-            query=Query.single("target"),
-            attributes=("target",),
-            budget=budget,
-            formulas={
-                "target": QuadraticFormula(
-                    "target",
-                    {("target",): 1.0, ("target", "target"): 0.1},
-                    0.5,
-                    budget,
-                )
-            },
-        )
-        engine, _ = make_engine(tiny_domain, budget=Budget(3.0))
-        request = QueryRequest("q1", ("target",), tuple(range(10)))
-        with pytest.raises(ConfigurationError, match="QuadraticFormula"):
-            engine.submit(request, plan)
+    def test_overlapping_plan_targets_refused(self, tiny_domain):
+        """One evaluation cannot take two plans for one target, so
+        submission refuses them before the query takes its id, and its
+        wave never buys anything."""
+        engine, platform = make_engine(tiny_domain)
+        request = QueryRequest("q1", ("target",), (0, 1))
+        plans = [identity_plan("target"), identity_plan("target")]
+        with pytest.raises(ConfigurationError, match="overlapping targets"):
+            engine.submit(request, plans)
         assert engine.queue_depth == 0
+        assert engine.run().results == []
+        assert platform.ledger.total_spent == 0.0
         assert engine.submit(request, identity_plan("target"))
 
     def test_budget_exhaustion_degrades(self, tiny_domain):
