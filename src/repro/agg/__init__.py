@@ -1,39 +1,25 @@
-"""Pluggable answer aggregation: uniform, robust, reliability-weighted.
+"""Answer aggregation: the paper's mean or reliability weighting.
 
-See :mod:`repro.agg.base` for the strategy protocol and determinism
+See :mod:`repro.agg.base` for the strategy names and determinism
 contract, :mod:`repro.agg.reliability` for the T-Crowd-style joint
 worker-reliability inference.
 """
 
 from repro.agg.base import (
     AGGREGATORS,
-    Aggregator,
-    HuberAggregator,
-    TrimmedAggregator,
     UNATTRIBUTED,
-    UniformAggregator,
     effective_sample_size,
     make_aggregator,
-    validate_em_iterations,
-    validate_huber_delta,
-    validate_trim_fraction,
     weighted_mean,
 )
 from repro.agg.reliability import ReliabilityAggregator, ReliabilityModel
 
 __all__ = [
     "AGGREGATORS",
-    "Aggregator",
-    "HuberAggregator",
     "ReliabilityAggregator",
     "ReliabilityModel",
-    "TrimmedAggregator",
     "UNATTRIBUTED",
-    "UniformAggregator",
     "effective_sample_size",
     "make_aggregator",
-    "validate_em_iterations",
-    "validate_huber_delta",
-    "validate_trim_fraction",
     "weighted_mean",
 ]

@@ -52,58 +52,26 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.agg.base import (
-    Aggregator,
-    UNATTRIBUTED,
-    effective_sample_size,
-    validate_em_iterations,
-    weighted_mean,
-)
+from repro.agg.base import UNATTRIBUTED, effective_sample_size, weighted_mean
 from repro.errors import ConfigurationError
 
 
 class ReliabilityModel:
-    """Per-worker precision estimates from pooled residual moments.
+    """Per-worker precision estimates from pooled residual moments."""
 
-    Parameters
-    ----------
-    em_iterations:
-        Fixed sweep count for the batch :meth:`fit` (>= 1).
-    prior_strength:
-        Pseudo-observations shrinking every precision toward 1; thin
-        evidence stays near neutral instead of exploding.
-    floor, ceil:
-        Hard clamp on learned precisions, bounding how much any single
-        worker can be up- or down-weighted.
-    gain_cap:
-        Upper clamp on the allocator's effective-sample-size gain.
-    """
+    #: Fixed sweep count for the batch :meth:`fit`.
+    EM_ITERATIONS = 5
+    #: Pseudo-observations shrinking every precision toward 1; thin
+    #: evidence stays near neutral instead of exploding.
+    PRIOR_STRENGTH = 2.0
+    #: Hard clamp on learned precisions, bounding how much any single
+    #: worker can be down- or up-weighted.
+    FLOOR = 0.05
+    CEIL = 20.0
+    #: Upper clamp on the allocator's effective-sample-size gain.
+    GAIN_CAP = 4.0
 
-    def __init__(
-        self,
-        em_iterations: int = 5,
-        prior_strength: float = 2.0,
-        floor: float = 0.05,
-        ceil: float = 20.0,
-        gain_cap: float = 4.0,
-    ) -> None:
-        self.em_iterations = validate_em_iterations(em_iterations)
-        if not math.isfinite(prior_strength) or prior_strength <= 0:
-            raise ConfigurationError(
-                f"prior_strength must be finite and > 0, got {prior_strength!r}"
-            )
-        if not 0.0 < floor <= 1.0 <= ceil or not math.isfinite(ceil):
-            raise ConfigurationError(
-                f"need 0 < floor <= 1 <= ceil < inf, got {floor!r}, {ceil!r}"
-            )
-        if not math.isfinite(gain_cap) or gain_cap < 1.0:
-            raise ConfigurationError(
-                f"gain_cap must be finite and >= 1, got {gain_cap!r}"
-            )
-        self.prior_strength = float(prior_strength)
-        self.floor = float(floor)
-        self.ceil = float(ceil)
-        self.gain_cap = float(gain_cap)
+    def __init__(self) -> None:
         #: Residual-observation count per worker id.
         self._n: dict[int, float] = {}
         #: Normalised squared-residual sum per worker id.
@@ -119,7 +87,7 @@ class ReliabilityModel:
 
     def observe(
         self,
-        values: Sequence[float],
+        values: Sequence[float] | np.ndarray,
         worker_ids: Sequence[int],
         start: int,
         from_index: int | None = None,
@@ -165,7 +133,7 @@ class ReliabilityModel:
         ``groups`` yields ``(values, worker_ids)`` per key — iterate
         them in a canonical (sorted-key) order for determinism.  Each
         sweep re-centers every key with the current precisions, then
-        re-pools per-worker residual moments; ``em_iterations`` sweeps
+        re-pools per-worker residual moments; :attr:`EM_ITERATIONS` sweeps
         run unconditionally (no float-noise-sensitive stopping test).
         """
         tapes = [
@@ -176,7 +144,7 @@ class ReliabilityModel:
             self._n = {}
             self._ss = {}
         rho: dict[int, float] = {}
-        for _ in range(self.em_iterations):
+        for _ in range(self.EM_ITERATIONS):
             n: dict[int, float] = {}
             ss: dict[int, float] = {}
             for values, worker_ids in tapes:
@@ -218,13 +186,13 @@ class ReliabilityModel:
             if s_bar <= 0.0:
                 rho = {wid: 1.0 for wid in self._n}
             else:
-                a0 = self.prior_strength
+                a0 = self.PRIOR_STRENGTH
                 rho = {}
                 for wid in self._n:
                     value = ((self._n[wid] + 2.0 * a0) * s_bar) / (
                         self._ss[wid] + 2.0 * a0 * s_bar
                     )
-                    rho[wid] = min(max(value, self.floor), self.ceil)
+                    rho[wid] = min(max(value, self.FLOOR), self.CEIL)
             self._rho = rho
         return rho
 
@@ -260,7 +228,7 @@ class ReliabilityModel:
         one weighted answer is worth ``mean(rho) * mean(1/rho) >= 1``
         (AM–HM) uniform answers.  Pass the multiset of worker ids that
         answered one attribute for a per-attribute gain; default is the
-        gain over all observed workers.  Clamped to ``[1, gain_cap]``.
+        gain over all observed workers.  Clamped to ``[1, GAIN_CAP]``.
         """
         rho_map = self._precisions()
         if worker_ids is None:
@@ -271,7 +239,7 @@ class ReliabilityModel:
             return 1.0
         mean_rho = math.fsum(rhos) / len(rhos)
         mean_inv = math.fsum(1.0 / r for r in rhos) / len(rhos)
-        return min(max(mean_rho * mean_inv, 1.0), self.gain_cap)
+        return min(max(mean_rho * mean_inv, 1.0), self.GAIN_CAP)
 
     # -- durability ---------------------------------------------------
 
@@ -288,16 +256,14 @@ class ReliabilityModel:
         self._rho = None
 
 
-class ReliabilityAggregator(Aggregator):
+class ReliabilityAggregator:
     """Precision-weighted mean over a shared :class:`ReliabilityModel`."""
-
-    name = "reliability"
-    needs_workers = True
 
     def __init__(self, model: ReliabilityModel | None = None) -> None:
         self.model = model if model is not None else ReliabilityModel()
 
     def aggregate(self, values, worker_ids=None) -> float:
+        """Collapse one key's answers into a single estimate."""
         if worker_ids is None:
             raise ConfigurationError(
                 "reliability aggregation needs worker-attributed answers; "
@@ -306,6 +272,7 @@ class ReliabilityAggregator(Aggregator):
         return weighted_mean(values, self.model.weights(worker_ids))
 
     def effective_count(self, values, worker_ids=None) -> float:
+        """How many uniform answers this tape is worth (for intervals)."""
         if worker_ids is None:
             return float(len(values))
         return effective_sample_size(self.model.weights(worker_ids))

@@ -26,12 +26,7 @@ import math
 import sys
 from pathlib import Path
 
-from repro.agg import (
-    AGGREGATORS,
-    validate_em_iterations,
-    validate_huber_delta,
-    validate_trim_fraction,
-)
+from repro.agg import AGGREGATORS
 from repro.catalog import (
     PlanCatalog,
     PlanRouter,
@@ -155,48 +150,6 @@ def _add_aggregator(parser: argparse.ArgumentParser) -> None:
         help="answer aggregation strategy (uniform = the paper's mean; "
         "reliability learns per-worker trust and feeds the allocator)",
     )
-    parser.add_argument(
-        "--trim-fraction",
-        type=float,
-        default=0.1,
-        metavar="F",
-        help="fraction trimmed from each tail under --aggregator trimmed "
-        "(in [0, 0.5))",
-    )
-    parser.add_argument(
-        "--huber-delta",
-        type=float,
-        default=1.5,
-        metavar="D",
-        help="Huber clipping width in scaled-MAD units under "
-        "--aggregator huber (> 0)",
-    )
-    parser.add_argument(
-        "--em-iterations",
-        type=int,
-        default=5,
-        metavar="N",
-        help="EM sweeps for the reliability model (>= 1)",
-    )
-
-
-def _agg_params(args) -> dict:
-    """Aggregation knobs for :class:`DisQParams`, validated at admission.
-
-    Rejecting NaN/inf/out-of-range here (rather than deep in the
-    planner) turns a typo'd flag into exit code 2 with a clear message
-    before any money is spent.
-    """
-    return {
-        "aggregator": getattr(args, "aggregator", "uniform"),
-        "trim_fraction": validate_trim_fraction(
-            getattr(args, "trim_fraction", 0.1)
-        ),
-        "huber_delta": validate_huber_delta(getattr(args, "huber_delta", 1.5)),
-        "em_iterations": validate_em_iterations(
-            getattr(args, "em_iterations", 5)
-        ),
-    }
 
 
 def _make_obs(args) -> Observability:
@@ -416,7 +369,7 @@ def cmd_plan(args) -> int:
     _validate_cents("--b-prc", args.b_prc)
     obs = _make_obs(args)
     domain, platform, query = _build(args, obs)
-    params = DisQParams(n1=args.n1, **_agg_params(args))
+    params = DisQParams(n1=args.n1, aggregator=args.aggregator)
     run = run_disq(
         platform,
         query,
@@ -458,7 +411,7 @@ def cmd_evaluate(args) -> int:
     _validate_count("--objects", args.objects)
     obs = _make_obs(args)
     domain, platform, query = _build(args, obs)
-    params = DisQParams(n1=args.n1, **_agg_params(args))
+    params = DisQParams(n1=args.n1, aggregator=args.aggregator)
     run = run_disq(
         platform,
         query,
@@ -511,7 +464,7 @@ def cmd_serve(args) -> int:
     _validate_cents("--b-obj", args.b_obj)
     _validate_cents("--b-prc", args.b_prc)
     faults = _parse_fault_profile(args.fault_profile)
-    params = DisQParams(n1=args.n1, **_agg_params(args))
+    params = DisQParams(n1=args.n1, aggregator=args.aggregator)
     obs = _make_obs(args)
     domain = DOMAINS[args.domain](n_objects=args.n_objects, seed=args.seed)
     platform = CrowdPlatform(
@@ -642,7 +595,7 @@ def cmd_query(args) -> int:
 
     _validate_cents("--b-obj", args.b_obj)
     _validate_cents("--b-prc", args.b_prc)
-    params = DisQParams(n1=args.n1, **_agg_params(args))
+    params = DisQParams(n1=args.n1, aggregator=args.aggregator)
     obs = _make_obs(args)
     domain = DOMAINS[args.domain](n_objects=args.n_objects, seed=args.seed)
     platform = CrowdPlatform(

@@ -28,16 +28,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.agg.base import (
-    AGGREGATORS,
-    UNATTRIBUTED,
-    Aggregator,
-    make_aggregator,
-    validate_em_iterations,
-    validate_huber_delta,
-    validate_trim_fraction,
-)
-from repro.agg.reliability import ReliabilityModel
+from repro.agg.base import AGGREGATORS, UNATTRIBUTED, make_aggregator
+from repro.agg.reliability import ReliabilityAggregator, ReliabilityModel
 from repro.core.budget import TargetObjective, find_budget_distribution
 from repro.core.dismantling import (
     DismantleScorer,
@@ -140,14 +132,10 @@ class DisQParams:
         so the paper-faithful abort behavior is unchanged.
     aggregator:
         Answer-aggregation strategy for the online phase: ``"uniform"``
-        (the paper's plain mean, default), ``"trimmed"``, ``"huber"``
-        or ``"reliability"`` (per-worker precision weighting learned
-        from the preprocessing tapes; also feeds effective-sample-size
-        gains back into the budget allocator).
-    trim_fraction, huber_delta, em_iterations:
-        Knobs of the respective aggregation strategies; validated here
-        regardless of which strategy is selected so a bad value fails
-        at configuration time, not mid-run.
+        (the paper's plain mean, default) or ``"reliability"``
+        (per-worker precision weighting learned from the preprocessing
+        tapes; also feeds effective-sample-size gains back into the
+        budget allocator).
     """
 
     k: int = 2
@@ -164,9 +152,6 @@ class DisQParams:
     min_probability_new: float = 0.02
     graceful_degradation: bool = False
     aggregator: str = "uniform"
-    trim_fraction: float = 0.1
-    huber_delta: float = 1.5
-    em_iterations: int = 5
 
     def __post_init__(self) -> None:
         if self.aggregator not in AGGREGATORS:
@@ -174,9 +159,6 @@ class DisQParams:
                 f"unknown aggregator {self.aggregator!r}; "
                 f"choose from {AGGREGATORS}"
             )
-        validate_trim_fraction(self.trim_fraction)
-        validate_huber_delta(self.huber_delta)
-        validate_em_iterations(self.em_iterations)
         if self.candidate_policy not in ("all", "query_only"):
             raise ConfigurationError(
                 f"unknown candidate policy: {self.candidate_policy!r}"
@@ -204,7 +186,7 @@ class DisQParams:
 
     def build_aggregator(
         self, model: ReliabilityModel | None = None
-    ) -> Aggregator | None:
+    ) -> ReliabilityAggregator | None:
         """Instantiate the configured aggregation strategy.
 
         Returns ``None`` for ``"uniform"`` so callers keep the
@@ -212,15 +194,7 @@ class DisQParams:
         ``model`` threads planner-learned precisions into the online
         phase; omitted, a reliability aggregator starts neutral.
         """
-        if self.aggregator == "uniform":
-            return None
-        return make_aggregator(
-            self.aggregator,
-            trim_fraction=self.trim_fraction,
-            huber_delta=self.huber_delta,
-            em_iterations=self.em_iterations,
-            model=model,
-        )
+        return make_aggregator(self.aggregator, model=model)
 
 
 class DisQPlanner:
@@ -847,7 +821,7 @@ class DisQPlanner:
             workers_by_attribute.setdefault(key[1], []).extend(
                 wid for wid in worker_ids if wid != UNATTRIBUTED
             )
-        model = ReliabilityModel(em_iterations=self.params.em_iterations)
+        model = ReliabilityModel()
         model.fit(groups)
         self.reliability_model = model
         if model.observed_workers == 0:

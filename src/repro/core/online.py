@@ -18,7 +18,7 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.agg.base import Aggregator
+from repro.agg.reliability import ReliabilityAggregator
 from repro.core.model import PreprocessingPlan, Query
 from repro.crowd.platform import CrowdPlatform
 from repro.data.table import DataTable
@@ -46,7 +46,7 @@ class AnswerSource(Protocol):
     Implementations may raise
     :class:`~repro.errors.BudgetExhaustedError` or
     :class:`~repro.errors.CrowdFaultError`, which the evaluator absorbs
-    into its skip lists.  Aggregators that weigh workers also need a
+    into its skip lists.  Reliability aggregation also needs a
     ``fetch_attributed`` method returning the worker ids alongside.
     """
 
@@ -91,7 +91,7 @@ class OnlineEvaluator:
         platform: CrowdPlatform,
         plans: PreprocessingPlan | Sequence[PreprocessingPlan],
         answer_source: AnswerSource | None = None,
-        aggregator: Aggregator | None = None,
+        aggregator: ReliabilityAggregator | None = None,
     ) -> None:
         if isinstance(plans, PreprocessingPlan):
             plans = [plans]
@@ -104,19 +104,12 @@ class OnlineEvaluator:
             if answer_source is not None
             else PlatformAnswerSource(platform)
         )
-        # ``uniform`` (the paper's plain mean) collapses to None: its
-        # grouped axis means equal UniformAggregator.aggregate bit for bit.
-        if aggregator is not None and aggregator.name == "uniform":
-            aggregator = None
+        # ``None`` is the paper's plain mean.
         self._aggregator = aggregator
-        if (
-            aggregator is not None
-            and aggregator.needs_workers
-            and not hasattr(self.source, "fetch_attributed")
-        ):
+        if aggregator is not None and not hasattr(self.source, "fetch_attributed"):
             raise ConfigurationError(
-                f"aggregator {aggregator.name!r} needs worker-attributed "
-                "answers but the answer source has no fetch_attributed"
+                "reliability aggregation needs worker-attributed answers "
+                "but the answer source has no fetch_attributed"
             )
         targets: list[str] = []
         for plan in self.plans:
@@ -181,8 +174,8 @@ class OnlineEvaluator:
         :attr:`fault_skips`.  *Reduce* takes each attribute column once:
         under uniform aggregation rows of equal answer count share one
         axis mean (numpy's pairwise summation over a contiguous row is
-        bit-identical to ``np.mean`` of that row alone); any other
-        aggregator reduces row by row.  *Apply* runs each target's
+        bit-identical to ``np.mean`` of that row alone); reliability
+        aggregation reduces row by row.  *Apply* runs each target's
         linear ``formula.estimate`` row by row.  Every dropped-out term
         bumps the ``agg.missing_terms`` counter, so partially-evaluated
         formulas are observable.  Rows are independent: an object
@@ -191,8 +184,7 @@ class OnlineEvaluator:
         object_ids = list(object_ids)
         obs = self.platform.obs
         obs.metrics.inc("online.objects", len(object_ids))
-        aggregator = self._aggregator
-        attributed = aggregator is not None and aggregator.needs_workers
+        attributed = self._aggregator is not None
         source = self.source
         # Per plan, per attribute: (row, answers, worker ids) of every
         # row that got at least one answer.
@@ -256,9 +248,7 @@ class OnlineEvaluator:
         aggregator = self._aggregator
         if aggregator is not None:
             for row, answers, workers in rows:
-                yield row, aggregator.aggregate(
-                    answers, None if workers is None else list(workers)
-                )
+                yield row, aggregator.aggregate(answers, list(workers))
             return
         by_length: dict[int, list[int]] = {}
         for index, (_, answers, _) in enumerate(rows):

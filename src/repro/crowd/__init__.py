@@ -6,8 +6,8 @@ compared on identical data.  This subpackage is the stand-in for that
 platform: a stochastic worker pool answering the paper's four question
 types (value, dismantling, verification, example), a price schedule and
 budget ledger matching Section 5.1, an answer recorder for
-replay-across-algorithms, a spam filter, a sequential verification
-decision procedure, and an attribute-name normalizer.
+replay-across-algorithms, a sequential verification decision
+procedure, and an attribute-name normalizer.
 
 Beyond the paper's assumptions, :mod:`repro.crowd.faults` adds an
 operational fault-injection and resilience layer (timeouts, abandons,
@@ -25,11 +25,10 @@ from repro.crowd.faults import (
     SimulatedClock,
 )
 from repro.crowd.pricing import Budget, CostLedger, PriceSchedule
-from repro.crowd.worker import BiasedWorker, HonestWorker, SpamWorker, Worker
+from repro.crowd.worker import HonestWorker, SpamWorker, Worker
 from repro.crowd.pool import WorkerPool
 from repro.crowd.recording import AnswerRecorder
 from repro.crowd.quality import BreakerState, WorkerCircuitBreaker
-from repro.crowd.spam import AgreementSpamFilter, SpamFilter, ZScoreSpamFilter
 from repro.crowd.verification import SequentialVerifier, VerificationResult
 from repro.crowd.normalization import (
     AttributeNormalizer,
@@ -38,10 +37,8 @@ from repro.crowd.normalization import (
 from repro.crowd.platform import CrowdPlatform
 
 __all__ = [
-    "AgreementSpamFilter",
     "AnswerRecorder",
     "AttributeNormalizer",
-    "BiasedWorker",
     "BreakerState",
     "Budget",
     "CostLedger",
@@ -57,11 +54,9 @@ __all__ = [
     "RetryPolicy",
     "SequentialVerifier",
     "SimulatedClock",
-    "SpamFilter",
     "SpamWorker",
     "VerificationResult",
     "Worker",
     "WorkerCircuitBreaker",
     "WorkerPool",
-    "ZScoreSpamFilter",
 ]

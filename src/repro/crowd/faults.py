@@ -288,8 +288,8 @@ def corrupted_value(
     All corruption modes are *detectably* malformed —
     :func:`plausible_value` rejects every one of them, so garbage
     manifests as retries rather than silent estimate poisoning
-    (in-range plausible garbage is the spam filter's job, not this
-    one's).
+    (in-range plausible garbage is left to reliability-weighted
+    aggregation, which down-weights the workers who give it).
     """
     low, high = answer_range
     span = max(high - low, 1.0)

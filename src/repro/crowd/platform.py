@@ -2,9 +2,8 @@
 
 :class:`CrowdPlatform` is the single entry point algorithms use to talk
 to the (simulated) crowd.  It routes each question to a freshly drawn
-worker, prices and charges it, records the answer for replay, applies
-the spam filter to value-answer batches, and runs attribute-name
-normalization on dismantling answers.
+worker, prices and charges it, records the answer for replay, and runs
+attribute-name normalization on dismantling answers.
 
 Replay semantics: the platform holds per-question-key cursors into a
 shared :class:`~repro.crowd.recording.AnswerRecorder`.  A *new*
@@ -50,7 +49,6 @@ from repro.crowd.pool import WorkerPool
 from repro.crowd.pricing import Budget, CostLedger, PriceSchedule
 from repro.crowd.quality import WorkerCircuitBreaker
 from repro.crowd.recording import AnswerRecorder, ExampleRecord
-from repro.crowd.spam import SpamFilter, rejected_indices
 from repro.crowd.verification import SequentialVerifier, VerificationResult
 from repro.domains.base import Domain
 from repro.errors import (
@@ -80,8 +78,6 @@ class CrowdPlatform:
         ledger still records all costs).
     recorder:
         Shared answer store for replay across platform instances.
-    spam_filter:
-        Optional filter applied to each value-answer batch.
     normalizer:
         Attribute-name merger applied to dismantling answers.  Defaults
         to perfect merging (the paper's thesaurus assumption); pass an
@@ -122,7 +118,6 @@ class CrowdPlatform:
         prices: PriceSchedule | None = None,
         budget: Budget | None = None,
         recorder: AnswerRecorder | None = None,
-        spam_filter: SpamFilter | None = None,
         normalizer: AttributeNormalizer | None = None,
         seed: int = 0,
         faults: FaultProfile | FaultInjector | None = None,
@@ -136,7 +131,6 @@ class CrowdPlatform:
         self.prices = prices if prices is not None else PriceSchedule()
         self.budget = budget
         self.recorder = recorder if recorder is not None else AnswerRecorder()
-        self.spam_filter = spam_filter
         self.normalizer = (
             normalizer if normalizer is not None else AttributeNormalizer(domain)
         )
@@ -174,15 +168,6 @@ class CrowdPlatform:
                 injector.metrics = sink
             if self.breaker is not None and getattr(self.breaker, "metrics", None) is None:
                 self.breaker.metrics = sink
-        #: Worker ids of the *freshly generated* answers of the current
-        #: value batch, in generation (= batch-position) order.  Batch
-        #: position ``i`` was produced by ``_batch_worker_ids[i -
-        #: _batch_fresh_base]``; replayed answers (``i`` below the
-        #: base) have no live worker behind them.  Keying by position —
-        #: not by answer value — keeps spam-rejection attribution
-        #: correct when two workers give the same value.
-        self._batch_worker_ids: list[int] = []
-        self._batch_fresh_base = 0
 
         # Surface form -> canonical resolution for ground-truth lookups.
         # This is intentionally independent of the (possibly imperfect)
@@ -308,7 +293,7 @@ class CrowdPlatform:
         """Draw a worker, routing around quarantined ones when possible."""
         if self.breaker is not None and self.clock is not None:
             blocked = set(self.breaker.quarantined(self.clock.now))
-            if blocked and hasattr(self.pool, "draw_avoiding"):
+            if blocked:
                 return self.pool.draw_avoiding(blocked)
         return self.pool.draw()
 
@@ -333,9 +318,7 @@ class CrowdPlatform:
                 self.ledger.record_retry(category)
                 self.clock.advance(policy.delay(attempt - 1, injector.rng))
             worker = self._draw_worker()
-            outcome = injector.draw(
-                category, getattr(worker, "fault_proneness", 1.0)
-            )
+            outcome = injector.draw(category, worker.fault_proneness)
             self.clock.advance(outcome.latency)
             if outcome.kind is FaultKind.TIMEOUT:
                 self.clock.advance(policy.question_timeout)
@@ -370,7 +353,6 @@ class CrowdPlatform:
             corrupt=lambda: self.faults.corrupt_value((low, high)),
             validate=lambda a: self._valid_value(a, low, high),
         )
-        self._batch_worker_ids.append(worker_id)
         return float(answer), worker_id
 
     # ------------------------------------------------------------------
@@ -380,9 +362,8 @@ class CrowdPlatform:
     def ask_value(self, object_id: int, attribute: str, n: int = 1) -> list[float]:
         """Ask ``n`` workers for the value of one object attribute.
 
-        Returns the spam-filtered answer batch (raw batch if no filter
-        is configured).  Charges ``n`` value questions after the batch
-        is collected.
+        Returns the ``n`` answers; charges ``n`` value questions after
+        the batch is collected.
         """
         return self.ask_value_attributed(object_id, attribute, n)[0]
 
@@ -391,9 +372,9 @@ class CrowdPlatform:
     ) -> tuple[list[float], list[int]]:
         """:meth:`ask_value` plus the worker id behind each answer.
 
-        The ids align 1:1 with the returned (spam-filtered) answers and
-        are also recorded on the recorder's provenance tapes, which is
-        what reliability-weighted aggregation learns from.  Replayed
+        The ids align 1:1 with the returned answers and are also
+        recorded on the recorder's provenance tapes, which is what
+        reliability-weighted aggregation learns from.  Replayed
         prefixes return the provenance recorded when first generated
         (``-1`` for answers that predate attribution).
         """
@@ -412,14 +393,6 @@ class CrowdPlatform:
                     worker.worker_id,
                 )
         else:
-            # Fresh answers start where the recorder's tape currently
-            # ends; batch positions before that replay recorded answers
-            # and have no live worker behind them.
-            self._batch_worker_ids = []
-            self._batch_fresh_base = max(
-                self.recorder.recorded_value_count(object_id, attribute) - start,
-                0,
-            )
             generate = lambda: self._resilient_value(  # noqa: E731
                 object_id, canonical
             )
@@ -431,37 +404,14 @@ class CrowdPlatform:
         self.obs.tracer.event(
             "crowd.ask_value", object_id=object_id, attribute=attribute, n=n
         )
-        if self.spam_filter is not None:
-            kept = self.spam_filter.filter(answers)
-            dropped = len(answers) - len(kept)
-            if dropped:
-                self.obs.metrics.inc("crowd.spam.rejected", dropped)
-            rejected = rejected_indices(list(answers), list(kept))
-            if self.faults is not None and self._batch_worker_ids:
-                # Spam rejections count as faults for the workers that
-                # produced them (quarantine input).  Attribution is by
-                # batch *position* — aligned with ``rejected_indices``
-                # — so two workers giving the same value can never be
-                # confused; replayed answers are left unattributed.
-                for index in rejected:
-                    position = index - self._batch_fresh_base
-                    if 0 <= position < len(self._batch_worker_ids):
-                        self.breaker.record_fault(
-                            self._batch_worker_ids[position], self.clock.now
-                        )
-            dropped_set = set(rejected)
-            worker_ids = [
-                wid for i, wid in enumerate(worker_ids) if i not in dropped_set
-            ]
-            answers = kept
         return list(answers), list(worker_ids)
 
     def ask_value_mean(self, object_id: int, attribute: str, n: int) -> float:
         """Average of ``n`` value answers — the paper's ``o.a^(n)``.
 
         Raises :class:`MalformedAnswerError` instead of returning NaN
-        when no usable answer is available (e.g. the spam filter
-        rejected the entire batch): a NaN here would silently poison
+        when no usable answer is available (``n`` below 1, or answers
+        whose mean is not finite): a NaN here would silently poison
         the downstream ``S_o``/``S_a`` covariance estimates.
         """
         answers = self.ask_value(object_id, attribute, n)
@@ -654,11 +604,7 @@ class CrowdPlatform:
             ),
             "ledger": self.ledger.snapshot(),
             "recorder": self.recorder.snapshot(),
-            "pool": (
-                self.pool.state_dict()
-                if hasattr(self.pool, "state_dict")
-                else None
-            ),
+            "pool": self.pool.state_dict(),
             "injector": (
                 self.faults.state_dict() if self.faults is not None else None
             ),
@@ -698,8 +644,7 @@ class CrowdPlatform:
             self.budget.restore_spent(payload["budget"]["spent"])
         self.ledger.restore(payload["ledger"])
         self.recorder.restore(payload["recorder"])
-        if payload["pool"] is not None and hasattr(self.pool, "restore_state"):
-            self.pool.restore_state(payload["pool"])
+        self.pool.restore_state(payload["pool"])
         if payload["injector"] is not None and self.faults is not None:
             self.faults.restore_state(payload["injector"])
         if payload["clock"] is not None and self.clock is not None:
@@ -727,7 +672,6 @@ class CrowdPlatform:
             prices=self.prices,
             budget=budget,
             recorder=self.recorder,
-            spam_filter=self.spam_filter,
             normalizer=self.normalizer,
             seed=self._seed if seed is None else seed,
             faults=self.faults.profile if self.faults is not None else None,

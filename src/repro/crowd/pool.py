@@ -3,8 +3,9 @@
 A :class:`WorkerPool` owns a population of independent workers and
 hands out a fresh random worker for each question, matching the paper's
 assumption that each answer comes from an independent crowd member.
-The pool's composition (fractions of honest / biased / spam workers) is
-configurable so experiments can stress the spam filter or study bias.
+The pool's composition (fractions of honest, spam and collusion-ring
+workers) is configurable so experiments can measure how reliability
+weighting holds up against bad workers.
 """
 
 from __future__ import annotations
@@ -12,11 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.crowd.worker import (
-    BiasedWorker,
     CollusionRingWorker,
-    DriftingWorker,
     HonestWorker,
-    SleeperWorker,
     SpamWorker,
     Worker,
 )
@@ -39,8 +37,6 @@ class WorkerPool:
         Master seed; workers receive derived, independent seeds.
     spam_fraction:
         Fraction of the population that are spam workers.
-    biased_fraction:
-        Fraction that are systematically biased (honest otherwise).
     reliability:
         Verification-vote correctness probability for honest workers.
     synonym_rate:
@@ -60,14 +56,9 @@ class WorkerPool:
         seed, so their errors are perfectly correlated instead of
         averaging out (see
         :class:`~repro.crowd.worker.CollusionRingWorker`).
-    drifting_fraction:
-        Fraction of honest workers whose noise variance grows along the
-        object axis at ``drift_rate`` per object id.
-    sleeper_fraction:
-        Fraction of sleepers: honest on objects below
-        ``sleeper_patience`` (the object-id prefix), spam after.
-    collusion_bias_scale, drift_rate, sleeper_patience:
-        Persona knobs, forwarded to the respective worker types.
+    collusion_bias_scale:
+        Scale of the ring's shared error, in worker-noise standard
+        deviations.
     """
 
     def __init__(
@@ -75,26 +66,18 @@ class WorkerPool:
         size: int = 200,
         seed: int = 0,
         spam_fraction: float = 0.0,
-        biased_fraction: float = 0.0,
         reliability: float = 0.8,
         synonym_rate: float = 0.3,
         skill_spread: float = 0.0,
         fault_spread: float = 0.0,
         colluding_fraction: float = 0.0,
-        drifting_fraction: float = 0.0,
-        sleeper_fraction: float = 0.0,
         collusion_bias_scale: float = 1.0,
-        drift_rate: float = 0.02,
-        sleeper_patience: int = 50,
     ) -> None:
         if size <= 0:
             raise ConfigurationError(f"pool size must be positive, got {size}")
         fractions = {
             "spam_fraction": spam_fraction,
-            "biased_fraction": biased_fraction,
             "colluding_fraction": colluding_fraction,
-            "drifting_fraction": drifting_fraction,
-            "sleeper_fraction": sleeper_fraction,
         }
         for name, fraction in fractions.items():
             if not 0.0 <= fraction <= 1.0:
@@ -109,16 +92,12 @@ class WorkerPool:
         seeds = self._rng.integers(0, 2**63 - 1, size=size)
 
         n_spam = int(round(size * spam_fraction))
-        n_biased = int(round(size * biased_fraction))
         n_ring = int(round(size * colluding_fraction))
-        n_drift = int(round(size * drifting_fraction))
-        n_sleeper = int(round(size * sleeper_fraction))
         ring_seed = (int(seed) * _RING_SEED_MIX + 1) & (2**63 - 1)
-        # Contiguous id bands in a fixed order; with the adversarial
-        # fractions at 0 the composition — and every worker's seeded
-        # stream — is byte-identical to the historical pool.
-        bands = [n_spam, n_biased, n_ring, n_drift, n_sleeper]
-        boundaries = [sum(bands[: i + 1]) for i in range(len(bands))]
+        # Contiguous id bands: spam workers first, then the ring, then
+        # honest workers.  With the ring fraction at 0 the composition —
+        # and every worker's seeded stream — is byte-identical to the
+        # historical pool.
         self._workers: list[Worker] = []
         for worker_id in range(size):
             worker_seed = int(seeds[worker_id])
@@ -128,27 +107,14 @@ class WorkerPool:
             honest_kwargs = dict(
                 skill=skill, reliability=reliability, synonym_rate=synonym_rate
             )
-            if worker_id < boundaries[0]:
+            if worker_id < n_spam:
                 worker: Worker = SpamWorker(worker_id, worker_seed)
-            elif worker_id < boundaries[1]:
-                worker = BiasedWorker(worker_id, worker_seed, **honest_kwargs)
-            elif worker_id < boundaries[2]:
+            elif worker_id < n_spam + n_ring:
                 worker = CollusionRingWorker(
                     worker_id,
                     worker_seed,
                     ring_seed=ring_seed,
                     bias_scale=collusion_bias_scale,
-                    **honest_kwargs,
-                )
-            elif worker_id < boundaries[3]:
-                worker = DriftingWorker(
-                    worker_id, worker_seed, drift_rate=drift_rate, **honest_kwargs
-                )
-            elif worker_id < boundaries[4]:
-                worker = SleeperWorker(
-                    worker_id,
-                    worker_seed,
-                    patience=sleeper_patience,
                     **honest_kwargs,
                 )
             else:

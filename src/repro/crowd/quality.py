@@ -2,12 +2,12 @@
 
 The paper assumes "spam filters are employed to avoid malicious
 workers" and cites Ipeirotis et al.'s quality-management work on
-Mechanical Turk.  The answer-level filters live in
-:mod:`repro.crowd.spam`; this module adds the operational complement:
-:class:`WorkerCircuitBreaker` watches outcomes (timeouts, abandons,
-malformed or spam-filtered answers) per worker and quarantines workers
-whose fault rate crosses a threshold, with half-open re-admission after
-a cooldown on the simulated clock.  It needs no ground truth.
+Mechanical Turk.  Answer quality is left to reliability-weighted
+aggregation (:mod:`repro.agg`); this module is the operational
+complement: :class:`WorkerCircuitBreaker` watches outcomes (timeouts,
+abandons, malformed answers) per worker and quarantines workers whose
+fault rate crosses a threshold, with half-open re-admission after a
+cooldown on the simulated clock.  It needs no ground truth.
 """
 
 from __future__ import annotations
@@ -40,12 +40,11 @@ class _WorkerRecord:
 class WorkerCircuitBreaker:
     """Quarantines workers whose operational fault rate spikes.
 
-    Fault events (timeouts, abandonments, malformed answers, answers
-    dropped by the spam filter) are recorded per worker over a sliding
-    window.  A worker whose windowed fault rate crosses
-    ``fault_threshold`` trips OPEN and stops being served; after
-    ``cooldown`` simulated seconds it transitions to HALF_OPEN and is
-    re-admitted on probation.  ``probation_successes`` consecutive
+    Fault events (timeouts, abandonments, malformed answers) are
+    recorded per worker over a sliding window.  A worker whose windowed
+    fault rate crosses ``fault_threshold`` trips OPEN and stops being
+    served; after ``cooldown`` simulated seconds it transitions to
+    HALF_OPEN and is re-admitted on probation.  ``probation_successes`` consecutive
     clean interactions close the breaker again; any fault during
     probation re-opens it immediately.
 

@@ -3,8 +3,9 @@
 Workers generate answers to the four question types against a ground
 truth :class:`~repro.domains.base.Domain`.  The paper assumes workers
 are independent and that spam filters remove malicious ones; we provide
-an honest-but-noisy worker matching those assumptions, a systematically
-biased worker, and a spammer (to exercise the spam filter).
+an honest-but-noisy worker matching those assumptions, plus the two bad
+workers reliability-weighted aggregation is measured against: a
+spammer and a member of a colluding ring.
 
 The honest worker's value answer is ``truth + eps`` with
 ``eps ~ N(0, difficulty(a))``, which makes the population statistics
@@ -29,7 +30,7 @@ class Worker(ABC):
     Parameters
     ----------
     worker_id:
-        Stable identifier (used by the spam filter and the recorder).
+        Stable identifier (recorded as each answer's provenance).
     seed:
         Seed of the worker's private RNG; distinct seeds give the
         independent workers the paper assumes.
@@ -195,90 +196,6 @@ class HonestWorker(Worker):
         return not truth
 
 
-class BiasedWorker(HonestWorker):
-    """An honest worker with a persistent additive bias per attribute.
-
-    The bias for each attribute is drawn once (per worker) as a normal
-    with standard deviation ``bias_scale`` times the worker-noise
-    standard deviation; it then shifts every value answer the worker
-    gives for that attribute.  This models systematic over/under
-    estimators, a second-order effect the paper's averaging absorbs.
-    """
-
-    def __init__(
-        self,
-        worker_id: int,
-        seed: int,
-        bias_scale: float = 0.5,
-        **kwargs: float,
-    ) -> None:
-        super().__init__(worker_id, seed, **kwargs)
-        self.bias_scale = bias_scale
-        self._biases: dict[str, float] = {}
-        self._stateless_biases: dict[str, float] = {}
-
-    def _bias(self, domain: Domain, attribute: str) -> float:
-        if attribute not in self._biases:
-            noise_sd = np.sqrt(self.skill * domain.difficulty(attribute))
-            self._biases[attribute] = float(
-                self._rng.normal(0.0, self.bias_scale * noise_sd)
-            )
-        return self._biases[attribute]
-
-    def answer_value(self, domain: Domain, object_id: int, attribute: str) -> float:
-        answer = super().answer_value(domain, object_id, attribute)
-        answer += self._bias(domain, attribute)
-        if domain.is_binary(attribute):
-            answer = float(np.clip(answer, 0.0, 1.0))
-        return answer
-
-    def answer_value_stateless(
-        self,
-        domain: Domain,
-        object_id: int,
-        attribute: str,
-        rng: np.random.Generator,
-    ) -> float:
-        answer = super().answer_value_stateless(domain, object_id, attribute, rng)
-        answer += self.stateless_bias(domain, attribute)
-        if domain.is_binary(attribute):
-            answer = float(np.clip(answer, 0.0, 1.0))
-        return answer
-
-    def stateless_bias(self, domain: Domain, attribute: str) -> float:
-        """The stateless-path bias for ``attribute`` (memoized).
-
-        The persistent per-(worker, attribute) bias cannot come from
-        the lazily-advanced private RNG; it is derived from the
-        worker's seed and the attribute name so it is stable across
-        any purchase order (crc32, not hash(): hash() is
-        per-process).  The value is a pure function of the seed and
-        attribute, so memoizing it is free of ordering effects.
-        """
-        cached = self._stateless_biases.get(attribute)
-        if cached is None:
-            noise_sd = np.sqrt(self.skill * domain.difficulty(attribute))
-            bias_rng = np.random.default_rng(
-                [self._seed, zlib.crc32(attribute.encode("utf-8"))]
-            )
-            cached = float(bias_rng.normal(0.0, self.bias_scale * noise_sd))
-            self._stateless_biases[attribute] = cached
-        return cached
-
-    def state_dict(self) -> dict:
-        # Biases are drawn lazily from the worker RNG; without them a
-        # restored worker would redraw and shift its random stream.
-        state = super().state_dict()
-        state["biases"] = dict(self._biases)
-        return state
-
-    def restore_state(self, payload: dict) -> None:
-        super().restore_state(payload)
-        self._biases = {
-            str(k): float(v) for k, v in payload.get("biases", {}).items()
-        }
-
-
 class CollusionRingWorker(HonestWorker):
     """A member of a colluding ring agreeing on per-question errors.
 
@@ -350,104 +267,15 @@ class CollusionRingWorker(HonestWorker):
         return answer
 
 
-class DriftingWorker(HonestWorker):
-    """An honest worker whose answer noise grows along the object axis.
-
-    Models reliability drift (fatigue, declining attention): the noise
-    variance for object ``o`` is scaled by ``1 + drift_rate * o``.  The
-    drift is keyed to the object id — the serving tier's only
-    deterministic notion of progress — so both answer paths stay pure
-    functions of their inputs and every byte-identity gate holds.
-    """
-
-    def __init__(
-        self,
-        worker_id: int,
-        seed: int,
-        drift_rate: float = 0.02,
-        **kwargs: float,
-    ) -> None:
-        super().__init__(worker_id, seed, **kwargs)
-        self.drift_rate = float(drift_rate)
-
-    def _drifted_sd(self, domain: Domain, object_id: int, attribute: str) -> float:
-        scale = 1.0 + self.drift_rate * max(int(object_id), 0)
-        return float(np.sqrt(self.skill * scale * domain.difficulty(attribute)))
-
-    def answer_value(self, domain: Domain, object_id: int, attribute: str) -> float:
-        truth = domain.true_value(object_id, attribute)
-        answer = truth + self._rng.normal(
-            0.0, self._drifted_sd(domain, object_id, attribute)
-        )
-        if domain.is_binary(attribute):
-            answer = float(np.clip(answer, 0.0, 1.0))
-        return float(answer)
-
-    def answer_value_stateless(
-        self,
-        domain: Domain,
-        object_id: int,
-        attribute: str,
-        rng: np.random.Generator,
-    ) -> float:
-        truth = domain.true_value(object_id, attribute)
-        answer = truth + rng.normal(
-            0.0, self._drifted_sd(domain, object_id, attribute)
-        )
-        if domain.is_binary(attribute):
-            answer = float(np.clip(answer, 0.0, 1.0))
-        return float(answer)
-
-
-class SleeperWorker(HonestWorker):
-    """A spammer who answers objects below ``patience`` honestly.
-
-    It passes any check that probes only that prefix of the object set,
-    such as a classical gold-question screen, and spams on every later
-    object.  The turn is keyed to the object id rather than a stateful
-    answer counter so the stateless serving paths agree with the
-    offline path and answers stay pure per-coordinate functions.
-    """
-
-    def __init__(
-        self,
-        worker_id: int,
-        seed: int,
-        patience: int = 50,
-        **kwargs: float,
-    ) -> None:
-        super().__init__(worker_id, seed, **kwargs)
-        if patience < 0:
-            raise ValueError(f"patience must be >= 0, got {patience}")
-        self.patience = int(patience)
-
-    def answer_value(self, domain: Domain, object_id: int, attribute: str) -> float:
-        if int(object_id) < self.patience:
-            return super().answer_value(domain, object_id, attribute)
-        low, high = domain.answer_range(attribute)
-        return float(self._rng.uniform(low, high))
-
-    def answer_value_stateless(
-        self,
-        domain: Domain,
-        object_id: int,
-        attribute: str,
-        rng: np.random.Generator,
-    ) -> float:
-        if int(object_id) < self.patience:
-            return super().answer_value_stateless(domain, object_id, attribute, rng)
-        low, high = domain.answer_range(attribute)
-        return float(rng.uniform(low, high))
-
-
 class SpamWorker(Worker):
     """A malicious/lazy worker producing uninformative answers.
 
     Value answers are uniform over the attribute's plausible range,
     dismantling answers are uniform over the attribute universe, and
-    verification votes are fair coin flips.  Spam workers exist to
-    exercise :mod:`repro.crowd.spam`; the paper assumes they are
-    filtered out before aggregation.
+    verification votes are fair coin flips.  The paper assumes spam
+    filters remove such workers before aggregation; here they are the
+    bad workers reliability-weighted aggregation learns to
+    down-weight.
     """
 
     def answer_value(self, domain: Domain, object_id: int, attribute: str) -> float:

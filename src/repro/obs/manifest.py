@@ -3,7 +3,7 @@
 A manifest is one JSON document summarising what a run did: per-phase
 wall clock (from the :class:`~repro.obs.tracer.Tracer`), spend and
 question counts by category, resilience counts (retries, abandons,
-faults, spam rejections, quarantine trips), allocator statistics, an
+faults, quarantine trips, degradations), allocator statistics, an
 optional plan summary, and the raw counter/gauge dump — everything a
 post-hoc "why did this run cost what it cost" question needs.
 
@@ -54,7 +54,9 @@ from repro.errors import ConfigurationError
 #: v7: the ``durability`` section no longer counts journal records and
 #: requires only ``resumed``: the planner's answer journal is gone (a
 #: durable plan keeps only its checkpoint).
-SCHEMA_VERSION = 7
+#: v8: the ``resilience`` section no longer counts spam rejections:
+#: the platform spam filter is gone.
+SCHEMA_VERSION = 8
 
 _NUMBER_MAP = {"type": "object", "additionalProperties": {"type": "number"}}
 _INTEGER_MAP = {"type": "object", "additionalProperties": {"type": "integer"}}
@@ -99,7 +101,6 @@ MANIFEST_SCHEMA = {
                 "timeouts",
                 "abandons",
                 "garbage_answers",
-                "spam_rejected",
                 "quarantine_trips",
                 "degradations",
             ],
@@ -109,7 +110,6 @@ MANIFEST_SCHEMA = {
                 "timeouts": {"type": "integer"},
                 "abandons": {"type": "integer"},
                 "garbage_answers": {"type": "integer"},
-                "spam_rejected": {"type": "integer"},
                 "quarantine_trips": {"type": "integer"},
                 "degradations": {"type": "integer"},
             },
@@ -285,7 +285,6 @@ def resilience_from_metrics(metrics) -> dict:
         "timeouts": int(metrics.counter("crowd.faults.timeout")),
         "abandons": int(metrics.counter("crowd.faults.abandon")),
         "garbage_answers": int(metrics.counter("crowd.faults.garbage")),
-        "spam_rejected": int(metrics.counter("crowd.spam.rejected")),
         "quarantine_trips": int(metrics.counter("crowd.quarantine.trips")),
         "degradations": int(metrics.counter("plan.degradations")),
     }

@@ -24,7 +24,6 @@ Naming convention (all counters unless noted):
 ``crowd.retries.<cat>``        retried (unpaid) attempts
 ``crowd.abandons.<cat>``       abandoned (unpaid) assignments
 ``crowd.faults.<kind>``        fault outcomes drawn by the injector
-``crowd.spam.rejected``        answers dropped by the spam filter
 ``crowd.quarantine.trips``     circuit-breaker OPEN transitions
 ``allocator.calls``            greedy budget allocations performed
 ``allocator.grants``           single-question grants across all calls

@@ -75,7 +75,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.agg.base import Aggregator
+from repro.agg.reliability import ReliabilityAggregator
 from repro.core.model import PreprocessingPlan
 from repro.core.online import OnlineEvaluator
 from repro.crowd.faults import FaultProfile, RetryPolicy, SimulatedClock
@@ -239,12 +239,11 @@ class ServeEngine:
         Shed (rather than degrade) queries whose deadline already
         passed when their wave formed.
     aggregator:
-        Answer-aggregation strategy for the evaluation phase
-        (``None`` or uniform keeps the byte-exact mean path).  A
-        reliability aggregator additionally turns on worker
-        provenance: purchase records and cache tapes carry worker ids,
-        and the model absorbs every committed span serially, so the
-        resume fold rebuilds it bit for bit.
+        Reliability aggregator for the evaluation phase (``None``, the
+        paper's uniform mean, keeps the byte-exact mean path).  It
+        also turns on worker provenance: purchase records and cache
+        tapes carry worker ids, and the model absorbs every committed
+        span serially, so the resume fold rebuilds it bit for bit.
     plan_source:
         Callable resolving a request to its preprocessing plans when
         :meth:`submit` is called without explicit ``plans`` — the plan
@@ -269,7 +268,7 @@ class ServeEngine:
         fault_seed: int | None = None,
         chaos=None,
         shed_expired: bool = False,
-        aggregator: Aggregator | None = None,
+        aggregator: ReliabilityAggregator | None = None,
         plan_source: Callable[[QueryRequest], Sequence[PreprocessingPlan]]
         | None = None,
     ) -> None:
@@ -330,19 +329,13 @@ class ServeEngine:
         #: Answers the crashed wave logged before it died; its re-run
         #: reuses them instead of buying them again.
         self.pending_answers = 0
-        # Aggregation: "uniform" is the byte-exact mean path with no
-        # provenance bookkeeping; robust aggregators reshape the
-        # evaluator; a reliability aggregator additionally records who
-        # answered what (log + cache worker tapes) and absorbs
-        # every committed span into its model in sorted commit order, so
-        # a resumed run learns exactly what the straight-through run did.
-        if aggregator is not None and aggregator.name == "uniform":
-            aggregator = None
+        # Aggregation: ``None`` is the byte-exact mean path with no
+        # provenance bookkeeping; a reliability aggregator records who
+        # answered what (log + cache worker tapes) and absorbs every
+        # committed span into its model in sorted commit order, so a
+        # resumed run learns exactly what the straight-through run did.
         self.aggregator = aggregator
-        self._attribute_workers = aggregator is not None and aggregator.needs_workers
-        self._agg_model = (
-            getattr(aggregator, "model", None) if self._attribute_workers else None
-        )
+        self._agg_model = aggregator.model if aggregator is not None else None
         #: Per-key answer counts already absorbed into the model.
         self._agg_seen: dict[CacheKey, int] = {}
         self.journal: Journal | None = None
@@ -868,7 +861,7 @@ class ServeEngine:
                 else:
                     purchase = next(fresh)
                     worker_ids = None
-                    if self._attribute_workers:
+                    if self._agg_model is not None:
                         worker_ids = self._worker_ids(key, start, purchase)
                 if not self._apply_purchase(
                     key, start, purchase, worker_ids, log=logged is None
@@ -1019,9 +1012,7 @@ class ServeEngine:
         if self.aggregator is None or not served:
             return None
         answers = self.cache.answers(object_id, attribute, served)
-        worker_ids = None
-        if self.aggregator.needs_workers:
-            worker_ids = list(self.cache.workers(object_id, attribute, served))
+        worker_ids = list(self.cache.workers(object_id, attribute, served))
         return self.aggregator.effective_count(answers, worker_ids)
 
     def _deadline_prefix(self, pending: _Pending) -> tuple[int, ...]:

@@ -49,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.crowd.platform import CrowdPlatform
-from repro.crowd.worker import BiasedWorker, HonestWorker, SpamWorker
+from repro.crowd.worker import HonestWorker, SpamWorker
 from repro.domains.base import Domain
 from repro.serve.vecrng import (
     CoordinateStreams,
@@ -162,7 +162,6 @@ class _KeyMeta:
     """Hoisted per-(object, attribute) constants for batched generation."""
 
     __slots__ = (
-        "canonical",
         "attr_key",
         "truth",
         "noise_var",
@@ -173,7 +172,6 @@ class _KeyMeta:
 
     def __init__(
         self,
-        canonical: str,
         attr_key: int,
         truth: float,
         noise_var: float,
@@ -181,7 +179,6 @@ class _KeyMeta:
         low: float,
         high: float,
     ) -> None:
-        self.canonical = canonical
         self.attr_key = attr_key
         self.truth = truth
         self.noise_var = noise_var
@@ -194,9 +191,8 @@ class _KeyMeta:
 # are classified — a subclass may override the scalar method, so its
 # lanes take the scalar fallback rather than silently diverging.
 _KIND_HONEST = 0
-_KIND_BIASED = 1
-_KIND_SPAM = 2
-_KIND_OPAQUE = 3
+_KIND_SPAM = 1
+_KIND_OPAQUE = 2
 
 
 class BatchedValueStream(DeterministicValueStream):
@@ -224,9 +220,8 @@ class BatchedValueStream(DeterministicValueStream):
         super().__init__(platform, seed)
         self._key_meta: dict[tuple[int, str], _KeyMeta] = {}
         self._attr_info: dict[
-            str, tuple[str, int, np.ndarray, float, bool, float, float]
+            str, tuple[int, np.ndarray, float, bool, float, float]
         ] = {}
-        self._bias_rows: dict[str, np.ndarray] = {}
         self._kinds: np.ndarray | None = None
         self._skills: np.ndarray | None = None
         self._worker_ids: np.ndarray | None = None
@@ -234,7 +229,7 @@ class BatchedValueStream(DeterministicValueStream):
 
     def _attr_constants(
         self, attribute: str
-    ) -> tuple[str, int, np.ndarray, float, bool, float, float]:
+    ) -> tuple[int, np.ndarray, float, bool, float, float]:
         """Attribute-level constants, resolved against the domain once.
 
         A wave touches the same few attributes across many objects, so
@@ -247,7 +242,6 @@ class BatchedValueStream(DeterministicValueStream):
             domain = self.domain
             low, high = domain.answer_range(canonical)
             info = (
-                canonical,
                 attr_key,
                 np.asarray(domain.true_values(canonical), dtype=np.float64),
                 float(domain.difficulty(canonical)),
@@ -262,11 +256,10 @@ class BatchedValueStream(DeterministicValueStream):
         key = (object_id, attribute)
         meta = self._key_meta.get(key)
         if meta is None:
-            canonical, attr_key, truths, noise_var, binary, low, high = (
+            attr_key, truths, noise_var, binary, low, high = (
                 self._attr_constants(attribute)
             )
             meta = _KeyMeta(
-                canonical,
                 attr_key,
                 float(truths[object_id]),
                 noise_var,
@@ -289,11 +282,10 @@ class BatchedValueStream(DeterministicValueStream):
             for i, worker in enumerate(self._workers):
                 kind = {
                     HonestWorker: _KIND_HONEST,
-                    BiasedWorker: _KIND_BIASED,
                     SpamWorker: _KIND_SPAM,
                 }.get(type(worker), _KIND_OPAQUE)
                 kinds[i] = kind
-                if kind in (_KIND_HONEST, _KIND_BIASED):
+                if kind == _KIND_HONEST:
                     skills[i] = worker.skill
             self._kinds = kinds
             self._skills = skills
@@ -313,18 +305,6 @@ class BatchedValueStream(DeterministicValueStream):
         assert self._proneness is not None
         return self._worker_ids, self._proneness
 
-    def _bias_row(self, canonical: str) -> np.ndarray:
-        """Pool-order stateless biases for one attribute (0 off-kind)."""
-        row = self._bias_rows.get(canonical)
-        if row is None:
-            kinds, _ = self._worker_tables()
-            row = np.zeros(len(self._workers), dtype=np.float64)
-            for i, worker in enumerate(self._workers):
-                if kinds[i] == _KIND_BIASED:
-                    row[i] = worker.stateless_bias(self.domain, canonical)
-            self._bias_rows[canonical] = row
-        return row
-
     def _worker_math(
         self,
         metas: Sequence[_KeyMeta],
@@ -334,14 +314,13 @@ class BatchedValueStream(DeterministicValueStream):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Answer values from one raw draw per lane, grouped by worker kind.
 
-        Honest-family lanes read the draw as a ziggurat normal, spam
-        lanes as a unit uniform — each consumes exactly one raw draw on
-        its accept path.  Returns ``(values, ok)``; ``ok`` is False on
+        Honest lanes read the draw as a ziggurat normal, spam lanes as
+        a unit uniform — each consumes exactly one raw draw on its
+        accept path.  Returns ``(values, ok)``; ``ok`` is False on
         ziggurat-rejected normal lanes and on lanes whose worker's
         exact type has no vectorized contract (the caller replays
         those scalar — the values written there are scratch).
         """
-        total = int(counts.sum())
         normals, normal_ok = ziggurat_normals(raw)
         kinds, skills = self._worker_tables()
         lane_kind = kinds[widx]
@@ -367,27 +346,6 @@ class BatchedValueStream(DeterministicValueStream):
         values += 0.0
         values += truth
         np.clip(values, 0.0, 1.0, out=values, where=binary)
-
-        biased = lane_kind == _KIND_BIASED
-        if biased.any():
-            # Biases vary per (worker, attribute): gather per attribute
-            # group so each group is one pool-row fancy-index.
-            group_ids: dict[str, int] = {}
-            gid_col = np.empty(len(metas), dtype=np.int64)
-            names: list[str] = []
-            for i, meta in enumerate(metas):
-                gid = group_ids.setdefault(meta.canonical, len(group_ids))
-                if gid == len(names):
-                    names.append(meta.canonical)
-                gid_col[i] = gid
-            gid_lane = np.repeat(gid_col, counts)
-            bias_lane = np.zeros(total, dtype=np.float64)
-            for gid, canonical in enumerate(names):
-                mask = biased & (gid_lane == gid)
-                if mask.any():
-                    bias_lane[mask] = self._bias_row(canonical)[widx[mask]]
-            values += bias_lane
-            np.clip(values, 0.0, 1.0, out=values, where=biased & binary)
 
         if spam.any():
             low = np.repeat(
@@ -478,7 +436,7 @@ class BatchedValueStream(DeterministicValueStream):
             ]
         counts, index_lane, tape, widx, accepted = lanes
 
-        # Draw 2: the noise variate.  Honest-family lanes read it as a
+        # Draw 2: the noise variate.  Honest lanes read it as a
         # ziggurat normal, spam lanes as a unit uniform — both consume
         # exactly one raw draw on the accept path.
         values, math_ok = self._worker_math(metas, counts, widx, tape.next64())

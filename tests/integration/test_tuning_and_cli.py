@@ -118,6 +118,28 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["plan", "--domain", "mars", "--target", "x"])
 
+    def test_evaluate_with_reliability_aggregation(self, tmp_path):
+        from repro.cli import main
+
+        manifest = tmp_path / "manifest.json"
+        code = main(
+            [
+                "evaluate",
+                "--domain", "synthetic",
+                "--target", "attr_00",
+                "--n-objects", "60",
+                "--n1", "20",
+                "--b-obj", "2",
+                "--b-prc", "300",
+                "--objects", "20",
+                "--aggregator", "reliability",
+                "--manifest", str(manifest),
+            ]
+        )
+        assert code == 0
+        payload = json.loads(manifest.read_text())
+        assert payload["agg"]["workers_observed"] > 0
+
     def test_tune_command(self, capsys):
         from repro.cli import main
 
@@ -333,6 +355,12 @@ _COVERAGE = [
 ]
 
 
+#: Aggregators and aggregation flags the CLI no longer has.
+_REMOVED_OPTIONS = (
+    "trimmed", "huber", "--trim-fraction", "--huber-delta", "--em-iterations"
+)
+
+
 class TestCliValidation:
     """Every door checks its cents, repetitions and evaluated objects
     before any work."""
@@ -358,6 +386,11 @@ class TestCliValidation:
             _with(_COVERAGE, "--b-obj", "nan"),
             _with(_COVERAGE, "--b-prc", "inf"),
             _with(_COVERAGE, "--repetitions", "0"),
+            _with(_EVALUATE, "--aggregator", "trimmed"),
+            _with(_EVALUATE, "--aggregator", "huber"),
+            _with(_EVALUATE, "--trim-fraction", "0.1"),
+            _with(_EVALUATE, "--huber-delta", "1.5"),
+            _with(_EVALUATE, "--em-iterations", "5"),
         ],
         ids=[
             "plan-b_obj-nan",
@@ -378,12 +411,24 @@ class TestCliValidation:
             "coverage-b_obj-nan",
             "coverage-b_prc-inf",
             "coverage-repetitions-0",
+            "evaluate-aggregator-trimmed",
+            "evaluate-aggregator-huber",
+            "evaluate-trim-fraction",
+            "evaluate-huber-delta",
+            "evaluate-em-iterations",
         ],
     )
     def test_bad_input_exits_2(self, argv, capsys):
         from repro.cli import EXIT_CONFIGURATION_ERROR, main
 
-        code = main(argv)
+        removed = [token for token in argv if token in _REMOVED_OPTIONS]
+        if removed:
+            # argparse refuses a removed flag or aggregator by name.
+            with pytest.raises(SystemExit) as exited:
+                main(argv)
+            code, expected = exited.value.code, removed[0]
+        else:
+            code, expected = main(argv), "configuration error:"
         err = capsys.readouterr().err
         assert code == EXIT_CONFIGURATION_ERROR
-        assert "configuration error:" in err
+        assert expected in err

@@ -40,7 +40,7 @@ def estimate_naively(plans, source, object_ids, aggregator=None) -> NaiveOutcome
     outcome = NaiveOutcome(
         estimates={target: [] for plan in plans for target in plan.query.targets}
     )
-    attributed = aggregator is not None and aggregator.needs_workers
+    attributed = aggregator is not None
     for object_id in object_ids:
         outcome.objects += 1
         for plan in plans:

@@ -176,7 +176,7 @@ class TestPrecisionSanity:
         workers = [index % 4 for index in range(len(values))]
         model.observe(values, workers, start=0)
         for precision in model.precisions().values():
-            assert model.floor <= precision <= model.ceil
+            assert model.FLOOR <= precision <= model.CEIL
             assert math.isfinite(precision)
 
     @given(
@@ -190,8 +190,8 @@ class TestPrecisionSanity:
         model = ReliabilityModel()
         workers = [index % 4 for index in range(len(values))]
         model.observe(values, workers, start=0)
-        assert 1.0 <= model.gain() <= model.gain_cap
-        assert 1.0 <= model.gain(workers) <= model.gain_cap
+        assert 1.0 <= model.gain() <= model.GAIN_CAP
+        assert 1.0 <= model.gain(workers) <= model.GAIN_CAP
 
 
 def _oracle(model: ReliabilityModel) -> ReliabilityModel:

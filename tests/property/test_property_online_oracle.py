@@ -2,7 +2,7 @@
 
 Random evaluations — one or two plans with disjoint targets, each with a
 linear formula over a random budget; object lists with repeated objects;
-uniform, trimmed or reliability aggregation — run once through
+uniform or reliability aggregation — run once through
 :meth:`~repro.core.online.OnlineEvaluator.estimate_objects` and once
 through :func:`tests.online_oracle.estimate_naively`, over one of four
 sources:
@@ -97,7 +97,7 @@ def evaluations(draw):
         ),
         "budget": draw(st.integers(1, 40)) / 4.0,
         "fault_rate": draw(st.sampled_from((0.2, 0.4))),
-        "aggregator": draw(st.sampled_from(("uniform", "trimmed", "reliability"))),
+        "aggregator": draw(st.sampled_from(("uniform", "reliability"))),
     }
 
 

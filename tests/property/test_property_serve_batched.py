@@ -7,7 +7,9 @@ is a pure drop-in for the scalar per-answer loop.  These properties
 quantify over the inputs the engine can actually produce — random key
 spans, worker-pool compositions, stream seeds (including out-of-uint32
 seeds that force the scalar fallback) and fault profiles — and demand
-bit-for-bit equality, sign of zero included.
+bit-for-bit equality, sign of zero included.  Honest and spam workers
+have vectorized kernels; collusion-ring workers do not, so their lanes
+are recomputed by the scalar stream inside the batched one.
 """
 
 import numpy as np
@@ -29,8 +31,9 @@ DOMAIN = GaussianDomain(make_tiny_spec(), n_objects=200, seed=7, name="tiny")
 #: Canonical attributes plus synonym surface forms of flag_a.
 ATTRIBUTES = ("target", "helper", "flag_a", "flag_b", "flagged", "marked")
 
-#: Worker-pool compositions: all-honest, mixed, all-biased, all-spam,
-#: and a single-worker pool (whose draw consumes no variate at all).
+#: Worker-pool compositions as (size, spam, colluding): all-honest,
+#: mixed, all-ring, all-spam, and a single-worker pool (whose draw
+#: consumes no variate at all).
 POOLS = (
     (30, 0.0, 0.0),
     (30, 0.2, 0.3),
@@ -45,14 +48,14 @@ _platforms: dict[tuple, CrowdPlatform] = {}
 def platform_for(pool_key: tuple, pool_seed: int) -> CrowdPlatform:
     key = (*pool_key, pool_seed)
     if key not in _platforms:
-        size, spam, biased = pool_key
+        size, spam, colluding = pool_key
         _platforms[key] = CrowdPlatform(
             DOMAIN,
             pool=WorkerPool(
                 size=size,
                 seed=pool_seed,
                 spam_fraction=spam,
-                biased_fraction=biased,
+                colluding_fraction=colluding,
             ),
             recorder=AnswerRecorder(),
             seed=3,

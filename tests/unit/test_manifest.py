@@ -28,7 +28,6 @@ def recording_obs() -> Observability:
     obs.metrics.inc("crowd.questions.example", 1)
     obs.metrics.inc("crowd.retries.value", 2)
     obs.metrics.inc("crowd.faults.timeout", 2)
-    obs.metrics.inc("crowd.spam.rejected", 3)
     obs.metrics.inc("allocator.calls")
     obs.metrics.inc("allocator.grants", 12)
     obs.metrics.gauge("plan.attributes", 2)
@@ -48,7 +47,6 @@ class TestSections:
         resilience = resilience_from_metrics(recording_obs().metrics)
         assert resilience["retries_by_category"] == {"value": 2}
         assert resilience["timeouts"] == 2
-        assert resilience["spam_rejected"] == 3
         assert resilience["abandons"] == 0
         assert resilience["degradations"] == 0
 

@@ -16,7 +16,6 @@ from repro.crowd.pool import WorkerPool
 from repro.crowd.pricing import Budget
 from repro.crowd.quality import WorkerCircuitBreaker
 from repro.crowd.recording import AnswerRecorder
-from repro.crowd.spam import SpamFilter, ZScoreSpamFilter
 from repro.errors import (
     BudgetExhaustedError,
     CrowdFaultError,
@@ -118,16 +117,12 @@ class TestCharging:
 # ----------------------------------------------------------------------
 
 
-class _RejectEverything(SpamFilter):
-    def filter(self, answers):
-        return []
-
-
 class TestValueMeanGuard:
     def test_empty_filtered_batch_raises_not_nan(self, tiny_domain):
-        platform = make_platform(tiny_domain, spam_filter=_RejectEverything())
+        # No answers (n = 0) must raise, not return a NaN mean.
+        platform = make_platform(tiny_domain)
         with pytest.raises(MalformedAnswerError):
-            platform.ask_value_mean(0, "target", 3)
+            platform.ask_value_mean(0, "target", 0)
 
     def test_normal_batch_returns_finite_mean(self, tiny_domain):
         platform = make_platform(tiny_domain)
@@ -247,151 +242,6 @@ class TestQuarantine:
         report = platform.resilience_report()
         assert report.total_retries == 0
         assert report.quarantined_workers == ()
-
-
-# ----------------------------------------------------------------------
-# Spam-rejection attribution (regression: keyed by answer value)
-# ----------------------------------------------------------------------
-
-
-class _ScriptedWorker:
-    """A worker who always gives one scripted value answer."""
-
-    fault_proneness = 1.0
-
-    def __init__(self, worker_id: int, answer: float) -> None:
-        self.worker_id = worker_id
-        self._answer = float(answer)
-
-    def answer_value(self, domain, object_id, attribute) -> float:
-        return self._answer
-
-
-class _ScriptedPool:
-    """Serves scripted workers in a fixed round-robin order."""
-
-    def __init__(self, workers) -> None:
-        self._workers = list(workers)
-        self._next = 0
-
-    def draw(self):
-        worker = self._workers[self._next % len(self._workers)]
-        self._next += 1
-        return worker
-
-
-#: Enables the fault machinery (so batch attribution runs) while value
-#: questions themselves never fault — answers stay fully scripted.
-_VALUE_CLEAN_PROFILE = FaultProfile(
-    overrides=(("dismantle", FaultRates(garbage=0.5)),)
-)
-
-
-class TestSpamRejectionAttribution:
-    """Regression: `_batch_workers` used to be keyed by ``float(answer)``,
-    so two workers giving the same value collided in the dict and the
-    spam-rejection fault landed on the wrong worker.  Attribution is now
-    positional, aligned with ``rejected_indices``."""
-
-    def test_duplicate_outliers_blame_their_producers(self, tiny_domain):
-        low, high = tiny_domain.answer_range("target")
-        # Workers 0 and 1 both give the identical outlier; 2-4 agree.
-        pool = _ScriptedPool(
-            [_ScriptedWorker(i, high if i < 2 else low) for i in range(5)]
-        )
-        breaker = WorkerCircuitBreaker(
-            fault_threshold=0.5, window=5, min_observations=2, cooldown=1e9
-        )
-        platform = CrowdPlatform(
-            tiny_domain,
-            pool=pool,
-            recorder=AnswerRecorder(),
-            seed=3,
-            spam_filter=ZScoreSpamFilter(),
-            faults=_VALUE_CLEAN_PROFILE,
-            breaker=breaker,
-        )
-        kept = platform.ask_value(0, "target", 5)
-        assert kept == [low] * 3
-        # Each outlier producer got one clean production outcome plus one
-        # spam fault; under value-keyed attribution one of them would
-        # have absorbed both faults and the other none.
-        assert breaker.fault_rate(0) == pytest.approx(0.5)
-        assert breaker.fault_rate(1) == pytest.approx(0.5)
-        for worker_id in (2, 3, 4):
-            assert breaker.fault_rate(worker_id) == 0.0
-        assert set(platform.resilience_report().quarantined_workers) == {0, 1}
-
-    def test_replayed_rejections_are_not_attributed(self, tiny_domain):
-        low, high = tiny_domain.answer_range("target")
-        recorder = AnswerRecorder()
-        first = CrowdPlatform(
-            tiny_domain,
-            pool=_ScriptedPool(
-                [_ScriptedWorker(i, high if i < 2 else low) for i in range(5)]
-            ),
-            recorder=recorder,
-            seed=3,
-            spam_filter=ZScoreSpamFilter(),
-            faults=_VALUE_CLEAN_PROFILE,
-        )
-        first.ask_value(0, "target", 5)
-        # A fresh platform replays the full batch: there is no live
-        # worker behind any answer, so nobody can be blamed.
-        breaker = WorkerCircuitBreaker()
-        replay = CrowdPlatform(
-            tiny_domain,
-            pool=_ScriptedPool([_ScriptedWorker(9, low)]),
-            recorder=recorder,
-            seed=3,
-            spam_filter=ZScoreSpamFilter(),
-            faults=_VALUE_CLEAN_PROFILE,
-            breaker=breaker,
-        )
-        kept = replay.ask_value(0, "target", 5)
-        assert kept == [low] * 3  # same filtering as the live batch
-        assert all(breaker.fault_rate(w) == 0.0 for w in range(10))
-        assert breaker.quarantined(replay.clock.now) == ()
-
-    def test_mixed_replay_and_fresh_blames_only_fresh_producer(
-        self, tiny_domain
-    ):
-        low, high = tiny_domain.answer_range("target")
-        recorder = AnswerRecorder()
-        first = CrowdPlatform(
-            tiny_domain,
-            pool=_ScriptedPool([_ScriptedWorker(0, low), _ScriptedWorker(1, low)]),
-            recorder=recorder,
-            seed=3,
-            faults=_VALUE_CLEAN_PROFILE,
-        )
-        first.ask_value(0, "target", 2)  # tape now holds [low, low]
-        # Second platform extends the batch: positions 0-1 replay the
-        # tape, 2-4 are fresh (worker 2 spams, workers 3-4 agree).
-        breaker = WorkerCircuitBreaker()
-        second = CrowdPlatform(
-            tiny_domain,
-            pool=_ScriptedPool(
-                [
-                    _ScriptedWorker(2, high),
-                    _ScriptedWorker(3, low),
-                    _ScriptedWorker(4, low),
-                ]
-            ),
-            recorder=recorder,
-            seed=3,
-            spam_filter=ZScoreSpamFilter(),
-            faults=_VALUE_CLEAN_PROFILE,
-            breaker=breaker,
-        )
-        kept = second.ask_value(0, "target", 5)
-        assert kept == [low] * 4
-        # Rejected batch index 2 minus fresh base 2 -> fresh position 0,
-        # i.e. worker 2.  Without the base offset, worker 2's fault
-        # would land on the worker at raw position 2 (worker 4).
-        assert breaker.fault_rate(2) == pytest.approx(0.5)
-        assert breaker.fault_rate(3) == 0.0
-        assert breaker.fault_rate(4) == 0.0
 
 
 # ----------------------------------------------------------------------

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from repro.crowd.pool import WorkerPool
-from repro.crowd.worker import (
-    BiasedWorker,
-    CollusionRingWorker,
-    DriftingWorker,
-    HonestWorker,
-    SleeperWorker,
-    SpamWorker,
-)
+from repro.crowd.worker import CollusionRingWorker, HonestWorker, SpamWorker
 from repro.errors import ConfigurationError
 
 
@@ -26,16 +19,13 @@ class TestPoolComposition:
         spam = [w for w in pool.workers if isinstance(w, SpamWorker)]
         assert len(spam) == 20
 
-    def test_biased_fraction_respected(self):
-        pool = WorkerPool(size=100, seed=0, biased_fraction=0.3)
-        biased = [w for w in pool.workers if isinstance(w, BiasedWorker)]
-        assert len(biased) == 30
-
     def test_mixed_composition(self):
-        pool = WorkerPool(size=100, seed=0, spam_fraction=0.1, biased_fraction=0.2)
+        pool = WorkerPool(
+            size=100, seed=0, spam_fraction=0.1, colluding_fraction=0.2
+        )
         spam = sum(isinstance(w, SpamWorker) for w in pool.workers)
-        biased = sum(isinstance(w, BiasedWorker) for w in pool.workers)
-        assert (spam, biased) == (10, 20)
+        ring = sum(isinstance(w, CollusionRingWorker) for w in pool.workers)
+        assert (spam, ring) == (10, 20)
 
     def test_worker_ids_are_stable_and_unique(self):
         pool = WorkerPool(size=30, seed=0)
@@ -45,7 +35,7 @@ class TestPoolComposition:
         with pytest.raises(ConfigurationError):
             WorkerPool(size=10, spam_fraction=1.5)
         with pytest.raises(ConfigurationError):
-            WorkerPool(size=10, spam_fraction=0.6, biased_fraction=0.6)
+            WorkerPool(size=10, spam_fraction=0.6, colluding_fraction=0.6)
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -59,17 +49,13 @@ class TestPoolComposition:
 
 class TestAdversarialPersonas:
     def test_persona_fractions_respected(self):
+        # Contiguous id bands: spam first, then the ring, then honest.
         pool = WorkerPool(
-            size=100,
-            seed=0,
-            colluding_fraction=0.1,
-            drifting_fraction=0.2,
-            sleeper_fraction=0.1,
+            size=100, seed=0, spam_fraction=0.2, colluding_fraction=0.1
         )
-        ring = sum(isinstance(w, CollusionRingWorker) for w in pool.workers)
-        drift = sum(isinstance(w, DriftingWorker) for w in pool.workers)
-        sleep = sum(isinstance(w, SleeperWorker) for w in pool.workers)
-        assert (ring, drift, sleep) == (10, 20, 10)
+        assert [type(w) for w in pool.workers] == (
+            [SpamWorker] * 20 + [CollusionRingWorker] * 10 + [HonestWorker] * 70
+        )
 
     def test_ring_shares_one_error_per_question(self, tiny_domain):
         pool = WorkerPool(size=10, seed=1, colluding_fraction=0.3)
@@ -99,27 +85,6 @@ class TestAdversarialPersonas:
         shared = ring._ring_bias(tiny_domain, "target", 3)
         assert stateless == pytest.approx(shared)
         assert stateful == pytest.approx(shared)
-
-    def test_drifting_worker_noise_grows_with_object_id(self, tiny_domain):
-        worker = DriftingWorker(0, seed=2, drift_rate=0.5)
-        early = worker._drifted_sd(tiny_domain, 0, "target")
-        late = worker._drifted_sd(tiny_domain, 100, "target")
-        assert late > early
-        assert late == pytest.approx(early * np.sqrt(1 + 0.5 * 100))
-
-    def test_sleeper_honest_below_patience_spam_after(self, tiny_domain):
-        sleeper = SleeperWorker(0, seed=4, patience=10)
-        twin = HonestWorker(0, seed=4)
-        assert sleeper.answer_value_stateless(
-            tiny_domain, 9, "target", np.random.default_rng(5)
-        ) == twin.answer_value_stateless(
-            tiny_domain, 9, "target", np.random.default_rng(5)
-        )
-        low, high = tiny_domain.answer_range("target")
-        spam = sleeper.answer_value_stateless(
-            tiny_domain, 10, "target", np.random.default_rng(5)
-        )
-        assert low <= spam <= high
 
 
 class TestPoolSampling:

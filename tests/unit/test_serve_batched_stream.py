@@ -51,15 +51,17 @@ class TestBatchedValueStream:
         assert_streams_agree(tiny_platform)
 
     def test_matches_scalar_mixed_pool(self, tiny_domain):
+        # Collusion-ring lanes have no vectorized kernel: the batched
+        # stream recomputes them through the scalar stream.
         pool = WorkerPool(
-            size=40, seed=11, spam_fraction=0.25, biased_fraction=0.35
+            size=40, seed=11, spam_fraction=0.25, colluding_fraction=0.35
         )
         assert_streams_agree(make_platform(tiny_domain, pool))
 
     def test_matches_scalar_single_worker_pool(self, tiny_domain):
         # n == 1 consumes no worker draw at all; the batched tape must
         # skip that draw too or every later variate shifts.
-        pool = WorkerPool(size=1, seed=5, biased_fraction=1.0)
+        pool = WorkerPool(size=1, seed=5, colluding_fraction=1.0)
         assert_streams_agree(make_platform(tiny_domain, pool))
 
     def test_out_of_range_seed_falls_back_scalar(self, tiny_domain):
@@ -80,10 +82,11 @@ class TestBatchedValueStream:
         )
         platform = make_platform(tiny_domain, pool)
         assert_streams_agree(platform)
-        # The override genuinely fired somewhere in a long span.
-        answers = BatchedValueStream(platform).answers_many(
-            [(5, "target", 0, 200)]
-        )[0]
+        # A long span draws the subclass on many lanes: each must match
+        # the scalar stream, and the override genuinely fired.
+        long_span = [(5, "target", 0, 200)]
+        assert_streams_agree(platform, long_span)
+        answers = BatchedValueStream(platform).answers_many(long_span)[0]
         assert (answers > 50.0).any()
 
     def test_empty_request_list(self, tiny_platform):
@@ -92,7 +95,7 @@ class TestBatchedValueStream:
 
 class TestPurchaseBatch:
     CONFIGS = (
-        # (fault rate, latency_mean, spam, biased, blocked, retries)
+        # (fault rate, latency_mean, spam, colluding, blocked, retries)
         (0.1, 0.05, 0.2, 0.3, frozenset(), 3),
         (0.3, 0.0, 0.0, 0.0, frozenset(), 0),
         (0.02, 0.1, 0.5, 0.5, frozenset({1, 5, 9}), 2),
@@ -101,9 +104,9 @@ class TestPurchaseBatch:
 
     @pytest.mark.parametrize("config", CONFIGS)
     def test_matches_scalar_purchase(self, tiny_domain, config):
-        rate, latency, spam, biased, blocked, retries = config
+        rate, latency, spam, colluding, blocked, retries = config
         pool = WorkerPool(
-            size=30, seed=7, spam_fraction=spam, biased_fraction=biased
+            size=30, seed=7, spam_fraction=spam, colluding_fraction=colluding
         )
         platform = make_platform(tiny_domain, pool)
         profile = FaultProfile.uniform(rate, latency_mean=latency)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.crowd.worker import BiasedWorker, HonestWorker, SpamWorker
+from repro.crowd.worker import HonestWorker, SpamWorker
 from repro.domains import (
     DismantleTaxonomy,
     GaussianDomain,
@@ -163,21 +163,6 @@ class TestExamples:
     def test_examples_cover_many_objects(self, tiny_domain, honest):
         ids = {honest.provide_example(tiny_domain, ("target",))[0] for _ in range(100)}
         assert len(ids) > 20
-
-
-class TestBiasedWorker:
-    def test_bias_is_persistent_per_attribute(self, tiny_domain):
-        worker = BiasedWorker(0, seed=3, bias_scale=5.0)
-        truth = tiny_domain.true_value(0, "target")
-        answers = [worker.answer_value(tiny_domain, 0, "target") for _ in range(300)]
-        # A strong persistent bias shifts the mean away from the truth.
-        assert abs(np.mean(answers) - truth) > 0.5
-
-    def test_bias_zero_scale_behaves_honestly(self, tiny_domain):
-        worker = BiasedWorker(0, seed=3, bias_scale=0.0)
-        truth = tiny_domain.true_value(0, "target")
-        answers = [worker.answer_value(tiny_domain, 0, "target") for _ in range(300)]
-        assert np.mean(answers) == pytest.approx(truth, abs=0.25)
 
 
 class TestSpamWorker:
