@@ -13,7 +13,7 @@ The error metrics implement the paper's definitions:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from typing import Protocol
 
 import numpy as np
@@ -171,12 +171,17 @@ class OnlineEvaluator:
         object and the truncation is recorded in :attr:`budget_skips`;
         an attribute whose answers are lost to crowd faults (retries
         exhausted) drops only its own term and is noted in
-        :attr:`fault_skips`.  *Reduce* takes each attribute column once:
+        :attr:`fault_skips`.  *Reduce* takes each attribute column once,
+        to its aggregated answers and a mask of the rows that got any:
         under uniform aggregation rows of equal answer count share one
         axis mean (numpy's pairwise summation over a contiguous row is
         bit-identical to ``np.mean`` of that row alone); reliability
-        aggregation reduces row by row.  *Apply* runs each target's
-        linear ``formula.estimate`` row by row.  Every dropped-out term
+        aggregation reduces row by row.  *Apply* folds each target's
+        terms left to right in coefficient order, starting from the
+        intercept and adding ``coefficient * column`` only where the
+        column is present, which is ``formula.estimate`` of every row
+        bit for bit (a missing term is skipped, never added as 0.0, so
+        a ``-0.0`` intercept survives).  Every dropped-out term
         bumps the ``agg.missing_terms`` counter, so partially-evaluated
         formulas are observable.  Rows are independent: an object
         listed twice is estimated twice.
@@ -223,40 +228,47 @@ class OnlineEvaluator:
                     if len(answers):
                         columns[attribute].append((row, answers, workers))
 
+        n = len(object_ids)
         out: dict[str, np.ndarray] = {}
         for (plan, _), columns in zip(self._plan_items, fetched):
-            means: list[dict[str, float]] = [{} for _ in object_ids]
-            for attribute, rows in columns.items():
-                for row, mean in self._reduce(rows):
-                    means[row][attribute] = mean
+            reduced = {
+                attribute: self._reduce(rows, n) for attribute, rows in columns.items()
+            }
             for target in plan.query.targets:
                 formula = plan.formula(target)
-                missing = sum(
-                    len(object_ids) - len(columns.get(term, ()))
-                    for term in formula.coefficients
-                )
+                estimate = np.full(n, formula.intercept, dtype=np.float64)
+                missing = 0
+                for term, coefficient in formula.coefficients.items():
+                    missing += n - len(columns.get(term, ()))
+                    if term in reduced:
+                        values, present = reduced[term]
+                        np.add(
+                            estimate, coefficient * values, out=estimate, where=present
+                        )
                 if missing:
                     obs.metrics.inc("agg.missing_terms", missing)
-                out[target] = np.array(
-                    [formula.estimate(row_means) for row_means in means],
-                    dtype=np.float64,
-                )
+                out[target] = estimate
         return out
 
-    def _reduce(self, rows: list[_Fetched]) -> Iterator[tuple[int, float]]:
-        """``(row, aggregated answer)`` for one attribute column."""
+    def _reduce(self, rows: list[_Fetched], n: int) -> tuple[np.ndarray, np.ndarray]:
+        """One attribute column over ``n`` rows: ``(aggregates, present)``."""
+        values = np.zeros(n, dtype=np.float64)
+        present = np.zeros(n, dtype=bool)
         aggregator = self._aggregator
         if aggregator is not None:
             for row, answers, workers in rows:
-                yield row, aggregator.aggregate(answers, list(workers))
-            return
+                values[row] = aggregator.aggregate(answers, list(workers))
+                present[row] = True
+            return values, present
         by_length: dict[int, list[int]] = {}
         for index, (_, answers, _) in enumerate(rows):
             by_length.setdefault(len(answers), []).append(index)
         for indices in by_length.values():
-            stacked = np.stack([rows[index][1] for index in indices])
-            for index, mean in zip(indices, np.mean(stacked, axis=1).tolist()):
-                yield rows[index][0], mean
+            at = [rows[index][0] for index in indices]
+            group = np.array([rows[index][1] for index in indices])
+            values[at] = np.mean(group, axis=1)
+            present[at] = True
+        return values, present
 
     def evaluate(self, object_ids: Iterable[int]) -> dict[str, np.ndarray]:
         """Estimates for many objects: target -> aligned value vector."""

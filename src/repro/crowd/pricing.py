@@ -23,6 +23,7 @@ spending so experiments can report where the budget went.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.errors import BudgetExhaustedError, ConfigurationError
@@ -186,6 +187,35 @@ class CostLedger:
         if self.metrics is not None:
             self.metrics.inc(f"crowd.saved.{category}", cost)
             self.metrics.inc(f"crowd.saved_answers.{category}", count)
+
+    def record_savings(
+        self, category: str, entries: Sequence[tuple[float, int]]
+    ) -> None:
+        """Record many ``(cost, count)`` savings, in order, in one call.
+
+        Equal, bit for bit, to one :meth:`record_saving` per entry: the
+        costs are added to the running total (and to the metrics
+        counter) one by one, because a sum taken first rounds
+        differently.  Every entry is checked before anything is
+        recorded, so a bad entry leaves the ledger unchanged.
+        """
+        if category not in self.saved_by_category:
+            raise ConfigurationError(f"unknown ledger category: {category!r}")
+        if any(cost < 0 or count < 0 for cost, count in entries):
+            raise ConfigurationError("ledger entries must be non-negative")
+        if not entries:
+            return
+        saved = self.saved_by_category[category]
+        for cost, _ in entries:
+            saved += cost
+        self.saved_by_category[category] = saved
+        answers = sum(count for _, count in entries)
+        self.saved_answers_by_category[category] += answers
+        if self.metrics is not None:
+            name = f"crowd.saved.{category}"
+            for cost, _ in entries:
+                self.metrics.inc(name, cost)
+            self.metrics.inc(f"crowd.saved_answers.{category}", answers)
 
     def record_abandon(self, category: str, count: int = 1) -> None:
         """Record ``count`` abandoned (unpaid) assignments of ``category``."""

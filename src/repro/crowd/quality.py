@@ -166,14 +166,6 @@ class WorkerCircuitBreaker:
             ):
                 self._trip(record, now)
 
-    def record_fault(self, worker_id: int, now: float) -> None:
-        """Shorthand for a faulty interaction."""
-        self.record_outcome(worker_id, fault=True, now=now)
-
-    def record_success(self, worker_id: int, now: float) -> None:
-        """Shorthand for a clean interaction."""
-        self.record_outcome(worker_id, fault=False, now=now)
-
     def _trip(self, record: _WorkerRecord, now: float) -> None:
         record.state = BreakerState.OPEN
         record.opened_at = now

@@ -172,14 +172,6 @@ class AnswerRecorder:
     # Introspection and persistence
     # ------------------------------------------------------------------
 
-    def recorded_value_count(self, object_id: int, attribute: str) -> int:
-        """How many value answers exist for one (object, attribute)."""
-        return len(self._values.get((object_id, attribute), []))
-
-    def recorded_dismantle_count(self, attribute: str) -> int:
-        """How many dismantling answers exist for one attribute."""
-        return len(self._dismantles.get(attribute, []))
-
     def recorded_counts(self) -> dict[str, int]:
         """Total recorded answers per question category.
 

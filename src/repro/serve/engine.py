@@ -6,10 +6,11 @@ QueryRequest` submissions and evaluates them against the crowd in
 and runs four phases, one after another on the calling thread:
 
 1. **Need computation** (serial).  Walk the wave's queries in admission
-   order and compute, per ``(object, attribute)`` key, the maximum
-   answer count any query demands.  Concurrent queries touching the
-   same key coalesce into a single purchase of the maximum shortfall —
-   the cross-query batching this engine exists for.
+   order, once, and compute per ``(object, attribute)`` key its cache
+   level and the maximum answer count any query demands.  Concurrent
+   queries touching the same key coalesce into a single purchase of
+   the maximum shortfall — the cross-query batching this engine exists
+   for.
 2. **Generation** (pure).  Produce every shortfall answer in one
    batched call: :meth:`~repro.serve.stream.BatchedValueStream.
    answers_many` (fault-free) or :meth:`~repro.serve.faults.
@@ -27,7 +28,11 @@ and runs four phases, one after another on the calling thread:
    cannot cover is skipped entirely (its queries come back
    ``degraded``/``budget``); cheaper keys later in the order may still
    fit.
-4. **Evaluation** (read-only).  First every query is cut to its
+4. **Accounting and evaluation** (read-only but for the ledger).  In
+   admission order, each query's hits and fresh answers are attributed
+   key by key, in the sorted key order its demand was built in at
+   admission; the wave's savings are then booked in one
+   order-preserving ledger fold.  Next every query is cut to its
    deadline prefix: in admission order, the clock is polled once per
    object and the first object polled past the deadline ends the
    prefix, so evaluation time never counts against a deadline.  Then
@@ -171,8 +176,10 @@ class _Pending:
     request: QueryRequest
     plans: list[PreprocessingPlan]
     admitted_at: float
-    #: (object_id, attribute) -> answers this query's plans demand.
-    demands: dict[CacheKey, int] = field(default_factory=dict)
+    #: (object_id, attribute) -> answers this query's plans demand,
+    #: built at admission in sorted key order (sorted unique objects ×
+    #: sorted attributes), the order accounting walks it in.
+    demands: dict[CacheKey, int]
     #: Admitted under backpressure as cache-only: the query contributes
     #: no purchase demand and is served from whatever the cache holds;
     #: any shortfall degrades with reason ``"admission"``.
@@ -379,7 +386,8 @@ class ServeEngine:
         another budget.  Every committed purchase then goes through
         :meth:`_apply_purchase`, exactly as the live commit applied it,
         and the ledger is restored from the last commit record (cache
-        savings are booked per query, so no fold can rebuild them).
+        savings come from per-query accounting, so no fold can rebuild
+        them).
         Purchases past the last commit belong to the crashed wave: they
         wait in ``_crashed_wave`` for its re-run, and the results it
         logged are truncated away.
@@ -662,18 +670,23 @@ class ServeEngine:
                 depth=len(self._queue),
             )
             return False
+        counts: dict[str, int] = {}
+        for plan in plans:
+            for attribute in plan.budget.attributes:
+                count = plan.budget[attribute]
+                counts[attribute] = max(counts.get(attribute, 0), count)
+        attributes = sorted(counts.items())
         pending = _Pending(
             request=request,
             plans=plans,
             admitted_at=self._clock(),
+            demands={
+                (object_id, attribute): count
+                for object_id in sorted(set(request.object_ids))
+                for attribute, count in attributes
+            },
             cache_only=cache_only,
         )
-        for plan in pending.plans:
-            for attribute in plan.budget.attributes:
-                count = plan.budget[attribute]
-                for object_id in request.object_ids:
-                    key = (object_id, attribute)
-                    pending.demands[key] = max(pending.demands.get(key, 0), count)
         self._queue.append(pending)
         self._peak_queue = max(self._peak_queue, len(self._queue))
         metrics.inc("serve.queries")
@@ -767,26 +780,30 @@ class ServeEngine:
         metrics = self.obs.metrics
         metrics.inc("serve.waves")
 
-        # Phase 1 (serial): per-key wave demand = max over queries, and
-        # the pre-wave cache level each shortfall purchase starts from.
+        # Phase 1 (serial, one pass): the pre-wave cache level of every
+        # key, the wave's demand per key short of it (max over queries),
+        # and the questions the queries would have bought independently.
         # Cache-only admissions contribute *no* purchase demand — they
         # read, they never buy — but their keys still need pre-counts
         # for the accounting replay below.
+        cached = self.cache.count
+        pre_counts: dict[CacheKey, int] = {}
         demands: dict[CacheKey, int] = {}
-        all_keys: set[CacheKey] = set()
+        independent = 0
         for pending in wave:
-            all_keys.update(pending.demands)
-            if pending.cache_only:
-                continue
+            cache_only = pending.cache_only
             for key, count in pending.demands.items():
-                demands[key] = max(demands.get(key, 0), count)
-        pre_counts = {
-            key: self.cache.count(key[0], key[1]) for key in all_keys
-        }
+                pre = pre_counts.get(key)
+                if pre is None:
+                    pre = pre_counts[key] = cached(*key)
+                if cache_only or count <= pre:
+                    continue
+                independent += count - pre
+                if count > demands.get(key, 0):
+                    demands[key] = count
         shortfalls = [
             (key, pre_counts[key], demands[key] - pre_counts[key])
             for key in sorted(demands)
-            if demands[key] > pre_counts[key]
         ]
         if self._crashed_wave:
             stray = sorted(set(self._crashed_wave).difference(shortfalls))
@@ -805,12 +822,6 @@ class ServeEngine:
         self._kill_point("serve.need")
         # Batching saving: questions the wave's queries would have
         # bought independently but the coalesced purchase did not.
-        independent = sum(
-            max(0, count - pre_counts[key])
-            for pending in wave
-            if not pending.cache_only
-            for key, count in pending.demands.items()
-        )
         fresh_total = sum(n for _, _, n in shortfalls)
         self._coalesced += independent - fresh_total
         if independent > fresh_total:
@@ -889,15 +900,21 @@ class ServeEngine:
         # are the ones its own demand pulled in.  A key the cache cannot
         # fully serve marks the query for degradation: ``budget`` when
         # the wave's purchase went unfunded, ``faults`` when the money
-        # was there but retries were exhausted.
+        # was there but retries were exhausted.  Each hit span's savings
+        # entry is collected in this order (admission order, then the
+        # query's sorted keys) and the ledger folds them one by one
+        # after the loop, so its float total is the per-entry one.
+        available = dict(pre_counts)
+        for key, _, _ in shortfalls:
+            available[key] = cached(*key)
         virtual = dict(pre_counts)
+        savings: list[tuple[float, int]] = []
         for pending in wave:
             result = QueryResult(query_id=pending.request.query_id)
-            for key in sorted(pending.demands):
-                count = pending.demands[key]
+            for key, count in pending.demands.items():
                 object_id, attribute = key
-                available = self.cache.count(object_id, attribute)
-                seen = virtual[key]
+                held = available[key]
+                served = count if count < held else held
                 if pending.cache_only:
                     # A cache-only admission reads whatever the wave's
                     # cache holds and pays for none of it: every answer
@@ -906,16 +923,17 @@ class ServeEngine:
                     # their own fresh attribution (``virtual`` is left
                     # untouched), and any deficit is an *admission*
                     # shortfall — a decision, not money or faults.
-                    hits = min(count, available)
+                    hits = served
                     fresh = 0
-                    served = hits
                 else:
-                    hits = min(seen, count)
-                    fresh = max(0, min(count, available) - seen)
-                    served = min(count, available)
+                    seen = virtual[key]
+                    hits = seen if seen < count else count
+                    fresh = served - seen
+                    if fresh > 0:
+                        virtual[key] = served
                 pending.answers_demanded += count
                 pending.answers_served += served
-                if count > available:
+                if count > held:
                     if pending.cache_only:
                         pending.reasons.add("admission")
                     else:
@@ -932,18 +950,19 @@ class ServeEngine:
                         )
                     )
                 if hits:
-                    price = self._price(attribute)
+                    saved = hits * self._price(attribute)
                     result.saved_answers += hits
-                    result.saved_cents += hits * price
-                    self.platform.record_value_savings(attribute, hits)
-                    metrics.inc("serve.cache.hits", hits)
-                    metrics.inc("serve.answers.saved", hits)
-                if fresh:
+                    result.saved_cents += saved
+                    savings.append((saved, hits))
+                if fresh > 0:
                     result.fresh_answers += fresh
                     result.spent_cents += fresh * self._price(attribute)
-                if not pending.cache_only:
-                    virtual[key] = max(seen, min(count, available))
             pending.result = result
+        if savings:
+            self.platform.ledger.record_savings("value", savings)
+            hits_total = sum(hits for _, hits in savings)
+            metrics.inc("serve.cache.hits", hits_total)
+            metrics.inc("serve.answers.saved", hits_total)
 
         # Phase 4b (read-only): cut every query to its deadline prefix,
         # then evaluate each group of queries sharing plan objects with

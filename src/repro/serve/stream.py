@@ -451,4 +451,5 @@ class BatchedValueStream(DeterministicValueStream):
                 obj, attr, _, _ = requests[request_lane[lane]]
                 values[lane] = self.answer(obj, attr, int(index_lane[lane]))
 
-        return np.split(values, np.cumsum(counts)[:-1].tolist())
+        ends = np.cumsum(counts).tolist()
+        return [values[end - count : end] for end, count in zip(ends, counts.tolist())]

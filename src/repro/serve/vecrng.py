@@ -24,8 +24,8 @@ Algorithms mirrored here (numpy 1.24+ / 2.x, ``PCG64`` XSL-RR):
 
 * ``SeedSequence.mix_entropy`` / ``generate_state`` — the hash
   constants advance independently of the data, so the per-call
-  constants are precomputed once and each mixing round becomes one
-  vector op over the batch.
+  constants are precomputed and the whole batch's pool is one
+  ``(4, n)`` uint32 matrix: each mixing round is one matrix op.
 * ``pcg64_srandom_r`` — 128-bit LCG state kept as ``(hi, lo)`` uint64
   array pairs; the 128-bit multiply uses 32-bit limb products.
 * ``Generator.integers(0, n)`` — Lemire 32-bit rejection sampling on
@@ -55,14 +55,15 @@ __all__ = [
     "uniform_doubles",
 ]
 
-# SeedSequence mixing constants (numpy _seed_seq).
+# SeedSequence mixing constants (numpy _seed_seq).  The mixing runs on
+# uint32 arrays, which wrap mod 2**32 exactly as the C code does.
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
 _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
-_MIX_MULT_L = np.uint64(0xCA01F9DD)
-_MIX_MULT_R = np.uint64(0x4973F715)
-_XSHIFT = np.uint64(16)
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
 _POOL_SIZE = 4
 
 _MASK32 = np.uint64(0xFFFFFFFF)
@@ -81,76 +82,74 @@ def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
 
     ``hashmix`` call ``j`` XORs with constant ``j`` and multiplies by
     constant ``j + 1``; the sequence never depends on the data being
-    mixed, which is what makes the mixing rounds vectorizable.
+    mixed, which is what makes the mixing rounds vectorizable.  Returned
+    as a ``(count + 1, 1)`` uint32 column, one row per call.
     """
-    out = np.empty(count + 1, dtype=np.uint64)
-    value = init
-    for j in range(count + 1):
-        out[j] = value
-        value = (value * mult) & 0xFFFFFFFF
-    return out
+    consts = [init]
+    for _ in range(count):
+        consts.append((consts[-1] * mult) & 0xFFFFFFFF)
+    return np.array(consts, dtype=np.uint32).reshape(-1, 1)
+
+
+#: ``generate_state(4, uint64)`` draws eight uint32 words, cycling the pool.
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+_STATE_CYCLE = [i % _POOL_SIZE for i in range(2 * _POOL_SIZE)]
+#: The pool words each source word mixes into (every other word).
+_OTHERS = [
+    [dst for dst in range(_POOL_SIZE) if dst != src] for src in range(_POOL_SIZE)
+]
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """Consecutive ``hashmix`` calls, one per output row.
+
+    Row ``r`` is call ``r`` of the run ``consts`` starts: XOR with
+    ``consts[r]``, multiply by ``consts[r + 1]``.  ``values`` broadcasts
+    against the ``len(consts) - 1`` calls.
+    """
+    mixed = (values ^ consts[:-1]) * consts[1:]
+    mixed ^= mixed >> _XSHIFT
+    return mixed
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """SeedSequence ``mix``: combine two uint32 lanes (vector form)."""
-    result = (((x * _MIX_MULT_L) & _MASK32) - ((y * _MIX_MULT_R) & _MASK32)) & _MASK32
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
     result ^= result >> _XSHIFT
     return result
 
 
-class _HashMixer:
-    """One vectorized ``hashmix`` stream with its precomputed constants."""
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, uint64)`` for every row.
 
-    def __init__(self, init: int, mult: int, calls: int) -> None:
-        self._consts = _hash_consts(init, mult, calls)
-        self._call = 0
-
-    def __call__(self, value: np.ndarray) -> np.ndarray:
-        mixed = value ^ self._consts[self._call]
-        mixed = (mixed * self._consts[self._call + 1]) & _MASK32
-        mixed ^= mixed >> _XSHIFT
-        self._call += 1
-        return mixed
-
-
-def _mix_pools(entropy: np.ndarray) -> list[np.ndarray]:
-    """``SeedSequence.mix_entropy`` across the batch.
-
-    ``entropy`` is ``(n, k)`` uint64 with every element ``< 2**32`` —
-    one uint32 entropy word per column, exactly what
+    ``entropy`` is ``(n, k)`` with every element ``< 2**32`` — one
+    uint32 entropy word per column, exactly what
     ``_coerce_to_uint32_array`` produces for a list of ints below
-    ``2**32``.  Returns the four pool lanes, each shape ``(n,)``.
+    ``2**32``.  The pool is one ``(4, n)`` uint32 matrix: each source
+    word's three (or, past the pool, four) destination updates read
+    nothing another of them writes, so each round is one matrix
+    operation.  Returns the ``(4, n)`` uint64 seed words ``PCG64``
+    consumes.
     """
     n, k = entropy.shape
-    calls = _POOL_SIZE + _POOL_SIZE * (_POOL_SIZE - 1)
-    calls += max(0, k - _POOL_SIZE) * _POOL_SIZE
-    hashmix = _HashMixer(_INIT_A, _MULT_A, calls)
-    zeros = np.zeros(n, dtype=np.uint64)
-
-    pool = [
-        hashmix(entropy[:, i] if i < k else zeros) for i in range(_POOL_SIZE)
-    ]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
-    for i_src in range(_POOL_SIZE, k):
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = _mix(pool[i_dst], hashmix(entropy[:, i_src]))
-    return pool
-
-
-def _generate_state4(pool: list[np.ndarray]) -> list[np.ndarray]:
-    """``SeedSequence.generate_state(4, uint64)`` across the batch.
-
-    Eight uint32 output words, paired little-endian into four uint64
-    words — the exact seed material ``PCG64`` consumes.
-    """
-    hashmix = _HashMixer(_INIT_B, _MULT_B, 8)
-    words = [hashmix(pool[i % _POOL_SIZE]) for i in range(8)]
-    return [
-        words[2 * i] | (words[2 * i + 1] << np.uint64(32)) for i in range(4)
-    ]
+    words = entropy.T.astype(np.uint32)
+    consts = _hash_consts(
+        _INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + max(0, k - _POOL_SIZE))
+    )
+    pool = np.zeros((_POOL_SIZE, n), dtype=np.uint32)
+    pool[: min(k, _POOL_SIZE)] = words[:_POOL_SIZE]
+    pool = _hashmix(pool, consts[: _POOL_SIZE + 1])
+    call = _POOL_SIZE
+    for src, dst in enumerate(_OTHERS):
+        hashed = _hashmix(pool[src], consts[call : call + _POOL_SIZE])
+        pool[dst] = _mix(pool[dst], hashed)
+        call += _POOL_SIZE - 1
+    for src in range(_POOL_SIZE, k):
+        pool = _mix(pool, _hashmix(words[src], consts[call : call + _POOL_SIZE + 1]))
+        call += _POOL_SIZE
+    state = _hashmix(pool[_STATE_CYCLE], _STATE_CONSTS).astype(np.uint64)
+    # Little-endian pairs of uint32 words make the uint64 seed words.
+    return state[0::2] | (state[1::2] << np.uint64(32))
 
 
 def _mulhi64(a: np.ndarray, b: np.uint64) -> np.ndarray:
@@ -186,7 +185,7 @@ class CoordinateStreams:
         entropy = np.ascontiguousarray(entropy, dtype=np.uint64)
         if entropy.size and int(entropy.max()) >= _U32_BOUND:
             raise ValueError("entropy words must fit in uint32")
-        words = _generate_state4(_mix_pools(entropy))
+        words = _seed_words(entropy)
         # pcg64_set_seed: initstate = words[0]<<64 | words[1],
         # initseq = words[2]<<64 | words[3]; inc = (initseq << 1) | 1.
         self._inc_hi = (words[2] << np.uint64(1)) | (words[3] >> np.uint64(63))

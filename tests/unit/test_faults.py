@@ -236,10 +236,10 @@ class TestWorkerCircuitBreaker:
     def test_trips_open_after_min_observations(self):
         breaker = self.make()
         for _ in range(3):
-            breaker.record_fault(1, now=0.0)
+            breaker.record_outcome(1, fault=True, now=0.0)
         # Below min_observations: still closed despite 100% fault rate.
         assert breaker.state(1, now=0.0) is BreakerState.CLOSED
-        breaker.record_fault(1, now=0.0)
+        breaker.record_outcome(1, fault=True, now=0.0)
         assert breaker.state(1, now=0.0) is BreakerState.OPEN
         assert not breaker.allows(1, now=0.0)
         assert breaker.quarantined(now=0.0) == (1,)
@@ -248,13 +248,13 @@ class TestWorkerCircuitBreaker:
     def test_clean_worker_stays_closed(self):
         breaker = self.make()
         for _ in range(20):
-            breaker.record_success(2, now=0.0)
+            breaker.record_outcome(2, fault=False, now=0.0)
         assert breaker.state(2, now=0.0) is BreakerState.CLOSED
 
     def test_cooldown_moves_open_to_half_open(self):
         breaker = self.make()
         for _ in range(4):
-            breaker.record_fault(1, now=0.0)
+            breaker.record_outcome(1, fault=True, now=0.0)
         assert breaker.state(1, now=50.0) is BreakerState.OPEN
         assert breaker.state(1, now=100.0) is BreakerState.HALF_OPEN
         assert breaker.allows(1, now=100.0)
@@ -263,10 +263,10 @@ class TestWorkerCircuitBreaker:
     def test_probation_successes_close_the_breaker(self):
         breaker = self.make()
         for _ in range(4):
-            breaker.record_fault(1, now=0.0)
-        breaker.record_success(1, now=100.0)
+            breaker.record_outcome(1, fault=True, now=0.0)
+        breaker.record_outcome(1, fault=False, now=100.0)
         assert breaker.state(1, now=100.0) is BreakerState.HALF_OPEN
-        breaker.record_success(1, now=101.0)
+        breaker.record_outcome(1, fault=False, now=101.0)
         assert breaker.state(1, now=101.0) is BreakerState.CLOSED
         # The window was cleared: old faults no longer count.
         assert breaker.fault_rate(1) == 0.0
@@ -275,9 +275,9 @@ class TestWorkerCircuitBreaker:
     def test_probation_fault_retrips_immediately(self):
         breaker = self.make()
         for _ in range(4):
-            breaker.record_fault(1, now=0.0)
-        breaker.record_success(1, now=100.0)  # half-open
-        breaker.record_fault(1, now=101.0)
+            breaker.record_outcome(1, fault=True, now=0.0)
+        breaker.record_outcome(1, fault=False, now=100.0)  # half-open
+        breaker.record_outcome(1, fault=True, now=101.0)
         assert breaker.state(1, now=101.0) is BreakerState.OPEN
         # A fresh cooldown applies from the re-trip.
         assert breaker.state(1, now=150.0) is BreakerState.OPEN
@@ -285,9 +285,9 @@ class TestWorkerCircuitBreaker:
 
     def test_sliding_window_forgets_old_faults(self):
         breaker = self.make(window=4, min_observations=4)
-        breaker.record_fault(1, now=0.0)
+        breaker.record_outcome(1, fault=True, now=0.0)
         for _ in range(10):
-            breaker.record_success(1, now=0.0)
+            breaker.record_outcome(1, fault=False, now=0.0)
         # The early fault slid out of the window entirely.
         assert breaker.fault_rate(1) == 0.0
         assert breaker.state(1, now=0.0) is BreakerState.CLOSED

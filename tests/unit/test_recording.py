@@ -10,6 +10,14 @@ def counter():
     return lambda: float(next(numbers))
 
 
+def value_lengths(recorder: AnswerRecorder) -> dict[tuple[int, str], int]:
+    """Value-tape length per (object, attribute), from ``tape_lengths``."""
+    return {
+        (object_id, attribute): length
+        for object_id, attribute, length in recorder.tape_lengths()["value"]
+    }
+
+
 class TestValueAnswers:
     def test_generates_on_demand(self):
         recorder = AnswerRecorder()
@@ -39,9 +47,10 @@ class TestValueAnswers:
         recorder.value_answers(0, "a", 0, 2, counter())
         other = recorder.value_answers(1, "a", 0, 2, counter())
         assert other == [0.0, 1.0]
-        assert recorder.recorded_value_count(0, "a") == 2
-        assert recorder.recorded_value_count(1, "a") == 2
-        assert recorder.recorded_value_count(2, "a") == 0
+        lengths = value_lengths(recorder)
+        assert lengths[(0, "a")] == 2
+        assert lengths[(1, "a")] == 2
+        assert lengths.get((2, "a"), 0) == 0
 
 
 class TestOtherQuestionTypes:
@@ -51,7 +60,7 @@ class TestOtherQuestionTypes:
         first = recorder.dismantle_answers("a", 0, 2, lambda: next(names))
         replay = recorder.dismantle_answers("a", 0, 2, lambda: "nope")
         assert first == replay == ["x", "y"]
-        assert recorder.recorded_dismantle_count("a") == 2
+        assert dict(recorder.tape_lengths()["dismantle"])["a"] == 2
 
     def test_votes_replay(self):
         recorder = AnswerRecorder()

@@ -16,7 +16,7 @@ def test_round_trip(tmp_path):
     save_recorder(recorder, path)
     restored = load_recorder(path)
     assert restored.value_answers(1, "a", 0, 3, lambda: -1) == [1.0, 2.0, 3.0]
-    assert restored.recorded_dismantle_count("a") == 1
+    assert dict(restored.tape_lengths()["dismantle"])["a"] == 1
 
 
 def test_save_is_atomic_no_temp_left(tmp_path):
