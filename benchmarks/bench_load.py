@@ -24,9 +24,9 @@ Hard gates (process exit != 0 on failure):
 * at least 90% of non-completed queries are degraded rather than shed;
 * sustained harness throughput >= a (lenient) wall-clock floor.
 
-The fault-free ``wall_qps`` is the median of ``REPEATS`` drives, each
-on a fresh engine, after one untimed warm-up drive; the repeats must
-agree on every other field.
+Each run's ``wall_qps`` is the median of ``REPEATS`` drives, each on a
+fresh engine, after one untimed warm-up drive; the repeats must agree
+on every other field.
 
 Results land in ``BENCH_load.json`` at the repo root (EXPERIMENTS.md
 quotes it); ``--quick`` (CI's ``load-smoke`` job) writes
@@ -64,7 +64,7 @@ TARGET = "protein"
 #: one interval are served together (the engine's coalescing window).
 DISPATCH_INTERVAL_S = 1.0
 
-#: Timed fault-free drives; their median ``wall_qps`` is reported.
+#: Timed drives per run; their median ``wall_qps`` is reported.
 REPEATS = 5
 
 #: Summary fields that read the wall clock (everything else is seeded).
@@ -194,16 +194,16 @@ def summarize(outcome, workload, label: str) -> dict:
     }
 
 
-def median_summary(plan, workload) -> dict:
-    """The fault-free summary, timed as the median of ``REPEATS`` drives.
+def median_summary(plan, workload, faults: FaultProfile | None, label: str) -> dict:
+    """One run's summary, timed as the median of ``REPEATS`` drives.
 
     One untimed warm-up drive first pays the one-off costs (imports,
     lazily built tables).  The timed drives must agree on every field
     that does not read the wall clock.
     """
-    drive(plan, workload, None)
+    drive(plan, workload, faults)
     runs = [
-        summarize(drive(plan, workload, None), workload, "fault-free")
+        summarize(drive(plan, workload, faults), workload, label)
         for _ in range(REPEATS)
     ]
     seeded = [
@@ -211,7 +211,7 @@ def median_summary(plan, workload) -> dict:
         for run in runs
     ]
     if any(fields != seeded[0] for fields in seeded[1:]):
-        raise SystemExit("FAIL: fault-free repeats disagree on a non-timing field")
+        raise SystemExit(f"FAIL: {label} repeats disagree on a non-timing field")
     summary = dict(runs[0])
     for key in TIMING_FIELDS:
         summary[key] = statistics.median(run[key] for run in runs)
@@ -249,9 +249,8 @@ def main() -> int:
     plan = make_plan(b_prc, n1)
     faults = FaultProfile.uniform(0.08, latency_mean=0.05)
 
-    clean = median_summary(plan, workload)
-    faulted = summarize(drive(plan, workload, faults), workload, "faulted")
-    faulted["repeats"] = 1
+    clean = median_summary(plan, workload, None, "fault-free")
+    faulted = median_summary(plan, workload, faults, "faulted")
 
     for summary in (clean, faulted):
         if summary["accounted"] != summary["queries"]:

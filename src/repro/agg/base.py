@@ -71,6 +71,23 @@ def weighted_mean(values: Sequence[float], weights: Sequence[float]) -> float:
     return num / den
 
 
+def row_means(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """``float(np.mean(row))`` of every non-empty row, bit for bit.
+
+    Rows of equal length share one axis mean: numpy's pairwise
+    summation over a contiguous row is bit-identical to ``np.mean`` of
+    that row alone.
+    """
+    means = np.empty(len(rows), dtype=np.float64)
+    by_length: dict[int, list[int]] = {}
+    for index, row in enumerate(rows):
+        by_length.setdefault(len(row), []).append(index)
+    for indices in by_length.values():
+        group = np.array([rows[index] for index in indices], dtype=np.float64)
+        means[indices] = np.mean(group, axis=1)
+    return means
+
+
 def effective_sample_size(weights: Sequence[float]) -> float:
     """Kish effective sample size ``(Σw)² / Σw²`` (fsum, exact)."""
     total = math.fsum(float(w) for w in weights)

@@ -52,7 +52,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.agg.base import UNATTRIBUTED, effective_sample_size, weighted_mean
+from repro.agg.base import (
+    UNATTRIBUTED,
+    effective_sample_size,
+    row_means,
+    weighted_mean,
+)
 from repro.errors import ConfigurationError
 
 
@@ -270,6 +275,52 @@ class ReliabilityAggregator:
                 "the answer source provides no worker ids"
             )
         return weighted_mean(values, self.model.weights(worker_ids))
+
+    def aggregate_many(
+        self, tapes: Sequence[tuple[np.ndarray, Sequence[int]]]
+    ) -> np.ndarray:
+        """:meth:`aggregate` of many non-empty ``(answers, worker_ids)`` tapes.
+
+        Returns one estimate per tape, each bit for bit what
+        :meth:`aggregate` returns for it.  Weights come from one model
+        lookup per distinct worker id and products from one array
+        multiply, which rounds as ``float * float`` does.  A tape whose
+        weights are all equal (every length-1 tape among them) takes
+        :func:`~repro.agg.base.row_means`, the arrival-order mean; any
+        other tape divides the ``fsum`` of its products by the ``fsum``
+        of its weights, the exactly rounded sums
+        :func:`~repro.agg.base.weighted_mean` takes.
+        """
+        if not len(tapes):
+            return np.empty(0, dtype=np.float64)
+        lengths = np.array([len(answers) for answers, _ in tapes], dtype=np.int64)
+        if int(lengths.min()) == 0:
+            raise ConfigurationError("cannot aggregate an empty answer set")
+        values = np.concatenate([answers for answers, _ in tapes], dtype=np.float64)
+        distinct, inverse = np.unique(
+            np.concatenate([ids for _, ids in tapes], dtype=np.int64),
+            return_inverse=True,
+        )
+        weights = np.array(self.model.weights(distinct.tolist()))[inverse]
+        starts = np.cumsum(lengths) - lengths
+        equal = np.minimum.reduceat(weights, starts) == np.maximum.reduceat(
+            weights, starts
+        )
+        estimates = np.empty(len(tapes), dtype=np.float64)
+        flat = np.flatnonzero(equal)
+        estimates[flat] = row_means([tapes[tape][0] for tape in flat.tolist()])
+        products = (values * weights).tolist()
+        weight_list = weights.tolist()
+        begins = starts.tolist()
+        ends = (starts + lengths).tolist()
+        for tape in np.flatnonzero(~equal).tolist():
+            begin, end = begins[tape], ends[tape]
+            den = math.fsum(weight_list[begin:end])
+            if den <= 0.0:
+                estimates[tape] = np.mean(values[begin:end])
+            else:
+                estimates[tape] = math.fsum(products[begin:end]) / den
+        return estimates
 
     def effective_count(self, values, worker_ids=None) -> float:
         """How many uniform answers this tape is worth (for intervals)."""

@@ -18,6 +18,7 @@ from typing import Protocol
 
 import numpy as np
 
+from repro.agg.base import row_means
 from repro.agg.reliability import ReliabilityAggregator
 from repro.core.model import PreprocessingPlan, Query
 from repro.crowd.platform import CrowdPlatform
@@ -171,20 +172,22 @@ class OnlineEvaluator:
         object and the truncation is recorded in :attr:`budget_skips`;
         an attribute whose answers are lost to crowd faults (retries
         exhausted) drops only its own term and is noted in
-        :attr:`fault_skips`.  *Reduce* takes each attribute column once,
-        to its aggregated answers and a mask of the rows that got any:
-        under uniform aggregation rows of equal answer count share one
-        axis mean (numpy's pairwise summation over a contiguous row is
-        bit-identical to ``np.mean`` of that row alone); reliability
-        aggregation reduces row by row.  *Apply* folds each target's
-        terms left to right in coefficient order, starting from the
-        intercept and adding ``coefficient * column`` only where the
-        column is present, which is ``formula.estimate`` of every row
-        bit for bit (a missing term is skipped, never added as 0.0, so
-        a ``-0.0`` intercept survives).  Every dropped-out term
-        bumps the ``agg.missing_terms`` counter, so partially-evaluated
-        formulas are observable.  Rows are independent: an object
-        listed twice is estimated twice.
+        :attr:`fault_skips`.  *Reduce* is one call per plan over all
+        its attribute columns, scattered back into each column's
+        aggregated answers and a mask of the rows that got any: under
+        uniform aggregation rows of equal answer count share one axis
+        mean (:func:`~repro.agg.base.row_means`); reliability
+        aggregation is one
+        :meth:`~repro.agg.reliability.ReliabilityAggregator.aggregate_many`
+        call, the per-tape ``aggregate`` bit for bit.  *Apply* folds
+        each target's terms left to right in coefficient order,
+        starting from the intercept and adding ``coefficient * column``
+        only where the column is present, which is ``formula.estimate``
+        of every row bit for bit (a missing term is skipped, never
+        added as 0.0, so a ``-0.0`` intercept survives).  Every
+        dropped-out term bumps the ``agg.missing_terms`` counter, so
+        partially-evaluated formulas are observable.  Rows are
+        independent: an object listed twice is estimated twice.
         """
         object_ids = list(object_ids)
         obs = self.platform.obs
@@ -231,9 +234,7 @@ class OnlineEvaluator:
         n = len(object_ids)
         out: dict[str, np.ndarray] = {}
         for (plan, _), columns in zip(self._plan_items, fetched):
-            reduced = {
-                attribute: self._reduce(rows, n) for attribute, rows in columns.items()
-            }
+            reduced = self._reduce(columns, n)
             for target in plan.query.targets:
                 formula = plan.formula(target)
                 estimate = np.full(n, formula.intercept, dtype=np.float64)
@@ -250,25 +251,31 @@ class OnlineEvaluator:
                 out[target] = estimate
         return out
 
-    def _reduce(self, rows: list[_Fetched], n: int) -> tuple[np.ndarray, np.ndarray]:
-        """One attribute column over ``n`` rows: ``(aggregates, present)``."""
-        values = np.zeros(n, dtype=np.float64)
-        present = np.zeros(n, dtype=bool)
-        aggregator = self._aggregator
-        if aggregator is not None:
-            for row, answers, workers in rows:
-                values[row] = aggregator.aggregate(answers, list(workers))
-                present[row] = True
-            return values, present
-        by_length: dict[int, list[int]] = {}
-        for index, (_, answers, _) in enumerate(rows):
-            by_length.setdefault(len(answers), []).append(index)
-        for indices in by_length.values():
-            at = [rows[index][0] for index in indices]
-            group = np.array([rows[index][1] for index in indices])
-            values[at] = np.mean(group, axis=1)
+    def _reduce(
+        self, columns: dict[str, list[_Fetched]], n: int
+    ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Every attribute column of one plan over ``n`` rows, in one reduce.
+
+        Returns attribute -> ``(aggregates, present)``.
+        """
+        rows = [row for fetched in columns.values() for row in fetched]
+        if self._aggregator is not None:
+            reduced = self._aggregator.aggregate_many(
+                [(answers, workers) for _, answers, workers in rows]
+            )
+        else:
+            reduced = row_means([answers for _, answers, _ in rows])
+        out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        offset = 0
+        for attribute, fetched in columns.items():
+            at = [row for row, _, _ in fetched]
+            values = np.zeros(n, dtype=np.float64)
+            present = np.zeros(n, dtype=bool)
+            values[at] = reduced[offset : offset + len(at)]
             present[at] = True
-        return values, present
+            out[attribute] = (values, present)
+            offset += len(at)
+        return out
 
     def evaluate(self, object_ids: Iterable[int]) -> dict[str, np.ndarray]:
         """Estimates for many objects: target -> aligned value vector."""

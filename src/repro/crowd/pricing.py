@@ -194,10 +194,11 @@ class CostLedger:
         """Record many ``(cost, count)`` savings, in order, in one call.
 
         Equal, bit for bit, to one :meth:`record_saving` per entry: the
-        costs are added to the running total (and to the metrics
-        counter) one by one, because a sum taken first rounds
-        differently.  Every entry is checked before anything is
-        recorded, so a bad entry leaves the ledger unchanged.
+        costs are added to the running total (and, under one registry
+        lock, to the metrics counter) one by one, because a sum taken
+        first rounds differently.  Every entry is checked before
+        anything is recorded, so a bad entry leaves the ledger
+        unchanged.
         """
         if category not in self.saved_by_category:
             raise ConfigurationError(f"unknown ledger category: {category!r}")
@@ -212,9 +213,9 @@ class CostLedger:
         answers = sum(count for _, count in entries)
         self.saved_answers_by_category[category] += answers
         if self.metrics is not None:
-            name = f"crowd.saved.{category}"
-            for cost, _ in entries:
-                self.metrics.inc(name, cost)
+            self.metrics.inc_each(
+                f"crowd.saved.{category}", [cost for cost, _ in entries]
+            )
             self.metrics.inc(f"crowd.saved_answers.{category}", answers)
 
     def record_abandon(self, category: str, count: int = 1) -> None:

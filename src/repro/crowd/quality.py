@@ -125,11 +125,21 @@ class WorkerCircuitBreaker:
         return sum(record.outcomes) / len(record.outcomes)
 
     def quarantined(self, now: float) -> tuple[int, ...]:
-        """Worker ids currently OPEN (after due probation moves)."""
+        """Worker ids currently OPEN (after due probation moves), sorted.
+
+        Only an OPEN record can be returned, and :meth:`state` moves
+        only OPEN records, so the scan calls it for those alone: the
+        same tuple and the same transitions as asking every record.
+        """
+        open_state = BreakerState.OPEN
         return tuple(
             worker_id
-            for worker_id in sorted(self._records)
-            if self.state(worker_id, now) is BreakerState.OPEN
+            for worker_id in sorted(
+                worker_id
+                for worker_id, record in self._records.items()
+                if record.state is open_state
+            )
+            if self.state(worker_id, now) is open_state
         )
 
     def ever_quarantined(self) -> tuple[int, ...]:

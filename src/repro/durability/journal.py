@@ -37,6 +37,15 @@ def _canonical(record: dict) -> bytes:
     return json.dumps(record, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+#: :func:`_canonical`'s encoding, as one encoder built once.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _members(record: dict) -> str:
+    """``_canonical(record)`` without its braces, as text."""
+    return _ENCODER.encode(record)[1:-1]
+
+
 def _crc(record: dict) -> int:
     """CRC-32 over the record without its ``crc`` field."""
     body = {key: value for key, value in record.items() if key != "crc"}
@@ -140,11 +149,21 @@ class Journal:
         return self._seq
 
     def append(self, record: dict) -> None:
-        """Commit one record: assign ``seq``, checksum, write, flush."""
-        record = dict(record)
-        record["seq"] = self._seq
-        record["crc"] = _crc(record)
-        self._handle.write(_canonical(record).decode("utf-8") + "\n")
+        """Commit one record: assign ``seq``, checksum, write, flush.
+
+        The record is encoded once, as the members whose keys sort
+        before ``"crc"`` and the members whose keys sort after it
+        (``seq`` among them, so that run is never empty).  The
+        checksummed body joins the two runs, and the written line joins
+        them around ``"crc":N``: ``_canonical`` of the record with its
+        ``seq`` and ``crc``, byte for byte.
+        """
+        record = {**record, "seq": self._seq}
+        head = _members({key: value for key, value in record.items() if key < "crc"})
+        tail = _members({key: value for key, value in record.items() if key > "crc"})
+        opening = "{" + head + "," if head else "{"
+        crc = zlib.crc32((opening + tail + "}").encode("utf-8")) & 0xFFFFFFFF
+        self._handle.write(f'{opening}"crc":{crc},{tail}}}\n')
         self._handle.flush()
         self._seq += 1
 

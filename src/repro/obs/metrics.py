@@ -53,6 +53,7 @@ Naming convention (all counters unless noted):
 from __future__ import annotations
 
 import threading
+from typing import Sequence
 
 from repro.errors import ConfigurationError
 
@@ -86,6 +87,27 @@ class MetricsRegistry:
             )
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + value
+
+    def inc_each(self, name: str, values: Sequence[float]) -> None:
+        """:meth:`inc` the counter ``name`` by every value, in order.
+
+        Every value is checked before any is added, so a negative one
+        leaves the counter unchanged.  The values are added one by one,
+        left to right, under one lock: the same float as one ``inc``
+        per value.
+        """
+        for value in values:
+            if value < 0:
+                raise ConfigurationError(
+                    f"counter {name!r} cannot be decremented (value={value!r})"
+                )
+        if not values:
+            return
+        with self._lock:
+            total = self._counters.get(name, 0)
+            for value in values:
+                total += value
+            self._counters[name] = total
 
     def gauge(self, name: str, value: float) -> None:
         """Set the gauge ``name`` to ``value`` (last write wins)."""
@@ -177,6 +199,9 @@ class NullMetrics:
     enabled = False
 
     def inc(self, name: str, value: float = 1) -> None:
+        pass
+
+    def inc_each(self, name: str, values: Sequence[float]) -> None:
         pass
 
     def gauge(self, name: str, value: float) -> None:

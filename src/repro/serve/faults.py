@@ -159,46 +159,61 @@ class ResilientValueStream:
         index, attempt)`` coordinates and ``blocked`` — never on call
         order or purchase batching.
         """
-        canonical, attr_key, low, high = self._resolve_key(attribute)
-        domain = self.stream.domain
+        resolved = self._resolve_key(attribute)
         answers: list[float] = []
         result = KeyPurchase(answers=answers)
         for index in range(start, start + count):
-            obtained = False
-            for attempt in range(self.policy.max_attempts):
-                rng = np.random.default_rng(
-                    [self.seed, int(object_id), attr_key, int(index), attempt]
-                )
-                if attempt:
-                    result.retries += 1
-                    result.sim_seconds += self.policy.delay(attempt - 1, rng)
-                worker = self._draw_worker(rng, blocked)
-                outcome = draw_outcome(self._rates, worker.fault_proneness, rng)
-                result.sim_seconds += outcome.latency
-                if outcome.kind is FaultKind.TIMEOUT:
-                    result.timeouts += 1
-                    result.sim_seconds += self.policy.question_timeout
-                    result.attempts.append(Attempt(worker.worker_id, True))
-                    continue
-                if outcome.kind is FaultKind.ABANDON:
-                    result.abandons += 1
-                    result.attempts.append(Attempt(worker.worker_id, True))
-                    continue
-                answer = worker.answer_value_stateless(
-                    domain, object_id, canonical, rng
-                )
-                if outcome.kind is FaultKind.GARBAGE:
-                    answer = corrupted_value((low, high), rng)
-                    result.garbage += 1
-                if plausible_value(answer, low, high):
-                    result.attempts.append(Attempt(worker.worker_id, False))
-                    answers.append(float(answer))
-                    obtained = True
-                    break
-                result.attempts.append(Attempt(worker.worker_id, True))
-            if not obtained:
-                result.lost += 1
+            self._buy_answer(result, answers, object_id, resolved, index, blocked)
         return result
+
+    def _buy_answer(
+        self,
+        result: KeyPurchase,
+        answers: list[float],
+        object_id: int,
+        resolved: tuple[str, int, float, float],
+        index: int,
+        blocked: frozenset[int],
+    ) -> None:
+        """Run every attempt of answer ``index``, logging into ``result``.
+
+        ``answers`` is ``result``'s answer list.  The answer's attempts
+        are seeded only from its own coordinates and ``blocked``, so
+        buying it here, alone, is exactly what :meth:`purchase` does
+        for it inside a span.
+        """
+        canonical, attr_key, low, high = resolved
+        for attempt in range(self.policy.max_attempts):
+            rng = np.random.default_rng(
+                [self.seed, int(object_id), attr_key, int(index), attempt]
+            )
+            if attempt:
+                result.retries += 1
+                result.sim_seconds += self.policy.delay(attempt - 1, rng)
+            worker = self._draw_worker(rng, blocked)
+            outcome = draw_outcome(self._rates, worker.fault_proneness, rng)
+            result.sim_seconds += outcome.latency
+            if outcome.kind is FaultKind.TIMEOUT:
+                result.timeouts += 1
+                result.sim_seconds += self.policy.question_timeout
+                result.attempts.append(Attempt(worker.worker_id, True))
+                continue
+            if outcome.kind is FaultKind.ABANDON:
+                result.abandons += 1
+                result.attempts.append(Attempt(worker.worker_id, True))
+                continue
+            answer = worker.answer_value_stateless(
+                self.stream.domain, object_id, canonical, rng
+            )
+            if outcome.kind is FaultKind.GARBAGE:
+                answer = corrupted_value((low, high), rng)
+                result.garbage += 1
+            if plausible_value(answer, low, high):
+                result.attempts.append(Attempt(worker.worker_id, False))
+                answers.append(float(answer))
+                return
+            result.attempts.append(Attempt(worker.worker_id, True))
+        result.lost += 1
 
     def purchase_batch(
         self,
@@ -207,16 +222,18 @@ class ResilientValueStream:
     ) -> list[KeyPurchase]:
         """Batched :meth:`purchase` over many keys.
 
-        The common case under realistic fault rates is that every
-        answer succeeds on its first attempt, so the batch computes all
-        first attempts vectorized — worker draw, latency, fault roll,
-        answer value and plausibility check as array ops over every
-        lane at once — and falls back to the scalar :meth:`purchase`
-        only for keys where *any* lane deviates from that fast path:
-        an actual fault, a quarantined-worker redraw, a kernel
-        rejection (Lemire / ziggurat) or a worker type without a
-        vectorized contract.  Results are byte-identical to calling
-        :meth:`purchase` per key.
+        Every answer's first attempt is computed vectorized — worker
+        draw, latency, fault roll, answer value and plausibility check
+        as array ops over every lane at once.  A lane that leaves that
+        path (an actual fault, a quarantined-worker redraw, a kernel
+        rejection (Lemire / ziggurat), an implausible value or a worker
+        type without a vectorized contract) is replayed alone, every
+        attempt, by the scalar per-answer loop.  Each key's lanes are
+        walked in index order, so its answers, attempt log and
+        left-folded ``sim_seconds`` are byte-identical to calling
+        :meth:`purchase` per key.  Only a batch the lanes cannot carry
+        (see :meth:`~repro.serve.stream.BatchedValueStream.batch_lanes`)
+        is bought wholly by :meth:`purchase`.
         """
         if not requests:
             return []
@@ -236,14 +253,13 @@ class ResilientValueStream:
         lanes = stream.batch_lanes(requests, metas, self.seed, attempt_column=True)
         if lanes is None:
             return scalar()
-        counts, index_lane, tape, widx, ok = lanes
+        counts, _, tape, widx, ok = lanes
         total = int(counts.sum())
 
         worker_ids, proneness = stream.fault_columns()
         wid_lane = worker_ids[widx]
         if blocked:
-            # Any quarantined-worker hit redraws in the scalar path;
-            # send the whole key there.
+            # A quarantined-worker hit redraws in the scalar path.
             ok &= ~np.isin(wid_lane, np.fromiter(blocked, dtype=np.int64))
 
         rates = self._rates
@@ -277,25 +293,27 @@ class ResilientValueStream:
         ok &= values >= low - margin
         ok &= values <= high + margin
 
-        bounds = np.cumsum(counts)
-        seg_starts = bounds - counts
+        ends = np.cumsum(counts).tolist()
+        ok_list = ok.tolist()
+        value_list = values.tolist()
+        wid_list = wid_lane.tolist()
+        latency_list = latency.tolist()
         results: list[KeyPurchase] = []
-        for i, (obj, attr, start, count) in enumerate(requests):
-            begin, end = int(seg_starts[i]), int(bounds[i])
-            if count and not ok[begin:end].all():
-                results.append(self.purchase(obj, attr, start, count, blocked))
-                continue
-            purchase = KeyPurchase()
-            purchase.answers = values[begin:end].tolist()
-            purchase.attempts = [
-                Attempt(int(worker_id), False)
-                for worker_id in wid_lane[begin:end].tolist()
-            ]
-            # Left-fold like the scalar `+=` per attempt (not np.sum,
-            # whose pairwise order would change low bits).
-            sim_seconds = 0.0
-            for lane_latency in latency[begin:end].tolist():
-                sim_seconds += lane_latency
-            purchase.sim_seconds = sim_seconds
+        begin = 0
+        for (obj, attr, start, _), end in zip(requests, ends):
+            answers: list[float] = []
+            purchase = KeyPurchase(answers=answers)
+            resolved = self._resolve_key(attr)
+            for lane in range(begin, end):
+                if not ok_list[lane]:
+                    index = start + lane - begin
+                    self._buy_answer(purchase, answers, obj, resolved, index, blocked)
+                    continue
+                # Left-fold like the scalar `+=` per attempt (not
+                # np.sum, whose pairwise order would change low bits).
+                answers.append(value_list[lane])
+                purchase.attempts.append(Attempt(wid_list[lane], False))
+                purchase.sim_seconds += latency_list[lane]
             results.append(purchase)
+            begin = end
         return results

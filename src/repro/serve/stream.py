@@ -59,6 +59,7 @@ from repro.serve.vecrng import (
 )
 
 _U32_BOUND = 1 << 32
+_U64_BOUND = 1 << 64
 
 
 def _attribute_key(attribute: str) -> int:
@@ -211,7 +212,8 @@ class BatchedValueStream(DeterministicValueStream):
     Fallback rules (each replays the affected scope through the scalar
     path, preserving byte identity):
 
-    * coordinate outside uint32 (seed/object/index) → whole batch;
+    * seed of ``2**64`` or more, or object/index outside uint32 →
+      whole batch;
     * Lemire or ziggurat rejection → that lane;
     * worker whose exact type has no vectorized contract → that lane.
     """
@@ -373,16 +375,20 @@ class BatchedValueStream(DeterministicValueStream):
         (request-major), builds the batched PCG64 streams over
         ``[seed, object, attr_key, index]`` rows (plus a zero attempt
         column for the fault stream) and performs the batched worker
-        draw.  Returns ``(counts, index_lane, tape, widx, ok)`` or
-        ``None`` when any coordinate falls outside uint32 — the caller
-        must then use the scalar path.
+        draw.  A seed in ``[2**32, 2**64)`` enters the rows as its two
+        little-endian uint32 words, exactly as ``SeedSequence`` splits
+        it.  Returns ``(counts, index_lane, tape, widx, ok)`` or
+        ``None`` when the seed is ``2**64`` or more, or an object or
+        index falls outside uint32 — the caller must then use the
+        scalar path.
         """
+        seed = int(seed)
         counts = np.array([count for _, _, _, count in requests], dtype=np.int64)
         total = int(counts.sum())
         starts = np.array([start for _, _, start, _ in requests], dtype=np.int64)
         obj_col = np.array([obj for obj, _, _, _ in requests], dtype=np.int64)
         if (
-            not 0 <= int(seed) < _U32_BOUND
+            not 0 <= seed < _U64_BOUND
             or int(obj_col.min()) < 0
             or int(obj_col.max()) >= _U32_BOUND
             or int(starts.min()) < 0
@@ -393,15 +399,17 @@ class BatchedValueStream(DeterministicValueStream):
         offsets = np.cumsum(counts) - counts
         index_lane = np.arange(total, dtype=np.int64)
         index_lane += np.repeat(starts - offsets, counts)
-        entropy = np.empty((total, 5 if attempt_column else 4), dtype=np.uint64)
-        entropy[:, 0] = np.uint64(seed)
-        entropy[:, 1] = np.repeat(obj_col, counts).astype(np.uint64)
-        entropy[:, 2] = np.repeat(
+        seed_words = [seed] if seed < _U32_BOUND else [seed & 0xFFFFFFFF, seed >> 32]
+        col = len(seed_words)
+        entropy = np.empty((total, col + (4 if attempt_column else 3)), dtype=np.uint64)
+        entropy[:, :col] = np.array(seed_words, dtype=np.uint64)
+        entropy[:, col] = np.repeat(obj_col, counts).astype(np.uint64)
+        entropy[:, col + 1] = np.repeat(
             np.array([meta.attr_key for meta in metas], dtype=np.uint64), counts
         )
-        entropy[:, 3] = index_lane.astype(np.uint64)
+        entropy[:, col + 2] = index_lane.astype(np.uint64)
         if attempt_column:
-            entropy[:, 4] = 0
+            entropy[:, col + 3] = 0
         tape = CoordinateStreams(entropy)
 
         # Draw 1: worker index (consumes nothing when the pool has one

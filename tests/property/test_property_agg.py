@@ -23,11 +23,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.agg import (
+    UNATTRIBUTED,
     ReliabilityAggregator,
     ReliabilityModel,
     effective_sample_size,
     weighted_mean,
 )
+from repro.errors import ConfigurationError
 
 pytestmark = pytest.mark.agg
 
@@ -344,3 +346,64 @@ class TestPrecisionMemoMatchesOracle:
                 rounds += 1
         finally:
             sys.setswitchinterval(previous)
+
+
+#: Observed workers 0..5; ids 6..9 are never observed (weight 1.0).
+OBSERVED_WORKERS = 6
+
+
+@st.composite
+def _observed_model(draw) -> ReliabilityModel:
+    """A model that has observed random tapes, one per worker.
+
+    Each worker answers with its own noise scale, from exact (no
+    residual at all) to wild, over tapes long enough that the learned
+    precisions reach both clamps, ``FLOOR`` and ``CEIL``.
+    """
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    model = ReliabilityModel()
+    for worker in range(OBSERVED_WORKERS):
+        scale = draw(st.sampled_from((0.0, 1e-3, 1.0, 1e3)), label="scale")
+        # A wild worker seen a few times beside workers seen a hundred
+        # times is what drives a precision down to FLOOR.
+        length = draw(st.sampled_from((2, 3, 8, 60, 120)), label="length")
+        values = (5.0 + scale * rng.standard_normal(length)).tolist()
+        model.observe(values, [worker] * length, start=0)
+    return model
+
+
+#: Answers with both signed zeros among them.
+answers = st.one_of(
+    st.sampled_from((0.0, -0.0)),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _attributed_tape(draw) -> tuple[list[float], list[int]]:
+    """1–8 answers, from one worker (equal weights) or from any ids."""
+    values = draw(st.lists(answers, min_size=1, max_size=8))
+    ids = st.integers(min_value=UNATTRIBUTED, max_value=9)
+    if draw(st.booleans(), label="one worker"):
+        return values, [draw(ids)] * len(values)
+    return values, draw(st.lists(ids, min_size=len(values), max_size=len(values)))
+
+
+class TestBatchedAggregate:
+    @given(_observed_model(), st.lists(_attributed_tape(), min_size=1, max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_aggregate_many_equals_per_tape_aggregate(self, model, tapes):
+        aggregator = ReliabilityAggregator(model)
+        batched = aggregator.aggregate_many(
+            [(np.array(values), np.array(ids)) for values, ids in tapes]
+        )
+        assert batched.dtype == np.float64
+        expected = [aggregator.aggregate(values, ids) for values, ids in tapes]
+        # float.hex keeps the sign of zero.
+        assert _bits(batched) == _bits(expected)
+
+    def test_empty_tape_rejected(self):
+        aggregator = ReliabilityAggregator(ReliabilityModel())
+        with pytest.raises(ConfigurationError):
+            aggregator.aggregate_many([(np.array([1.0]), [0]), (np.array([]), [])])

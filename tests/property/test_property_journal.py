@@ -3,13 +3,15 @@
 The journal's contract is that :func:`read_journal` returns exactly the
 records appended — without the journal's own ``seq`` and ``crc``
 fields — whatever they hold, and that a corrupted final record (a torn
-write) is discarded without affecting the committed prefix.
+write) is discarded without affecting the committed prefix.  The writer
+encodes each record once, around its ``crc`` member; every line it
+writes must be the canonical encoding the reader checksums.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.durability.journal import Journal, read_journal
+from repro.durability.journal import Journal, _canonical, _crc, read_journal
 
 #: JSON-safe record values, nested like the serve log's records
 #: (purchases carry answer lists, commits a ledger mapping).
@@ -31,6 +33,36 @@ records = st.lists(
         max_size=5,
     ),
     max_size=30,
+)
+
+
+def _keys(prefixes: tuple[str, ...], side) -> st.SearchStrategy[str]:
+    """Keys on one side of ``"crc"``; prefixes make both sides likely."""
+    return (
+        st.tuples(st.sampled_from(prefixes), st.text(max_size=5))
+        .map("".join)
+        .filter(lambda key: side(key) and key != "seq")
+    )
+
+
+#: Keys sorting before ``"crc"`` and after it (``"crcx"`` among them).
+keys_before = _keys(("", "a", "cr", "crb"), lambda key: key < "crc")
+keys_after = _keys(
+    ("crc", "crd", "d", "seqq", "\u00e9", "\U0001f600"), lambda key: key > "crc"
+)
+
+#: Records whose keys all sort before ``"crc"``, all after it, or both.
+sided_records = st.lists(
+    st.one_of(
+        st.dictionaries(keys_before, json_values, min_size=1, max_size=4),
+        st.dictionaries(keys_after, json_values, min_size=1, max_size=4),
+        st.tuples(
+            st.dictionaries(keys_before, json_values, min_size=1, max_size=3),
+            st.dictionaries(keys_after, json_values, min_size=1, max_size=3),
+        ).map(lambda halves: {**halves[0], **halves[1]}),
+    ),
+    min_size=1,
+    max_size=10,
 )
 
 #: Torn-tail bytes: anything without a newline (a newline would split
@@ -90,3 +122,16 @@ class TestJournalRoundTrip:
         survivors = read_journal(path)
         assert [r["seq"] for r in survivors] == list(range(len(appended) - 1))
         assert bodies(survivors) == appended[:-1]
+
+    @given(sided_records)
+    @settings(max_examples=80, deadline=None)
+    def test_written_line_is_the_canonical_record(self, tmp_path_factory, appended):
+        path = tmp_path_factory.mktemp("journal") / "journal.jsonl"
+        write_records(path, appended)
+        lines = path.read_bytes().split(b"\n")
+        assert lines[-1] == b""
+        assert len(lines) == len(appended) + 1
+        for seq, (record, line) in enumerate(zip(appended, lines)):
+            body = {**record, "seq": seq}
+            assert line == _canonical({**body, "crc": _crc(body)})
+        assert bodies(read_journal(path)) == appended

@@ -5,8 +5,9 @@ generator (:class:`~repro.serve.stream.BatchedValueStream`, plus the
 batched fault path in :class:`~repro.serve.faults.ResilientValueStream`)
 is a pure drop-in for the scalar per-answer loop.  These properties
 quantify over the inputs the engine can actually produce — random key
-spans, worker-pool compositions, stream seeds (including out-of-uint32
-seeds that force the scalar fallback) and fault profiles — and demand
+spans, worker-pool compositions, stream seeds (64-bit seeds, which
+enter the lanes as two entropy words, and seeds of 2**64 or more,
+which force the scalar fallback) and fault profiles — and demand
 bit-for-bit equality, sign of zero included.  Honest and spam workers
 have vectorized kernels; collusion-ring workers do not, so their lanes
 are recomputed by the scalar stream inside the batched one.
@@ -74,11 +75,13 @@ requests_strategy = st.lists(
     max_size=10,
 )
 
-#: Mostly in-uint32 seeds, with a tail beyond 2**32 that must force the
-#: batched stream onto its scalar fallback (and still match).
+#: One- and two-word seeds stay on the lanes; a tail of 2**64 and
+#: beyond must force the batched stream onto its scalar fallback (and
+#: still match).
 seed_strategy = st.one_of(
     st.integers(min_value=0, max_value=2**32 - 1),
-    st.integers(min_value=2**32, max_value=2**40),
+    st.integers(min_value=2**32, max_value=2**64 - 1),
+    st.integers(min_value=2**64, max_value=2**70),
 )
 
 
@@ -109,7 +112,8 @@ def test_batched_stream_matches_scalar(
 @given(
     pool_key=st.sampled_from(POOLS),
     pool_seed=st.integers(min_value=0, max_value=3),
-    fault_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    # The engine's default fault seed ranges over 0..2**63-1.
+    fault_seed=st.integers(min_value=0, max_value=2**63 - 1),
     rate=st.sampled_from((0.0, 0.02, 0.1, 0.4, 0.8)),
     latency_mean=st.sampled_from((0.0, 0.05)),
     max_retries=st.integers(min_value=0, max_value=3),

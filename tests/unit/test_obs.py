@@ -31,6 +31,30 @@ class TestMetricsRegistry:
         with pytest.raises(ConfigurationError):
             registry.inc("a", -1)
 
+    def test_inc_each_equals_one_inc_per_value(self):
+        # A sum taken first, or an fsum, rounds these values
+        # differently from one inc per value.
+        values = [0.1, 0.2, 0.3, 1e16, 1.0]
+        folded, stepped = MetricsRegistry(), MetricsRegistry()
+        folded.inc("saved", 0.7)
+        stepped.inc("saved", 0.7)
+        folded.inc_each("saved", values)
+        for value in values:
+            stepped.inc("saved", value)
+        assert folded.counter("saved").hex() == stepped.counter("saved").hex()
+
+    def test_inc_each_checks_every_value_first(self):
+        registry = MetricsRegistry()
+        registry.inc("saved", 1.0)
+        with pytest.raises(ConfigurationError):
+            registry.inc_each("saved", [2.0, -1.0, 3.0])
+        assert registry.counter("saved") == 1.0
+
+    def test_inc_each_of_nothing_creates_no_counter(self):
+        registry = MetricsRegistry()
+        registry.inc_each("saved", [])
+        assert registry.counters() == {}
+
     def test_missing_counter_reads_zero(self):
         assert MetricsRegistry().counter("nope") == 0
 
@@ -116,6 +140,7 @@ class TestNullMetrics:
 
     def test_writes_are_noops(self):
         NULL_METRICS.inc("x", 5)
+        NULL_METRICS.inc_each("x", [1.0, 2.0])
         NULL_METRICS.gauge("g", 1)
         NULL_METRICS.merge({"counters": {"x": 1}})
         assert NULL_METRICS.counter("x") == 0

@@ -3,10 +3,12 @@
 Covers the purity contract of :class:`~repro.serve.faults.
 ResilientValueStream` (call order, batch splits and worker exclusion
 never change an answer), the engine's serial side-effect replay
-(ledger, breaker, clock, metrics), loss-driven degradation, and the
-fault state's checkpoint/resume round-trip.
+(ledger, breaker, clock, metrics), loss-driven degradation, the
+fault state's checkpoint/resume round-trip, and the batch lanes the
+engine's default (64-bit) fault seed gets.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.model import (
@@ -291,3 +293,48 @@ class TestFaultSeedDefaults:
         engine, _ = fault_engine(tiny_domain, fault_seed=123)
         assert engine.resilient is not None
         assert engine.resilient.seed == 123
+
+    def test_default_fault_seed_takes_the_lanes(self, tiny_domain):
+        # Platform seed 3, as in the golden runs: the default fault seed
+        # is past 2**32, and its purchases must still get batch lanes.
+        engine, _ = fault_engine(tiny_domain)
+        assert engine.resilient is not None
+        seed = engine.resilient.seed
+        assert 2**32 <= seed < 2**63
+        requests = [(0, "target", 0, 4), (5, "helper", 2, 3)]
+        metas = [engine.stream.key_meta(obj, attr) for obj, attr, _, _ in requests]
+        lanes = engine.stream.batch_lanes(requests, metas, seed, attempt_column=True)
+        assert lanes is not None
+        assert len(lanes[1]) == 7
+
+    def test_split_seed_lanes_match_seed_sequence(self, tiny_domain):
+        # 2000 random rows: a seed in [2**32, 2**64) enters the lanes as
+        # its two little-endian words, which is how SeedSequence reads
+        # the whole integer.
+        engine, _ = fault_engine(tiny_domain)
+        stream = engine.stream
+        rng = np.random.default_rng(2026)
+        for _ in range(20):
+            seed = int(rng.integers(2**32, 2**64, dtype=np.uint64))
+            requests = [
+                (int(obj), "target", int(start), 1)
+                for obj, start in zip(
+                    rng.integers(0, 200, size=100),
+                    rng.integers(0, 2**32 - 1, size=100, dtype=np.uint64),
+                )
+            ]
+            metas = [stream.key_meta(obj, attr) for obj, attr, _, _ in requests]
+            lanes = stream.batch_lanes(requests, metas, seed, attempt_column=True)
+            assert lanes is not None
+            _, index_lane, tape, _, _ = lanes
+            second = tape.next64()
+            for lane, (obj, _, _, _) in enumerate(requests):
+                row = [seed, obj, metas[lane].attr_key, int(index_lane[lane]), 0]
+                expected = np.random.PCG64(np.random.SeedSequence(row)).random_raw(2)
+                assert int(second[lane]) == int(expected[1])
+
+    def test_seed_past_64_bits_falls_back(self, tiny_domain):
+        engine, _ = fault_engine(tiny_domain)
+        requests = [(0, "target", 0, 2)]
+        metas = [engine.stream.key_meta(0, "target")]
+        assert engine.stream.batch_lanes(requests, metas, 2**64) is None
