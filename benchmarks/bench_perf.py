@@ -1,6 +1,6 @@
 """Perf-regression harness for the allocator and the experiment engine.
 
-Two measurements, both with a built-in correctness gate:
+Three measurements, each with a built-in correctness gate:
 
 * **Allocator microbenchmark** — greedy budget allocation over random
   correlated statistics (the property-test generator's regime) at
@@ -8,6 +8,11 @@ Two measurements, both with a built-in correctness gate:
   (``greedy_counts_reference`` in ``tests/allocator_oracle.py``)
   against the shipped ``greedy_counts``.  Hard-fails if the two ever
   select different counts.
+* **Paired allocator** — the dismantle loss's ``greedy_counts_pair``
+  at ``B`` and ``B - 0.4`` on instances priced at 0.1c and 0.4c (so
+  the two budgets part mid-run), timed against two standalone
+  ``greedy_counts`` runs.  Hard-fails unless both counts equal two
+  oracle runs.
 * **End-to-end sweep** — a small ``B_prc`` sweep on the Pictures
   domain, serial versus the process-pool engine.  Hard-fails if the
   two series are not bit-identical.
@@ -40,7 +45,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from repro.core.budget import TargetObjective, greedy_counts
+from repro.core.budget import TargetObjective, greedy_counts, greedy_counts_pair
 from repro.experiments import ParallelConfig, sweep_b_prc
 from repro.obs import Observability
 from repro.obs.metrics import MetricsRegistry
@@ -110,6 +115,67 @@ def bench_allocator(sizes: tuple[int, ...], instances: int) -> list[dict]:
             f"allocator n={n:3d}: reference {reference_s:7.3f}s  "
             f"fast {fast_s:7.3f}s  speedup {rows[-1]['speedup']}x  "
             f"(counts identical on {instances} instances)"
+        )
+    return rows
+
+
+def bench_allocator_pair(sizes: tuple[int, ...], instances: int) -> list[dict]:
+    """Time the paired pass against two standalone runs; fail unless
+    both of its counts equal two oracle runs."""
+    rows = []
+    for n in sizes:
+        cases = []
+        for seed in range(instances):
+            objective = random_objective(n, seed=3000 * n + seed)
+            rng = np.random.default_rng(seed)
+            costs = rng.choice([0.1, 0.4], size=n)
+            budget = float(n) * 0.6
+            cases.append(([objective], costs, budget, max(budget - 0.4, 0.0)))
+
+        reference = [
+            (
+                greedy_counts_reference(objs, costs, budget),
+                greedy_counts_reference(objs, costs, reduced),
+            )
+            for objs, costs, budget, reduced in cases
+        ]
+
+        start = time.perf_counter()
+        for objs, costs, budget, reduced in cases:
+            greedy_counts(objs, costs, budget)
+            greedy_counts(objs, costs, reduced)
+        standalone_s = time.perf_counter() - start
+
+        start = time.perf_counter()
+        paired = [
+            greedy_counts_pair(objs, costs, budget, reduced)
+            for objs, costs, budget, reduced in cases
+        ]
+        paired_s = time.perf_counter() - start
+
+        for (ref_full, ref_reduced), (full, reduced) in zip(reference, paired):
+            if not (
+                np.array_equal(ref_full, full) and np.array_equal(ref_reduced, reduced)
+            ):
+                raise SystemExit(
+                    f"FAIL: paired allocator disagrees with two oracle runs at "
+                    f"n={n}: {full.tolist()}, {reduced.tolist()} != "
+                    f"{ref_full.tolist()}, {ref_reduced.tolist()}"
+                )
+        rows.append(
+            {
+                "n": n,
+                "instances": instances,
+                "grant_steps": int(sum(a.sum() + b.sum() for a, b in reference)),
+                "standalone_s": round(standalone_s, 4),
+                "paired_s": round(paired_s, 4),
+                "speedup": round(standalone_s / paired_s, 2) if paired_s else None,
+            }
+        )
+        print(
+            f"paired allocator n={n:3d}: two runs {standalone_s:7.3f}s  "
+            f"paired {paired_s:7.3f}s  speedup {rows[-1]['speedup']}x  "
+            f"(counts equal two oracle runs on {instances} instances)"
         )
     return rows
 
@@ -283,6 +349,7 @@ def main() -> None:
         "quick": args.quick,
         "machine": {"cpu_count": cpu_count},
         "allocator": bench_allocator(sizes, instances),
+        "allocator_pair": bench_allocator_pair(sizes, instances),
         "sweep": bench_sweep(workers, args.quick),
         "obs": bench_obs_overhead(args.quick),
     }

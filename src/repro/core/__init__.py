@@ -30,7 +30,7 @@ from repro.core.model import (
 )
 from repro.core.statistics import ExamplePool, StatisticsStore
 from repro.core.objective import estimation_error, explained_variance
-from repro.core.budget import find_budget_distribution, max_explained_variance
+from repro.core.budget import find_budget_distribution
 from repro.core.regression import fit_linear_regression
 from repro.core.dismantling import DismantleScorer, probability_of_new_answer
 from repro.core.sograph import SoGraphEstimator
@@ -84,7 +84,6 @@ __all__ = [
     "make_one_connection_planner",
     "make_only_query_attributes_planner",
     "make_simple_disq_planner",
-    "max_explained_variance",
     "optimize_budget_split",
     "precision_recall_curve",
     "probability_of_new_answer",

@@ -23,6 +23,11 @@ objective is *not* submodular (granting questions to one attribute can
 raise another's marginal gain — the suppressor-variable effect in
 linear regression), so it could pick different counts than the
 naive loop (DESIGN.md §9).
+
+The dismantle loss needs the greedy counts at two budgets, ``B_obj``
+and one question less; :func:`greedy_counts_pair` gets both from one
+pass of the same loop, which shares the two runs' grants until their
+affordable sets first differ.
 """
 
 from __future__ import annotations
@@ -56,7 +61,8 @@ class TargetObjective:
         return self.weight * explained_variance(self.s_o, self.s_a, self.s_c, counts)
 
 
-def _total_value(objectives: list[TargetObjective], counts: np.ndarray) -> float:
+def total_value(objectives: list[TargetObjective], counts: np.ndarray) -> float:
+    """Weighted explained variance of ``counts``, by the closed-form objective."""
     return sum(objective.value(counts) for objective in objectives)
 
 
@@ -113,6 +119,68 @@ def apply_reliability_gains(
     ]
 
 
+def _greedy(
+    evaluators: list[IncrementalObjective],
+    counts: np.ndarray,
+    costs: np.ndarray,
+    remaining: list[float],
+) -> list[np.ndarray]:
+    """The greedy loop, for one budget or for budgets sharing a prefix.
+
+    ``remaining`` holds each branch's unspent budget.  A grant step
+    reads the affordable set, the evaluators and the grant count, and
+    nothing else, so branches whose affordable sets agree make the same
+    grant: they share the evaluators and each subtracts the granted
+    cost from its own budget.  At the first step where a set differs,
+    the first branch continues on the evaluators and the others on
+    exact copies (:meth:`IncrementalObjective.copy`), so every branch
+    ends with the counts of a standalone run from its own budget.
+    Returns one count vector per branch; ``evaluators`` and ``counts``
+    are advanced in place.
+    """
+    granted = int(counts.sum())
+    while True:
+        affordable = [np.where(costs <= left + _AFFORD_SLACK)[0] for left in remaining]
+        if any(not np.array_equal(affordable[0], other) for other in affordable[1:]):
+            copies = [evaluator.copy() for evaluator in evaluators]
+            rest = counts.copy()
+            return _greedy(evaluators, counts, costs, remaining[:1]) + _greedy(
+                copies, rest, costs, remaining[1:]
+            )
+        if affordable[0].size == 0:
+            break
+        current = sum(evaluator.value for evaluator in evaluators)
+        totals = evaluators[0].values_with_all()
+        for evaluator in evaluators[1:]:
+            totals = totals + evaluator.values_with_all()
+        best_index = -1
+        best_rate = -np.inf
+        for i in affordable[0]:
+            rate = (totals[i] - current) / costs[i]
+            if rate > best_rate + EPSILON:
+                best_rate = rate
+                best_index = int(i)
+        if best_index < 0:
+            break
+        # Even a zero marginal gain consumes budget that cannot improve
+        # anything else either, so we stop instead of burning it.
+        if best_rate <= EPSILON and granted > 0:
+            break
+        counts[best_index] += 1
+        granted += 1
+        remaining = [left - costs[best_index] for left in remaining]
+        for evaluator in evaluators:
+            evaluator.commit(best_index)
+    return [counts] + [counts.copy() for _ in remaining[1:]]
+
+
+def _evaluators(objectives: list[TargetObjective]) -> list[IncrementalObjective]:
+    return [
+        IncrementalObjective(o.s_o, o.s_a, o.s_c, weight=o.weight)
+        for o in objectives
+    ]
+
+
 def greedy_counts(
     objectives: list[TargetObjective],
     costs: np.ndarray,
@@ -150,43 +218,42 @@ def greedy_counts(
     if gains is not None:
         objectives = apply_reliability_gains(objectives, gains)
     costs = _validate(objectives, costs)
-    evaluators = [
-        IncrementalObjective(o.s_o, o.s_a, o.s_c, weight=o.weight)
-        for o in objectives
-    ]
-    counts = np.zeros(len(costs), dtype=int)
-    remaining = float(budget_cents)
-    granted = 0
-    while True:
-        affordable = np.where(costs <= remaining + _AFFORD_SLACK)[0]
-        if affordable.size == 0:
-            break
-        current = sum(evaluator.value for evaluator in evaluators)
-        totals = evaluators[0].values_with_all()
-        for evaluator in evaluators[1:]:
-            totals = totals + evaluator.values_with_all()
-        best_index = -1
-        best_rate = -np.inf
-        for i in affordable:
-            rate = (totals[i] - current) / costs[i]
-            if rate > best_rate + EPSILON:
-                best_rate = rate
-                best_index = int(i)
-        if best_index < 0:
-            break
-        # Even a zero marginal gain consumes budget that cannot improve
-        # anything else either, so we stop instead of burning it.
-        if best_rate <= EPSILON and granted > 0:
-            break
-        counts[best_index] += 1
-        granted += 1
-        remaining -= costs[best_index]
-        for evaluator in evaluators:
-            evaluator.commit(best_index)
+    (counts,) = _greedy(
+        _evaluators(objectives),
+        np.zeros(len(costs), dtype=int),
+        costs,
+        [float(budget_cents)],
+    )
     if metrics is not None:
         metrics.inc("allocator.calls")
         metrics.inc("allocator.grants", int(counts.sum()))
     return counts
+
+
+def greedy_counts_pair(
+    objectives: list[TargetObjective],
+    costs: np.ndarray,
+    budget_cents: float,
+    reduced_cents: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`greedy_counts` at two budgets, in one pass where they agree.
+
+    Returns the counts of ``greedy_counts(objectives, costs, b)`` for
+    ``b = budget_cents`` and ``b = reduced_cents``, equal to the two
+    standalone runs array for array: the runs share their grants until
+    the first step where the two budgets afford different attributes,
+    and part there (see :func:`_greedy`).  The dismantle loss
+    (:meth:`repro.core.dismantling.DismantleScorer.loss`) compares the
+    value of these two allocations.
+    """
+    costs = _validate(objectives, costs)
+    full, reduced = _greedy(
+        _evaluators(objectives),
+        np.zeros(len(costs), dtype=int),
+        costs,
+        [float(budget_cents), float(reduced_cents)],
+    )
+    return full, reduced
 
 
 def find_budget_distribution(
@@ -208,18 +275,3 @@ def find_budget_distribution(
     return BudgetDistribution(
         {attribute: int(count) for attribute, count in zip(attributes, counts)}
     )
-
-
-def max_explained_variance(
-    objectives: list[TargetObjective],
-    costs: np.ndarray,
-    budget_cents: float,
-) -> float:
-    """Best (greedy) weighted explained variance achievable under a budget.
-
-    This is the ``max_b`` term of the paper's loss function ``L(A, u, v)``.
-    The final value is computed by the closed-form objective on the
-    selected counts, not read off the incremental evaluators.
-    """
-    counts = greedy_counts(objectives, np.asarray(costs, dtype=float), budget_cents)
-    return _total_value(objectives, counts)

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.budget import TargetObjective, max_explained_variance
+from repro.core import budget
+from repro.core.budget import TargetObjective, total_value
 from repro.core.statistics import SoFill, StatisticsStore
 from repro.errors import ConfigurationError
 
@@ -113,11 +114,16 @@ class DismantleScorer:
 
         With heterogeneous prices "one question" is ``unit_cost`` cents
         (the price of the question the new attribute would receive).
+        Both ``max_b`` terms come from one greedy pass
+        (:func:`repro.core.budget.greedy_counts_pair`), each valued by
+        the closed-form objective on its counts.
         """
         if not objectives or len(costs) == 0:
             return 0.0
-        full = max_explained_variance(objectives, costs, budget_cents)
-        reduced = max_explained_variance(
-            objectives, costs, max(budget_cents - unit_cost, 0.0)
+        # Looked up on the module, so a test or tracer can wrap it.
+        full, reduced = budget.greedy_counts_pair(
+            objectives, costs, budget_cents, max(budget_cents - unit_cost, 0.0)
         )
-        return max(full - reduced, 0.0)
+        return max(
+            total_value(objectives, full) - total_value(objectives, reduced), 0.0
+        )

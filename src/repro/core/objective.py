@@ -28,6 +28,8 @@ Two evaluation paths are provided:
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 #: Ridge added to the feature covariance when it is numerically singular.
@@ -270,6 +272,23 @@ class IncrementalObjective:
     # ------------------------------------------------------------------
     # State updates
     # ------------------------------------------------------------------
+
+    def copy(self) -> "IncrementalObjective":
+        """An independent evaluator in exactly this one's state.
+
+        Every field travels, the commit count since the last rebuild
+        included, so the copy rebuilds on the same grant as the
+        original would and the two stay byte-identical under the same
+        commits.  The statistics trio is shared: nothing writes to it.
+        """
+        clone = copy.copy(self)
+        clone.counts = self.counts.copy()
+        clone._order = list(self._order)
+        clone._pos = dict(self._pos)
+        clone._inv = self._inv.copy()
+        clone._so_sup = self._so_sup.copy()
+        clone._z = self._z.copy()
+        return clone
 
     def commit(self, index: int) -> None:
         """Grant one question to ``index`` and update the inverse."""

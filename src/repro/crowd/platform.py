@@ -169,15 +169,19 @@ class CrowdPlatform:
             if self.breaker is not None and getattr(self.breaker, "metrics", None) is None:
                 self.breaker.metrics = sink
 
-        # Surface form -> canonical resolution for ground-truth lookups.
-        # This is intentionally independent of the (possibly imperfect)
-        # normalizer: a worker who says "big" still *means* "large" even
-        # if the algorithm fails to merge the two names.
+        # Name or surface form -> canonical attribute, for ground-truth
+        # lookups.  This is intentionally independent of the (possibly
+        # imperfect) normalizer: a worker who says "big" still *means*
+        # "large" even if the algorithm fails to merge the two names.
+        # A synonym that is also an attribute name resolves as the
+        # synonym.
         self._value_prices: dict[str, float] = {}
-        self._surface_to_canonical: dict[str, str] = {}
+        self._canonical: dict[str, str] = {
+            attribute: attribute for attribute in domain.attributes()
+        }
         for attribute in domain.attributes():
             for form in domain.synonyms(attribute):
-                self._surface_to_canonical[form] = attribute
+                self._canonical[form] = attribute
 
         # Replay cursors, one per question key, private to this instance.
         self._value_cursor: dict[tuple[int, str], int] = {}
@@ -197,16 +201,14 @@ class CrowdPlatform:
 
     def resolve(self, name: str) -> str:
         """Canonical domain attribute behind an algorithm-visible name."""
-        canonical = self._surface_to_canonical.get(name, name)
-        if canonical not in self.domain.attributes():
+        canonical = self._canonical.get(name)
+        if canonical is None:
             raise UnknownAttributeError(name)
         return canonical
 
     def knows(self, name: str) -> bool:
         """True if ``name`` denotes some domain attribute (or synonym)."""
-        return (
-            name in self._surface_to_canonical or name in self.domain.attributes()
-        )
+        return name in self._canonical
 
     def is_binary(self, name: str) -> bool:
         """Whether the named attribute is boolean-like (affects pricing)."""
@@ -404,26 +406,7 @@ class CrowdPlatform:
         self.obs.tracer.event(
             "crowd.ask_value", object_id=object_id, attribute=attribute, n=n
         )
-        return list(answers), list(worker_ids)
-
-    def ask_value_mean(self, object_id: int, attribute: str, n: int) -> float:
-        """Average of ``n`` value answers — the paper's ``o.a^(n)``.
-
-        Raises :class:`MalformedAnswerError` instead of returning NaN
-        when no usable answer is available (``n`` below 1, or answers
-        whose mean is not finite): a NaN here would silently poison
-        the downstream ``S_o``/``S_a`` covariance estimates.
-        """
-        answers = self.ask_value(object_id, attribute, n)
-        if answers:
-            mean = float(np.mean(answers))
-            if math.isfinite(mean):
-                return mean
-        raise MalformedAnswerError(
-            "value",
-            f"no usable answers for {attribute!r} on object {object_id} "
-            f"(asked {n})",
-        )
+        return answers, worker_ids
 
     def ask_dismantle(self, attribute: str) -> str:
         """Ask one worker to dismantle ``attribute``; returns the

@@ -185,15 +185,3 @@ class WorkerPool:
         self._rng.bit_generator.state = payload["rng"]
         for worker, state in zip(self._workers, payload["workers"]):
             worker.restore_state(state)
-
-    def draw_distinct(self, n: int) -> list[Worker]:
-        """Sample ``n`` distinct workers (for multi-vote tasks).
-
-        Falls back to sampling with replacement when ``n`` exceeds the
-        population size.
-        """
-        if n <= len(self._workers):
-            indices = self._rng.choice(len(self._workers), size=n, replace=False)
-        else:
-            indices = self._rng.integers(0, len(self._workers), size=n)
-        return [self._workers[int(i)] for i in indices]

@@ -114,10 +114,8 @@ class AnswerRecorder:
     ) -> list[int]:
         """Worker ids for one key's answers, :data:`UNATTRIBUTED`-padded."""
         tape = self._value_workers.get((object_id, attribute), [])
-        return [
-            tape[i] if i < len(tape) else UNATTRIBUTED
-            for i in range(start, start + count)
-        ]
+        ids = tape[start : start + count]
+        return ids + [UNATTRIBUTED] * (count - len(ids))
 
     def attributed_value_tapes(
         self,

@@ -16,12 +16,18 @@ equal the true-value covariances.
 
 from __future__ import annotations
 
+import math
 import zlib
 from abc import ABC, abstractmethod
 
 import numpy as np
 
 from repro.domains.base import IRRELEVANT, Domain
+
+
+def _clip_unit(value: float) -> float:
+    """``np.clip(value, 0.0, 1.0)`` on a Python float (NaN stays NaN)."""
+    return min(max(value, 0.0), 1.0)
 
 
 class Worker(ABC):
@@ -156,12 +162,7 @@ class HonestWorker(Worker):
         self.synonym_rate = synonym_rate
 
     def answer_value(self, domain: Domain, object_id: int, attribute: str) -> float:
-        truth = domain.true_value(object_id, attribute)
-        noise_sd = np.sqrt(self.skill * domain.difficulty(attribute))
-        answer = truth + self._rng.normal(0.0, noise_sd)
-        if domain.is_binary(attribute):
-            answer = float(np.clip(answer, 0.0, 1.0))
-        return float(answer)
+        return self._noisy_value(domain, object_id, attribute, self._rng)
 
     def answer_value_stateless(
         self,
@@ -170,12 +171,28 @@ class HonestWorker(Worker):
         attribute: str,
         rng: np.random.Generator,
     ) -> float:
+        return self._noisy_value(domain, object_id, attribute, rng)
+
+    def _noisy_value(
+        self,
+        domain: Domain,
+        object_id: int,
+        attribute: str,
+        rng: np.random.Generator,
+    ) -> float:
+        """``truth + N(0, skill * difficulty)``, clipped on binary attributes.
+
+        Plain float arithmetic: ``math.sqrt`` and ``np.sqrt`` are both
+        correctly rounded, and ``min(max(x, 0.0), 1.0)`` equals
+        ``np.clip(x, 0.0, 1.0)`` for every float, NaN and signed zeros
+        included, without a numpy scalar round trip per answer.
+        """
         truth = domain.true_value(object_id, attribute)
-        noise_sd = np.sqrt(self.skill * domain.difficulty(attribute))
+        noise_sd = math.sqrt(self.skill * domain.difficulty(attribute))
         answer = truth + rng.normal(0.0, noise_sd)
         if domain.is_binary(attribute):
-            answer = float(np.clip(answer, 0.0, 1.0))
-        return float(answer)
+            return _clip_unit(answer)
+        return answer
 
     def answer_dismantle(self, domain: Domain, attribute: str) -> str:
         distribution = domain.dismantle_distribution(attribute)
@@ -234,7 +251,7 @@ class CollusionRingWorker(HonestWorker):
         key = (attribute, int(object_id))
         cached = self._ring_biases.get(key)
         if cached is None:
-            noise_sd = np.sqrt(self.skill * domain.difficulty(attribute))
+            noise_sd = math.sqrt(self.skill * domain.difficulty(attribute))
             bias_rng = np.random.default_rng(
                 [
                     self.ring_seed,
@@ -246,24 +263,19 @@ class CollusionRingWorker(HonestWorker):
             self._ring_biases[key] = cached
         return cached
 
-    def answer_value(self, domain: Domain, object_id: int, attribute: str) -> float:
-        answer = super().answer_value(domain, object_id, attribute)
-        answer += self._ring_bias(domain, attribute, object_id)
-        if domain.is_binary(attribute):
-            answer = float(np.clip(answer, 0.0, 1.0))
-        return answer
-
-    def answer_value_stateless(
+    def _noisy_value(
         self,
         domain: Domain,
         object_id: int,
         attribute: str,
         rng: np.random.Generator,
     ) -> float:
-        answer = super().answer_value_stateless(domain, object_id, attribute, rng)
+        """The honest answer plus the ring's shared error, clipped again
+        on binary attributes."""
+        answer = super()._noisy_value(domain, object_id, attribute, rng)
         answer += self._ring_bias(domain, attribute, object_id)
         if domain.is_binary(attribute):
-            answer = float(np.clip(answer, 0.0, 1.0))
+            return _clip_unit(answer)
         return answer
 
 

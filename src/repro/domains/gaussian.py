@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.domains.base import Domain
 from repro.domains.taxonomy import DismantleTaxonomy
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, UnknownAttributeError
 
 
 def nearest_correlation(matrix: np.ndarray, epsilon: float = 1e-6) -> np.ndarray:
@@ -154,28 +154,36 @@ class GaussianDomain(Domain):
     def n_objects(self) -> int:
         return self._n_objects
 
+    def _column(self, attribute: str) -> int:
+        """Index of ``attribute`` in the spec, by the name→index dict.
+
+        Raises :class:`UnknownAttributeError` for any name outside the
+        universe, as the base class's scan of :meth:`attributes` does.
+        """
+        try:
+            return self._index[attribute]
+        except (KeyError, TypeError):
+            raise UnknownAttributeError(attribute) from None
+
+    def check_attribute(self, attribute: str) -> None:
+        self._column(attribute)
+
     def is_binary(self, attribute: str) -> bool:
-        self.check_attribute(attribute)
-        return self._spec.binary[self._index[attribute]]
+        return self._spec.binary[self._column(attribute)]
 
     def true_value(self, object_id: int, attribute: str) -> float:
         self.check_object(object_id)
-        self.check_attribute(attribute)
-        return float(self._values[object_id, self._index[attribute]])
+        return float(self._values[object_id, self._column(attribute)])
 
     def true_values(self, attribute: str) -> np.ndarray:
-        self.check_attribute(attribute)
-        return self._values[:, self._index[attribute]].copy()
+        return self._values[:, self._column(attribute)].copy()
 
     def difficulty(self, attribute: str) -> float:
-        self.check_attribute(attribute)
-        return self._spec.difficulties[self._index[attribute]]
+        return self._spec.difficulties[self._column(attribute)]
 
     def relevance(self, attribute_a: str, attribute_b: str) -> float:
-        self.check_attribute(attribute_a)
-        self.check_attribute(attribute_b)
         return float(
-            self._abs_corr[self._index[attribute_a], self._index[attribute_b]]
+            self._abs_corr[self._column(attribute_a), self._column(attribute_b)]
         )
 
     def dismantle_distribution(self, attribute: str) -> dict[str, float]:

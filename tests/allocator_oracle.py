@@ -5,8 +5,9 @@ slow, obvious way: at every grant step each affordable candidate is
 scored by a fresh ``O(k^3)`` solve of the objective with one more
 question, in ascending index order, and displaces the incumbent only
 by more than ``EPSILON``.  :func:`repro.core.budget.greedy_counts`
-must select identical counts on every instance (unit, property and
-end-to-end tests; ``benchmarks/bench_perf.py``).
+must select identical counts on every instance, and
+:func:`repro.core.budget.greedy_counts_pair` the counts of two such
+runs (unit, property and end-to-end tests; ``benchmarks/bench_perf.py``).
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from repro.core.budget import (
     _AFFORD_SLACK,
     EPSILON,
     TargetObjective,
-    _total_value,
     _validate,
     apply_reliability_gains,
+    greedy_counts,
+    total_value,
 )
 
 
@@ -33,7 +35,7 @@ def greedy_counts_reference(
     n = len(costs)
     counts = np.zeros(n, dtype=int)
     remaining = float(budget_cents)
-    current = _total_value(objectives, counts)
+    current = total_value(objectives, counts)
     while True:
         affordable = np.where(costs <= remaining + _AFFORD_SLACK)[0]
         if affordable.size == 0:
@@ -44,7 +46,7 @@ def greedy_counts_reference(
         for i in affordable:
             trial = counts.copy()
             trial[i] += 1
-            value = _total_value(objectives, trial)
+            value = total_value(objectives, trial)
             rate = (value - current) / costs[i]
             if rate > best_rate + EPSILON:
                 best_rate = rate
@@ -81,3 +83,32 @@ def greedy_counts_oracle(
         metrics.inc("allocator.calls")
         metrics.inc("allocator.grants", int(counts.sum()))
     return counts
+
+
+def greedy_counts_pair_oracle(
+    objectives: list[TargetObjective],
+    costs: np.ndarray,
+    budget_cents: float,
+    reduced_cents: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Drop-in for :func:`repro.core.budget.greedy_counts_pair`: two
+    naive runs, one per budget."""
+    return (
+        greedy_counts_reference(objectives, costs, budget_cents),
+        greedy_counts_reference(objectives, costs, reduced_cents),
+    )
+
+
+def max_explained_variance(
+    objectives: list[TargetObjective],
+    costs: np.ndarray,
+    budget_cents: float,
+) -> float:
+    """Best (greedy) weighted explained variance achievable under a budget.
+
+    This is the ``max_b`` term of the paper's loss function ``L(A, u, v)``:
+    the closed-form objective on the counts of one standalone
+    :func:`repro.core.budget.greedy_counts` run.
+    """
+    counts = greedy_counts(objectives, np.asarray(costs, dtype=float), budget_cents)
+    return total_value(objectives, counts)

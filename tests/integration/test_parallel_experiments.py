@@ -2,6 +2,7 @@
 
 from repro.catalog import serialize_plan
 from repro.core import budget
+from repro.core.dismantling import DismantleScorer
 from repro.core.disq import DisQParams, DisQPlanner
 from repro.core.model import Query
 from repro.core.online import default_weights
@@ -15,7 +16,7 @@ from repro.experiments import (
     sweep_b_obj,
     sweep_b_prc,
 )
-from tests.allocator_oracle import greedy_counts_oracle
+from tests.allocator_oracle import greedy_counts_oracle, greedy_counts_pair_oracle
 
 SMALL = ExperimentConfig(n_objects=200, n1=12, repetitions=2, eval_objects=20)
 
@@ -109,17 +110,35 @@ class TestAllocatorMethodsEndToEnd:
             ]
 
         fast = plans()
+        loss_terms = []
+        scored_loss = DismantleScorer.loss
+
+        def counted_loss(objectives, costs, budget_cents, unit_cost):
+            if objectives and len(costs):
+                loss_terms.append(budget_cents)
+            return scored_loss(objectives, costs, budget_cents, unit_cost)
+
         oracle_calls = []
+        pair_calls = []
 
         def oracle(*args, **kwargs):
             oracle_calls.append(args)
             return greedy_counts_oracle(*args, **kwargs)
 
+        def pair_oracle(*args):
+            pair_calls.append(args)
+            return greedy_counts_pair_oracle(*args)
+
+        monkeypatch.setattr(DismantleScorer, "loss", staticmethod(counted_loss))
         monkeypatch.setattr(budget, "greedy_counts", oracle)
+        monkeypatch.setattr(budget, "greedy_counts_pair", pair_oracle)
         reference = plans()
-        # Both final distributions and every dismantle loss term went
-        # through the oracle.
-        assert len(oracle_calls) > 2
+        # Both final distributions went through the naive loop, and
+        # every dismantle loss term through two naive runs, once per
+        # term.
+        assert len(oracle_calls) == len(recorders)
+        assert len(loss_terms) > 0
+        assert len(pair_calls) == len(loss_terms)
         assert fast[1].dismantle_rounds > 0
         for ours, theirs in zip(fast, reference):
             assert ours.budget.counts == theirs.budget.counts

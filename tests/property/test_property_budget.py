@@ -1,16 +1,16 @@
 """Property-based tests for the objective and budget allocator."""
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from repro.core.budget import (
-    TargetObjective,
-    greedy_counts,
-    max_explained_variance,
-)
-from repro.core.objective import explained_variance
-from tests.allocator_oracle import greedy_counts_reference
+from repro.core.budget import TargetObjective, greedy_counts, greedy_counts_pair
+from repro.core.objective import IncrementalObjective, explained_variance
+from tests.allocator_oracle import greedy_counts_reference, max_explained_variance
 
 
 @st.composite
@@ -114,3 +114,104 @@ class TestGreedyProperties:
         counts_base = greedy_counts([base], costs, 3.0)
         counts_scaled = greedy_counts([scaled], costs, 3.0)
         assert (counts_base == counts_scaled).all()
+
+
+@st.composite
+def joint_objectives(draw):
+    """1-2 targets over one shared set of 1-12 attributes.
+
+    The targets share ``S_a`` and ``S_c`` and differ in ``S_o`` and
+    weight, as the planner's joint objective does.  An uninformative
+    draw zeroes every ``S_o``: the greedy then stops after one grant.
+    """
+    n = draw(st.integers(min_value=1, max_value=12))
+    targets = draw(st.integers(min_value=1, max_value=2))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    informative = draw(st.booleans())
+    rng = np.random.default_rng(seed)
+    loadings = rng.normal(size=(n + targets, 3))
+    values = loadings @ rng.normal(size=(3, 200))
+    attributes = values[targets:]
+    s_a = attributes @ attributes.T / 200
+    s_c = rng.uniform(0.01, 2.0, n)
+    return [
+        TargetObjective(
+            float(rng.uniform(0.2, 2.0)),
+            attributes @ values[t] / 200 * float(informative),
+            s_a,
+            s_c,
+        )
+        for t in range(targets)
+    ]
+
+
+@contextmanager
+def recorded_forks():
+    """Grant counts at which the paired pass copied its evaluators."""
+    forks = []
+    copy = IncrementalObjective.copy
+
+    def spy(evaluator):
+        forks.append(int(evaluator.counts.sum()))
+        return copy(evaluator)
+
+    with mock.patch.object(IncrementalObjective, "copy", spy):
+        yield forks
+
+
+def fork_case(forks: list[int]) -> str:
+    if not forks:
+        return "never forks"
+    return "forks before the first grant" if forks[0] == 0 else "forks mid-run"
+
+
+def assert_pair_matches_standalone_runs(objectives, costs, budget, reduced):
+    with recorded_forks() as forks:
+        full, short = greedy_counts_pair(objectives, costs, budget, reduced)
+    assert np.array_equal(full, greedy_counts_reference(objectives, costs, budget))
+    assert np.array_equal(short, greedy_counts_reference(objectives, costs, reduced))
+    assert np.array_equal(full, greedy_counts(objectives, costs, budget))
+    assert np.array_equal(short, greedy_counts(objectives, costs, reduced))
+    return fork_case(forks)
+
+
+class TestGreedyPairProperties:
+    """The loss's paired pass equals two standalone runs, count for count."""
+
+    @given(
+        joint_objectives(),
+        st.sampled_from(["two prices", "one price"]),
+        st.floats(min_value=0.0, max_value=8.0),
+        st.integers(min_value=0, max_value=1_000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_pair_equals_two_runs(self, objectives, prices, budget, cost_seed):
+        n = len(objectives[0].s_o)
+        rng = np.random.default_rng(cost_seed)
+        if prices == "two prices":
+            costs = rng.choice([0.1, 0.4], size=n)
+        else:
+            costs = np.full(n, float(rng.choice([0.1, 0.4])))
+        reduced = max(budget - 0.4, 0.0)
+        event(assert_pair_matches_standalone_runs(objectives, costs, budget, reduced))
+
+    @pytest.mark.parametrize(
+        "case, s_o, costs, budget",
+        [
+            # 0.5c affords both prices, 0.1c only the cheap one.
+            ("forks before the first grant", [0.8, 0.5], [0.4, 0.1], 0.5),
+            # Equal sets until 3.6c runs dry after nine 0.4c grants.
+            ("forks mid-run", [0.8, 0.5], [0.4, 0.4], 4.0),
+            # No gain anywhere: both stop after one grant, sets equal.
+            ("never forks", [0.0, 0.0], [0.4, 0.4], 4.0),
+        ],
+    )
+    def test_each_fork_case_occurs(self, case, s_o, costs, budget):
+        objectives = [
+            TargetObjective(1.0, np.array(s_o), np.eye(2), np.array([1.0, 0.5]))
+        ]
+        costs = np.array(costs)
+        reduced = max(budget - 0.4, 0.0)
+        assert assert_pair_matches_standalone_runs(
+            objectives, costs, budget, reduced
+        ) == case

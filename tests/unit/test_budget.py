@@ -7,9 +7,9 @@ from repro.core.budget import (
     TargetObjective,
     find_budget_distribution,
     greedy_counts,
-    max_explained_variance,
 )
 from repro.errors import ConfigurationError
+from tests.allocator_oracle import max_explained_variance
 
 
 def make_objective(s_o, s_a, s_c, weight=1.0):

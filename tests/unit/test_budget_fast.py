@@ -7,10 +7,13 @@ from repro.core.budget import (
     TargetObjective,
     find_budget_distribution,
     greedy_counts,
-    max_explained_variance,
 )
 from repro.obs.metrics import MetricsRegistry
-from tests.allocator_oracle import greedy_counts_oracle, greedy_counts_reference
+from tests.allocator_oracle import (
+    greedy_counts_oracle,
+    greedy_counts_reference,
+    max_explained_variance,
+)
 
 
 def random_objective(n: int, seed: int, weight: float = 1.0):

@@ -10,6 +10,8 @@ from repro.core.dismantling import (
     ranking_key,
 )
 from repro.errors import ConfigurationError
+from tests.allocator_oracle import max_explained_variance
+from tests.unit.test_budget_fast import random_objective
 from tests.unit.test_statistics import build_store
 
 
@@ -89,6 +91,24 @@ class TestLoss:
 
     def test_empty_objectives_zero_loss(self):
         assert DismantleScorer.loss([], np.array([]), 4.0, 0.4) == 0.0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_loss_equals_two_standalone_runs(self, seed):
+        """The paired pass gives the loss of two standalone ``maxV``
+        runs, float for float, at 0.1c and 0.4c prices."""
+        rng = np.random.default_rng(seed)
+        objectives = [
+            random_objective(7, seed=40 + seed, weight=w)
+            for w in rng.uniform(0.2, 2.0, 1 + seed % 2)
+        ]
+        costs = rng.choice([0.1, 0.4], size=7)
+        for budget, unit in ((0.3, 0.4), (1.3, 0.1), (4.0, 0.4), (9.0, 0.4)):
+            expected = max(
+                max_explained_variance(objectives, costs, budget)
+                - max_explained_variance(objectives, costs, max(budget - unit, 0.0)),
+                0.0,
+            )
+            assert DismantleScorer.loss(objectives, costs, budget, unit) == expected
 
 
 def planner_choice(candidates: dict[str, tuple[float, float, float]]) -> str:

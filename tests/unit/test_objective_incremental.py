@@ -77,6 +77,69 @@ class TestIncrementalMatchesReference:
         )
 
 
+def evaluator_state(evaluator: IncrementalObjective) -> dict:
+    """Every field of an evaluator; arrays as (dtype, shape, bytes)."""
+    return {
+        name: (value.dtype.str, value.shape, value.tobytes())
+        if isinstance(value, np.ndarray)
+        else value
+        for name, value in vars(evaluator).items()
+    }
+
+
+class TestCopy:
+    """A copy continues exactly as the original would have."""
+
+    @pytest.mark.parametrize("fork_at", [0, 10, 63])
+    def test_copy_equals_from_scratch_past_rebuild(self, fork_at):
+        """Copied mid-run and committed further, an evaluator equals
+        one that made the same commits from scratch, byte for byte,
+        through the _REFRESH_EVERY rebuild."""
+        n = 6
+        s_o, s_a, s_c = random_trio(n, seed=5)
+        rebuild = objective_module._REFRESH_EVERY
+        commits = np.random.default_rng(21).integers(n, size=rebuild + 20)
+        original = IncrementalObjective(s_o, s_a, s_c, weight=1.3)
+        scratch = IncrementalObjective(s_o, s_a, s_c, weight=1.3)
+        for index in commits[:fork_at]:
+            original.commit(int(index))
+            scratch.commit(int(index))
+        frozen = evaluator_state(original)
+        clone = original.copy()
+        assert evaluator_state(clone) == frozen
+        rebuilds = 0
+        for index in commits[fork_at:]:
+            clone.commit(int(index))
+            scratch.commit(int(index))
+            rebuilds += scratch._commits_since_rebuild == 0
+            assert evaluator_state(clone) == evaluator_state(scratch)
+            assert clone._inv.tobytes() == scratch._inv.tobytes()
+            assert clone._z.tobytes() == scratch._z.tobytes()
+            assert clone._raw.hex() == scratch._raw.hex()
+            assert np.array_equal(clone.values_with_all(), scratch.values_with_all())
+        assert rebuilds == 1
+        # The copy's commits leave the original where it was.
+        assert evaluator_state(original) == frozen
+
+    def test_copy_in_exact_mode(self):
+        """A singular support (the reference-formula mode) copies too."""
+        s_o = np.array([0.9, 0.9, 0.2])
+        s_a = np.array([[1.0, 1.0, 0.1], [1.0, 1.0, 0.1], [0.1, 0.1, 1.0]])
+        s_c = np.array([0.0, 0.0, 0.5])
+        original = IncrementalObjective(s_o, s_a, s_c)
+        scratch = IncrementalObjective(s_o, s_a, s_c)
+        for index in (0, 1):
+            original.commit(index)
+            scratch.commit(index)
+        assert original._exact
+        clone = original.copy()
+        for index in (2, 0, 2, 1):
+            clone.commit(index)
+            scratch.commit(index)
+            assert evaluator_state(clone) == evaluator_state(scratch)
+        assert clone.value == scratch.value
+
+
 class TestDegenerateInputs:
     def test_empty_support_is_zero(self):
         s_o, s_a, s_c = random_trio(3, seed=0)

@@ -113,24 +113,6 @@ class TestCharging:
 
 
 # ----------------------------------------------------------------------
-# ask_value_mean NaN guard
-# ----------------------------------------------------------------------
-
-
-class TestValueMeanGuard:
-    def test_empty_filtered_batch_raises_not_nan(self, tiny_domain):
-        # No answers (n = 0) must raise, not return a NaN mean.
-        platform = make_platform(tiny_domain)
-        with pytest.raises(MalformedAnswerError):
-            platform.ask_value_mean(0, "target", 0)
-
-    def test_normal_batch_returns_finite_mean(self, tiny_domain):
-        platform = make_platform(tiny_domain)
-        mean = platform.ask_value_mean(0, "target", 3)
-        assert math.isfinite(mean)
-
-
-# ----------------------------------------------------------------------
 # Retry behavior under injected faults
 # ----------------------------------------------------------------------
 

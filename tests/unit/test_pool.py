@@ -98,16 +98,6 @@ class TestPoolSampling:
         seen = {pool.draw().worker_id for _ in range(300)}
         assert seen == set(range(10))
 
-    def test_draw_distinct_returns_unique_workers(self):
-        pool = WorkerPool(size=20, seed=0)
-        drawn = pool.draw_distinct(15)
-        assert len({w.worker_id for w in drawn}) == 15
-
-    def test_draw_distinct_beyond_population_falls_back(self):
-        pool = WorkerPool(size=5, seed=0)
-        drawn = pool.draw_distinct(12)
-        assert len(drawn) == 12
-
     def test_same_seed_reproducible(self):
         ids_a = [WorkerPool(size=10, seed=4).draw().worker_id for _ in range(1)]
         ids_b = [WorkerPool(size=10, seed=4).draw().worker_id for _ in range(1)]
