@@ -55,7 +55,6 @@ import numpy as np
 from repro.agg.base import (
     UNATTRIBUTED,
     effective_sample_size,
-    row_means,
     weighted_mean,
 )
 from repro.errors import ConfigurationError
@@ -277,49 +276,50 @@ class ReliabilityAggregator:
         return weighted_mean(values, self.model.weights(worker_ids))
 
     def aggregate_many(
-        self, tapes: Sequence[tuple[np.ndarray, Sequence[int]]]
-    ) -> np.ndarray:
-        """:meth:`aggregate` of many non-empty ``(answers, worker_ids)`` tapes.
+        self, blocks: Sequence[tuple[np.ndarray, np.ndarray]]
+    ) -> list[np.ndarray]:
+        """:meth:`aggregate` of every row of many ``(answers, worker_ids)`` blocks.
 
-        Returns one estimate per tape, each bit for bit what
-        :meth:`aggregate` returns for it.  Weights come from one model
-        lookup per distinct worker id and products from one array
-        multiply, which rounds as ``float * float`` does.  A tape whose
-        weights are all equal (every length-1 tape among them) takes
-        :func:`~repro.agg.base.row_means`, the arrival-order mean; any
-        other tape divides the ``fsum`` of its products by the ``fsum``
-        of its weights, the exactly rounded sums
-        :func:`~repro.agg.base.weighted_mean` takes.
+        A block is two equal-shape 2-D arrays, one tape per row, the
+        answers C-contiguous.  Returns one estimate vector per block,
+        each row bit for bit what :meth:`aggregate` returns for its
+        tape.  Weights come from one model lookup per distinct worker
+        id across all blocks and products from one array multiply,
+        which rounds as ``float * float`` does.  Rows whose weights are
+        all equal (every length-1 tape among them) take the axis mean,
+        the arrival-order mean; any other row divides the ``fsum`` of
+        its products by the ``fsum`` of its weights, the exactly rounded
+        sums :func:`~repro.agg.base.weighted_mean` takes.
         """
-        if not len(tapes):
-            return np.empty(0, dtype=np.float64)
-        lengths = np.array([len(answers) for answers, _ in tapes], dtype=np.int64)
-        if int(lengths.min()) == 0:
+        if not blocks:
+            return []
+        if any(answers.size == 0 for answers, _ in blocks):
             raise ConfigurationError("cannot aggregate an empty answer set")
-        values = np.concatenate([answers for answers, _ in tapes], dtype=np.float64)
         distinct, inverse = np.unique(
-            np.concatenate([ids for _, ids in tapes], dtype=np.int64),
+            np.concatenate([workers.ravel() for _, workers in blocks]),
             return_inverse=True,
         )
         weights = np.array(self.model.weights(distinct.tolist()))[inverse]
-        starts = np.cumsum(lengths) - lengths
-        equal = np.minimum.reduceat(weights, starts) == np.maximum.reduceat(
-            weights, starts
-        )
-        estimates = np.empty(len(tapes), dtype=np.float64)
-        flat = np.flatnonzero(equal)
-        estimates[flat] = row_means([tapes[tape][0] for tape in flat.tolist()])
-        products = (values * weights).tolist()
-        weight_list = weights.tolist()
-        begins = starts.tolist()
-        ends = (starts + lengths).tolist()
-        for tape in np.flatnonzero(~equal).tolist():
-            begin, end = begins[tape], ends[tape]
-            den = math.fsum(weight_list[begin:end])
-            if den <= 0.0:
-                estimates[tape] = np.mean(values[begin:end])
-            else:
-                estimates[tape] = math.fsum(products[begin:end]) / den
+        estimates: list[np.ndarray] = []
+        offset = 0
+        for answers, workers in blocks:
+            block = weights[offset : offset + workers.size].reshape(workers.shape)
+            offset += workers.size
+            equal = block.min(axis=1) == block.max(axis=1)
+            if equal.all():
+                estimates.append(np.mean(answers, axis=1))
+                continue
+            means = np.empty(len(answers), dtype=np.float64)
+            means[equal] = np.mean(answers[equal], axis=1)
+            products = (answers * block).tolist()
+            weight_rows = block.tolist()
+            for row in np.flatnonzero(~equal).tolist():
+                den = math.fsum(weight_rows[row])
+                if den <= 0.0:
+                    means[row] = np.mean(answers[row])
+                else:
+                    means[row] = math.fsum(products[row]) / den
+            estimates.append(means)
         return estimates
 
     def effective_count(self, values, worker_ids=None) -> float:

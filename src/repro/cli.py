@@ -70,6 +70,7 @@ from repro.serve import (
     admit_and_serve,
     load_query_file,
 )
+from repro.serve.report import check_object_ids
 
 #: Exit code for bad configuration (flags, budgets, checkpoint mismatch).
 EXIT_CONFIGURATION_ERROR = 2
@@ -471,6 +472,8 @@ def cmd_serve(args) -> int:
         domain, recorder=AnswerRecorder(), seed=args.seed, obs=obs
     )
     requests = load_query_file(args.queries)
+    for request in requests:
+        check_object_ids(request.query_id, request.object_ids, domain.n_objects())
     router = _make_router(args, obs, domain, platform, params)
     admission_flags = (
         args.admit_reject_depth,
@@ -604,6 +607,8 @@ def cmd_query(args) -> int:
     router = _make_router(args, obs, domain, platform, params)
     assert router is not None  # --catalog is required for this command
     specs = load_request_file(args.requests)
+    for spec in specs:
+        check_object_ids(spec.request_id, spec.object_ids, domain.n_objects())
     # Decompose every request into per-target sub-queries and route
     # each through the catalog *before* serving: plan money is settled
     # (hit / refresh / fresh) up front, so the serve phase below spends

@@ -18,7 +18,6 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.agg.base import row_means
 from repro.agg.reliability import ReliabilityAggregator
 from repro.core.model import PreprocessingPlan, Query
 from repro.crowd.platform import CrowdPlatform
@@ -33,6 +32,27 @@ from repro.errors import (
 #: One fetched term: (row, answers, worker ids or None).
 _Fetched = tuple[int, np.ndarray, np.ndarray | None]
 
+#: Equal-length terms of one attribute: (rows, answers, worker ids or
+#: None), the answers and worker ids C-contiguous ``(len(rows), k)``.
+_Block = tuple[np.ndarray, np.ndarray, np.ndarray | None]
+
+
+def _stack(terms: list[_Fetched], attributed: bool) -> list[_Block]:
+    """One attribute's fetched terms as blocks, one per answer count."""
+    groups: dict[int, list[_Fetched]] = {}
+    for term in terms:
+        groups.setdefault(len(term[1]), []).append(term)
+    return [
+        (
+            np.array([row for row, _, _ in group], dtype=np.intp),
+            np.array([answers for _, answers, _ in group], dtype=np.float64),
+            np.array([workers for _, _, workers in group], dtype=np.int64)
+            if attributed
+            else None,
+        )
+        for group in groups.values()
+    ]
+
 
 class AnswerSource(Protocol):
     """Where the online phase gets its ``b(a)`` value answers from.
@@ -41,14 +61,20 @@ class AnswerSource(Protocol):
     the crowd platform, exactly the paper's online phase); the serving
     tier substitutes cache-backed sources (:mod:`repro.serve.cache`)
     that serve cached answers and buy at most the shortfall.  A source
-    may keep call-order state (budget, cursors, fault streams): the
-    evaluator always fetches object by object, then plan by plan, then
-    attribute by attribute, one call per (object, attribute) term.
-    Implementations may raise
+    that buys answers may keep call-order state (budget, cursors, fault
+    streams): the evaluator fetches from it object by object, then plan
+    by plan, then attribute by attribute, one call per (object,
+    attribute) term, and such a source may raise
     :class:`~repro.errors.BudgetExhaustedError` or
     :class:`~repro.errors.CrowdFaultError`, which the evaluator absorbs
     into its skip lists.  Reliability aggregation also needs a
     ``fetch_attributed`` method returning the worker ids alongside.
+
+    A read-only source has no purchase order to keep.  When it offers
+    ``fetch_column(object_ids, attribute, n, attributed)`` (see
+    :meth:`repro.serve.cache.CacheReadSource.fetch_column`), the
+    evaluator reads each plan attribute of all objects in one call
+    instead of one call per term.
     """
 
     def fetch(self, object_id: int, attribute: str, n: int) -> np.ndarray:
@@ -165,18 +191,22 @@ class OnlineEvaluator:
         """Estimated target values (the paper's ``o.a^(*)``) for many
         objects: target -> value vector aligned with ``object_ids``.
 
-        One loop in three steps.  *Fetch* asks object by object, then
-        plan by plan, then attribute by attribute, so a purchasing
-        source buys what a per-object loop buys.  If the platform budget
-        dies mid-object, the rest of that plan's terms drop out for that
-        object and the truncation is recorded in :attr:`budget_skips`;
-        an attribute whose answers are lost to crowd faults (retries
-        exhausted) drops only its own term and is noted in
-        :attr:`fault_skips`.  *Reduce* is one call per plan over all
-        its attribute columns, scattered back into each column's
-        aggregated answers and a mask of the rows that got any: under
-        uniform aggregation rows of equal answer count share one axis
-        mean (:func:`~repro.agg.base.row_means`); reliability
+        One loop in three steps, of which only the first depends on the
+        source.  *Fetch* reads each attribute column in one
+        ``fetch_column`` call when the source has one (a read-only
+        cache); otherwise it asks object by object, then plan by plan,
+        then attribute by attribute, so a purchasing source buys what a
+        per-object loop buys.  If the platform budget dies mid-object,
+        the rest of that plan's terms drop out for that object and the
+        truncation is recorded in :attr:`budget_skips`; an attribute
+        whose answers are lost to crowd faults (retries exhausted) drops
+        only its own term and is noted in :attr:`fault_skips`.  Either
+        way each attribute comes back as blocks of rows holding equal
+        answer counts.  *Reduce* is one call per plan over all its
+        blocks, scattered back into each column's aggregated answers and
+        a mask of the rows that got any: under uniform aggregation a
+        block's axis mean, bit for bit each row's ``np.mean`` (numpy's
+        pairwise summation over a C-contiguous row); reliability
         aggregation is one
         :meth:`~repro.agg.reliability.ReliabilityAggregator.aggregate_many`
         call, the per-tape ``aggregate`` bit for bit.  *Apply* folds
@@ -192,6 +222,73 @@ class OnlineEvaluator:
         object_ids = list(object_ids)
         obs = self.platform.obs
         obs.metrics.inc("online.objects", len(object_ids))
+        fetch_column = getattr(self.source, "fetch_column", None)
+        if fetch_column is None:
+            fetched = self._fetch_terms(object_ids)
+        else:
+            fetched = self._fetch_columns(fetch_column, object_ids)
+
+        n = len(object_ids)
+        out: dict[str, np.ndarray] = {}
+        for (plan, _), columns in zip(self._plan_items, fetched):
+            reduced = self._reduce(columns, n)
+            for target in plan.query.targets:
+                formula = plan.formula(target)
+                estimate = np.full(n, formula.intercept, dtype=np.float64)
+                missing = 0
+                for term, coefficient in formula.coefficients.items():
+                    if term not in reduced:
+                        missing += n
+                        continue
+                    values, present, held = reduced[term]
+                    missing += n - held
+                    np.add(estimate, coefficient * values, out=estimate, where=present)
+                if missing:
+                    obs.metrics.inc("agg.missing_terms", missing)
+                out[target] = estimate
+        return out
+
+    def _fetch_columns(
+        self, fetch_column, object_ids: list[int]
+    ) -> list[dict[str, list[_Block]]]:
+        """Per plan, per attribute: its blocks, one column read each.
+
+        Rows the read serves in full come back as one block; rows
+        holding fewer answers (a purchase the budget cut short) are
+        read again, one read per such answer count.
+        """
+        ids = np.array(object_ids, dtype=np.int64)
+        every = np.arange(len(ids))
+        attributed = self._aggregator is not None
+        fetched: list[dict[str, list[_Block]]] = []
+        for _, items in self._plan_items:
+            columns: dict[str, list[_Block]] = {}
+            for attribute, count in items:
+                served, answers, workers = fetch_column(
+                    ids, attribute, count, attributed
+                )
+                blocks: list[_Block] = []
+                if len(answers):
+                    full = (
+                        every
+                        if len(answers) == len(ids)
+                        else np.flatnonzero(served == count)
+                    )
+                    blocks.append((full, answers, workers))
+                if len(answers) < len(ids) and np.count_nonzero(served) > len(answers):
+                    for short in sorted(set(served.tolist()) - {0, count}):
+                        rows = np.flatnonzero(served == short)
+                        _, answers, workers = fetch_column(
+                            ids[rows], attribute, short, attributed
+                        )
+                        blocks.append((rows, answers, workers))
+                columns[attribute] = blocks
+            fetched.append(columns)
+        return fetched
+
+    def _fetch_terms(self, object_ids: list[int]) -> list[dict[str, list[_Block]]]:
+        """Per plan, per attribute: its blocks, one fetch per term."""
+        obs = self.platform.obs
         attributed = self._aggregator is not None
         source = self.source
         # Per plan, per attribute: (row, answers, worker ids) of every
@@ -230,51 +327,40 @@ class OnlineEvaluator:
                         continue
                     if len(answers):
                         columns[attribute].append((row, answers, workers))
-
-        n = len(object_ids)
-        out: dict[str, np.ndarray] = {}
-        for (plan, _), columns in zip(self._plan_items, fetched):
-            reduced = self._reduce(columns, n)
-            for target in plan.query.targets:
-                formula = plan.formula(target)
-                estimate = np.full(n, formula.intercept, dtype=np.float64)
-                missing = 0
-                for term, coefficient in formula.coefficients.items():
-                    missing += n - len(columns.get(term, ()))
-                    if term in reduced:
-                        values, present = reduced[term]
-                        np.add(
-                            estimate, coefficient * values, out=estimate, where=present
-                        )
-                if missing:
-                    obs.metrics.inc("agg.missing_terms", missing)
-                out[target] = estimate
-        return out
+        return [
+            {
+                attribute: _stack(terms, attributed)
+                for attribute, terms in columns.items()
+            }
+            for columns in fetched
+        ]
 
     def _reduce(
-        self, columns: dict[str, list[_Fetched]], n: int
-    ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        self, columns: dict[str, list[_Block]], n: int
+    ) -> dict[str, tuple[np.ndarray, np.ndarray, int]]:
         """Every attribute column of one plan over ``n`` rows, in one reduce.
 
-        Returns attribute -> ``(aggregates, present)``.
+        Returns attribute -> ``(aggregates, present, rows present)``.
         """
-        rows = [row for fetched in columns.values() for row in fetched]
+        blocks = [block for column in columns.values() for block in column]
+        reduced: list[np.ndarray]
         if self._aggregator is not None:
             reduced = self._aggregator.aggregate_many(
-                [(answers, workers) for _, answers, workers in rows]
+                [(answers, workers) for _, answers, workers in blocks]
             )
         else:
-            reduced = row_means([answers for _, answers, _ in rows])
-        out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        offset = 0
-        for attribute, fetched in columns.items():
-            at = [row for row, _, _ in fetched]
+            reduced = [np.mean(answers, axis=1) for _, answers, _ in blocks]
+        out: dict[str, tuple[np.ndarray, np.ndarray, int]] = {}
+        aggregates = iter(reduced)
+        for attribute, column in columns.items():
             values = np.zeros(n, dtype=np.float64)
             present = np.zeros(n, dtype=bool)
-            values[at] = reduced[offset : offset + len(at)]
-            present[at] = True
-            out[attribute] = (values, present)
-            offset += len(at)
+            held = 0
+            for (rows, _, _), means in zip(column, aggregates):
+                values[rows] = means
+                present[rows] = True
+                held += len(rows)
+            out[attribute] = (values, present, held)
         return out
 
     def evaluate(self, object_ids: Iterable[int]) -> dict[str, np.ndarray]:

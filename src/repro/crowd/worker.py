@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import zlib
 from abc import ABC, abstractmethod
+from functools import cached_property
 
 import numpy as np
 
@@ -45,13 +46,22 @@ class Worker(ABC):
     def __init__(self, worker_id: int, seed: int) -> None:
         self.worker_id = worker_id
         self._seed = seed
-        self._rng = np.random.default_rng(seed)
         #: Multiplier on this worker's operational fault probabilities
         #: (timeouts, abandons, garbage) under fault injection; 1.0 is
         #: an average worker.  Set by the pool when heterogeneity is
         #: configured — it concentrates faults on a few workers, which
         #: is what makes per-worker quarantine effective.
         self.fault_proneness: float = 1.0
+
+    @cached_property
+    def _rng(self) -> np.random.Generator:
+        """The private stream, built from the seed on first use.
+
+        A pool holds hundreds of workers and most serving platforms
+        never ask one of them a question; the stream a worker draws
+        from is the same whenever it is built.
+        """
+        return np.random.default_rng(self._seed)
 
     # -- the four question types ---------------------------------------
 

@@ -102,7 +102,12 @@ from repro.serve.degrade import (
     widened_interval,
 )
 from repro.serve.faults import Attempt, KeyPurchase, ResilientValueStream
-from repro.serve.report import QueryRequest, QueryResult, ServeReport
+from repro.serve.report import (
+    QueryRequest,
+    QueryResult,
+    ServeReport,
+    check_object_ids,
+)
 from repro.serve.stream import BatchedValueStream
 
 #: The serve log's filename under the engine's checkpoint_dir (distinct
@@ -291,6 +296,9 @@ class ServeEngine:
         self.platform = platform
         self.obs = platform.obs
         self.plan_source = plan_source
+        #: Object ids are the cache's rows: a query naming any other
+        #: object is refused at submission.
+        self._n_objects = platform.domain.n_objects()
         self.max_queue = max_queue
         self.wave_size = wave_size
         # The batched stream is a strict superset of the scalar one
@@ -616,7 +624,12 @@ class ServeEngine:
         served from whatever the shared cache holds when its wave
         runs, and any term the cache cannot fully cover degrades with
         reason ``"admission"``.
+
+        A query naming an object outside the domain is refused with
+        :class:`~repro.errors.ConfigurationError` before anything is
+        charged, as are queries whose plans miss or overlap a target.
         """
+        check_object_ids(request.query_id, request.object_ids, self._n_objects)
         if plans is None:
             if self.plan_source is None:
                 raise ConfigurationError(

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -170,6 +171,18 @@ def parse_object_spec(spec, query_id: str) -> tuple[int, ...]:
             )
         return tuple(range(*[int(v) for v in spec["range"]]))
     return tuple(int(object_id) for object_id in spec)
+
+
+def check_object_ids(
+    query_id: str, object_ids: Sequence[int], n_objects: int
+) -> None:
+    """Refuse object ids outside the domain's ``[0, n_objects)``."""
+    if min(object_ids) < 0 or max(object_ids) >= n_objects:
+        bad = next(oid for oid in object_ids if not 0 <= oid < n_objects)
+        raise ConfigurationError(
+            f"query {query_id!r} names object {bad}, outside the domain's "
+            f"{n_objects} objects (ids 0..{n_objects - 1})"
+        )
 
 
 def load_query_file(path: str | Path) -> list[QueryRequest]:

@@ -360,6 +360,27 @@ _REMOVED_OPTIONS = (
     "trimmed", "huber", "--trim-fraction", "--huber-delta", "--em-iterations"
 )
 
+#: ``@name`` arguments name files the test writes under its tmp_path: a
+#: query file and a request spec that name object 60 of a 60-object
+#: domain, and an empty plan catalog that must stay empty.
+_SERVE = [
+    "serve", "--domain", "recipes", "--queries", "@queries.json",
+    "--catalog", "@catalog", "--n-objects", "60", "--n1", "12",
+    "--b-obj", "2", "--b-prc", "200",
+]
+_QUERY = [
+    "query", "--domain", "recipes", "--requests", "@requests.json",
+    "--catalog", "@catalog", "--n-objects", "60", "--n1", "12",
+    "--b-obj", "2", "--b-prc", "200",
+]
+
+
+def _write_out_of_domain_requests(directory) -> None:
+    entry = {"id": "r0", "targets": ["protein"], "objects": [1, 60]}
+    (directory / "queries.json").write_text(json.dumps({"queries": [entry]}))
+    (directory / "requests.json").write_text(json.dumps([entry]))
+    (directory / "catalog").mkdir()
+
 
 class TestCliValidation:
     """Every door checks its cents, repetitions and evaluated objects
@@ -391,6 +412,8 @@ class TestCliValidation:
             _with(_EVALUATE, "--trim-fraction", "0.1"),
             _with(_EVALUATE, "--huber-delta", "1.5"),
             _with(_EVALUATE, "--em-iterations", "5"),
+            _SERVE,
+            _QUERY,
         ],
         ids=[
             "plan-b_obj-nan",
@@ -416,11 +439,18 @@ class TestCliValidation:
             "evaluate-trim-fraction",
             "evaluate-huber-delta",
             "evaluate-em-iterations",
+            "serve-object-outside-domain",
+            "query-object-outside-domain",
         ],
     )
-    def test_bad_input_exits_2(self, argv, capsys):
+    def test_bad_input_exits_2(self, argv, capsys, tmp_path):
         from repro.cli import EXIT_CONFIGURATION_ERROR, main
 
+        _write_out_of_domain_requests(tmp_path)
+        argv = [
+            str(tmp_path / token[1:]) if token.startswith("@") else token
+            for token in argv
+        ]
         removed = [token for token in argv if token in _REMOVED_OPTIONS]
         if removed:
             # argparse refuses a removed flag or aggregator by name.
@@ -432,3 +462,5 @@ class TestCliValidation:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIGURATION_ERROR
         assert expected in err
+        # Checked before any planning: no plan was bought or stored.
+        assert not list((tmp_path / "catalog").iterdir())

@@ -7,10 +7,14 @@ them with ``np.mean`` (or the aggregator) and apply each target's
 formula through ``formula.estimate``.  A dead budget ends the plan's
 terms for that object; a crowd fault skips one term.
 :class:`~repro.core.online.OnlineEvaluator` must return the same
-estimates bit for bit, the same skip lists and counter totals, and make
-the same source calls in the same order (``tests/unit/test_online.py``,
+estimates bit for bit and the same skip lists and counter totals
+(``tests/unit/test_online.py``,
 ``tests/property/test_property_online_oracle.py`` and, through
 ``tests/serve_oracle.py``, the serve engine's differential property).
+From a source that buys answers it must also make the same source calls
+in the same order, so it buys the same answers; a read-only cache
+source it reads one attribute column at a time instead
+(:meth:`~repro.serve.cache.CacheReadSource.fetch_column`).
 """
 
 from __future__ import annotations

@@ -395,15 +395,37 @@ class TestBatchedAggregate:
     @settings(max_examples=150, deadline=None)
     def test_aggregate_many_equals_per_tape_aggregate(self, model, tapes):
         aggregator = ReliabilityAggregator(model)
+        # Tapes of equal length stack into one block, as the evaluator
+        # stacks them.
+        by_length: dict[int, list[tuple[list[float], list[int]]]] = {}
+        for tape in tapes:
+            by_length.setdefault(len(tape[0]), []).append(tape)
+        groups = list(by_length.values())
         batched = aggregator.aggregate_many(
-            [(np.array(values), np.array(ids)) for values, ids in tapes]
+            [
+                (
+                    np.array([values for values, _ in group], dtype=np.float64),
+                    np.array([ids for _, ids in group], dtype=np.int64),
+                )
+                for group in groups
+            ]
         )
-        assert batched.dtype == np.float64
-        expected = [aggregator.aggregate(values, ids) for values, ids in tapes]
+        assert [block.dtype for block in batched] == [np.float64] * len(groups)
+        expected = [
+            [aggregator.aggregate(values, ids) for values, ids in group]
+            for group in groups
+        ]
         # float.hex keeps the sign of zero.
-        assert _bits(batched) == _bits(expected)
+        assert [_bits(block) for block in batched] == [
+            _bits(group) for group in expected
+        ]
 
     def test_empty_tape_rejected(self):
         aggregator = ReliabilityAggregator(ReliabilityModel())
         with pytest.raises(ConfigurationError):
-            aggregator.aggregate_many([(np.array([1.0]), [0]), (np.array([]), [])])
+            aggregator.aggregate_many(
+                [
+                    (np.array([[1.0]]), np.array([[0]])),
+                    (np.empty((1, 0)), np.empty((1, 0), dtype=np.int64)),
+                ]
+            )

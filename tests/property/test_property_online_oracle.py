@@ -21,6 +21,14 @@ snapshots, the recorder's tape lengths and the ``online.objects`` and
 attribute buys different answers from a purchasing source and fails
 here.
 
+The caches are filled key by key in a drawn order, so column rows and
+widths grow at different points; objects sit on both sides of the
+row-doubling boundaries, each attribute has its own widest tape, a plan
+may demand more answers than any key holds, and keys may hold answers
+bought without worker ids (read as ``UNATTRIBUTED``) before or after
+attributed ones.  The evaluator reads a cache through a spy that fails
+the run on any per-term ``fetch``: it must read whole columns.
+
 The oracle counts missing terms the way the evaluator does, so a
 miscount in both would pass that comparison; over the cache that holds
 every demanded answer the counts are also checked against the request:
@@ -53,8 +61,12 @@ from tests.online_oracle import estimate_naively
 pytestmark = [pytest.mark.agg, pytest.mark.faults]
 
 ATTRIBUTES = ("target", "helper", "flag_a", "flag_b")
-OBJECTS = range(8)
+#: Both sides of the row-doubling boundaries of a column filled from 0.
+OBJECTS = (0, 1, 2, 3, 4, 7, 8, 15, 16, 31)
+KEYS = [(o, a) for o in OBJECTS for a in ATTRIBUTES]
 SEED = 3
+#: A demand larger than any cached tape.
+WIDEST = 9
 
 weights = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 
@@ -66,7 +78,8 @@ def plans(draw) -> list[PreprocessingPlan]:
     drawn = []
     for target in targets:
         support = draw(st.lists(st.sampled_from(ATTRIBUTES), unique=True, max_size=3))
-        budget = BudgetDistribution({a: draw(st.integers(1, 4)) for a in support})
+        counts = st.one_of(st.integers(1, 4), st.just(WIDEST + 1))
+        budget = BudgetDistribution({a: draw(counts) for a in support})
         formula = EstimationFormula(
             target, {a: draw(weights) for a in support}, draw(weights), budget
         )
@@ -82,17 +95,27 @@ def plans(draw) -> list[PreprocessingPlan]:
 
 
 @st.composite
+def cached_counts(draw) -> list[int]:
+    """Answers cached per key (0 leaves it out), each attribute its own widest."""
+    widest = {a: draw(st.integers(1, WIDEST), label=f"widest {a}") for a in ATTRIBUTES}
+    return [draw(st.integers(0, widest[attribute])) for _, attribute in KEYS]
+
+
+@st.composite
 def evaluations(draw):
     return {
         "plans": draw(plans()),
         "objects": draw(st.lists(st.sampled_from(OBJECTS), max_size=10)),
         "source": draw(st.sampled_from(("cache", "full", "budget", "faults"))),
-        # Answers cached per (object, attribute): 0 leaves the key out.
-        "cached": draw(
+        "cached": draw(cached_counts()),
+        # The order keys enter the cache in, and per key where its
+        # answers stop or start carrying worker ids (None: all do).
+        "order": draw(st.permutations(range(len(KEYS)))),
+        "unattributed": draw(
             st.lists(
-                st.integers(0, 5),
-                min_size=len(OBJECTS) * len(ATTRIBUTES),
-                max_size=len(OBJECTS) * len(ATTRIBUTES),
+                st.one_of(st.none(), st.integers(-WIDEST, WIDEST)),
+                min_size=len(KEYS),
+                max_size=len(KEYS),
             )
         ),
         "budget": draw(st.integers(1, 40)) / 4.0,
@@ -126,18 +149,40 @@ def build_aggregator(name: str, stream: DeterministicValueStream):
     return aggregator
 
 
-def cache_source(stream: DeterministicValueStream, counts: list[int]) -> CacheReadSource:
+class TermSpy(CacheReadSource):
+    """A cache source that fails the evaluation on any per-term fetch."""
+
+    def fetch(self, object_id, attribute, n):
+        raise AssertionError(f"per-term fetch of {(object_id, attribute)}")
+
+    def fetch_attributed(self, object_id, attribute, n):
+        raise AssertionError(f"per-term fetch of {(object_id, attribute)}")
+
+
+def fill_cache(stream: DeterministicValueStream, evaluation, counts) -> AnswerCache:
+    """Each key's first ``count`` answers, the keys in the drawn order.
+
+    A key's ``unattributed`` split ``k`` adds its answers in two parts:
+    ``k > 0`` buys the first ``k`` without worker ids, ``k < 0`` buys
+    all but the last ``-k`` with them and those last without.
+    """
     cache = AnswerCache()
-    keys = [(o, a) for o in OBJECTS for a in ATTRIBUTES]
-    for (object_id, attribute), count in zip(keys, counts):
-        if count:
-            cache.add(
-                object_id,
-                attribute,
-                stream.answers(object_id, attribute, 0, count),
-                stream.worker_ids(object_id, attribute, 0, count),
-            )
-    return CacheReadSource(cache)
+    for index in evaluation["order"]:
+        (object_id, attribute), count = KEYS[index], counts[index]
+        if not count:
+            continue
+        answers = stream.answers(object_id, attribute, 0, count)
+        workers = stream.worker_ids(object_id, attribute, 0, count)
+        split = evaluation["unattributed"][index]
+        if split is None:
+            cache.add(object_id, attribute, answers, workers)
+            continue
+        cut = min(split, count) if split > 0 else max(count + split, 0)
+        first = None if split > 0 else workers[:cut]
+        second = workers[cut:] if split > 0 else None
+        cache.add(object_id, attribute, answers[:cut], first)
+        cache.add(object_id, attribute, answers[cut:], second)
+    return cache
 
 
 @settings(
@@ -151,15 +196,15 @@ def test_evaluator_matches_the_naive_loop(tiny_domain, evaluation):
     twin = build_platform(tiny_domain, evaluation)
     stream = DeterministicValueStream(CrowdPlatform(tiny_domain, seed=SEED))
     aggregator = build_aggregator(evaluation["aggregator"], stream)
-    if evaluation["source"] == "cache":
-        source = oracle_source = cache_source(stream, evaluation["cached"])
-    elif evaluation["source"] == "full":
-        demanded = [
-            max(plan.budget[attribute] for plan in evaluation["plans"])
-            for _ in OBJECTS
-            for attribute in ATTRIBUTES
-        ]
-        source = oracle_source = cache_source(stream, demanded)
+    if evaluation["source"] in ("cache", "full"):
+        counts = evaluation["cached"]
+        if evaluation["source"] == "full":
+            counts = [
+                max(plan.budget[attribute] for plan in evaluation["plans"])
+                for _, attribute in KEYS
+            ]
+        cache = fill_cache(stream, evaluation, counts)
+        source, oracle_source = TermSpy(cache), CacheReadSource(cache)
     else:
         source, oracle_source = None, PlatformAnswerSource(twin)
     evaluator = OnlineEvaluator(

@@ -17,14 +17,15 @@ from repro.serve import (
 
 
 class TestAnswerCache:
-    def test_shortfall_shrinks_as_answers_land(self):
+    def test_count_grows_as_answers_land(self):
         cache = AnswerCache()
-        assert cache.shortfall(1, "a", 5) == 5
+        assert cache.count(1, "a") == 0
         cache.add(1, "a", [1.0, 2.0])
-        assert cache.shortfall(1, "a", 5) == 3
+        assert cache.count(1, "a") == 2
         cache.add(1, "a", [3.0, 4.0, 5.0])
-        assert cache.shortfall(1, "a", 5) == 0
-        assert cache.shortfall(1, "a", 3) == 0
+        assert cache.count(1, "a") == 5
+        # Another row and another column stay empty.
+        assert cache.count(0, "a") == cache.count(1, "b") == 0
 
     def test_add_returns_append_position(self):
         cache = AnswerCache()

@@ -287,6 +287,33 @@ class TestServeEngine:
         assert platform.ledger.total_spent == 0.0
         assert engine.submit(request, identity_plan("target"))
 
+    @pytest.mark.parametrize("bad", [200, 10**6, -1], ids=["n_objects", "1e6", "-1"])
+    def test_objects_outside_the_domain_refused(self, tiny_domain, bad):
+        """A row of the answer cache is an object id: submission refuses
+        any other id before the plan source runs or anything is
+        charged, and leaves the queue and the query id as they were."""
+        assert tiny_domain.n_objects() == 200
+        resolved: list[str] = []
+
+        def plan_source(request):
+            resolved.append(request.query_id)
+            return [identity_plan("target")]
+
+        engine, platform = make_engine(tiny_domain, plan_source=plan_source)
+        assert engine.submit(QueryRequest("q0", ("target",), (0, 199)))
+        bad_request = QueryRequest("q1", ("target",), (3, bad, 4))
+        with pytest.raises(ConfigurationError, match=rf"'q1'.* object {bad}\b"):
+            engine.submit(bad_request)
+        with pytest.raises(ConfigurationError, match=rf"object {bad}\b"):
+            engine.submit(bad_request, identity_plan("target"))
+        assert resolved == ["q0"]
+        assert engine.queue_depth == 1
+        assert platform.ledger.total_spent == 0.0
+        assert engine.submit(QueryRequest("q1", ("target",), (3, 4)))
+        report = engine.run()
+        assert [result.query_id for result in report.results] == ["q0", "q1"]
+        assert all(result.status == "completed" for result in report.results)
+
     def test_budget_exhaustion_degrades(self, tiny_domain):
         # 4 numeric answers cost 1.6c; allow only the first object's worth.
         engine, platform = make_engine(tiny_domain, budget=Budget(1.7))
