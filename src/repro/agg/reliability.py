@@ -42,7 +42,10 @@ The clamped precision map is memoized: every mutator (:meth:`observe`
 when it records a residual, :meth:`fit`, :meth:`restore_state`) drops
 the memo and the next read rebuilds it with the same arithmetic, so
 reads cost O(len(worker_ids)) instead of O(observed workers) and
-return bit-identical floats.
+return bit-identical floats.  Each of those mutations also bumps
+:attr:`ReliabilityModel.version`, so a reader that keeps aggregates of
+its own (the serving engine's estimate memo) knows when the weights
+behind them may have moved.
 """
 
 from __future__ import annotations
@@ -86,6 +89,10 @@ class ReliabilityModel:
         #: racing on a cleared memo can at most each build the same
         #: dict — a complete dict is published by one assignment.
         self._rho: dict[int, float] | None = None
+        #: Goes up on every mutation that drops the precision memo;
+        #: weights read under one version are the weights of any later
+        #: read under the same version.
+        self.version = 0
 
     # -- ingestion ----------------------------------------------------
 
@@ -120,11 +127,13 @@ class ReliabilityModel:
             u = (residual * residual) / (1.0 + 1.0 / i)
             wid = int(worker_ids[i - start])
             if wid != UNATTRIBUTED:
-                self._rho = None
                 self._n[wid] = self._n.get(wid, 0.0) + 1.0
                 self._ss[wid] = self._ss.get(wid, 0.0) + u
                 recorded += 1
             acc += value
+        if recorded:
+            self._rho = None
+            self.version += 1
         return recorded
 
     def fit(
@@ -169,6 +178,7 @@ class ReliabilityModel:
                     ss[wid] = ss.get(wid, 0.0) + residual * residual * correction
             self._n, self._ss = n, ss
             self._rho = None
+            self.version += 1
             rho = self.precisions()
         return rho
 
@@ -258,6 +268,7 @@ class ReliabilityModel:
         self._n = {int(wid): float(value) for wid, value in state.get("n", [])}
         self._ss = {int(wid): float(value) for wid, value in state.get("ss", [])}
         self._rho = None
+        self.version += 1
 
 
 class ReliabilityAggregator:

@@ -48,7 +48,13 @@ from repro.catalog.store import (
 )
 from repro.core.model import PreprocessingPlan, Query
 from repro.errors import ConfigurationError
-from repro.serve.report import Predicate, QueryRequest, parse_object_spec
+from repro.serve.report import (
+    Predicate,
+    QueryRequest,
+    parse_deadline,
+    parse_object_spec,
+    parse_targets,
+)
 
 #: Routing destinations, in cost order (a hit is free).
 ROUTES = ("hit", "refresh", "fresh")
@@ -111,26 +117,32 @@ class SubQuery:
 
 
 def parse_request_spec(payload: Any, position: int = 0) -> RequestSpec:
-    """One :class:`RequestSpec` from its JSON object."""
+    """One :class:`RequestSpec` from its JSON object.
+
+    Objects, targets, predicates and the deadline follow
+    :func:`~repro.serve.report.load_query_file`'s rules: a field of the
+    wrong type is a :class:`~repro.errors.ConfigurationError` naming
+    the request and the field.
+    """
     if not isinstance(payload, dict):
         raise ConfigurationError(
             f"request spec entry {position} is not an object"
         )
     request_id = str(payload.get("id", f"r{position}"))
-    predicates = tuple(
-        Predicate.from_dict(entry)
-        for entry in payload.get("predicates", ())
-    )
+    entries = payload.get("predicates", ())
+    if not isinstance(entries, (list, tuple)):
+        raise ConfigurationError(
+            f"query {request_id!r}: predicates must be a list of objects, "
+            f"got {entries!r}"
+        )
     return RequestSpec(
         request_id=request_id,
-        targets=tuple(str(t) for t in payload.get("targets", ())),
+        targets=parse_targets(payload.get("targets", ()), request_id),
         object_ids=parse_object_spec(payload.get("objects", ()), request_id),
-        predicates=predicates,
-        deadline_s=(
-            float(payload["deadline_s"])
-            if payload.get("deadline_s") is not None
-            else None
+        predicates=tuple(
+            Predicate.from_dict(entry, request_id) for entry in entries
         ),
+        deadline_s=parse_deadline(payload.get("deadline_s"), request_id),
     )
 
 

@@ -121,27 +121,15 @@ class EstimationFormula:
 
     Encodes the paper's formula
     ``o.a_t^(*) = intercept + sum_a coefficients[a] * o.a^(b(a))``,
-    where ``o.a^(n)`` is the average of ``n`` crowd answers.
+    where ``o.a^(n)`` is the average of ``n`` crowd answers.  The online
+    evaluator (:meth:`~repro.core.online.OnlineEvaluator.estimate_objects`)
+    applies it to many objects at once.
     """
 
     target: str
     coefficients: dict[str, float]
     intercept: float
     budget: BudgetDistribution
-
-    def estimate(self, attribute_means: dict[str, float]) -> float:
-        """Apply the formula to averaged crowd answers.
-
-        Missing attributes contribute nothing (their term is dropped),
-        which matches how the online phase degrades when the per-object
-        budget runs out mid-object.
-        """
-        value = self.intercept
-        for attribute, coefficient in self.coefficients.items():
-            mean = attribute_means.get(attribute)
-            if mean is not None:
-                value += coefficient * mean
-        return value
 
     def __str__(self) -> str:
         terms = [

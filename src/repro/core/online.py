@@ -212,9 +212,9 @@ class OnlineEvaluator:
         call, the per-tape ``aggregate`` bit for bit.  *Apply* folds
         each target's terms left to right in coefficient order,
         starting from the intercept and adding ``coefficient * column``
-        only where the column is present, which is ``formula.estimate``
-        of every row bit for bit (a missing term is skipped, never
-        added as 0.0, so a ``-0.0`` intercept survives).  Every
+        only where the column is present: the paper's formula applied
+        to every row on its own, bit for bit (a missing term is
+        skipped, never added as 0.0, so a ``-0.0`` intercept survives).  Every
         dropped-out term bumps the ``agg.missing_terms`` counter, so
         partially-evaluated formulas are observable.  Rows are
         independent: an object listed twice is estimated twice.

@@ -76,13 +76,3 @@ def fit_linear_regression(
         intercept=float(solution[-1]),
         budget=budget,
     )
-
-
-def training_mse(formula: EstimationFormula, rows: list[TrainingRow]) -> float:
-    """Mean squared error of a formula over training rows (diagnostics)."""
-    if not rows:
-        return float("nan")
-    errors = [
-        (formula.estimate(means) - label) ** 2 for means, label in rows
-    ]
-    return float(np.mean(errors))

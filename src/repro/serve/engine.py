@@ -10,7 +10,9 @@ and runs four phases, one after another on the calling thread:
    level and the maximum answer count any query demands.  Concurrent
    queries touching the same key coalesce into a single purchase of
    the maximum shortfall — the cross-query batching this engine exists
-   for.
+   for.  Objects *complete* for their plan group (every key its plans
+   demand already holds the demanded count; see :class:`_PlanGroup`)
+   are skipped: they can add no demand.
 2. **Generation** (pure).  Produce every shortfall answer in one
    batched call: :meth:`~repro.serve.stream.BatchedValueStream.
    answers_many` (fault-free) or :meth:`~repro.serve.faults.
@@ -31,7 +33,9 @@ and runs four phases, one after another on the calling thread:
 4. **Accounting and evaluation** (read-only but for the ledger).  In
    admission order, each query's hits and fresh answers are attributed
    key by key, in the sorted key order its demand was built in at
-   admission; the wave's savings are then booked in one
+   admission; a complete object's outcome is fixed (every demanded
+   answer a hit), so it books its group's precomputed savings entries
+   instead.  The wave's savings are then booked in one
    order-preserving ledger fold.  Next every query is cut to its
    deadline prefix: in admission order, the clock is polled once per
    object and the first object polled past the deadline ends the
@@ -40,7 +44,10 @@ and runs four phases, one after another on the calling thread:
    makes one :meth:`~repro.core.online.OnlineEvaluator.
    estimate_objects` call over its queries' concatenated prefixes,
    reading the now frozen wave cache through a :class:`~repro.serve.
-   cache.CacheReadSource`; the result is sliced back per query.
+   cache.CacheReadSource`, for every row its memo of complete objects'
+   estimates does not hold (the memo is dropped whenever the
+   reliability model's ``version`` moves); the result is sliced back
+   per query.  Objects the wave completed join their groups last.
    Finally each query, in admission order, applies its predicate.  Any
    shortfall (deadline, budget or faults) produces a ``degraded``
    result carrying a :class:`~repro.serve.degrade.DegradedResult` —
@@ -174,17 +181,71 @@ def _purchase_of(record: dict) -> tuple[CacheKey, int, KeyPurchase, list[int] | 
     return key, int(record["start"]), purchase, record.get("workers")
 
 
+class _PlanGroup:
+    """What the engine keeps about one plan group across waves.
+
+    A plan group is the queries submitted with the same plan objects:
+    they share one demand signature and one evaluation per wave.  An
+    object is *complete* for the group once every key its plans demand
+    holds the demanded count; the cache is append-only, so it stays
+    complete, its accounting outcome in any later wave is fixed (every
+    demanded answer a hit) and its estimate changes only with the
+    reliability model's weights.  The record holds the plans
+    themselves, so the ``id`` it is keyed by is never reused while it
+    lives.  It grows with the objects the group has served: the engine
+    keeps one record per distinct plan group, holding at most one
+    object id and one memo row per target for each object it served.
+    """
+
+    __slots__ = (
+        "plans", "targets", "signature", "hit_entries", "hit_answers",
+        "complete", "missing_terms", "memo", "memo_version",
+    )
+
+    def __init__(self, plans: list[PreprocessingPlan]) -> None:
+        self.plans = plans
+        self.targets = [target for plan in plans for target in plan.query.targets]
+        counts: dict[str, int] = {}
+        for plan in plans:
+            for attribute in plan.budget.attributes:
+                count = plan.budget[attribute]
+                counts[attribute] = max(counts.get(attribute, 0), count)
+        #: Sorted ``(attribute, largest count over the plans)`` pairs.
+        self.signature: tuple[tuple[str, int], ...] = tuple(sorted(counts.items()))
+        #: A complete object's savings entries ``(count × price, count)``
+        #: in signature order, and their answer total; priced when the
+        #: first object completes, when accounting has priced them all.
+        self.hit_entries: list[tuple[float, int]] = []
+        self.hit_answers = 0
+        #: Objects complete before the current wave.
+        self.complete: set[int] = set()
+        #: Formula terms outside their plan's budget, per evaluated row:
+        #: what ``agg.missing_terms`` counts for a complete row.
+        self.missing_terms = sum(
+            1
+            for plan in plans
+            for target in plan.query.targets
+            for term in plan.formula(target).coefficients
+            if not plan.budget[term]
+        )
+        #: target -> object -> estimate of complete objects, valid while
+        #: the reliability model stays at ``memo_version``.
+        self.memo: dict[str, dict[int, float]] = {}
+        self.memo_version = 0
+
+
 @dataclass
 class _Pending:
     """One admitted query waiting for (or inside) a wave."""
 
     request: QueryRequest
-    plans: list[PreprocessingPlan]
     admitted_at: float
-    #: (object_id, attribute) -> answers this query's plans demand,
-    #: built at admission in sorted key order (sorted unique objects ×
-    #: sorted attributes), the order accounting walks it in.
-    demands: dict[CacheKey, int]
+    #: The record of the plan group the query was submitted with.
+    group: _PlanGroup
+    #: The query's sorted unique objects, each with its demanded keys
+    #: as ``((object_id, attribute), count)`` in signature order: sorted
+    #: key order, the order accounting walks them in.
+    demands: list[tuple[int, list[tuple[CacheKey, int]]]]
     #: Admitted under backpressure as cache-only: the query contributes
     #: no purchase demand and is served from whatever the cache holds;
     #: any shortfall degrades with reason ``"admission"``.
@@ -330,6 +391,8 @@ class ServeEngine:
         #: exhausted retries and must never be re-drawn).
         self._lost: dict[CacheKey, int] = {}
         self._queue: list[_Pending] = []
+        #: One record per plan group, keyed by the plans' identities.
+        self._groups: dict[tuple[int, ...], _PlanGroup] = {}
         self._results: list[QueryResult] = []
         #: How many of ``_results`` the serve log already covers.
         self._logged = 0
@@ -683,21 +746,22 @@ class ServeEngine:
                 depth=len(self._queue),
             )
             return False
-        counts: dict[str, int] = {}
-        for plan in plans:
-            for attribute in plan.budget.attributes:
-                count = plan.budget[attribute]
-                counts[attribute] = max(counts.get(attribute, 0), count)
-        attributes = sorted(counts.items())
+        identity = tuple(map(id, plans))
+        group = self._groups.get(identity)
+        if group is None:
+            group = self._groups[identity] = _PlanGroup(plans)
+        signature = group.signature
         pending = _Pending(
             request=request,
-            plans=plans,
             admitted_at=self._clock(),
-            demands={
-                (object_id, attribute): count
+            group=group,
+            demands=[
+                (
+                    object_id,
+                    [((object_id, attribute), count) for attribute, count in signature],
+                )
                 for object_id in sorted(set(request.object_ids))
-                for attribute, count in attributes
-            },
+            ],
             cache_only=cache_only,
         )
         self._queue.append(pending)
@@ -798,22 +862,28 @@ class ServeEngine:
         # and the questions the queries would have bought independently.
         # Cache-only admissions contribute *no* purchase demand — they
         # read, they never buy — but their keys still need pre-counts
-        # for the accounting replay below.
+        # for the accounting replay below.  An object complete for its
+        # plan group is skipped: every key it demands holds the count
+        # already, so it adds no demand, no question and no shortfall.
         cached = self.cache.count
         pre_counts: dict[CacheKey, int] = {}
         demands: dict[CacheKey, int] = {}
         independent = 0
         for pending in wave:
             cache_only = pending.cache_only
-            for key, count in pending.demands.items():
-                pre = pre_counts.get(key)
-                if pre is None:
-                    pre = pre_counts[key] = cached(*key)
-                if cache_only or count <= pre:
+            complete = pending.group.complete
+            for object_id, keys in pending.demands:
+                if object_id in complete:
                     continue
-                independent += count - pre
-                if count > demands.get(key, 0):
-                    demands[key] = count
+                for key, count in keys:
+                    pre = pre_counts.get(key)
+                    if pre is None:
+                        pre = pre_counts[key] = cached(*key)
+                    if cache_only or count <= pre:
+                        continue
+                    independent += count - pre
+                    if count > demands.get(key, 0):
+                        demands[key] = count
         shortfalls = [
             (key, pre_counts[key], demands[key] - pre_counts[key])
             for key in sorted(demands)
@@ -916,60 +986,87 @@ class ServeEngine:
         # was there but retries were exhausted.  Each hit span's savings
         # entry is collected in this order (admission order, then the
         # query's sorted keys) and the ledger folds them one by one
-        # after the loop, so its float total is the per-entry one.
+        # after the loop, so its float total is the per-entry one.  An
+        # object complete before the wave has a fixed outcome — every
+        # demanded answer a hit, nothing fresh, no shortfall, ``virtual``
+        # untouched — so it books its group's precomputed entries; an
+        # object whose every key now holds its count completes after
+        # the wave.
         available = dict(pre_counts)
         for key, _, _ in shortfalls:
             available[key] = cached(*key)
         virtual = dict(pre_counts)
         savings: list[tuple[float, int]] = []
+        completed: list[tuple[_PlanGroup, int]] = []
         for pending in wave:
             result = QueryResult(query_id=pending.request.query_id)
-            for key, count in pending.demands.items():
-                object_id, attribute = key
-                held = available[key]
-                served = count if count < held else held
-                if pending.cache_only:
-                    # A cache-only admission reads whatever the wave's
-                    # cache holds and pays for none of it: every answer
-                    # it uses counts as a hit (an answer it would have
-                    # bought stand-alone), the purchasing queries keep
-                    # their own fresh attribution (``virtual`` is left
-                    # untouched), and any deficit is an *admission*
-                    # shortfall — a decision, not money or faults.
-                    hits = served
-                    fresh = 0
-                else:
-                    seen = virtual[key]
-                    hits = seen if seen < count else count
-                    fresh = served - seen
-                    if fresh > 0:
-                        virtual[key] = served
-                pending.answers_demanded += count
-                pending.answers_served += served
-                if count > held:
+            group = pending.group
+            complete = group.complete
+            for object_id, keys in pending.demands:
+                if object_id in complete:
+                    entries = group.hit_entries
+                    savings.extend(entries)
+                    saved_cents = result.saved_cents
+                    for saved, _ in entries:
+                        saved_cents += saved
+                    result.saved_cents = saved_cents
+                    result.saved_answers += group.hit_answers
+                    pending.answers_demanded += group.hit_answers
+                    pending.answers_served += group.hit_answers
+                    continue
+                whole = True
+                for key, count in keys:
+                    attribute = key[1]
+                    held = available[key]
+                    served = count if count < held else held
                     if pending.cache_only:
-                        pending.reasons.add("admission")
+                        # A cache-only admission reads whatever the
+                        # wave's cache holds and pays for none of it:
+                        # every answer it uses counts as a hit (an
+                        # answer it would have bought stand-alone), the
+                        # purchasing queries keep their own fresh
+                        # attribution (``virtual`` is left untouched),
+                        # and any deficit is an *admission* shortfall —
+                        # a decision, not money or faults.
+                        hits = served
+                        fresh = 0
                     else:
-                        pending.reasons.add("budget" if key in unfunded else "faults")
-                    pending.shortfalls.append(
-                        TermShortfall(
-                            object_id=object_id,
-                            attribute=attribute,
-                            demanded=count,
-                            served=served,
-                            effective=self._effective_count(
-                                object_id, attribute, served
-                            ),
+                        seen = virtual[key]
+                        hits = seen if seen < count else count
+                        fresh = served - seen
+                        if fresh > 0:
+                            virtual[key] = served
+                    pending.answers_demanded += count
+                    pending.answers_served += served
+                    if count > held:
+                        whole = False
+                        if pending.cache_only:
+                            pending.reasons.add("admission")
+                        else:
+                            pending.reasons.add(
+                                "budget" if key in unfunded else "faults"
+                            )
+                        pending.shortfalls.append(
+                            TermShortfall(
+                                object_id=object_id,
+                                attribute=attribute,
+                                demanded=count,
+                                served=served,
+                                effective=self._effective_count(
+                                    object_id, attribute, served
+                                ),
+                            )
                         )
-                    )
-                if hits:
-                    saved = hits * self._price(attribute)
-                    result.saved_answers += hits
-                    result.saved_cents += saved
-                    savings.append((saved, hits))
-                if fresh > 0:
-                    result.fresh_answers += fresh
-                    result.spent_cents += fresh * self._price(attribute)
+                    if hits:
+                        saved = hits * self._price(attribute)
+                        result.saved_answers += hits
+                        result.saved_cents += saved
+                        savings.append((saved, hits))
+                    if fresh > 0:
+                        result.fresh_answers += fresh
+                        result.spent_cents += fresh * self._price(attribute)
+                if whole:
+                    completed.append((group, object_id))
             pending.result = result
         if savings:
             self.platform.ledger.record_savings("value", savings)
@@ -979,8 +1076,9 @@ class ServeEngine:
 
         # Phase 4b (read-only): cut every query to its deadline prefix,
         # then evaluate each group of queries sharing plan objects with
-        # one estimate_objects call over the frozen wave cache, and
-        # apply predicates and degradation in admission order.
+        # one estimate_objects call over the frozen wave cache, for the
+        # rows its memo does not hold, and apply predicates and
+        # degradation in admission order.
         read_source = CacheReadSource(self.cache)
         with self.obs.tracer.span("serve.evaluate", queries=len(wave)):
             prefixes = [self._deadline_prefix(pending) for pending in wave]
@@ -996,6 +1094,16 @@ class ServeEngine:
             else:
                 metrics.inc("serve.completed")
             self._results.append(result)
+        # Objects completed by this wave join their groups only now, so
+        # the fast paths and the memo see objects complete before a wave.
+        for group, object_id in completed:
+            if not group.hit_entries:
+                group.hit_entries = [
+                    (count * self._price(attribute), count)
+                    for attribute, count in group.signature
+                ]
+                group.hit_answers = sum(count for _, count in group.signature)
+            group.complete.add(object_id)
         self._kill_point("serve.evaluate")
 
     def _replay_purchase(self, key: CacheKey, purchase: KeyPurchase) -> None:
@@ -1077,26 +1185,73 @@ class ServeEngine:
         query.  Rows are independent and repeated objects are kept, so
         each query's estimates and the ``online.objects`` and
         ``agg.missing_terms`` totals equal those of a call per query.
+
+        In front of that call sits the group's memo: the rows of objects
+        complete before the wave, stored the first time such a row is
+        evaluated.  A complete row's inputs are its first ``b(a)``
+        answers, their worker ids and the model's weights; the first
+        two never change, so the memo holds while the reliability model
+        stays at the version it was filled under (always, under uniform
+        aggregation).  Memo rows skip the call but still count in
+        ``online.objects``, and in ``agg.missing_terms`` with the terms
+        outside their plans' budgets, the only terms a complete row
+        misses.
         """
-        groups: dict[tuple[int, ...], list[int]] = {}
+        groups: dict[_PlanGroup, list[int]] = {}
         for index, pending in enumerate(wave):
-            groups.setdefault(tuple(map(id, pending.plans)), []).append(index)
+            groups.setdefault(pending.group, []).append(index)
+        version = 0 if self._agg_model is None else self._agg_model.version
+        metrics = self.obs.metrics
         estimates: list[dict[str, list[float]]] = [{} for _ in wave]
-        for members in groups.values():
-            evaluator = OnlineEvaluator(
-                self.platform,
-                wave[members[0]].plans,
-                answer_source=source,
-                aggregator=self.aggregator,
+        for group, members in groups.items():
+            objects = [object_id for index in members for object_id in prefixes[index]]
+            if group.memo_version != version:
+                group.memo = {}
+                group.memo_version = version
+            memo = group.memo
+            targets = group.targets
+            first = memo.get(targets[0])
+            misses = (
+                [object_id for object_id in objects if object_id not in first]
+                if first
+                else objects
             )
-            batch = evaluator.estimate_objects(
-                [object_id for index in members for object_id in prefixes[index]]
-            )
+            fresh: dict[str, list[float]] = {}
+            if misses or not objects:
+                evaluator = OnlineEvaluator(
+                    self.platform,
+                    group.plans,
+                    answer_source=source,
+                    aggregator=self.aggregator,
+                )
+                batch = evaluator.estimate_objects(misses)
+                fresh = {target: batch[target].tolist() for target in targets}
+            columns = fresh
+            if len(misses) < len(objects):
+                served = len(objects) - len(misses)
+                metrics.inc("online.objects", served)
+                if group.missing_terms:
+                    metrics.inc("agg.missing_terms", served * group.missing_terms)
+                columns = {}
+                for target in targets:
+                    rows = memo[target]
+                    values = iter(fresh.get(target, ()))
+                    columns[target] = [
+                        rows[object_id] if object_id in rows else next(values)
+                        for object_id in objects
+                    ]
+            complete = group.complete
+            if misses and complete:
+                for target in targets:
+                    rows = memo.setdefault(target, {})
+                    for object_id, value in zip(misses, fresh[target]):
+                        if object_id in complete:
+                            rows[object_id] = value
             start = 0
             for index in members:
                 end = start + len(prefixes[index])
                 estimates[index] = {
-                    target: batch[target][start:end].tolist()
+                    target: columns[target][start:end]
                     for target in wave[index].request.targets
                 }
                 start = end
@@ -1160,7 +1315,7 @@ class ServeEngine:
         intervals: dict[str, list[list[float]]] = {}
         for target in request.targets:
             formula = None
-            for plan in pending.plans:
+            for plan in pending.group.plans:
                 if target in plan.formulas:
                     formula = plan.formulas[target]
                     break

@@ -109,11 +109,30 @@ class Predicate:
         return {"target": self.target, "op": self.op, "threshold": self.threshold}
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "Predicate":
+    def from_dict(cls, payload, query_id: str) -> "Predicate":
+        """Query ``query_id``'s predicate from its JSON object.
+
+        ``target`` and ``op`` must be strings and ``threshold`` a finite
+        number (not a bool; JSON ``NaN`` would match nothing); any other
+        shape is refused, naming the query.
+        """
+        where = f"query {query_id!r}: predicate"
+        if (
+            not isinstance(payload, dict)
+            or not isinstance(payload.get("target"), str)
+            or not isinstance(payload.get("op"), str)
+        ):
+            raise ConfigurationError(
+                f'{where} must be an object {{"target": name, "op": operator, '
+                f'"threshold": number}}, got {payload!r}'
+            )
+        threshold = payload.get("threshold")
+        if not _is_number(threshold) or not math.isfinite(threshold):
+            raise ConfigurationError(
+                f"{where} threshold must be a finite number, got {threshold!r}"
+            )
         return cls(
-            target=str(payload["target"]),
-            op=str(payload["op"]),
-            threshold=float(payload["threshold"]),
+            target=payload["target"], op=payload["op"], threshold=float(threshold)
         )
 
 
@@ -156,21 +175,73 @@ class QueryRequest:
             )
 
 
+def _is_integer(value) -> bool:
+    """A JSON integer: an ``int`` that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A JSON number: an ``int`` or ``float`` that is not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def parse_object_spec(spec, query_id: str) -> tuple[int, ...]:
     """Object ids from a query-file entry: a list, or a range spec.
 
-    Shared with the declarative catalog front-end
-    (:mod:`repro.catalog.query`), whose request specs use the same
-    object grammar as ``queries.json`` workloads.
+    A list must hold JSON integers; a range spec ``{"range": [start,
+    stop]}`` or ``{"range": [start, stop, step]}`` takes integers and a
+    non-zero step.  Anything else (floats, bools, strings, nulls) is a
+    :class:`~repro.errors.ConfigurationError` naming the query, never a
+    silently truncated id.  Shared with the declarative catalog
+    front-end (:mod:`repro.catalog.query`), whose request specs use the
+    same object grammar as ``queries.json`` workloads.
     """
     if isinstance(spec, dict):
-        if set(spec) != {"range"} or len(spec["range"]) not in (2, 3):
+        bounds = spec.get("range") if set(spec) == {"range"} else None
+        if (
+            not isinstance(bounds, list)
+            or len(bounds) not in (2, 3)
+            or not all(_is_integer(bound) for bound in bounds)
+            or bounds[2:] == [0]
+        ):
             raise ConfigurationError(
-                f"query {query_id!r}: object spec must be a list of ids or "
-                f'{{"range": [start, stop]}}'
+                f"query {query_id!r}: objects must be a list of integer ids or "
+                f'{{"range": [start, stop]}} / {{"range": [start, stop, step]}} '
+                f"of integers with a non-zero step, got {spec!r}"
             )
-        return tuple(range(*[int(v) for v in spec["range"]]))
-    return tuple(int(object_id) for object_id in spec)
+        return tuple(range(*bounds))
+    if not isinstance(spec, (list, tuple)) or not all(
+        _is_integer(object_id) for object_id in spec
+    ):
+        raise ConfigurationError(
+            f"query {query_id!r}: objects must be a list of integer ids or "
+            f'{{"range": [start, stop]}}, got {spec!r}'
+        )
+    return tuple(spec)
+
+
+def parse_targets(value, query_id: str) -> tuple[str, ...]:
+    """A query entry's ``targets``: a list of attribute names."""
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(target, str) for target in value
+    ):
+        raise ConfigurationError(
+            f"query {query_id!r}: targets must be a list of attribute names, "
+            f"got {value!r}"
+        )
+    return tuple(value)
+
+
+def parse_deadline(value, query_id: str) -> float | None:
+    """A query entry's ``deadline_s``: a number of seconds, or absent."""
+    if value is None:
+        return None
+    if not _is_number(value):
+        raise ConfigurationError(
+            f"query {query_id!r}: deadline_s must be a number of seconds, "
+            f"got {value!r}"
+        )
+    return float(value)
 
 
 def check_object_ids(
@@ -196,7 +267,9 @@ def load_query_file(path: str | Path) -> list[QueryRequest]:
          "predicate": {"target": "protein", "op": ">=", "threshold": 20},
          "deadline_s": 5.0}
 
-    ``predicate`` and ``deadline_s`` are optional.
+    ``predicate`` and ``deadline_s`` are optional.  A field of the
+    wrong type is a :class:`~repro.errors.ConfigurationError` naming the
+    query and the field (see :func:`parse_object_spec`).
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -220,16 +293,14 @@ def load_query_file(path: str | Path) -> list[QueryRequest]:
         requests.append(
             QueryRequest(
                 query_id=query_id,
-                targets=tuple(str(t) for t in entry.get("targets", ())),
+                targets=parse_targets(entry.get("targets", ()), query_id),
                 object_ids=parse_object_spec(entry.get("objects", ()), query_id),
                 predicate=(
-                    Predicate.from_dict(predicate) if predicate is not None else None
-                ),
-                deadline_s=(
-                    float(entry["deadline_s"])
-                    if entry.get("deadline_s") is not None
+                    Predicate.from_dict(predicate, query_id)
+                    if predicate is not None
                     else None
                 ),
+                deadline_s=parse_deadline(entry.get("deadline_s"), query_id),
             )
         )
     return requests

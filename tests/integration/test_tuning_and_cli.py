@@ -361,25 +361,64 @@ _REMOVED_OPTIONS = (
 )
 
 #: ``@name`` arguments name files the test writes under its tmp_path: a
-#: query file and a request spec that name object 60 of a 60-object
-#: domain, and an empty plan catalog that must stay empty.
+#: query file and a request spec per entry of :data:`_BAD_ENTRIES`, and
+#: an empty plan catalog that must stay empty.
 _SERVE = [
-    "serve", "--domain", "recipes", "--queries", "@queries.json",
+    "serve", "--domain", "recipes", "--queries", "@QUERIES",
     "--catalog", "@catalog", "--n-objects", "60", "--n1", "12",
     "--b-obj", "2", "--b-prc", "200",
 ]
 _QUERY = [
-    "query", "--domain", "recipes", "--requests", "@requests.json",
+    "query", "--domain", "recipes", "--requests", "@REQUESTS",
     "--catalog", "@catalog", "--n-objects", "60", "--n1", "12",
     "--b-obj", "2", "--b-prc", "200",
 ]
 
 
-def _write_out_of_domain_requests(directory) -> None:
-    entry = {"id": "r0", "targets": ["protein"], "objects": [1, 60]}
-    (directory / "queries.json").write_text(json.dumps({"queries": [entry]}))
-    (directory / "requests.json").write_text(json.dumps([entry]))
+#: Query entries the serve and query doors must refuse before planning:
+#: an object outside the 60-object domain, and fields of the wrong type
+#: that were once read as something else (``1.5`` as object 1, ``"12"``
+#: as objects 1 and 2, ``true`` as 1) or crashed mid-parse.
+_BAD_ENTRIES = {
+    "object-outside-domain": {"objects": [1, 60]},
+    "object-float": {"objects": [1.5, 2]},
+    "object-bool": {"objects": [True, 2]},
+    "object-string": {"objects": "12"},
+    "object-text": {"objects": ["abc"]},
+    "object-null": {"objects": [None]},
+    "range-float": {"objects": {"range": [0, 2.7]}},
+    "range-zero-step": {"objects": {"range": [0, 3, 0]}},
+    "targets-string": {"targets": "protein"},
+    "deadline-bool": {"deadline_s": True},
+    "deadline-text": {"deadline_s": "soon"},
+    "threshold-bool": {
+        "predicate": {"target": "protein", "op": ">=", "threshold": True}
+    },
+    "threshold-text": {
+        "predicate": {"target": "protein", "op": ">=", "threshold": "high"}
+    },
+    "predicate-string": {"predicate": "protein>3"},
+}
+
+
+def _write_bad_requests(directory) -> None:
+    for name, fields in _BAD_ENTRIES.items():
+        entry = {"id": "r0", "targets": ["protein"], "objects": [1, 2], **fields}
+        (directory / f"{name}.queries.json").write_text(
+            json.dumps({"queries": [entry]})
+        )
+        if "predicate" in entry:
+            entry["predicates"] = [entry.pop("predicate")]
+        (directory / f"{name}.requests.json").write_text(json.dumps([entry]))
     (directory / "catalog").mkdir()
+
+
+def _bad_serve(name: str) -> list[str]:
+    return _with(_SERVE, "--queries", f"@{name}.queries.json")
+
+
+def _bad_query(name: str) -> list[str]:
+    return _with(_QUERY, "--requests", f"@{name}.requests.json")
 
 
 class TestCliValidation:
@@ -412,8 +451,8 @@ class TestCliValidation:
             _with(_EVALUATE, "--trim-fraction", "0.1"),
             _with(_EVALUATE, "--huber-delta", "1.5"),
             _with(_EVALUATE, "--em-iterations", "5"),
-            _SERVE,
-            _QUERY,
+            *[_bad_serve(name) for name in _BAD_ENTRIES],
+            *[_bad_query(name) for name in _BAD_ENTRIES],
         ],
         ids=[
             "plan-b_obj-nan",
@@ -439,14 +478,14 @@ class TestCliValidation:
             "evaluate-trim-fraction",
             "evaluate-huber-delta",
             "evaluate-em-iterations",
-            "serve-object-outside-domain",
-            "query-object-outside-domain",
+            *[f"serve-{name}" for name in _BAD_ENTRIES],
+            *[f"query-{name}" for name in _BAD_ENTRIES],
         ],
     )
     def test_bad_input_exits_2(self, argv, capsys, tmp_path):
         from repro.cli import EXIT_CONFIGURATION_ERROR, main
 
-        _write_out_of_domain_requests(tmp_path)
+        _write_bad_requests(tmp_path)
         argv = [
             str(tmp_path / token[1:]) if token.startswith("@") else token
             for token in argv
@@ -459,8 +498,9 @@ class TestCliValidation:
             code, expected = exited.value.code, removed[0]
         else:
             code, expected = main(argv), "configuration error:"
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert code == EXIT_CONFIGURATION_ERROR
         assert expected in err
+        assert not out
         # Checked before any planning: no plan was bought or stored.
         assert not list((tmp_path / "catalog").iterdir())

@@ -4,7 +4,8 @@
 5) written the slow, obvious way: for each object, for each plan, for
 each attribute of the plan's budget, fetch ``b(a)`` answers, reduce
 them with ``np.mean`` (or the aggregator) and apply each target's
-formula through ``formula.estimate``.  A dead budget ends the plan's
+formula through :func:`formula_estimate`, the reference form of the
+paper's linear formula.  A dead budget ends the plan's
 terms for that object; a crowd fault skips one term.
 :class:`~repro.core.online.OnlineEvaluator` must return the same
 estimates bit for bit and the same skip lists and counter totals
@@ -37,6 +38,23 @@ class NaiveOutcome:
     #: Expected ``online.objects`` and ``agg.missing_terms`` totals.
     objects: int = 0
     missing_terms: int = 0
+
+
+def formula_estimate(formula, attribute_means: dict[str, float]) -> float:
+    """Apply one :class:`~repro.core.model.EstimationFormula` to averaged
+    crowd answers: ``intercept + sum coefficient * mean``, left to right
+    in coefficient order.
+
+    A missing attribute contributes nothing (its term is dropped, not
+    added as 0.0), which is how the online phase degrades when an
+    object's answers run short.
+    """
+    value = formula.intercept
+    for attribute, coefficient in formula.coefficients.items():
+        mean = attribute_means.get(attribute)
+        if mean is not None:
+            value += coefficient * mean
+    return value
 
 
 def estimate_naively(plans, source, object_ids, aggregator=None) -> NaiveOutcome:
@@ -77,5 +95,5 @@ def estimate_naively(plans, source, object_ids, aggregator=None) -> NaiveOutcome
                 outcome.missing_terms += sum(
                     1 for term in formula.coefficients if term not in means
                 )
-                outcome.estimates[target].append(formula.estimate(means))
+                outcome.estimates[target].append(formula_estimate(formula, means))
     return outcome

@@ -1,18 +1,25 @@
 """Differential property: the serve engine against the naive oracle.
 
-Random workloads — wave size, overlapping object ranges over two plans,
-cache-only admissions, per-query deadlines under a clock that ticks on
-every read, a budget or none, faults or none, the default or a lossy
-retry policy, uniform or reliability aggregation — are served once by a
-durable :class:`~repro.serve.engine.ServeEngine` and once by
-:class:`tests.serve_oracle.NaiveServer`.  Evaluated objects, estimates,
-statuses and degradation reasons must agree exactly (so both read the
-deadline clock the same number of times, in the same order); spend
-must equal the answers in the serve log's purchase records times their
-price, and the oracle's spend; no answer index may be logged twice; and
-the manifest counters must equal the ledger.  Crashes are left to the
-crash-anywhere property in ``test_property_serve_journal.py``, which
-compares every crashed run with the same kind of straight-through run.
+Random workloads — wave size, overlapping object ranges over three
+plans, cache-only admissions, per-query deadlines under a clock that
+ticks on every read, a budget or none, faults or none, the default or
+a lossy retry policy, uniform or reliability aggregation — are served
+once by a durable :class:`~repro.serve.engine.ServeEngine` and once by
+:class:`tests.serve_oracle.NaiveServer`.  Half the workloads are hot
+traffic: up to sixteen queries over a few objects in waves of one to
+three, mostly buying and without deadlines, so objects come back
+complete, the engine's estimate memo serves rows and purchases move the
+reliability model between reads.
+Evaluated objects, estimates, statuses and degradation reasons must
+agree exactly (so both read the deadline clock the same number of
+times, in the same order), and so must each query's fresh and saved
+answers and cents, the ledger's savings and the ``online.objects`` and
+``agg.missing_terms`` counters; spend must equal the answers in the
+serve log's purchase records times their price, and the oracle's
+spend; no answer index may be logged twice; and the manifest counters
+must equal the ledger.  Crashes are left to the crash-anywhere property
+in ``test_property_serve_journal.py``, which compares every crashed run
+with the same kind of straight-through run.
 """
 
 import itertools
@@ -26,6 +33,12 @@ from repro.crowd.faults import FaultProfile, RetryPolicy
 from repro.crowd.platform import CrowdPlatform
 from repro.crowd.pricing import Budget
 from repro.crowd.quality import WorkerCircuitBreaker
+from repro.core.model import (
+    BudgetDistribution,
+    EstimationFormula,
+    PreprocessingPlan,
+    Query,
+)
 from repro.crowd.recording import AnswerRecorder
 from repro.durability.journal import read_journal
 from repro.obs import Observability
@@ -36,7 +49,24 @@ from tests.serve_oracle import NaiveServer
 
 pytestmark = [pytest.mark.serve, pytest.mark.faults]
 
-PLANS = {"identity": identity_plan("target", 4), "dismantled": dismantled_plan()}
+
+def partial_plan() -> PreprocessingPlan:
+    """A formula term outside the budget: every row misses one term."""
+    budget = BudgetDistribution({"helper": 2})
+    formula = EstimationFormula("target", {"helper": 0.7, "flag_a": 1.9}, -1.0, budget)
+    return PreprocessingPlan(
+        query=Query.single("target"),
+        attributes=("helper",),
+        budget=budget,
+        formulas={"target": formula},
+    )
+
+
+PLANS = {
+    "identity": identity_plan("target", 4),
+    "dismantled": dismantled_plan(),
+    "partial": partial_plan(),
+}
 FAULT_SEED = 11
 
 
@@ -48,23 +78,35 @@ def breaker() -> WorkerCircuitBreaker:
 
 @st.composite
 def workloads(draw):
-    queries = draw(st.integers(min_value=1, max_value=8), label="queries")
+    # Hot traffic: many small waves over a few objects, mostly buying
+    # and without deadlines, so objects complete early and come back.
+    hot = draw(st.booleans(), label="hot traffic")
+    if hot:
+        queries = draw(st.integers(min_value=6, max_value=16), label="queries")
+        starts, lengths = st.integers(0, 3), st.integers(1, 2)
+        deadlines = st.sampled_from((None, None, None, 12.0))
+        cache_only = st.sampled_from((False, False, False, True))
+    else:
+        queries = draw(st.integers(min_value=1, max_value=8), label="queries")
+        starts, lengths = st.integers(0, 10), st.integers(1, 6)
+        deadlines = st.sampled_from((None, None, 0.0, 2.0, 5.0, 12.0))
+        cache_only = st.booleans()
     submissions = []
     for index in range(queries):
-        start = draw(st.integers(min_value=0, max_value=10))
-        length = draw(st.integers(min_value=1, max_value=6))
-        deadline = draw(st.sampled_from((None, None, 0.0, 2.0, 5.0, 12.0)))
+        start, length = draw(starts), draw(lengths)
         request = QueryRequest(
             f"q{index}",
             ("target",),
             tuple(range(start, start + length)),
-            deadline_s=deadline,
+            deadline_s=draw(deadlines),
         )
         plan = PLANS[draw(st.sampled_from(sorted(PLANS)))]
-        submissions.append((request, plan, draw(st.booleans())))
+        submissions.append((request, plan, draw(cache_only)))
     return {
         "submissions": submissions,
-        "wave_size": draw(st.sampled_from((None, 1, 2, 3)), label="wave_size"),
+        "wave_size": draw(
+            st.sampled_from((1, 2, 3) if hot else (None, 1, 2, 3)), label="wave_size"
+        ),
         "budget": draw(st.one_of(st.none(), st.integers(2, 40)), label="budget"),
         "fault_rate": draw(st.sampled_from((None, 0.2, 0.5)), label="fault rate"),
         "lossy": draw(st.booleans(), label="lossy retry"),
@@ -108,13 +150,14 @@ def test_engine_matches_the_naive_oracle(tiny_domain, tmp_path_factory, workload
 
     submissions = workload["submissions"]
     oracle_platform = platform()
-    expected = NaiveServer(
+    oracle = NaiveServer(
         oracle_platform,
         breaker=breaker(),
         aggregator=aggregator(),
         clock=ticking_clock(),
         **options,
-    ).serve(submissions, workload["wave_size"])
+    )
+    expected = oracle.serve(submissions, workload["wave_size"])
 
     directory = tmp_path_factory.mktemp("oracle")
     served = platform(Observability.collecting())
@@ -136,8 +179,15 @@ def test_engine_matches_the_naive_oracle(tiny_domain, tmp_path_factory, workload
         assert got.object_ids == want.object_ids
         assert got.estimates == want.estimates
         assert (got.status, got.degraded_reason) == (want.status, want.degraded_reason)
+        assert (got.fresh_answers, got.saved_answers) == (
+            want.fresh_answers,
+            want.saved_answers,
+        )
+        assert (got.spent_cents, got.saved_cents) == (want.spent_cents, want.saved_cents)
 
     ledger = served.ledger
+    assert ledger.saved_by_category["value"] == oracle.saved_cents
+    assert ledger.saved_answers_by_category["value"] == oracle.saved_answers
     purchases = [
         record for record in read_journal(directory / SERVE_JOURNAL)
         if record["kind"] == "purchase"
@@ -156,3 +206,6 @@ def test_engine_matches_the_naive_oracle(tiny_domain, tmp_path_factory, workload
     metrics = served.obs.metrics
     assert metrics.counter("crowd.spend.value") == ledger.spent_by_category["value"]
     assert metrics.counter("crowd.questions.value") == ledger.questions_by_category["value"]
+    assert metrics.counter("serve.cache.hits") == oracle.saved_answers
+    assert metrics.counter("online.objects") == oracle.objects
+    assert metrics.counter("agg.missing_terms") == oracle.missing_terms

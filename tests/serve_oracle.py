@@ -19,8 +19,17 @@ contract (DESIGN.md §12–§13), not its code:
 * each purchase's fault side effects (clock, breaker, retry and abandon
   ledger events, the lost-answer cursor) apply before its charge, and
   the reliability model absorbs each key's new span right after it;
+* accounting replays a virtual cache level per key, starting from the
+  pre-wave level, over the wave's queries in admission order and each
+  query's keys in sorted order: answers present before a query's turn
+  are its hits, answers beyond them that it is served are its fresh
+  answers, and a cache-only query's served answers are all hits; each
+  hit span books ``hits × price`` cents of savings, which the ledger
+  adds one entry at a time in that order;
 * every query's prefix is then estimated object by object over the
-  dict cache by the naive online loop (``tests/online_oracle.py``).
+  dict cache by the naive online loop (``tests/online_oracle.py``),
+  whose ``online.objects`` and ``agg.missing_terms`` totals the server
+  sums over every query.
 """
 
 from __future__ import annotations
@@ -46,6 +55,10 @@ class OracleResult:
     estimates: dict[str, list[float]]
     status: str
     degraded_reason: str | None
+    fresh_answers: int = 0
+    saved_answers: int = 0
+    spent_cents: float = 0.0
+    saved_cents: float = 0.0
 
 
 def demands_of(request, plan) -> dict[tuple[int, str], int]:
@@ -106,6 +119,12 @@ class NaiveServer:
         self.answers: dict[tuple[int, str], list[float]] = {}
         self.workers: dict[tuple[int, str], list[int]] = {}
         self.lost: dict[tuple[int, str], int] = {}
+        #: The ledger's value savings, folded one hit span at a time.
+        self.saved_cents = 0.0
+        self.saved_answers = 0
+        #: Expected ``online.objects`` and ``agg.missing_terms`` totals.
+        self.objects = 0
+        self.missing_terms = 0
 
     def serve(self, submissions, wave_size: int | None) -> dict[str, OracleResult]:
         """Serve ``(request, plan, cache_only)`` triples in waves."""
@@ -120,9 +139,11 @@ class NaiveServer:
 
     def _wave(self, wave) -> dict[str, OracleResult]:
         wanted: dict[tuple[int, str], int] = {}
+        virtual: dict[tuple[int, str], int] = {}
         for request, plan, cache_only in wave:
-            if not cache_only:
-                for key, count in demands_of(request, plan).items():
+            for key, count in demands_of(request, plan).items():
+                virtual[key] = len(self.answers.get(key, []))
+                if not cache_only:
                     wanted[key] = max(wanted.get(key, 0), count)
         blocked: frozenset[int] = frozenset()
         if self.resilient is not None:
@@ -137,8 +158,26 @@ class NaiveServer:
         results = {}
         for request, plan, cache_only in wave:
             reasons = set()
-            for key, count in demands_of(request, plan).items():
-                if count > len(self.answers.get(key, [])):
+            booked = OracleResult([], {}, "completed", None)
+            demands = demands_of(request, plan)
+            for key in sorted(demands):
+                count, held = demands[key], len(self.answers.get(key, []))
+                served = min(count, held)
+                if cache_only:
+                    hits, fresh = served, 0
+                else:
+                    hits, fresh = min(virtual[key], count), served - virtual[key]
+                    virtual[key] = max(virtual[key], served)
+                price = self.platform.value_price(key[1])
+                if hits:
+                    booked.saved_answers += hits
+                    booked.saved_cents += hits * price
+                    self.saved_answers += hits
+                    self.saved_cents += hits * price
+                if fresh > 0:
+                    booked.fresh_answers += fresh
+                    booked.spent_cents += fresh * price
+                if count > held:
                     if cache_only:
                         reasons.add("admission")
                     else:
@@ -152,11 +191,16 @@ class NaiveServer:
                         reasons.add("deadline")
                         break
             outcome = estimate_naively([plan], source, prefix, self.aggregator)
-            estimates = {target: outcome.estimates[target] for target in request.targets}
+            self.objects += outcome.objects
+            self.missing_terms += outcome.missing_terms
             reason = next((r for r in DEGRADE_REASONS if r in reasons), None)
-            results[request.query_id] = OracleResult(
-                prefix, estimates, "completed" if reason is None else "degraded", reason
-            )
+            booked.object_ids = prefix
+            booked.estimates = {
+                target: outcome.estimates[target] for target in request.targets
+            }
+            booked.status = "completed" if reason is None else "degraded"
+            booked.degraded_reason = reason
+            results[request.query_id] = booked
         return results
 
     def _buy(self, key, have: int, count: int, blocked: frozenset[int]) -> bool:

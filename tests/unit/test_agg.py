@@ -154,6 +154,27 @@ class TestReliabilityModel:
         assert clone.state_dict() == model.state_dict()
         assert clone.precisions() == model.precisions()
 
+    def test_version_moves_with_the_weights(self):
+        """Every mutation that can move a weight bumps ``version``; an
+        observe that records no residual leaves it, and the weights."""
+        model = ReliabilityModel()
+        assert model.version == 0
+        model.observe([4.0], [1], start=0)  # index 0: no prefix
+        model.observe([1.0, 2.0, 30.0], [0, UNATTRIBUTED, UNATTRIBUTED], start=0)
+        model.observe([1.0, 2.0], [0, 1], start=0, from_index=2)
+        assert model.version == 0
+        model.observe([1.0, 2.0, 30.0], [0, 1, 2], start=0)
+        assert model.version == 1
+        weights = model.weights([0, 1, 2])
+        model.observe([3.0], [4], start=0)
+        assert model.version == 1
+        assert model.weights([0, 1, 2]) == weights
+        model.fit([([1.0, 5.0, 2.0], [3, 1, 3])])
+        assert model.version > 1
+        fitted = model.version
+        model.restore_state({"n": [], "ss": []})
+        assert model.version == fitted + 1
+
     def test_effective_count_at_most_n(self):
         model = ReliabilityModel()
         rng = np.random.default_rng(2)

@@ -115,6 +115,31 @@ class TestRequestSpecParsing:
         with pytest.raises(ConfigurationError):
             parse_request_spec(payload)
 
+    @pytest.mark.parametrize(
+        "fields, field",
+        [
+            ({"objects": [1.5, 2]}, "objects"),
+            ({"objects": [True]}, "objects"),
+            ({"objects": "12"}, "objects"),
+            ({"objects": [None]}, "objects"),
+            ({"objects": {"range": [0, 2.7]}}, "objects"),
+            ({"objects": {"range": [0, 3, 0]}}, "objects"),
+            ({"targets": "target"}, "targets"),
+            ({"deadline_s": False}, "deadline_s"),
+            ({"deadline_s": "soon"}, "deadline_s"),
+            ({"predicates": {"target": "target", "op": ">=", "threshold": 1}},
+             "predicates"),
+            ({"predicates": ["target>3"]}, "predicate"),
+            ({"predicates": [{"target": "target", "op": ">=", "threshold": True}]},
+             "threshold"),
+        ],
+    )
+    def test_field_types_refused(self, fields, field):
+        """The catalog front-end shares the query file's field rules."""
+        payload = {"id": "r3", "targets": ["target"], "objects": [0], **fields}
+        with pytest.raises(ConfigurationError, match=f"query 'r3'.*{field}"):
+            parse_request_spec(payload)
+
     def test_load_request_file_accepts_both_shapes(self, tmp_path):
         bare = tmp_path / "bare.json"
         bare.write_text(json.dumps([{"targets": ["t"], "objects": [0]}]))

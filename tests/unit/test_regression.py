@@ -7,9 +7,10 @@ from repro.core.model import BudgetDistribution
 from repro.core.regression import (
     fit_linear_regression,
     recommended_training_size,
-    training_mse,
 )
 from repro.errors import ConfigurationError
+
+from tests.online_oracle import formula_estimate
 
 
 class TestRecommendedTrainingSize:
@@ -78,24 +79,18 @@ class TestFit:
         budget = BudgetDistribution({"a": 1, "b": 1, "c": 1})
         rows = [({"a": 1.0, "b": 2.0, "c": 3.0}, 6.0)]
         formula = fit_linear_regression("t", rows, budget)
-        assert formula.estimate(rows[0][0]) == pytest.approx(6.0, abs=1e-6)
+        assert formula_estimate(formula, rows[0][0]) == pytest.approx(6.0, abs=1e-6)
+
+    def test_perfect_fit_predicts_every_row(self):
+        budget = BudgetDistribution({"x": 1})
+        rows = noiseless_rows({"x": 1.0}, intercept=0.0, n=30)
+        formula = fit_linear_regression("t", rows, budget)
+        errors = [(formula_estimate(formula, means) - label) ** 2 for means, label in rows]
+        assert float(np.mean(errors)) == pytest.approx(0.0, abs=1e-12)
 
     def test_collinear_features_stable(self):
         budget = BudgetDistribution({"a": 1, "b": 1})
         rows = [({"a": float(i), "b": float(i)}, 2.0 * i) for i in range(20)]
         formula = fit_linear_regression("t", rows, budget)
-        prediction = formula.estimate({"a": 5.0, "b": 5.0})
+        prediction = formula_estimate(formula, {"a": 5.0, "b": 5.0})
         assert prediction == pytest.approx(10.0, abs=1e-6)
-
-
-class TestTrainingMse:
-    def test_zero_on_perfect_fit(self):
-        budget = BudgetDistribution({"x": 1})
-        rows = noiseless_rows({"x": 1.0}, intercept=0.0, n=30)
-        formula = fit_linear_regression("t", rows, budget)
-        assert training_mse(formula, rows) == pytest.approx(0.0, abs=1e-12)
-
-    def test_nan_on_empty(self):
-        budget = BudgetDistribution({})
-        formula = fit_linear_regression("t", [({}, 1.0)], budget)
-        assert np.isnan(training_mse(formula, []))

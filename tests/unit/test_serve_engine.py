@@ -1,6 +1,7 @@
 """Unit tests for the serving engine and report objects."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -31,6 +32,8 @@ from repro.serve import (
     load_query_file,
 )
 
+from repro.serve.cache import CacheReadSource
+
 from tests.conftest import KillAtNth, rewrite_serve_header
 
 
@@ -42,6 +45,18 @@ def identity_plan(target: str, n_questions: int = 4) -> PreprocessingPlan:
         attributes=(target,),
         budget=budget,
         formulas={target: formula},
+    )
+
+
+def dismantled_plan() -> PreprocessingPlan:
+    """``target`` estimated from two helper attributes."""
+    budget = BudgetDistribution({"helper": 3, "flag_a": 2})
+    formula = EstimationFormula("target", {"helper": 1.1, "flag_a": 2.5}, 3.0, budget)
+    return PreprocessingPlan(
+        query=Query.single("target"),
+        attributes=("helper", "flag_a"),
+        budget=budget,
+        formulas={"target": formula},
     )
 
 
@@ -135,6 +150,68 @@ class TestServeRequests:
         bad.write_text("[]")
         with pytest.raises(ConfigurationError):
             load_query_file(bad)
+
+    @pytest.mark.parametrize(
+        "fields, field",
+        [
+            ({"objects": [1.5, 2]}, "objects"),
+            ({"objects": [True, 2]}, "objects"),
+            ({"objects": "12"}, "objects"),
+            ({"objects": ["abc"]}, "objects"),
+            ({"objects": [None]}, "objects"),
+            ({"objects": {"range": [0, 2.7]}}, "objects"),
+            ({"objects": {"range": [0, 3, 0]}}, "objects"),
+            ({"objects": {"range": [False, 3]}}, "objects"),
+            ({"objects": {"range": "0:3"}}, "objects"),
+            ({"targets": "protein"}, "targets"),
+            ({"targets": ["protein", 3]}, "targets"),
+            ({"deadline_s": True}, "deadline_s"),
+            ({"deadline_s": "soon"}, "deadline_s"),
+            ({"predicate": "protein>3"}, "predicate"),
+            ({"predicate": {"target": "protein", "op": ">="}}, "threshold"),
+            (
+                {"predicate": {"target": "protein", "op": ">=", "threshold": True}},
+                "threshold",
+            ),
+            (
+                {"predicate": {"target": "protein", "op": ">=", "threshold": "high"}},
+                "threshold",
+            ),
+            (
+                {"predicate": {"target": "protein", "op": ">=", "threshold": math.nan}},
+                "threshold",
+            ),
+        ],
+    )
+    def test_query_file_field_types_refused(self, tmp_path, fields, field):
+        """A field of the wrong type is refused, naming the query and the
+        field, never read as something else (``1.5`` as object 1)."""
+        entry = {"id": "qa", "targets": ["protein"], "objects": [1, 2], **fields}
+        path = tmp_path / "queries.json"
+        path.write_text(json.dumps({"queries": [entry]}))
+        with pytest.raises(ConfigurationError, match=f"query 'qa'.*{field}"):
+            load_query_file(path)
+
+    def test_query_file_good_values_unchanged(self, tmp_path):
+        """Integers, integer ranges with a step (negative too), integral
+        and fractional numbers keep parsing as they always did."""
+        path = tmp_path / "queries.json"
+        path.write_text(
+            json.dumps(
+                [
+                    {"targets": ["a"], "objects": {"range": [0, 7, 3]},
+                     "deadline_s": 2},
+                    {"targets": ["a", "b"], "objects": {"range": [5, 2, -1]},
+                     "deadline_s": 0.5,
+                     "predicate": {"target": "b", "op": "<", "threshold": 3}},
+                ]
+            )
+        )
+        first, second = load_query_file(path)
+        assert first == QueryRequest("q0", ("a",), (0, 3, 6), deadline_s=2.0)
+        assert second == QueryRequest(
+            "q1", ("a", "b"), (5, 4, 3), Predicate("b", "<", 3.0), deadline_s=0.5
+        )
 
 
 class TestServeEngine:
@@ -258,20 +335,112 @@ class TestServeEngine:
             "two plans": [[0, 1, 2, 2, 3, 4], [1, 2, 3]],
         }
         for name, plans in waves.items():
-            calls.clear()
             engine, _ = make_engine(tiny_domain)
-            for index, plan in enumerate(plans):
-                objects = tuple(range(index, index + 3))
-                engine.submit(QueryRequest(f"q{index}", ("target",), objects), plan)
-            report = engine.run()
-            assert calls == expected_calls[name], name
-            for index in range(len(plans)):
-                result = report.result(f"q{index}")
-                assert result.object_ids == list(range(index, index + 3))
-                assert len(result.estimates["target"]) == 3
+            # The first wave buys every answer; the second evaluates the
+            # now complete objects in the same call and keeps their rows;
+            # the third reads every row from the memo and makes no call.
+            for wave, expected in enumerate((expected_calls[name], expected_calls[name], [])):
+                calls.clear()
+                for index, plan in enumerate(plans):
+                    objects = tuple(range(index, index + 3))
+                    engine.submit(
+                        QueryRequest(f"w{wave}q{index}", ("target",), objects), plan
+                    )
+                report = engine.run()
+                assert calls == expected, (name, wave)
+                for index in range(len(plans)):
+                    result = report.result(f"w{wave}q{index}")
+                    assert result.object_ids == list(range(index, index + 3))
+                    assert (
+                        result.estimates == report.result(f"w0q{index}").estimates
+                    )
         # An object repeated within one call gets one estimate.
-        q0, q2 = report.result("q0"), report.result("q2")
+        q0, q2 = report.result("w0q0"), report.result("w0q2")
         assert q2.estimates["target"][0] == q0.estimates["target"][2]
+
+    def test_identical_wave_reads_the_memo(self, tiny_domain, monkeypatch):
+        """Once a wave has evaluated complete objects, an identical wave
+        makes no evaluator call, books the same savings, and still counts
+        its rows in ``online.objects``."""
+        from repro.core.online import OnlineEvaluator
+        from repro.obs import Observability
+
+        calls: list[list[int]] = []
+        original = OnlineEvaluator.estimate_objects
+
+        def counting(self, object_ids):
+            calls.append(list(object_ids))
+            return original(self, object_ids)
+
+        monkeypatch.setattr(OnlineEvaluator, "estimate_objects", counting)
+        platform = CrowdPlatform(
+            tiny_domain, recorder=AnswerRecorder(), seed=3, obs=Observability.collecting()
+        )
+        engine = ServeEngine(platform)
+        plan = dismantled_plan()
+        metrics = platform.obs.metrics
+        results = []
+        for wave in range(3):
+            calls.clear()
+            before = metrics.counter("online.objects")
+            engine.submit(QueryRequest(f"a{wave}", ("target",), (4, 5, 6)), plan)
+            engine.submit(QueryRequest(f"b{wave}", ("target",), (6, 4)), plan)
+            report = engine.run()
+            assert metrics.counter("online.objects") - before == 5
+            results.append(
+                [report.result(f"{name}{wave}").to_dict() for name in "ab"]
+            )
+            if wave == 2:
+                assert calls == []
+            else:
+                assert calls == [[4, 5, 6, 6, 4]]
+        assert metrics.counter("agg.missing_terms") == 0
+        first, second, third = results
+        for got, want in zip(third, second):
+            got["query_id"] = want["query_id"]
+            assert got == want
+        assert [r["fresh_answers"] for r in first] == [15, 0]
+        assert [r["saved_answers"] for r in third] == [15, 10]
+
+    def test_memo_dropped_when_the_model_moves(self, tiny_domain, monkeypatch):
+        """Under reliability aggregation a purchase that gives the model
+        new residuals drops the memo, so the next wave evaluates every
+        row again; under uniform aggregation it keeps it."""
+        from repro.core.online import OnlineEvaluator
+
+        calls: list[list[int]] = []
+        original = OnlineEvaluator.estimate_objects
+
+        def counting(self, object_ids):
+            calls.append(list(object_ids))
+            return original(self, object_ids)
+
+        monkeypatch.setattr(OnlineEvaluator, "estimate_objects", counting)
+        plan = dismantled_plan()
+        for aggregator in ("reliability", "uniform"):
+            engine, _ = make_engine(tiny_domain, aggregator=make_aggregator(aggregator))
+            model = getattr(engine.aggregator, "model", None)
+            for wave in range(2):
+                engine.submit(QueryRequest(f"h{wave}", ("target",), (0, 1)), plan)
+                engine.run()
+            version = None if model is None else model.version
+            calls.clear()
+            engine.submit(QueryRequest("fresh", ("target",), (7, 8)), plan)
+            engine.submit(QueryRequest("hot", ("target",), (0, 1)), plan)
+            report = engine.run()
+            if aggregator == "reliability":
+                assert model.version != version
+                assert calls == [[7, 8, 0, 1]]
+            else:
+                assert calls == [[7, 8]]
+            # The memo never serves a row an evaluation would not return.
+            reference = OnlineEvaluator(
+                engine.platform,
+                plan,
+                answer_source=CacheReadSource(engine.cache),
+                aggregator=engine.aggregator,
+            ).estimate_objects([0, 1])
+            assert report.result("hot").estimates["target"] == reference["target"].tolist()
 
     def test_overlapping_plan_targets_refused(self, tiny_domain):
         """One evaluation cannot take two plans for one target, so
