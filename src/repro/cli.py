@@ -64,12 +64,7 @@ from repro.experiments import (
 from repro.experiments.runner import make_query
 from repro.obs import NULL_OBS, Observability
 from repro.obs.manifest import build_manifest, write_manifest
-from repro.serve import (
-    AdmissionPolicy,
-    ServeEngine,
-    admit_and_serve,
-    load_query_file,
-)
+from repro.serve import ServeEngine, load_query_file
 from repro.serve.report import check_object_ids
 
 #: Exit code for bad configuration (flags, budgets, checkpoint mismatch).
@@ -475,12 +470,6 @@ def cmd_serve(args) -> int:
     for request in requests:
         check_object_ids(request.query_id, request.object_ids, domain.n_objects())
     router = _make_router(args, obs, domain, platform, params)
-    admission_flags = (
-        args.admit_reject_depth,
-        args.admit_degrade_depth,
-        args.admit_headroom,
-    )
-    decisions: dict[str, int] | None = None
     # The engine owns the serve log; the context manager guarantees it
     # does not outlive the command.
     with ServeEngine(
@@ -526,44 +515,15 @@ def cmd_serve(args) -> int:
                             params,
                         )
                         plans[key] = run.plan
-        if any(flag is not None for flag in admission_flags):
-            policy = AdmissionPolicy(
-                reject_depth=(
-                    args.admit_reject_depth
-                    if args.admit_reject_depth is not None
-                    else AdmissionPolicy.reject_depth
-                ),
-                degrade_depth=(
-                    args.admit_degrade_depth
-                    if args.admit_degrade_depth is not None
-                    else AdmissionPolicy.degrade_depth
-                ),
-                min_headroom_s=(
-                    args.admit_headroom
-                    if args.admit_headroom is not None
-                    else AdmissionPolicy.min_headroom_s
-                ),
-            )
-            arrivals = [
-                (request, plans[request.targets]) for request in requests
-            ]
-            report, decisions = admit_and_serve(engine, arrivals, policy)
-        else:
-            for request in requests:
-                if router is not None:
-                    engine.submit(request)
-                else:
-                    engine.submit(request, plans[request.targets])
-            report = engine.run()
+        for request in requests:
+            if router is not None:
+                engine.submit(request)
+            else:
+                engine.submit(request, plans[request.targets])
+        report = engine.run()
     print(report.render())
     if router is not None:
         print(_render_routes(router))
-    if decisions is not None:
-        print(
-            f"  admission: {decisions['admit']} admitted, "
-            f"{decisions['degrade']} degraded to cache-only, "
-            f"{decisions['reject']} rejected"
-        )
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -829,31 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="shed (instead of degrading) queries whose deadline already "
         "passed when their wave formed",
-    )
-    serve.add_argument(
-        "--admit-reject-depth",
-        type=int,
-        default=None,
-        metavar="N",
-        help="admission front door: reject (429-style) at this combined "
-        "queue depth; setting any --admit-* flag enables the async "
-        "admission layer",
-    )
-    serve.add_argument(
-        "--admit-degrade-depth",
-        type=int,
-        default=None,
-        metavar="N",
-        help="admission front door: admit cache-only (degrade rather than "
-        "buy) at this combined queue depth",
-    )
-    serve.add_argument(
-        "--admit-headroom",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="admission front door: degrade queries whose deadline headroom "
-        "is below this many seconds",
     )
     _add_aggregator(serve)
     _add_manifest(serve)

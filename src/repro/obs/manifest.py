@@ -38,9 +38,9 @@ from repro.errors import ConfigurationError
 #: v2: serve section renamed ``partial`` -> ``degraded``, added
 #: ``degraded_by_reason``, ``shed_by_reason`` and ``faults`` subsections
 #: for the resilient serving tier.
-#: v3: added the optional ``serve.shards`` (shard topology and cache
-#: balance) and ``serve.admission`` (front-door decision tally)
-#: subsections for the sharded serving tier with async admission.
+#: v3: added the optional ``shards`` (shard topology and cache
+#: balance) and ``admission`` (front-door decision tally) subsections
+#: of ``serve`` for the sharded serving tier with async admission.
 #: v4: added ``online.missing_terms`` (formula terms the evaluator had
 #: no answers for — previously dropped silently) and the optional
 #: ``agg`` section (reliability-weighted aggregation: workers observed,
@@ -56,7 +56,10 @@ from repro.errors import ConfigurationError
 #: durable plan keeps only its checkpoint).
 #: v8: the ``resilience`` section no longer counts spam rejections:
 #: the platform spam filter is gone.
-SCHEMA_VERSION = 8
+#: v9: removed the ``serve`` section's ``admission`` tally with the
+#: async admission front door (the engine's bounded queue is the one
+#: backpressure).
+SCHEMA_VERSION = 9
 
 _NUMBER_MAP = {"type": "object", "additionalProperties": {"type": "number"}}
 _INTEGER_MAP = {"type": "object", "additionalProperties": {"type": "integer"}}
@@ -192,15 +195,6 @@ MANIFEST_SCHEMA = {
                 "answers_purchased": {"type": "integer"},
                 "saved_cents": {"type": "number"},
                 "peak_queue_depth": {"type": "integer"},
-                "admission": {
-                    "type": "object",
-                    "required": ["admitted", "degraded", "rejected"],
-                    "properties": {
-                        "admitted": {"type": "integer"},
-                        "degraded": {"type": "integer"},
-                        "rejected": {"type": "integer"},
-                    },
-                },
                 "faults": {
                     "type": "object",
                     "required": [
@@ -303,7 +297,7 @@ def serve_from_metrics(metrics) -> dict | None:
     if queries == 0:
         return None
     gauges = metrics.gauges()
-    section = {
+    return {
         "queries": queries,
         "completed": int(metrics.counter("serve.completed")),
         "degraded": int(metrics.counter("serve.degraded")),
@@ -328,14 +322,6 @@ def serve_from_metrics(metrics) -> dict | None:
             "answers_lost": int(metrics.counter("serve.faults.lost")),
         },
     }
-    admission = {
-        "admitted": int(metrics.counter("serve.admission.admit")),
-        "degraded": int(metrics.counter("serve.admission.degrade")),
-        "rejected": int(metrics.counter("serve.admission.reject")),
-    }
-    if any(admission.values()):
-        section["admission"] = admission
-    return section
 
 
 def agg_from_metrics(metrics) -> dict | None:

@@ -15,18 +15,10 @@ fault-injectable (:mod:`repro.serve.faults`) and the results
 deadline/budget/fault-aware (:mod:`repro.serve.degrade`): a query the
 engine cannot fully serve comes back ``degraded`` with widened
 intervals and an honest completeness figure, never silently dropped.
-
-The admission front door (DESIGN.md §15) puts an asyncio ladder in
-front of the engine queue (:mod:`repro.serve.admission`): admit,
-degrade to cache-only, or reject by queue depth and deadline headroom.
+Backpressure is the engine's one bounded queue: a submission past
+``max_queue`` is shed as ``overflow``.
 """
 
-from repro.serve.admission import (
-    DECISIONS,
-    AdmissionPolicy,
-    AsyncAdmission,
-    admit_and_serve,
-)
 from repro.serve.cache import AnswerCache, CachedAnswerSource, CacheReadSource
 from repro.serve.degrade import (
     DEGRADE_REASONS,
@@ -51,14 +43,11 @@ from repro.serve.report import (
 from repro.serve.stream import BatchedValueStream, DeterministicValueStream
 
 __all__ = [
-    "DECISIONS",
     "DEGRADE_REASONS",
     "SERVE_JOURNAL",
     "SHED_REASONS",
     "STATUSES",
-    "AdmissionPolicy",
     "AnswerCache",
-    "AsyncAdmission",
     "BatchedValueStream",
     "CacheReadSource",
     "CachedAnswerSource",
@@ -73,7 +62,6 @@ __all__ = [
     "ServeEngine",
     "ServeReport",
     "TermShortfall",
-    "admit_and_serve",
     "evidence_confidence",
     "generate_workload",
     "load_query_file",

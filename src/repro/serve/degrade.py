@@ -13,11 +13,6 @@ actually have).
 
 The degradation ladder (DESIGN.md §13), in reason-precedence order:
 
-``admission``
-    The async admission layer shed the query *into* the cache: it was
-    admitted cache-only (no purchase demand) under backpressure, so any
-    term the warm cache cannot fully serve is short by decision, not by
-    money or crowd behaviour (DESIGN.md §15).
 ``deadline``
     Evaluation was cut off; the evaluated prefix is returned.
 ``budget``
@@ -50,7 +45,7 @@ Z_CONFIDENCE = 1.96
 NOMINAL_CONFIDENCE = 0.95
 
 #: Degradation reasons, in reporting-precedence order.
-DEGRADE_REASONS = ("admission", "deadline", "budget", "faults")
+DEGRADE_REASONS = ("deadline", "budget", "faults")
 
 
 @dataclass(frozen=True)

@@ -246,10 +246,6 @@ class _Pending:
     #: as ``((object_id, attribute), count)`` in signature order: sorted
     #: key order, the order accounting walks them in.
     demands: list[tuple[int, list[tuple[CacheKey, int]]]]
-    #: Admitted under backpressure as cache-only: the query contributes
-    #: no purchase demand and is served from whatever the cache holds;
-    #: any shortfall degrades with reason ``"admission"``.
-    cache_only: bool = False
     #: Filled during the wave: accounting first, then evaluation.
     result: QueryResult | None = None
     #: Degradation reasons the accounting phase established ("budget" /
@@ -631,45 +627,10 @@ class ServeEngine:
 
     # -- admission -------------------------------------------------------
 
-    @property
-    def queue_depth(self) -> int:
-        """Queries admitted and not yet served."""
-        return len(self._queue)
-
-    def reject(self, request: QueryRequest) -> QueryResult:
-        """Refuse one query at the front door (429-style), costing nothing.
-
-        The admission layer calls this when its backpressure ladder
-        says the query should not even enter the engine queue.  The
-        query still gets a :class:`QueryResult` (``shed``/``rejected``)
-        in the report — never a silent drop.
-        """
-        if request.query_id in self._seen_ids:
-            raise ConfigurationError(
-                f"duplicate query id {request.query_id!r} submitted"
-            )
-        self._seen_ids.add(request.query_id)
-        result = QueryResult(
-            query_id=request.query_id, status="shed", shed_reason="rejected"
-        )
-        self._results.append(result)
-        metrics = self.obs.metrics
-        metrics.inc("serve.queries")
-        metrics.inc("serve.shed")
-        metrics.inc("serve.shed.rejected")
-        self.obs.tracer.event(
-            "serve.shed",
-            query=request.query_id,
-            reason="rejected",
-            depth=len(self._queue),
-        )
-        return result
-
     def submit(
         self,
         request: QueryRequest,
         plans: PreprocessingPlan | Sequence[PreprocessingPlan] | None = None,
-        cache_only: bool = False,
     ) -> bool:
         """Admit one query (with its preprocessing plans) for serving.
 
@@ -681,12 +642,6 @@ class ServeEngine:
         ``plan_source`` (the catalog-backed lookup path): the source
         resolves the request's target tuple to its plans — a cached
         entry, a refresh, or fresh preprocessing — before admission.
-
-        With ``cache_only=True`` (the admission layer's shed-with-
-        degrade rung) the query contributes no purchase demand: it is
-        served from whatever the shared cache holds when its wave
-        runs, and any term the cache cannot fully cover degrades with
-        reason ``"admission"``.
 
         A query naming an object outside the domain is refused with
         :class:`~repro.errors.ConfigurationError` before anything is
@@ -762,7 +717,6 @@ class ServeEngine:
                 )
                 for object_id in sorted(set(request.object_ids))
             ],
-            cache_only=cache_only,
         )
         self._queue.append(pending)
         self._peak_queue = max(self._peak_queue, len(self._queue))
@@ -860,17 +814,14 @@ class ServeEngine:
         # Phase 1 (serial, one pass): the pre-wave cache level of every
         # key, the wave's demand per key short of it (max over queries),
         # and the questions the queries would have bought independently.
-        # Cache-only admissions contribute *no* purchase demand — they
-        # read, they never buy — but their keys still need pre-counts
-        # for the accounting replay below.  An object complete for its
-        # plan group is skipped: every key it demands holds the count
-        # already, so it adds no demand, no question and no shortfall.
+        # An object complete for its plan group is skipped: every key it
+        # demands holds the count already, so it adds no demand, no
+        # question and no shortfall.
         cached = self.cache.count
         pre_counts: dict[CacheKey, int] = {}
         demands: dict[CacheKey, int] = {}
         independent = 0
         for pending in wave:
-            cache_only = pending.cache_only
             complete = pending.group.complete
             for object_id, keys in pending.demands:
                 if object_id in complete:
@@ -879,7 +830,7 @@ class ServeEngine:
                     pre = pre_counts.get(key)
                     if pre is None:
                         pre = pre_counts[key] = cached(*key)
-                    if cache_only or count <= pre:
+                    if count <= pre:
                         continue
                     independent += count - pre
                     if count > demands.get(key, 0):
@@ -1019,33 +970,16 @@ class ServeEngine:
                     attribute = key[1]
                     held = available[key]
                     served = count if count < held else held
-                    if pending.cache_only:
-                        # A cache-only admission reads whatever the
-                        # wave's cache holds and pays for none of it:
-                        # every answer it uses counts as a hit (an
-                        # answer it would have bought stand-alone), the
-                        # purchasing queries keep their own fresh
-                        # attribution (``virtual`` is left untouched),
-                        # and any deficit is an *admission* shortfall —
-                        # a decision, not money or faults.
-                        hits = served
-                        fresh = 0
-                    else:
-                        seen = virtual[key]
-                        hits = seen if seen < count else count
-                        fresh = served - seen
-                        if fresh > 0:
-                            virtual[key] = served
+                    seen = virtual[key]
+                    hits = seen if seen < count else count
+                    fresh = served - seen
+                    if fresh > 0:
+                        virtual[key] = served
                     pending.answers_demanded += count
                     pending.answers_served += served
                     if count > held:
                         whole = False
-                        if pending.cache_only:
-                            pending.reasons.add("admission")
-                        else:
-                            pending.reasons.add(
-                                "budget" if key in unfunded else "faults"
-                            )
+                        pending.reasons.add("budget" if key in unfunded else "faults")
                         pending.shortfalls.append(
                             TermShortfall(
                                 object_id=object_id,

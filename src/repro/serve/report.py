@@ -18,11 +18,9 @@ evaluate, and an optional deadline.  Each produces a
 ``shed``
     The query was refused outright and cost nothing; ``shed_reason``
     distinguishes backpressure (``"overflow"`` — the queue was full at
-    admission), expiry (``"deadline"`` — the deadline had already
+    admission) from expiry (``"deadline"`` — the deadline had already
     passed when its wave formed, and the engine was configured to shed
-    rather than degrade such queries), and the async front door's
-    429-style refusal (``"rejected"`` — the admission layer turned the
-    query away before it ever reached the engine queue).
+    rather than degrade such queries).
 
 A :class:`ServeReport` aggregates one :meth:`~repro.serve.engine.
 ServeEngine.run` call: all results plus the cache/batching economics
@@ -40,7 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ConfigurationError
-from repro.serve.degrade import DegradedResult
+from repro.serve.degrade import DEGRADE_REASONS, DegradedResult
 
 #: Comparison operators a predicate may use against an estimate.
 PREDICATE_OPS = {
@@ -54,7 +52,7 @@ PREDICATE_OPS = {
 STATUSES = ("completed", "degraded", "shed")
 
 #: Legal values of :attr:`QueryResult.shed_reason`.
-SHED_REASONS = ("overflow", "deadline", "rejected")
+SHED_REASONS = ("overflow", "deadline")
 
 #: Tolerance under which a measured saving is considered exactly zero.
 #: Savings are differences of independently summed float spend totals,
@@ -337,6 +335,11 @@ class QueryResult:
     def __post_init__(self) -> None:
         if self.status not in STATUSES:
             raise ConfigurationError(f"unknown result status {self.status!r}")
+        if (
+            self.degraded_reason is not None
+            and self.degraded_reason not in DEGRADE_REASONS
+        ):
+            raise ConfigurationError(f"unknown degrade reason {self.degraded_reason!r}")
         if self.shed_reason is not None and self.shed_reason not in SHED_REASONS:
             raise ConfigurationError(f"unknown shed reason {self.shed_reason!r}")
 

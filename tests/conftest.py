@@ -100,10 +100,25 @@ class KillAtNth:
 
 def rewrite_serve_header(directory, **fields) -> None:
     """Change a serve log's header fields, keeping its checksum valid."""
+    _rewrite_serve_record(directory, "header", lambda record: record.update(fields))
+
+
+def rewrite_serve_result(directory, **fields) -> None:
+    """Change the serve log's first logged result, keeping its checksum valid."""
+    _rewrite_serve_record(
+        directory, "result", lambda record: record["result"].update(fields)
+    )
+
+
+def _rewrite_serve_record(directory, kind: str, edit) -> None:
+    """Apply ``edit`` to the serve log's first ``kind`` record in place."""
     path = directory / "serve.journal.jsonl"
     lines = path.read_bytes().splitlines(keepends=True)
-    header = json.loads(lines[0])
-    header.update(fields)
-    header["crc"] = _crc(header)
-    lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+    index = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
+    record = json.loads(lines[index])
+    edit(record)
+    record["crc"] = _crc(record)
+    lines[index] = (
+        json.dumps(record, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+    )
     path.write_bytes(b"".join(lines))

@@ -40,23 +40,26 @@ pytestmark = pytest.mark.serve
 #: Digests recorded from the serial engine; see the module docstring.
 #: The log digests were re-recorded when the three serve files became
 #: one log, and so was the crashed run's report digest (its resumed
-#: results now carry the uncrashed run's savings attribution); the
-#: report and ledger digests of the two uncrashed runs are unchanged.
+#: results now carry the uncrashed run's savings attribution).  The
+#: report and log digests were re-recorded once more when cache-only
+#: submissions were removed and q4 became a plain purchasing query:
+#: they are what the engine produced for that submission list before
+#: the removal, and the ledger digests did not move.
 GOLDEN = {
     "fault_free": {
-        "report": "8558d64eb94b1c958e8dc7b6f91fc1b9950c219b942136d0710076d0b781ab8f",
+        "report": "311e098400fe556e8a11f90fcd8fb17fd5143ee6849dbafbfd31e92f0d6a9677",
         "ledger": "10a2121e771b6f5eac53fd292eb2887ae5155ac6900742a295e3461cc7a4e07a",
-        SERVE_JOURNAL: "571be3167b8caa62df6e4d8e0dcaec98404dff26661c0dc159fb44e5fcd20907",
+        SERVE_JOURNAL: "9370f2d214d3aabc48257008da8edb5d187d9454cc37248a4f3f37c3f91d01e1",
     },
     "faulted": {
-        "report": "6b5064b3e0c8b80b47f6b682a20ce30ff65b76f3364da1be9ab3a3923566731c",
+        "report": "83a57810172ce86311970bb5bcafba2a8a009879269ef45e798ea6e44bbe5328",
         "ledger": "811b7f56a79723d8fd5f11007b4be26e928ce48fb4813f08df56b1b46b549e94",
-        SERVE_JOURNAL: "7112dd73d2ae80eb2e80b0a94bdfcbfe0c3e32f319e3eb4ca91f18e95aa10df3",
+        SERVE_JOURNAL: "b2e7df73529319e299aaab2c583b0ae8f7b9689b931da84e075131dc49b3c9e1",
     },
     # Resuming buys nothing twice and books what the uncrashed run
     # booked: the log and the ledger are the faulted run's.
     "crash_resumed": {
-        "report": "0b4575c14702913679f542eb98b4af2a5dacfcc5e340c17cef5fdf5a7d6c85cb",
+        "report": "c3611c48453c4ea40843dca71be6a0be1c060c388e9d6f0934a7c3fbd9391caf",
     },
 }
 
@@ -86,16 +89,15 @@ def _dismantled_plan() -> PreprocessingPlan:
     )
 
 
-def _submissions() -> list[tuple[QueryRequest, PreprocessingPlan, bool]]:
-    """Eight overlapping queries: plain, deadlined, filtered, cache-only."""
+def _submissions() -> list[tuple[QueryRequest, PreprocessingPlan]]:
+    """Eight overlapping queries: plain, deadlined and filtered."""
     identity, dismantled = _identity_plan(), _dismantled_plan()
     return [
-        (QueryRequest("q0", ("target",), tuple(range(0, 6))), identity, False),
-        (QueryRequest("q1", ("target",), tuple(range(3, 9))), dismantled, False),
+        (QueryRequest("q0", ("target",), tuple(range(0, 6))), identity),
+        (QueryRequest("q1", ("target",), tuple(range(3, 9))), dismantled),
         (
             QueryRequest("q2", ("target",), tuple(range(4, 10)), deadline_s=5.0),
             identity,
-            False,
         ),
         (
             QueryRequest(
@@ -105,16 +107,14 @@ def _submissions() -> list[tuple[QueryRequest, PreprocessingPlan, bool]]:
                 predicate=Predicate("target", ">=", 10.0),
             ),
             dismantled,
-            False,
         ),
-        (QueryRequest("q4", ("target",), tuple(range(8, 14))), identity, True),
-        (QueryRequest("q5", ("target",), tuple(range(10, 16))), identity, False),
+        (QueryRequest("q4", ("target",), tuple(range(8, 14))), identity),
+        (QueryRequest("q5", ("target",), tuple(range(10, 16))), identity),
         (
             QueryRequest("q6", ("target",), tuple(range(12, 18)), deadline_s=5.0),
             dismantled,
-            False,
         ),
-        (QueryRequest("q7", ("target",), tuple(range(14, 20))), identity, False),
+        (QueryRequest("q7", ("target",), tuple(range(14, 20))), identity),
     ]
 
 
@@ -145,8 +145,8 @@ def _engine(
 
 
 def _submit(engine: ServeEngine, submissions) -> None:
-    for request, plan, cache_only in submissions:
-        engine.submit(request, plan, cache_only=cache_only)
+    for request, plan in submissions:
+        engine.submit(request, plan)
 
 
 def _sha(data: bytes) -> str:

@@ -17,7 +17,7 @@ import pytest
 
 from repro.cli import EXIT_CONFIGURATION_ERROR, EXIT_CRASH, main
 
-from tests.conftest import rewrite_serve_header
+from tests.conftest import rewrite_serve_header, rewrite_serve_result
 
 pytestmark = [pytest.mark.serve, pytest.mark.faults, pytest.mark.load]
 
@@ -200,6 +200,56 @@ class TestTamperedCheckpoint:
         )
         capsys.readouterr()
         assert "serve.checkpoint.json" in self.refused(argv, capsys)
+
+    # Builds with an admission front door logged cache-only queries
+    # degraded for "admission" and refused ones shed as "rejected",
+    # reasons this build does not have.
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (
+                {"status": "degraded", "degraded_reason": "admission"},
+                "unknown degrade reason 'admission'",
+            ),
+            (
+                {"status": "shed", "shed_reason": "rejected"},
+                "unknown shed reason 'rejected'",
+            ),
+        ],
+        ids=["degraded-admission", "shed-rejected"],
+    )
+    def test_resume_over_removed_reason_exits_2_without_hint(
+        self, tmp_path, queries_path, capsys, fields, message
+    ):
+        checkpoint_dir = tmp_path / "ckpt"
+        argv = BASE + ["--queries", queries_path, "--checkpoint-dir", checkpoint_dir]
+        assert run_cli(argv) == 0
+        rewrite_serve_result(checkpoint_dir, **fields)
+        capsys.readouterr()
+        code = run_cli(argv + ["--resume"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIGURATION_ERROR
+        assert message in captured.err
+        assert "resume with:" not in captured.err
+        assert not captured.out
+
+
+class TestBackpressure:
+    def test_max_queue_sheds_overflow_in_report_and_manifest(
+        self, tmp_path, queries_path, capsys
+    ):
+        """``--max-queue`` is the one backpressure bound: queries past it
+        are shed as ``overflow`` in the report and the manifest."""
+        manifest_path = tmp_path / "manifest.json"
+        argv = BASE + ["--queries", queries_path, "--max-queue", "2"]
+        assert run_cli(argv + ["--manifest", manifest_path]) == 0
+        out = capsys.readouterr().out
+        assert "qc: 0 objects, 0.0c spent, 0.0c saved [shed: overflow]" in out
+        serve = json.loads(manifest_path.read_text())["serve"]
+        assert serve["queries"] == 3 and serve["shed"] == 1
+        assert serve["shed_by_reason"] == {"overflow": 1}
+        assert serve["peak_queue_depth"] == 2
+        assert "admission" not in serve
 
 
 class TestUsedCheckpointDir:

@@ -355,9 +355,11 @@ _COVERAGE = [
 ]
 
 
-#: Aggregators and aggregation flags the CLI no longer has.
+#: Aggregators, aggregation flags and admission flags the CLI no
+#: longer has.
 _REMOVED_OPTIONS = (
-    "trimmed", "huber", "--trim-fraction", "--huber-delta", "--em-iterations"
+    "trimmed", "huber", "--trim-fraction", "--huber-delta", "--em-iterations",
+    "--admit-reject-depth", "--admit-degrade-depth", "--admit-headroom",
 )
 
 #: ``@name`` arguments name files the test writes under its tmp_path: a
@@ -451,6 +453,9 @@ class TestCliValidation:
             _with(_EVALUATE, "--trim-fraction", "0.1"),
             _with(_EVALUATE, "--huber-delta", "1.5"),
             _with(_EVALUATE, "--em-iterations", "5"),
+            _with(_SERVE, "--admit-reject-depth", "4"),
+            _with(_SERVE, "--admit-degrade-depth", "2"),
+            _with(_SERVE, "--admit-headroom", "0.5"),
             *[_bad_serve(name) for name in _BAD_ENTRIES],
             *[_bad_query(name) for name in _BAD_ENTRIES],
         ],
@@ -478,6 +483,9 @@ class TestCliValidation:
             "evaluate-trim-fraction",
             "evaluate-huber-delta",
             "evaluate-em-iterations",
+            "serve-admit-reject-depth",
+            "serve-admit-degrade-depth",
+            "serve-admit-headroom",
             *[f"serve-{name}" for name in _BAD_ENTRIES],
             *[f"query-{name}" for name in _BAD_ENTRIES],
         ],

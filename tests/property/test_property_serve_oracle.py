@@ -1,15 +1,15 @@
 """Differential property: the serve engine against the naive oracle.
 
 Random workloads — wave size, overlapping object ranges over three
-plans, cache-only admissions, per-query deadlines under a clock that
-ticks on every read, a budget or none, faults or none, the default or
-a lossy retry policy, uniform or reliability aggregation — are served
-once by a durable :class:`~repro.serve.engine.ServeEngine` and once by
+plans, per-query deadlines under a clock that ticks on every read, a
+budget or none, faults or none, the default or a lossy retry policy,
+uniform or reliability aggregation — are served once by a durable
+:class:`~repro.serve.engine.ServeEngine` and once by
 :class:`tests.serve_oracle.NaiveServer`.  Half the workloads are hot
 traffic: up to sixteen queries over a few objects in waves of one to
-three, mostly buying and without deadlines, so objects come back
-complete, the engine's estimate memo serves rows and purchases move the
-reliability model between reads.
+three, mostly without deadlines, so objects come back complete, the
+engine's estimate memo serves rows and purchases move the reliability
+model between reads.
 Evaluated objects, estimates, statuses and degradation reasons must
 agree exactly (so both read the deadline clock the same number of
 times, in the same order), and so must each query's fresh and saved
@@ -78,19 +78,17 @@ def breaker() -> WorkerCircuitBreaker:
 
 @st.composite
 def workloads(draw):
-    # Hot traffic: many small waves over a few objects, mostly buying
-    # and without deadlines, so objects complete early and come back.
+    # Hot traffic: many small waves over a few objects, mostly without
+    # deadlines, so objects complete early and come back.
     hot = draw(st.booleans(), label="hot traffic")
     if hot:
         queries = draw(st.integers(min_value=6, max_value=16), label="queries")
         starts, lengths = st.integers(0, 3), st.integers(1, 2)
         deadlines = st.sampled_from((None, None, None, 12.0))
-        cache_only = st.sampled_from((False, False, False, True))
     else:
         queries = draw(st.integers(min_value=1, max_value=8), label="queries")
         starts, lengths = st.integers(0, 10), st.integers(1, 6)
         deadlines = st.sampled_from((None, None, 0.0, 2.0, 5.0, 12.0))
-        cache_only = st.booleans()
     submissions = []
     for index in range(queries):
         start, length = draw(starts), draw(lengths)
@@ -101,7 +99,7 @@ def workloads(draw):
             deadline_s=draw(deadlines),
         )
         plan = PLANS[draw(st.sampled_from(sorted(PLANS)))]
-        submissions.append((request, plan, draw(cache_only)))
+        submissions.append((request, plan))
     return {
         "submissions": submissions,
         "wave_size": draw(
@@ -170,11 +168,11 @@ def test_engine_matches_the_naive_oracle(tiny_domain, tmp_path_factory, workload
         clock=ticking_clock(),
         **options,
     ) as engine:
-        for request, plan, cache_only in submissions:
-            engine.submit(request, plan, cache_only=cache_only)
+        for request, plan in submissions:
+            engine.submit(request, plan)
         report = engine.run()
 
-    for request, _, _ in submissions:
+    for request, _ in submissions:
         got, want = report.result(request.query_id), expected[request.query_id]
         assert got.object_ids == want.object_ids
         assert got.estimates == want.estimates

@@ -6,8 +6,8 @@ over the scalar answer streams (``DeterministicValueStream.answers`` and
 cache, no log and no batching kernels.  It follows the engine's
 contract (DESIGN.md §12–§13), not its code:
 
-* a wave's demand for a key is the largest demand of its purchasing
-  (not cache-only) queries, and only the shortfall is bought;
+* a wave's demand for a key is the largest demand of its queries, and
+  only the shortfall is bought;
 * the clock is read once per admitted submission, before serving, and
   then, wave by wave in admission order, once per object a query with
   a deadline polls; the first object polled past its deadline ends the
@@ -22,10 +22,9 @@ contract (DESIGN.md §12–§13), not its code:
 * accounting replays a virtual cache level per key, starting from the
   pre-wave level, over the wave's queries in admission order and each
   query's keys in sorted order: answers present before a query's turn
-  are its hits, answers beyond them that it is served are its fresh
-  answers, and a cache-only query's served answers are all hits; each
-  hit span books ``hits × price`` cents of savings, which the ledger
-  adds one entry at a time in that order;
+  are its hits and answers beyond them that it is served are its fresh
+  answers; each hit span books ``hits × price`` cents of savings, which
+  the ledger adds one entry at a time in that order;
 * every query's prefix is then estimated object by object over the
   dict cache by the naive online loop (``tests/online_oracle.py``),
   whose ``online.objects`` and ``agg.missing_terms`` totals the server
@@ -127,9 +126,9 @@ class NaiveServer:
         self.missing_terms = 0
 
     def serve(self, submissions, wave_size: int | None) -> dict[str, OracleResult]:
-        """Serve ``(request, plan, cache_only)`` triples in waves."""
+        """Serve ``(request, plan)`` pairs in waves."""
         if self.deadline_clock is not None:
-            for request, _, _ in submissions:
+            for request, _ in submissions:
                 self.admitted_at[request.query_id] = self.deadline_clock()
         size = wave_size or len(submissions)
         results: dict[str, OracleResult] = {}
@@ -140,11 +139,10 @@ class NaiveServer:
     def _wave(self, wave) -> dict[str, OracleResult]:
         wanted: dict[tuple[int, str], int] = {}
         virtual: dict[tuple[int, str], int] = {}
-        for request, plan, cache_only in wave:
+        for request, plan in wave:
             for key, count in demands_of(request, plan).items():
                 virtual[key] = len(self.answers.get(key, []))
-                if not cache_only:
-                    wanted[key] = max(wanted.get(key, 0), count)
+                wanted[key] = max(wanted.get(key, 0), count)
         blocked: frozenset[int] = frozenset()
         if self.resilient is not None:
             blocked = frozenset(self.breaker.quarantined(self.clock.now))
@@ -156,18 +154,15 @@ class NaiveServer:
 
         source = DictSource(self.answers, self.workers)
         results = {}
-        for request, plan, cache_only in wave:
+        for request, plan in wave:
             reasons = set()
             booked = OracleResult([], {}, "completed", None)
             demands = demands_of(request, plan)
             for key in sorted(demands):
                 count, held = demands[key], len(self.answers.get(key, []))
                 served = min(count, held)
-                if cache_only:
-                    hits, fresh = served, 0
-                else:
-                    hits, fresh = min(virtual[key], count), served - virtual[key]
-                    virtual[key] = max(virtual[key], served)
+                hits, fresh = min(virtual[key], count), served - virtual[key]
+                virtual[key] = max(virtual[key], served)
                 price = self.platform.value_price(key[1])
                 if hits:
                     booked.saved_answers += hits
@@ -178,10 +173,7 @@ class NaiveServer:
                     booked.fresh_answers += fresh
                     booked.spent_cents += fresh * price
                 if count > held:
-                    if cache_only:
-                        reasons.add("admission")
-                    else:
-                        reasons.add("budget" if key in unfunded else "faults")
+                    reasons.add("budget" if key in unfunded else "faults")
             prefix = list(request.object_ids)
             if request.deadline_s is not None:
                 admitted = self.admitted_at[request.query_id]

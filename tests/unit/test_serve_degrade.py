@@ -16,14 +16,13 @@ from repro.serve.degrade import (
 
 
 class TestReasonOrdering:
-    def test_precedence_is_admission_deadline_budget_faults(self):
-        assert DEGRADE_REASONS == ("admission", "deadline", "budget", "faults")
+    def test_precedence_is_deadline_budget_faults(self):
+        assert DEGRADE_REASONS == ("deadline", "budget", "faults")
         assert order_reasons({"faults", "deadline", "budget"}) == (
             "deadline",
             "budget",
             "faults",
         )
-        assert order_reasons({"faults", "admission"}) == ("admission", "faults")
         assert order_reasons({"faults", "budget"}) == ("budget", "faults")
         assert order_reasons({"deadline"}) == ("deadline",)
         assert order_reasons(set()) == ()

@@ -20,6 +20,8 @@ from repro.crowd.recording import AnswerRecorder
 from repro.durability.chaos import CrashInjector, SimulatedCrash
 from repro.durability.journal import Journal, read_journal
 from repro.errors import CheckpointError, ConfigurationError
+from repro.obs import Observability
+from repro.obs.manifest import build_manifest, manifest_errors
 from repro.serve import (
     SERVE_JOURNAL,
     DegradedResult,
@@ -121,6 +123,21 @@ class TestServeRequests:
         assert QueryResult.from_dict(result.to_dict()) == result
         with pytest.raises(ConfigurationError):
             QueryResult(query_id="q", status="shed", shed_reason="bogus")
+
+    @pytest.mark.parametrize("reason", ["mystery", "admission"])
+    def test_unknown_degrade_reason_refused(self, reason):
+        """A result read back from a serve log carries a reason this
+        build has: older builds logged ``"admission"`` results."""
+        payload = {"query_id": "q", "status": "degraded", "degraded_reason": reason}
+        with pytest.raises(ConfigurationError, match=f"degrade reason '{reason}'"):
+            QueryResult.from_dict(payload)
+
+    @pytest.mark.parametrize("reason", ["mystery", "rejected"])
+    def test_unknown_shed_reason_refused(self, reason):
+        """Older builds logged front-door refusals shed as ``"rejected"``."""
+        payload = {"query_id": "q", "status": "shed", "shed_reason": reason}
+        with pytest.raises(ConfigurationError, match=f"shed reason '{reason}'"):
+            QueryResult.from_dict(payload)
 
     def test_non_finite_deadline_rejected(self):
         for bad in (float("nan"), float("inf"), -2.0):
@@ -252,6 +269,83 @@ class TestServeEngine:
         assert report.result("q2").object_ids == []
         # The shed query spent nothing.
         assert report.result("q2").spent_cents == 0.0
+
+    def test_max_queue_bounds_waiting_queries(self, tiny_domain):
+        """The bound counts queries waiting to be served: a run drains
+        the queue, so later submissions are admitted again."""
+        engine, _ = make_engine(tiny_domain, max_queue=1)
+        plan = identity_plan("target")
+        assert engine.submit(QueryRequest("q1", ("target",), (0,)), plan)
+        engine.run()
+        assert engine.submit(QueryRequest("q2", ("target",), (1,)), plan)
+        assert not engine.submit(QueryRequest("q3", ("target",), (2,)), plan)
+        report = engine.run()
+        statuses = {result.query_id: result.status for result in report.results}
+        assert statuses == {"q1": "completed", "q2": "completed", "q3": "shed"}
+        assert report.shed_by_reason("overflow") == 1
+        assert report.peak_queue_depth == 1
+
+    def test_shed_expired_buys_nothing_for_late_queries(self, tiny_domain):
+        ticks = iter(range(1000))
+        engine, platform = make_engine(
+            tiny_domain, clock=lambda: float(next(ticks)), shed_expired=True
+        )
+        plan = identity_plan("target")
+        engine.submit(QueryRequest("late", ("target",), (0, 1), deadline_s=0.5), plan)
+        engine.submit(QueryRequest("open", ("target",), (2,)), plan)
+        report = engine.run()
+        late = report.result("late")
+        assert late.status == "shed" and late.shed_reason == "deadline"
+        assert late.object_ids == [] and late.spent_cents == 0.0
+        assert report.result("open").status == "completed"
+        assert report.shed_by_reason("deadline") == 1
+        # Shed before the need phase: only object 2's answers were bought.
+        assert platform.ledger.questions_by_category["value"] == 4
+
+    def test_late_queries_degrade_by_default(self, tiny_domain):
+        """Without ``shed_expired`` the same late query buys its answers
+        and is served degraded, with an empty deadline prefix."""
+        ticks = iter(range(1000))
+        engine, platform = make_engine(tiny_domain, clock=lambda: float(next(ticks)))
+        plan = identity_plan("target")
+        engine.submit(QueryRequest("late", ("target",), (0, 1), deadline_s=0.5), plan)
+        engine.submit(QueryRequest("open", ("target",), (2,)), plan)
+        report = engine.run()
+        late = report.result("late")
+        assert late.status == "degraded" and late.degraded_reason == "deadline"
+        assert late.object_ids == []
+        assert report.shed == 0
+        assert report.result("open").status == "completed"
+        assert platform.ledger.questions_by_category["value"] == 12
+
+    def test_backpressure_counted_in_the_manifest(self, tiny_domain):
+        """Both shed reasons reach the manifest's serve section, which
+        keeps no other backpressure tally."""
+        ticks = iter(range(1000))
+        platform = CrowdPlatform(
+            tiny_domain,
+            recorder=AnswerRecorder(),
+            seed=3,
+            obs=Observability.collecting(),
+        )
+        engine = ServeEngine(
+            platform,
+            max_queue=2,
+            clock=lambda: float(next(ticks)),
+            shed_expired=True,
+        )
+        plan = identity_plan("target")
+        engine.submit(QueryRequest("late", ("target",), (0,), deadline_s=0.5), plan)
+        engine.submit(QueryRequest("open", ("target",), (1,)), plan)
+        assert not engine.submit(QueryRequest("over", ("target",), (2,)), plan)
+        report = engine.run()
+        manifest = build_manifest("serve", platform.obs, created_at=0.0)
+        assert manifest_errors(manifest) == []
+        serve = manifest["serve"]
+        assert serve["shed_by_reason"] == {"deadline": 1, "overflow": 1}
+        assert serve["shed"] == report.shed == 2
+        assert serve["peak_queue_depth"] == report.peak_queue_depth == 2
+        assert "admission" not in serve
 
     def test_duplicate_query_id_rejected(self, tiny_domain):
         engine, _ = make_engine(tiny_domain)
@@ -451,8 +545,8 @@ class TestServeEngine:
         plans = [identity_plan("target"), identity_plan("target")]
         with pytest.raises(ConfigurationError, match="overlapping targets"):
             engine.submit(request, plans)
-        assert engine.queue_depth == 0
-        assert engine.run().results == []
+        report = engine.run()
+        assert report.results == [] and report.peak_queue_depth == 0
         assert platform.ledger.total_spent == 0.0
         assert engine.submit(request, identity_plan("target"))
 
@@ -476,10 +570,11 @@ class TestServeEngine:
         with pytest.raises(ConfigurationError, match=rf"object {bad}\b"):
             engine.submit(bad_request, identity_plan("target"))
         assert resolved == ["q0"]
-        assert engine.queue_depth == 1
         assert platform.ledger.total_spent == 0.0
         assert engine.submit(QueryRequest("q1", ("target",), (3, 4)))
         report = engine.run()
+        # The refused submissions never entered the queue.
+        assert report.peak_queue_depth == 2
         assert [result.query_id for result in report.results] == ["q0", "q1"]
         assert all(result.status == "completed" for result in report.results)
 
